@@ -28,14 +28,12 @@ under its figure ids::
     payload = SweepRunner(jobs=4).run(experiment, params, seed=1)
 
 ``python -m repro.experiments <id>`` is the command-line face of the
-same machinery.  The old ad-hoc ``run_*`` entry points are still
-importable from this package but deprecated; import them from their
-defining modules (or, better, go through the registry).
+same machinery.  The ad-hoc ``run_*`` helpers live on their defining
+modules (``repro.experiments.fattree.run_fattree`` and so on); the
+registry is the supported way in.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.experiments import registry
 from repro.experiments.ablation import (
@@ -98,76 +96,9 @@ __all__ = [
     "WebServiceResult",
     "WorkloadFigures",
     "WorkloadParams",
-    "characterize_workload",
     "dctcp_threshold_pkts",
     "ecn_threshold_for",
     "packets_per_second",
     "registry",
-    "run_arct_sweep",
-    "run_alpha_sweep",
-    "run_concurrency",
-    "run_concurrency_sweep",
-    "run_fairness",
-    "run_fattree",
-    "run_incast",
-    "run_incast_sweep",
-    "run_k_sweep",
-    "run_large_scale",
-    "run_large_scale_sweep",
-    "run_motivation",
-    "run_multihop",
-    "run_probe_policies",
-    "run_properties_case",
-    "run_properties_sweep",
-    "run_queue_trace",
     "run_until",
-    "run_web_service",
 ]
-
-#: deprecated top-level names → (defining module, registry id to prefer)
-_DEPRECATED = {
-    "characterize_workload": ("repro.experiments.workload_figs", "fig1"),
-    "run_alpha_sweep": ("repro.experiments.ablation", "ablations"),
-    "run_arct_sweep": ("repro.experiments.testbed", "fig13a"),
-    "run_concurrency": ("repro.experiments.concurrency", "fig5"),
-    "run_concurrency_sweep": ("repro.experiments.concurrency", "fig5"),
-    "run_fairness": ("repro.experiments.fairness", "fig10"),
-    "run_fattree": ("repro.experiments.fattree", "fig12"),
-    "run_incast": ("repro.experiments.incast", "incast"),
-    "run_incast_sweep": ("repro.experiments.incast", "incast"),
-    "run_k_sweep": ("repro.experiments.ablation", "ablations"),
-    "run_large_scale": ("repro.experiments.large_scale", "fig8"),
-    "run_large_scale_sweep": ("repro.experiments.large_scale", "fig8"),
-    "run_motivation": ("repro.experiments.motivation", "fig4"),
-    "run_multihop": ("repro.experiments.multihop", "fig11"),
-    "run_probe_policies": ("repro.experiments.ablation", "ablations"),
-    "run_properties_case": ("repro.experiments.properties", "fig9"),
-    "run_properties_sweep": ("repro.experiments.properties", "fig9"),
-    "run_queue_trace": ("repro.experiments.properties", "fig9"),
-    "run_web_service": ("repro.experiments.testbed", "fig13be"),
-}
-
-
-def __getattr__(name: str) -> object:
-    """PEP 562 shim: the old ``run_*`` entry points, with a warning.
-
-    The functions still exist on their defining modules; what is
-    deprecated is reaching them through the package root instead of the
-    registry/runner API.
-    """
-    try:
-        module_name, experiment_id = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"importing {name!r} from {__name__!r} is deprecated; use "
-        f"registry.get({experiment_id!r}) with repro.runner.SweepRunner, "
-        f"or import it from {module_name!r}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

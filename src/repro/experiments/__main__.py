@@ -10,7 +10,7 @@ Usage::
 Experiments are resolved through :mod:`repro.experiments.registry` and
 executed by :class:`repro.runner.SweepRunner`: every figure is a sweep
 of independent points, fanned out to ``--jobs`` workers on a pluggable
-execution backend (``--backend serial|process|shm``) with a
+execution backend (``--backend serial|process|dispatch``) with a
 content-addressed result cache (``--cache-dir`` / ``--no-cache``).
 When the cache has seen a point before, its measured runtime also
 drives cost-aware scheduling (``--schedule cost``, the default):
@@ -46,6 +46,7 @@ from repro.runner import (
     SweepCheckpoint,
     SweepInterrupted,
     SweepRunner,
+    create_backend,
 )
 from repro.runner.cache import default_cache_dir
 
@@ -142,11 +143,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("serial", "process", "shm", "dispatch"),
+        choices=("serial", "process", "dispatch"),
         default=None,
         help="sweep execution backend: serial (inline), process "
-        "(worker pool, pickle transport), shm (worker pool with "
-        "shared-memory result transport for trace-heavy payloads), or "
+        "(worker pool, pickle transport), or "
         "dispatch (fault-tolerant socket workers with heartbeat "
         "leases, classified retry, and quarantine — see --hosts); "
         "default picks serial under --jobs 1 and process otherwise. "
@@ -195,7 +195,10 @@ def main(argv: list[str] | None = None) -> int:
         "--timeout",
         type=float,
         default=None,
-        help="per-point timeout in seconds (pool runs only)",
+        help="per-point timeout in seconds: a point still running "
+        "after this long is resubmitted within the retry budget and "
+        "the earliest-submitted success wins (process and dispatch "
+        "backends; an inline point cannot be preempted)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -400,7 +403,6 @@ def main(argv: list[str] | None = None) -> int:
     backend: Any = args.backend
     quarantine_path = None
     if args.backend == "dispatch":
-        from repro.runner.backends.dispatch import load_dispatch_backend
         from repro.runner.dispatch.hosts import parse_hosts
 
         hosts = None
@@ -419,10 +421,10 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             quarantine_path = "quarantine.jsonl"
-        backend = load_dispatch_backend()(
+        backend = create_backend(
+            "dispatch",
             hosts=hosts,
             retry_policy=retry_policy,
-            task_timeout=args.timeout,
             quarantine_path=quarantine_path,
         )
     runner = SweepRunner(

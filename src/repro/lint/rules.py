@@ -480,7 +480,7 @@ class RawExecutorRule(Rule):
     Constructing a :class:`concurrent.futures.ProcessPoolExecutor`
     directly sidesteps the runner's execution seam: the pool's results
     skip the ``(seconds, value)`` timing contract that feeds cost-aware
-    scheduling, skip the shared-memory transport choice, and are
+    scheduling, skip the engine's retry/timeout loop, and are
     invisible to the journal's backend header.  The backends package —
     which *is* the sanctioned wrapper — is exempt.
     """
@@ -489,8 +489,8 @@ class RawExecutorRule(Rule):
     summary = "raw ProcessPoolExecutor bypasses the SweepBackend seam"
     fixit = (
         "use a repro.runner.backends backend (SerialBackend, "
-        "ProcessPoolBackend, SharedMemoryBackend) or create_backend(); "
-        "wrap a custom executor in LegacyExecutorBackend"
+        "ProcessPoolBackend) or create_backend(); for a custom "
+        "executor, subclass ProcessPoolBackend and override _make_pool"
     )
 
     #: the sanctioned implementation of the seam.

@@ -75,12 +75,12 @@ POOL_EVENTS: tuple[str, ...] = (
 )
 
 #: fleet-dispatch lifecycle events (repro.runner.dispatch): worker and
-#: lease life cycle, retry/speculation decisions, quarantine, and the
-#: per-host circuit breaker's transitions.
+#: lease life cycle, retry decisions, quarantine, and the per-host
+#: circuit breaker's transitions.
 DISPATCH_EVENTS: tuple[str, ...] = (
     "spawn", "hello", "lease", "expire", "worker_dead", "retry",
-    "speculate", "result", "quarantine", "breaker_open",
-    "breaker_probe", "breaker_close", "shutdown",
+    "result", "quarantine", "breaker_open", "breaker_probe",
+    "breaker_close", "shutdown",
 )
 
 

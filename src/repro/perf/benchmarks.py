@@ -41,14 +41,11 @@ through:
     with a single-module edit.  ``events`` counts modules covered, so
     the pair reads directly as modules-per-second and their ratio is
     the speedup the content-hash cache buys an editor loop.
-``sweep_fanout`` / ``sweep_fanout_shm``
+``sweep_fanout``
     The sweep dispatch path itself rather than a simulation: a
     synthetic experiment whose points return multi-megabyte payloads,
     fanned out through :class:`~repro.runner.SweepRunner` on the
-    ``process`` and ``shm`` backends respectively.  The pair
-    A/B-measures result transport — pickle pipe versus shared-memory
-    segments — on identical work; their relative throughput is the
-    number the shm backend exists for.
+    ``process`` backend — the pickle-pipe result-transport number.
 """
 
 from __future__ import annotations
@@ -256,8 +253,7 @@ class _FanoutParams:
     """Params of the synthetic payload experiment (picklable)."""
 
     #: sized so result transport dominates pool startup and dispatch —
-    #: small payloads measure fork overhead, not the pipe-versus-shm
-    #: difference this pair exists for.
+    #: small payloads measure fork overhead, not the result pipe.
     n_points: int = 4
     payload_bytes: int = 16 * 1024 * 1024
 
@@ -295,39 +291,29 @@ class _SweepPayloadExperiment(Experiment):
 SWEEP_PAYLOAD = _SweepPayloadExperiment()
 
 
-def _run_fanout(scale: int, backend: str) -> BenchRun:
-    """Fan ``scale`` bulk points through a SweepRunner on ``backend``."""
-    from repro.runner import SweepRunner, create_backend
+def bench_sweep_fanout(scale: int) -> BenchRun:
+    """Bulk-payload sweep on the ``process`` backend (pickle pipe)."""
+    from repro.runner import SweepRunner
 
     params = _FanoutParams(n_points=scale)
     runner = SweepRunner(
         jobs=2,
         cache=None,
-        backend=create_backend(backend),
-        schedule="fifo",  # A/B fairness: identical submission order
+        backend="process",
+        schedule="fifo",  # run-to-run fairness: identical submission order
     )
     payloads = runner.run(SWEEP_PAYLOAD, params, seed=1)
     stats = runner.last_stats
     if stats is None or stats.failures:  # pragma: no cover - sizing bug guard
-        raise RuntimeError(f"sweep_fanout[{backend}] had failing points")
+        raise RuntimeError("sweep_fanout had failing points")
     checksum = 0
     total = 0
     for blob in payloads:
         checksum = zlib.crc32(blob, checksum)
         total += len(blob)
     # "events" = bytes moved, so events_per_sec reads as transport
-    # bandwidth and the process/shm pair compares directly.
+    # bandwidth.
     return BenchRun(total, 0.0, checksum)
-
-
-def bench_sweep_fanout(scale: int) -> BenchRun:
-    """Bulk-payload sweep on the ``process`` backend (pickle pipe)."""
-    return _run_fanout(scale, "process")
-
-
-def bench_sweep_fanout_shm(scale: int) -> BenchRun:
-    """The identical sweep on ``shm`` (shared-memory result transport)."""
-    return _run_fanout(scale, "shm")
 
 
 def bench_dispatch_fanout(scale: int) -> BenchRun:
@@ -608,13 +594,6 @@ BENCHMARKS: tuple[BenchmarkSpec, ...] = (
         "sweep_fanout",
         "bulk-payload sweep dispatch on the process backend (pickle pipe)",
         bench_sweep_fanout,
-        quick_scale=8,
-        full_scale=16,
-    ),
-    BenchmarkSpec(
-        "sweep_fanout_shm",
-        "the identical sweep on the shm backend (shared-memory transport)",
-        bench_sweep_fanout_shm,
         quick_scale=8,
         full_scale=16,
     ),

@@ -5,11 +5,10 @@ out to a pluggable execution backend, with:
 
 * deterministic per-point seeds (results are identical for any worker
   count and any backend — see :func:`repro.sim.randomness.derive_seed`);
-* first-class backends (:mod:`repro.runner.backends`): ``serial``
-  (inline, the ``jobs=1`` default), ``process``
+* three backends (:mod:`repro.runner.backends`): ``serial`` (inline,
+  the ``jobs=1`` default), ``process``
   (:class:`~concurrent.futures.ProcessPoolExecutor` fan-out), and
-  ``shm`` (process pool whose bulk result payloads travel through
-  shared memory instead of the pickle pipe);
+  ``dispatch`` (below);
 * cost-aware scheduling: the cache's :class:`~repro.runner.cache.CostModel`
   remembers per-point runtimes and the runner submits predicted-longest
   points first, shrinking pool makespan without changing results;
@@ -20,12 +19,12 @@ out to a pluggable execution backend, with:
   result set, governed by a shared
   :class:`~repro.runner.dispatch.retry.RetryPolicy` that classifies
   failures (transient / timeout / deterministic) and backs off with
-  deterministic seeded jitter;
+  deterministic seeded jitter; one loop in the engine resubmits
+  stragglers for every backend;
 * a fault-tolerant multi-host backend (``dispatch``,
   :mod:`repro.runner.dispatch`): socket workers with heartbeat leases,
-  error-classified retry, per-host circuit breakers, speculative
-  re-execution of stragglers, and quarantine of deterministically
-  failing points;
+  error-classified retry, per-host circuit breakers, and quarantine of
+  deterministically failing points;
 * crash-safe checkpointing: an append-only, fsynced JSONL journal of
   completed points (:class:`~repro.runner.checkpoint.SweepCheckpoint`)
   that ``resume=True`` replays after a crash or Ctrl-C — under any
@@ -40,16 +39,14 @@ Typical use::
     experiment = registry.get("fig8")
     params = experiment.make_params("quick", "trim")
     runner = SweepRunner(jobs=4, cache=ResultCache("~/.cache/repro-experiments"),
-                         backend="shm")
+                         backend="process")
     payload = runner.run(experiment, params, seed=1)
 """
 
 from repro.runner.backends import (
-    LegacyExecutorBackend,
     PointSpec,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
     SweepBackend,
     create_backend,
 )
@@ -76,7 +73,6 @@ from repro.runner.progress import ProgressReporter
 __all__ = [
     "CostModel",
     "DispatchError",
-    "LegacyExecutorBackend",
     "PointFailure",
     "PointSpec",
     "ProcessPoolBackend",
@@ -85,7 +81,6 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "SerialBackend",
-    "SharedMemoryBackend",
     "SweepBackend",
     "SweepCheckpoint",
     "SweepInterrupted",

@@ -1,26 +1,22 @@
 """Pluggable execution backends for :class:`~repro.runner.engine.SweepRunner`.
 
-Four first-class implementations ship with the runner:
+Three implementations ship with the runner:
 
 ============ =================================================================
 ``serial``    in-process, zero overhead, no registry requirement — the
               debugging default under ``--jobs 1``
 ``process``   :class:`~concurrent.futures.ProcessPoolExecutor` fan-out with
               pickle result transport — the parallel default
-``shm``       process pool whose bulk result payloads travel through
-              ``multiprocessing.shared_memory`` segments instead of the
-              pickle pipe — for trace-heavy sweeps
 ``dispatch``  fault-tolerant multi-host fleet over a socket frame
               protocol: worker leases, error-classified retry,
               quarantine, per-host circuit breakers
               (:mod:`repro.runner.dispatch`)
 ============ =================================================================
 
-plus :class:`LegacyExecutorBackend`, the adapter behind the deprecated
-``SweepRunner(executor_factory=...)`` kwarg.  All backends honor the
-same determinism contract: byte-identical merged payloads for any
-backend and any ``--jobs``.  See :class:`~repro.runner.backends.base.SweepBackend`
-for the protocol and CONTRIBUTING.md for how to implement one.
+All backends honor the same determinism contract: byte-identical merged
+payloads for any backend and any ``--jobs``.  See
+:class:`~repro.runner.backends.base.SweepBackend` for the protocol and
+CONTRIBUTING.md for how to implement one.
 
 ``dispatch`` is registered lazily: naming it in :func:`create_backend`
 (or ``--backend dispatch``) imports the fleet machinery on demand, so
@@ -35,18 +31,15 @@ from repro.runner.backends.base import (
     execute_point,
     resolve_experiment,
 )
-from repro.runner.backends.pool import LegacyExecutorBackend, ProcessPoolBackend
+from repro.runner.backends.pool import ProcessPoolBackend
 from repro.runner.backends.serial import SerialBackend
-from repro.runner.backends.shm import SharedMemoryBackend
 
 __all__ = [
     "BACKENDS",
     "LAZY_BACKENDS",
-    "LegacyExecutorBackend",
     "PointSpec",
     "ProcessPoolBackend",
     "SerialBackend",
-    "SharedMemoryBackend",
     "SweepBackend",
     "create_backend",
     "execute_point",
@@ -57,7 +50,6 @@ __all__ = [
 BACKENDS: dict[str, type[SweepBackend]] = {
     SerialBackend.name: SerialBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,
-    SharedMemoryBackend.name: SharedMemoryBackend,
 }
 
 #: backends resolved by import on first use (see module docstring).
@@ -65,14 +57,14 @@ LAZY_BACKENDS: tuple[str, ...] = ("dispatch",)
 
 
 def create_backend(name: str, **kwargs: object) -> SweepBackend:
-    """Instantiate a named backend (``serial``/``process``/``shm``/``dispatch``)."""
+    """Instantiate a named backend (``serial``/``process``/``dispatch``)."""
     if name in LAZY_BACKENDS:
-        from repro.runner.backends.dispatch import load_dispatch_backend
+        from repro.runner.dispatch.backend import DispatchBackend
 
-        return load_dispatch_backend()(**kwargs)  # type: ignore[arg-type]
+        return DispatchBackend(**kwargs)  # type: ignore[arg-type]
     try:
         cls = BACKENDS[name]
     except KeyError:
-        known = ", ".join(sorted((*BACKENDS, *LAZY_BACKENDS)))
+        known = ", ".join((*BACKENDS, *LAZY_BACKENDS))
         raise ValueError(f"unknown sweep backend {name!r} (known: {known})") from None
     return cls(**kwargs)  # type: ignore[arg-type]

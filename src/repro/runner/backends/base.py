@@ -3,8 +3,8 @@
 A backend is the execution seam of :class:`~repro.runner.engine.SweepRunner`:
 the runner decides *what* to run (entries, seeds, retries, journalling,
 merge order) and the backend decides *where and how* one point executes
-(inline, on a process pool, with shared-memory result transport, on a
-user-supplied executor).  The contract is deliberately small:
+(inline, on a process pool, on a dispatch fleet).  The contract is
+deliberately small:
 
 ``open(max_workers)``
     Acquire workers.  Called once per dispatch; a backend instance may
@@ -26,11 +26,8 @@ user-supplied executor).  The contract is deliberately small:
     Release workers.  ``cancel_futures`` drops queued work on
     interrupt.
 
-Capability flags let the runner (and tests) reason about a backend
-without isinstance checks: ``inline`` (executes in-process at submit
-time), ``supports_cancellation`` (in-flight futures can be cancelled),
-and ``supports_shared_memory`` (bulk result bytes bypass the pickle
-pipe).
+One capability flag lets the runner reason about a backend without
+isinstance checks: ``inline`` (executes in-process at submit time).
 
 Whatever the backend, the runner's determinism contract holds: results
 are merged by point index with earliest-submitted-success semantics, so
@@ -159,10 +156,6 @@ class SweepBackend(abc.ABC):
     #: runner then submits lazily so each result lands durably before
     #: the next point starts.
     inline: bool = False
-    #: True when in-flight futures honor ``cancel()``.
-    supports_cancellation: bool = False
-    #: True when bulk result bytes bypass the pickle pipe.
-    supports_shared_memory: bool = False
 
     def open(self, max_workers: int) -> None:
         """Acquire up to ``max_workers`` workers for one dispatch."""

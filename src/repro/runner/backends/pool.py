@@ -1,4 +1,4 @@
-"""Process-pool execution and the deprecated executor-factory shim.
+"""Process-pool execution.
 
 Only ``(experiment_id, params, point, seed)`` crosses the process
 boundary, so experiments never need to be picklable themselves — but
@@ -11,7 +11,7 @@ they must be *resolvable* in the worker: registered in
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.runner.backends.base import (
     PointSpec,
@@ -20,7 +20,7 @@ from repro.runner.backends.base import (
     resolve_experiment,
 )
 
-__all__ = ["LegacyExecutorBackend", "ProcessPoolBackend"]
+__all__ = ["ProcessPoolBackend"]
 
 
 def _pool_worker(
@@ -35,13 +35,11 @@ class ProcessPoolBackend(SweepBackend):
     """The classic fan-out: one OS process per worker, pickle transport.
 
     Results round-trip through the pool's result pipe as pickles — fine
-    for the dataclass payloads most figures return, wasteful for
-    trace-heavy ones (see
-    :class:`~repro.runner.backends.shm.SharedMemoryBackend`).
+    for the dataclass payloads figures return (the largest, fig4's, is
+    ~135 KB per point).
     """
 
     name = "process"
-    supports_cancellation = True
 
     def __init__(self, mp_context: Any = None) -> None:
         self._mp_context = mp_context
@@ -70,25 +68,3 @@ class ProcessPoolBackend(SweepBackend):
             self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
             self._pool = None
 
-
-class LegacyExecutorBackend(ProcessPoolBackend):
-    """Adapter wrapping a bare ``max_workers -> Executor`` callable.
-
-    This is what the deprecated ``SweepRunner(executor_factory=...)``
-    kwarg becomes: the same submit/drain/close surface as every other
-    backend, built on whatever executor the callable returns.  Tests
-    that need deterministic straggler timing hand it a
-    ``ThreadPoolExecutor`` factory; new code should implement a
-    :class:`~repro.runner.backends.base.SweepBackend` instead.
-    """
-
-    name = "legacy"
-
-    def __init__(
-        self, factory: Callable[[int], concurrent.futures.Executor]
-    ) -> None:
-        super().__init__()
-        self.factory = factory
-
-    def _make_pool(self, max_workers: int) -> concurrent.futures.Executor:
-        return self.factory(max_workers)

@@ -42,8 +42,11 @@ __all__ = ["JOURNAL_SCHEMA", "SweepCheckpoint", "digest_params"]
 #: schema id carried by journal header lines.  A header records which
 #: execution backend (and jobs/schedule configuration) produced the
 #: run's records; resume accepts any backend — the journal format is
-#: backend-independent, so a sweep killed under ``shm`` can resume
-#: under ``serial`` and vice versa.  Headers are append-only like every
+#: backend-independent, so a sweep killed under ``process`` can resume
+#: under ``serial`` and vice versa.  The backend name is informational
+#: only and never validated: a journal whose header says
+#: ``"backend": "shm"`` (written before that backend was removed) still
+#: loads and resumes.  Headers are append-only like every
 #: other line: a resumed run appends a fresh header, and ``load()``
 #: keeps the last one seen (the configuration that wrote the tail).
 JOURNAL_SCHEMA = "repro-sweep-journal/1"

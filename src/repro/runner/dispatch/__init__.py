@@ -23,9 +23,11 @@ never stall the fleet on one sick participant:
   a shared :class:`RetryPolicy` with exponential backoff, deterministic
   seeded jitter, a delay cap, and an attempt budget classifies failures
   into *transient* (worker crash, lease expiry, connection reset →
-  retry on another worker), *timeout* (speculative duplicate execution,
-  earliest-submission-wins), and *deterministic* (same exception from
-  two distinct workers → quarantine).
+  retry on another worker), *timeout* (the engine resubmits the
+  straggler, earliest-submission-wins — decided in
+  :mod:`repro.runner.engine` for every backend, never here), and
+  *deterministic* (same exception from two distinct workers →
+  quarantine).
 * **Quarantine** — a deterministically failing point is recorded in a
   ``quarantine.jsonl`` sidecar with both tracebacks and the sweep keeps
   going; one poisoned point never stalls the fleet.

@@ -28,10 +28,12 @@ Fault model (see the package docstring for the full story):
   workers: a repeat from a *different* worker quarantines the point
   (``quarantine.jsonl``); otherwise it retries with the policy's seeded
   exponential backoff until ``max_attempts``;
-* a lease older than ``task_timeout`` → a speculative duplicate on
-  another worker, first result wins (identical by determinism);
 * ``breaker_threshold`` consecutive failures on one host → the host is
   drained; after ``breaker_cooldown`` a half-open probe readmits it.
+
+A point that merely runs long is not this module's business: the
+engine's ``timeout`` resubmits it as a fresh task, exactly as it does
+for a pool point, so a task here holds at most one lease at a time.
 
 Results land in the ordinary sweep journal via the engine, so a
 dispatch run killed at any instant resumes under any backend.
@@ -80,7 +82,7 @@ __all__ = ["DispatchBackend"]
 #: fleet spawns — the seam the chaos harness's worker-killer reads.
 PIDFILE_ENV = "REPRO_DISPATCH_PIDFILE"
 
-#: reactor tick: the cadence of lease/speculation/backoff checks.
+#: reactor tick: the cadence of lease/backoff checks.
 _TICK_SECONDS = 0.05
 
 #: spawn failures tolerated per host before it is written off entirely
@@ -137,9 +139,9 @@ class _Task:
     """Reactor-private record of one submitted point."""
 
     __slots__ = (
-        "tid", "spec", "label", "future", "schedule", "leases",
+        "tid", "spec", "label", "future", "schedule",
         "failed_attempts", "executions", "transient_retries",
-        "failures", "avoid", "lost_workers", "speculated", "done",
+        "failures", "avoid", "lost_workers", "done",
     )
 
     def __init__(
@@ -154,8 +156,6 @@ class _Task:
         self.label = str(getattr(spec.point, "label", tid))
         self.future = future
         self.schedule = schedule
-        #: worker name -> lease start (monotonic); >1 while speculating.
-        self.leases: dict[str, float] = {}
         self.failed_attempts = 0
         self.executions = 0
         self.transient_retries = 0
@@ -164,7 +164,6 @@ class _Task:
         #: workers this point already failed on — avoided when possible.
         self.avoid: set[str] = set()
         self.lost_workers: set[str] = set()
-        self.speculated = False
         self.done = False
 
 
@@ -173,8 +172,6 @@ class DispatchBackend(SweepBackend):
 
     name = "dispatch"
     inline = False
-    supports_cancellation = False
-    supports_shared_memory = False
 
     def __init__(
         self,
@@ -182,7 +179,6 @@ class DispatchBackend(SweepBackend):
         retry_policy: Optional[RetryPolicy] = None,
         lease_timeout: float = 10.0,
         heartbeat_interval: float = 0.5,
-        task_timeout: Optional[float] = None,
         spawn_timeout: float = 20.0,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
@@ -206,7 +202,6 @@ class DispatchBackend(SweepBackend):
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.lease_timeout = lease_timeout
         self.heartbeat_interval = heartbeat_interval
-        self.task_timeout = task_timeout
         self.spawn_timeout = spawn_timeout
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
@@ -246,7 +241,6 @@ class DispatchBackend(SweepBackend):
         # counters (reactor-written, read anywhere under the GIL).
         self.lease_expirations = 0
         self.transient_retries = 0
-        self.timeouts = 0
         self.quarantined = 0
         self.duplicate_results = 0
         self.frames_sent = 0
@@ -345,7 +339,6 @@ class DispatchBackend(SweepBackend):
         return {
             "lease_expirations": self.lease_expirations,
             "transient_retries": self.transient_retries,
-            "timeouts": self.timeouts,
             "quarantined": self.quarantined,
             "duplicate_results": self.duplicate_results,
             "frames_sent": self.frames_sent,
@@ -453,10 +446,9 @@ class DispatchBackend(SweepBackend):
                 self._ingest_submissions()
                 self._check_spawned(now)
                 self._check_leases(now)
-                self._check_speculation(now)
                 self._promote_delayed(now)
                 self._ensure_capacity()
-                self._assign(now)
+                self._assign()
                 self._check_fleet_viability()
                 if self._stop_mode == "cancel":
                     break
@@ -570,17 +562,15 @@ class DispatchBackend(SweepBackend):
 
     # -- results and failures ------------------------------------------
 
-    def _release(self, worker: _Worker, task: Optional[_Task]) -> None:
+    def _release(self, worker: _Worker) -> None:
         worker.task = None
         if worker.state == _Worker.BUSY:
             worker.state = _Worker.IDLE
-        if task is not None:
-            task.leases.pop(worker.name, None)
 
     def _on_result(self, worker: _Worker, frame: dict[str, Any]) -> None:
         tid = int(frame["task"])
         task = self._tasks.get(tid)
-        self._release(worker, task)
+        self._release(worker)
         if task is None or task.done:
             self.duplicate_results += 1
             return
@@ -602,7 +592,7 @@ class DispatchBackend(SweepBackend):
     def _on_error(self, worker: _Worker, frame: dict[str, Any]) -> None:
         tid = int(frame["task"])
         task = self._tasks.get(tid)
-        self._release(worker, task)
+        self._release(worker)
         if task is None or task.done:
             self.duplicate_results += 1
             return
@@ -635,8 +625,6 @@ class DispatchBackend(SweepBackend):
         if len(repeat_workers) >= 2:
             self._quarantine(task, signature, repeat_workers)
             return
-        if task.leases:
-            return  # a speculative twin is still running; let it decide
         if self.retry_policy.allows(task.failed_attempts + 1):
             delay = task.schedule.delay(task.failed_attempts)
             heapq.heappush(self._delayed, (time.monotonic() + delay, task.tid))
@@ -657,8 +645,8 @@ class DispatchBackend(SweepBackend):
     def _retry_transient(self, task: _Task, lost_worker: str, detail: str) -> None:
         """Re-enqueue after an environmental failure, within budget."""
         task.lost_workers.add(lost_worker)
-        if task.done or task.leases:
-            return  # resolved meanwhile, or a speculative twin survives
+        if task.done:
+            return  # resolved meanwhile
         if self.retry_policy.allows_transient(task.transient_retries):
             task.transient_retries += 1
             self.transient_retries += 1
@@ -761,7 +749,6 @@ class DispatchBackend(SweepBackend):
         task = self._tasks.get(tid)
         if task is None:
             return
-        task.leases.pop(worker.name, None)
         if event == "expire":
             self.lease_expirations += 1
         self._retry_transient(task, worker.name, detail)
@@ -809,23 +796,6 @@ class DispatchBackend(SweepBackend):
                     f"(lease_timeout={self.lease_timeout})",
                 )
 
-    def _check_speculation(self, now: float) -> None:
-        """A lease older than task_timeout gets a speculative duplicate."""
-        if self.task_timeout is None:
-            return
-        for task in self._tasks.values():
-            if task.done or task.speculated or not task.leases:
-                continue
-            oldest = min(task.leases.values())
-            if now - oldest > self.task_timeout:
-                task.speculated = True
-                self.timeouts += 1
-                self._ready.append(task.tid)
-                self.log.emit(
-                    "speculate", point=task.label,
-                    detail=f"lease age {now - oldest:.2f}s",
-                )
-
     def _promote_delayed(self, now: float) -> None:
         while self._delayed and self._delayed[0][0] <= now:
             _, tid = heapq.heappop(self._delayed)
@@ -861,7 +831,6 @@ class DispatchBackend(SweepBackend):
                 worker
                 for worker in self._workers.values()
                 if worker.state == _Worker.IDLE
-                and worker.name not in task.leases
             ),
             key=lambda worker: worker.name,
         )
@@ -874,7 +843,7 @@ class DispatchBackend(SweepBackend):
                 return worker
         return None
 
-    def _assign(self, now: float) -> None:
+    def _assign(self) -> None:
         """Lease ready points onto idle workers, FIFO."""
         deferred: deque[int] = deque()
         while self._ready:
@@ -888,11 +857,11 @@ class DispatchBackend(SweepBackend):
             if worker is None:
                 deferred.append(tid)
                 break
-            self._lease(task, worker, now)
+            self._lease(task, worker)
         deferred.extend(self._ready)
         self._ready = deferred
 
-    def _lease(self, task: _Task, worker: _Worker, now: float) -> None:
+    def _lease(self, task: _Task, worker: _Worker) -> None:
         """Send one task frame; a send failure is a worker death."""
         assert worker.sock is not None
         spec = task.spec
@@ -909,7 +878,7 @@ class DispatchBackend(SweepBackend):
             send_frame(worker.sock, frame)
         except OSError as exc:
             self._mark_dead(worker, "worker_dead", f"task send failed: {exc}")
-            if not task.done and not task.leases and task.tid not in self._ready:
+            if not task.done and task.tid not in self._ready:
                 # _mark_dead only re-enqueues leased tasks; this one was
                 # never leased, so put it straight back.
                 self._ready.appendleft(task.tid)
@@ -917,7 +886,6 @@ class DispatchBackend(SweepBackend):
         self.frames_sent += 1
         worker.state = _Worker.BUSY
         worker.task = task.tid
-        task.leases[worker.name] = now
         task.executions += 1
         self.log.emit(
             "lease", worker=worker.name, host=worker.host.name,

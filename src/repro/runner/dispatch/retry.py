@@ -19,8 +19,8 @@ host.  The policy has three independent knobs:
   a host dies).
 
 Failure *classification* is the policy's other half: transient faults
-are retried on another worker immediately-ish, timeouts trigger
-speculative duplicate execution (earliest submission wins), and a
+are retried on another worker immediately-ish, timeouts make the
+engine resubmit the straggler (earliest submission wins), and a
 deterministic failure — the same exception from two distinct workers —
 is quarantined rather than retried forever.  Classification is by
 exception type (:func:`classify_failure`); the dispatch backend

@@ -4,8 +4,8 @@
 their :class:`~repro.experiments.base.Point` lists, and resolves every
 point — from the cache when possible, otherwise on a pluggable
 :class:`~repro.runner.backends.SweepBackend` (inline, process pool, or
-shared-memory pool) — then folds the per-point results back through
-each experiment's ``reduce``.
+dispatch fleet) — then folds the per-point results back through each
+experiment's ``reduce``.
 
 Determinism contract: each point's seed is derived from the root seed
 and the point's ``"<experiment id>/<label>"`` name alone
@@ -41,6 +41,9 @@ and :attr:`SweepStats.errors`.  Dispatch-terminal failures
 (:class:`~repro.runner.dispatch.retry.QuarantinedPoint`,
 :class:`~repro.runner.dispatch.retry.DispatchError`) are never retried
 here: the dispatch backend already spent its own budgets on them.
+All of this is decided in one loop (:meth:`SweepRunner._drain`) for
+every backend; the dispatch reactor keeps only what needs worker
+identity — lease expiry, worker-aware error retry, quarantine, breakers.
 Extra completed successes are counted in
 :attr:`SweepStats.duplicate_results`.
 
@@ -51,7 +54,7 @@ a crash — including ``kill -9`` mid-sweep — re-running with
 ``resume=True`` replays the journalled points for free and executes
 only the unfinished remainder, producing payloads identical to an
 uninterrupted run.  The journal records which backend wrote it, but
-resume accepts any backend: a sweep killed under ``shm`` can finish
+resume accepts any backend: a sweep killed under ``process`` can finish
 under ``serial``.  ``KeyboardInterrupt`` is handled the same way but
 gracefully: completed points are already on disk, and the runner raises
 :class:`SweepInterrupted` carrying the partial payloads and stats so
@@ -65,10 +68,9 @@ import pickle
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.runner.backends import (
-    LegacyExecutorBackend,
     PointSpec,
     ProcessPoolBackend,
     SerialBackend,
@@ -148,9 +150,7 @@ class SweepStats:
     reordered: int = 0
     failures: list[PointFailure] = field(default_factory=list)
     elapsed: float = 0.0
-    #: timeout events: points that ultimately failed by timing out,
-    #: plus speculative duplicates the dispatch backend launched for
-    #: overdue leases.
+    #: points that ultimately failed by timing out.
     timeouts: int = 0
     #: points that ultimately failed with an error (any non-timeout
     #: kind: deterministic exceptions, exhausted transient budgets,
@@ -249,7 +249,8 @@ class SweepRunner:
         cache's cost ledger also feeds the cost-aware scheduler.
     timeout:
         Seconds to wait for one point's result before retrying/failing
-        it, or None to wait forever.  Enforced only on pool backends.
+        it, or None to wait forever.  Enforced on pool and dispatch
+        backends alike (an inline point cannot be preempted).
     retries:
         Re-submissions after a point raises or times out.  Shorthand
         for the common case; ``retry_policy`` supersedes it.
@@ -271,7 +272,7 @@ class SweepRunner:
         executing them (requires ``checkpoint``).
     backend:
         The execution seam: a backend name (``"serial"``,
-        ``"process"``, ``"shm"``), a
+        ``"process"``, ``"dispatch"``), a
         :class:`~repro.runner.backends.SweepBackend` instance, or None
         to pick automatically (serial under ``jobs=1``, process pool
         otherwise).  ``"serial"`` ignores ``jobs``.
@@ -279,10 +280,6 @@ class SweepRunner:
         ``"cost"`` (default) submits predicted-longest points first
         using the cache's runtime history; ``"fifo"`` keeps submission
         order.  Either way merged payloads are identical.
-    executor_factory:
-        Deprecated ``max_workers -> Executor`` seam; wrapped in a
-        :class:`~repro.runner.backends.LegacyExecutorBackend`.  Pass
-        ``backend=`` instead.
     """
 
     def __init__(
@@ -298,9 +295,6 @@ class SweepRunner:
         resume: bool = False,
         backend: "str | SweepBackend | None" = None,
         schedule: str = "cost",
-        executor_factory: Optional[
-            Callable[[int], concurrent.futures.Executor]
-        ] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -333,21 +327,6 @@ class SweepRunner:
         self.checkpoint = checkpoint
         self.resume = bool(resume)
         self.schedule = schedule
-        if executor_factory is not None:
-            if backend is not None:
-                raise ValueError(
-                    "pass either backend= or the deprecated executor_factory=, "
-                    "not both"
-                )
-            warnings.warn(
-                "SweepRunner(executor_factory=...) is deprecated; pass "
-                "backend=LegacyExecutorBackend(factory) — or one of the "
-                "first-class backends ('serial', 'process', 'shm') — instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            backend = LegacyExecutorBackend(executor_factory)
-        self.executor_factory = executor_factory
         if isinstance(backend, str):
             backend = create_backend(backend)
         if backend is not None and not isinstance(backend, SweepBackend):
@@ -631,7 +610,6 @@ class SweepRunner:
         collected = collect()
         stats.transient_retries += int(collected.get("transient_retries", 0))
         stats.lease_expirations += int(collected.get("lease_expirations", 0))
-        stats.timeouts += int(collected.get("timeouts", 0))
         stats.quarantined += int(collected.get("quarantined", 0))
         stats.duplicate_results += int(collected.get("duplicate_results", 0))
 
@@ -649,219 +627,180 @@ class SweepRunner:
         # its worker roster once the fleet is up, and the journal header
         # should name the fleet that wrote the records after it.
         backend.open(min(self.jobs, len(pending)))
-        if self.checkpoint is not None:
-            self.checkpoint.write_header(
-                backend=backend.name,
-                jobs=self.jobs,
-                schedule=self.schedule,
-                workers=getattr(backend, "worker_roster", ()),
-            )
+        finished = False
         try:
-            if backend.inline:
-                self._drain_inline(backend, pending, results, stats)
-            else:
-                self._drain_pool(backend, pending, results, stats)
+            if self.checkpoint is not None:
+                self.checkpoint.write_header(
+                    backend=backend.name,
+                    jobs=self.jobs,
+                    schedule=self.schedule,
+                    workers=getattr(backend, "worker_roster", ()),
+                )
+            self._drain(backend, pending, results, stats)
+            finished = True
         finally:
+            # Every exit releases the workers.  An interrupt or an error
+            # (a journal write hitting a full disk, say) must not block
+            # on stragglers: drop queued work and leave without waiting
+            # for running futures.  Stats merge after the close so they
+            # include what the fleet counted while shutting down.
+            backend.close(wait=finished, cancel_futures=not finished)
             self._merge_backend_stats(backend, stats)
 
-    def _drain_inline(
+    def _drain(
         self,
         backend: SweepBackend,
         pending: list[_Entry],
         results: list[list[Any]],
         stats: SweepStats,
     ) -> None:
-        """Lazy submission for inline backends: each point's result is
-        recorded (and journalled) before the next point starts."""
-        policy = self.retry_policy
-        for entry in pending:
-            schedule = policy.schedule(
-                f"{entry.experiment.id}/{entry.point.label}"
-            )
-            failed_attempts = 0
-            transient_used = 0
-            total_attempts = 0
-            while True:
-                total_attempts += 1
-                # KeyboardInterrupt propagates out of submit: completed
-                # points are already durable, the rest never started.
-                future = backend.submit(entry.spec())
-                exc = future.exception()
-                if exc is None:
-                    seconds, value = future.result()
-                    self._record(entry, seconds, value, results, stats)
-                    break
-                error = f"{type(exc).__name__}: {exc}"
-                terminal = self._terminal_kind(exc)
-                if terminal is not None:
-                    self._fail(entry, error, total_attempts, stats,
-                               kind=terminal)
-                    break
-                kind = classify_failure(exc)
-                if kind == TRANSIENT:
-                    # Environmental faults draw on the transient budget,
-                    # never the point's own attempts.
-                    if policy.allows_transient(transient_used):
-                        transient_used += 1
-                        stats.transient_retries += 1
-                        continue
-                    self._fail(entry, error, total_attempts, stats,
-                               kind=TRANSIENT)
-                    break
-                failed_attempts += 1
-                if policy.allows(failed_attempts + 1):
-                    delay = schedule.delay(failed_attempts)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                self._fail(entry, error, total_attempts, stats, kind=kind)
-                break
-
-    def _drain_pool(
-        self,
-        backend: SweepBackend,
-        pending: list[_Entry],
-        results: list[list[Any]],
-        stats: SweepStats,
-    ) -> None:
+        """The one attempt loop: every retry, timeout and straggler
+        decision for every backend is made here."""
         #: (entry, future) pairs still in flight after their entry was
         #: already decided — stragglers whose eventual successes are
         #: counted as duplicates, never recorded.
         leftovers: list[tuple[_Entry, concurrent.futures.Future]] = []
-        try:
-            # All attempts for an entry, in submission order.  The list
-            # only grows (stragglers are never discarded), so "earliest
-            # successful submission" is a deterministic choice however
-            # the straggler/retry race resolves.
-            futures: dict[int, list[concurrent.futures.Future]] = {
-                id(entry): [backend.submit(entry.spec())]
-                for entry in pending
-            }
-            policy = self.retry_policy
-            for entry in pending:
-                attempts = futures[id(entry)]
-                #: futures whose failure has already been classified —
-                #: each failed attempt must be charged to a budget
-                #: exactly once, however many drain iterations see it.
-                counted: set[int] = set()
-                last_error: Optional[str] = None
-                last_kind: str = DETERMINISTIC
-                transient_used = 0
-                terminal = False
-                while True:
-                    # Wait only on attempts not yet finished — waiting on
-                    # the full list would return immediately forever once
-                    # one attempt has failed.
-                    unfinished = [f for f in attempts if not f.done()]
-                    progressed = False
-                    if unfinished:
-                        done_now = backend.drain(unfinished, timeout=self.timeout)
-                        progressed = bool(done_now)
-                    winner = None
-                    transient_new = 0
-                    failed_new = 0
-                    for future in attempts:  # submission order
-                        if not future.done() or future.cancelled():
-                            continue
-                        exc = future.exception()
-                        if exc is None:
-                            if winner is None:
-                                winner = future
-                            else:
-                                stats.duplicate_results += 1
-                            continue
-                        if id(future) in counted:
-                            continue
-                        counted.add(id(future))
-                        last_error = f"{type(exc).__name__}: {exc}"
-                        terminal_kind = self._terminal_kind(exc)
-                        if terminal_kind is not None:
-                            last_kind = terminal_kind
-                            terminal = True
-                            continue
-                        last_kind = classify_failure(exc)
-                        if last_kind == TRANSIENT:
-                            transient_new += 1
+        # All attempts for an entry, in submission order.  The list
+        # only grows (stragglers are never discarded), so "earliest
+        # successful submission" is a deterministic choice however
+        # the straggler/retry race resolves.  A pool gets every first
+        # attempt up front; an inline backend executes during submit,
+        # so its first attempt waits until the loop reaches the entry
+        # and each result is journalled before the next point starts.
+        futures: dict[int, list[concurrent.futures.Future]] = {
+            id(entry): [] if backend.inline else [backend.submit(entry.spec())]
+            for entry in pending
+        }
+        policy = self.retry_policy
+        for entry in pending:
+            attempts = futures[id(entry)]
+            if not attempts:
+                # KeyboardInterrupt propagates out of an inline submit:
+                # completed points are already durable, the rest never
+                # started.
+                attempts.append(backend.submit(entry.spec()))
+            #: futures whose failure has already been classified —
+            #: each failed attempt must be charged to a budget
+            #: exactly once, however many drain iterations see it.
+            counted: set[int] = set()
+            last_error: Optional[str] = None
+            last_kind: str = DETERMINISTIC
+            transient_used = 0
+            terminal = False
+            while True:
+                # Wait only on attempts not yet finished — waiting on
+                # the full list would return immediately forever once
+                # one attempt has failed.
+                unfinished = [f for f in attempts if not f.done()]
+                progressed = False
+                if unfinished:
+                    done_now = backend.drain(unfinished, timeout=self.timeout)
+                    progressed = bool(done_now)
+                winner = None
+                transient_new = 0
+                failed_new = 0
+                for future in attempts:  # submission order
+                    if not future.done() or future.cancelled():
+                        continue
+                    exc = future.exception()
+                    if exc is None:
+                        if winner is None:
+                            winner = future
                         else:
-                            failed_new += 1
-                    if winner is not None:
-                        seconds, value = winner.result()
-                        self._record(entry, seconds, value, results, stats)
-                        leftovers.extend(
-                            (entry, future) for future in attempts
-                            if not future.done()
-                        )
-                        break
-                    if terminal:
-                        # The dispatch backend already spent its own
-                        # budgets on this point — record and move on.
-                        for future in attempts:
-                            if not future.done():
-                                future.cancel()
-                        self._fail(entry, last_error or "dispatch failure",
-                                   len(attempts), stats, kind=last_kind)
-                        break
-                    timed_out = bool(unfinished) and not progressed
-                    if timed_out:
-                        last_error = f"timed out after {self.timeout}s"
-                        last_kind = TIMEOUT
-                    resubmit = False
-                    if transient_new and policy.allows_transient(transient_used):
-                        # Environmental faults (worker death, broken
-                        # pool) draw on the transient budget, never the
-                        # point's own attempts.
-                        transient_used += 1
-                        stats.transient_retries += 1
-                        resubmit = True
-                    elif failed_new or timed_out:
-                        # Attempts charged against the point's own
-                        # budget exclude the transient ones above —
-                        # exactly the historical `attempts <= retries`
-                        # gate when no transients occurred.
-                        budget_used = len(attempts) - transient_used
-                        resubmit = policy.allows(budget_used + 1)
-                    if resubmit:
-                        # No backoff sleep here: it would serialize the
-                        # drain loop across unrelated entries.  The
-                        # dispatch backend delays its internal retries;
-                        # pool retries go straight back to a free slot.
-                        try:
-                            attempts.append(backend.submit(entry.spec()))
-                        except Exception as exc:  # pool broken beyond repair
-                            self._fail(
-                                entry,
-                                f"retry submission failed: "
-                                f"{type(exc).__name__}: {exc}",
-                                len(attempts),
-                                stats,
-                            )
-                            break
+                            stats.duplicate_results += 1
                         continue
-                    still_running = [f for f in attempts if not f.done()]
-                    if still_running and not timed_out:
-                        # Submissions exhausted; an attempt just failed
-                        # but stragglers remain in flight.  Grant them
-                        # another timeout window — a late success still
-                        # wins over a recorded failure.
+                    if id(future) in counted:
                         continue
-                    for future in still_running:
-                        future.cancel()
-                    self._fail(entry, last_error or "no result",
+                    counted.add(id(future))
+                    last_error = f"{type(exc).__name__}: {exc}"
+                    terminal_kind = self._terminal_kind(exc)
+                    if terminal_kind is not None:
+                        last_kind = terminal_kind
+                        terminal = True
+                        continue
+                    last_kind = classify_failure(exc)
+                    if last_kind == TRANSIENT:
+                        transient_new += 1
+                    else:
+                        failed_new += 1
+                if winner is not None:
+                    seconds, value = winner.result()
+                    self._record(entry, seconds, value, results, stats)
+                    leftovers.extend(
+                        (entry, future) for future in attempts
+                        if not future.done()
+                    )
+                    break
+                if terminal:
+                    # The dispatch backend already spent its own
+                    # budgets on this point — record and move on.
+                    for future in attempts:
+                        if not future.done():
+                            future.cancel()
+                    self._fail(entry, last_error or "dispatch failure",
                                len(attempts), stats, kind=last_kind)
                     break
-        except KeyboardInterrupt:
-            # Don't block the Ctrl-C on stragglers: drop queued work and
-            # leave without waiting for running futures.
-            backend.close(wait=False, cancel_futures=True)
-            raise
-        else:
-            if leftovers:
-                # The backend shutdown below waits for these anyway;
-                # count the straggler successes the race would have
-                # discarded.
-                concurrent.futures.wait([future for _, future in leftovers])
-                for _, future in leftovers:
-                    if (future.done() and not future.cancelled()
-                            and future.exception() is None):
-                        stats.duplicate_results += 1
-            backend.close(wait=True)
+                timed_out = bool(unfinished) and not progressed
+                if timed_out:
+                    last_error = f"timed out after {self.timeout}s"
+                    last_kind = TIMEOUT
+                resubmit = False
+                if transient_new and policy.allows_transient(transient_used):
+                    # Environmental faults (worker death, broken
+                    # pool) draw on the transient budget, never the
+                    # point's own attempts.
+                    transient_used += 1
+                    stats.transient_retries += 1
+                    resubmit = True
+                elif failed_new or timed_out:
+                    # Attempts charged against the point's own
+                    # budget exclude the transient ones above —
+                    # exactly the historical `attempts <= retries`
+                    # gate when no transients occurred.
+                    budget_used = len(attempts) - transient_used
+                    resubmit = policy.allows(budget_used + 1)
+                    if resubmit and backend.inline:
+                        # The seeded backoff is slept only inline,
+                        # where nothing else is in flight: on a pool it
+                        # would serialize the drain loop across
+                        # unrelated entries (pool retries go straight
+                        # back to a free slot; the dispatch backend
+                        # delays its internal retries itself).
+                        delay = policy.schedule(
+                            f"{entry.experiment.id}/{entry.point.label}"
+                        ).delay(budget_used)
+                        if delay > 0:
+                            time.sleep(delay)
+                if resubmit:
+                    try:
+                        attempts.append(backend.submit(entry.spec()))
+                    except Exception as exc:  # pool broken beyond repair
+                        self._fail(
+                            entry,
+                            f"retry submission failed: "
+                            f"{type(exc).__name__}: {exc}",
+                            len(attempts),
+                            stats,
+                        )
+                        break
+                    continue
+                still_running = [f for f in attempts if not f.done()]
+                if still_running and not timed_out:
+                    # Submissions exhausted; an attempt just failed
+                    # but stragglers remain in flight.  Grant them
+                    # another timeout window — a late success still
+                    # wins over a recorded failure.
+                    continue
+                for future in still_running:
+                    future.cancel()
+                self._fail(entry, last_error or "no result",
+                           len(attempts), stats, kind=last_kind)
+                break
+        if leftovers:
+            # The backend shutdown waits for these anyway; count the
+            # straggler successes the race would have discarded.
+            concurrent.futures.wait([future for _, future in leftovers])
+            for _, future in leftovers:
+                if (future.done() and not future.cancelled()
+                        and future.exception() is None):
+                    stats.duplicate_results += 1

@@ -17,7 +17,8 @@ Each toy models one failure class the dispatcher must survive:
 ``CRASSH``   hard-exits the worker process for selected labels — the
              transient path (worker death mid-task)
 ``STALL``    sleeps forever (in sweep terms) for selected labels on the
-             first execution only — the speculation path
+             first execution only — the straggler paths (lease expiry,
+             the engine's timeout resubmission)
 """
 
 import dataclasses
@@ -103,14 +104,19 @@ class CrashExperiment(_ToyBase):
 class StallExperiment(_ToyBase):
     """Sleeps ``sleep_s`` for selected labels on their first execution only.
 
-    The second execution (the speculative duplicate) finds the marker
-    and returns immediately — so a speculation test completes fast and
-    both executions produce the identical deterministic value.
+    The second execution (the resubmission) finds the marker and
+    returns immediately — so a straggler test completes fast and both
+    executions produce the identical deterministic value.  Every
+    execution appends its pid to ``<label>.runs``, so a test can count
+    how often a point really ran across the fleet.
     """
 
     id = "dispatch_toys:STALL"
 
     def run_point(self, params, point, seed):
+        runs = os.path.join(params.state_dir, f"{point.label}.runs")
+        with open(runs, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
         marker = os.path.join(params.state_dir, f"{point.label}.stalled")
         if point.label in params.labels and not os.path.exists(marker):
             with open(marker, "w", encoding="utf-8") as handle:

@@ -1,18 +1,29 @@
-"""Shared test fixtures: tiny networks with controllable loss."""
+"""Shared test fixtures: tiny networks with controllable loss, and a
+thread-backed sweep backend for deterministic straggler timing."""
 
 from __future__ import annotations
 
+import concurrent.futures
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.net.topology import build_star
+from repro.runner import ProcessPoolBackend
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig, TcpSink, TcpSource
 from repro.tcp.factory import create_source
 
 FAST = dict(min_rto=0.01, initial_rto=0.01)
 """Millisecond-scale RTO so loss tests run in simulated milliseconds."""
+
+
+class ThreadPoolBackend(ProcessPoolBackend):
+    """The pool backend on threads: attempts share the test's memory, so
+    in-process events can order a straggler against its retry."""
+
+    def _make_pool(self, max_workers):
+        return concurrent.futures.ThreadPoolExecutor(max_workers)
 
 
 def make_pair(

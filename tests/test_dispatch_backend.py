@@ -5,8 +5,9 @@ failure-injection toys in ``dispatch_toys.py`` (importable by workers
 via ``extra_sys_path``).  Covered here: byte-identical equivalence with
 the serial backend, transient retry after a worker crash, deterministic
 retry of a flaky point, quarantine after two distinct workers agree on
-a failure, lease expiry for a SIGSTOPped worker, timeout speculation,
-and the stats/roster/telemetry plumbing.  The full chaos storm (many
+a failure, lease expiry for a SIGSTOPped worker, the engine's timeout
+resubmission of an overdue point, and the stats/roster/telemetry
+plumbing.  The full chaos storm (many
 kills, dispatcher kill -9 + resume) lives in test_dispatch_chaos.py.
 """
 
@@ -197,20 +198,36 @@ class TestFailureClasses:
             assert "Traceback" in failure["traceback"]
             assert failure["error_type"] == "ValueError"
 
-    def test_timeout_triggers_speculative_duplicate(self, tmp_path):
-        # p1 stalls for 20s on its *first* execution only; the
-        # speculative twin finds the marker file and returns at once.
+    def test_overdue_point_is_resubmitted_by_engine_alone(self, tmp_path):
+        # p1 stalls on its *first* execution only; the engine's timeout
+        # resubmits it and the retry finds the marker file and returns
+        # at once.  The reactor must not launch a twin of its own: one
+        # owner of straggler policy means at most max_attempts runs.
+        stall_s = 3.0
         params = dispatch_toys.ToyParams(
-            n_points=4, state_dir=str(tmp_path), labels=("p1",), sleep_s=20.0
+            n_points=4, state_dir=str(tmp_path), labels=("p1",),
+            sleep_s=stall_s,
         )
-        backend = _backend(tmp_path, task_timeout=1.0)
+        started = time.monotonic()
         payload, stats = _run(
-            dispatch_toys.STALL, params, backend, tmp_path / "sweep.jsonl"
+            dispatch_toys.STALL, params, _backend(tmp_path),
+            tmp_path / "sweep.jsonl", timeout=1.0, retries=1,
         )
+        elapsed = time.monotonic() - started
+        runs = (tmp_path / "p1.runs").read_text().splitlines()
+        assert len(runs) <= 2  # retries=1 means max_attempts == 2
         assert stats.failures == []
-        assert len(payload) == 4
-        assert backend.log.counts().get("speculate", 0) >= 1
-        assert stats.timeouts >= 1
+        assert payload == SweepRunner(backend="serial").run(
+            dispatch_toys.STALL, params, seed=3
+        )
+        # The straggler is waited out like a pool straggler (its late
+        # success is a counted duplicate) — never the 60 s close
+        # timeout, never a lease expiry.
+        assert elapsed < stall_s + 10.0
+        assert stats.duplicate_results >= 1
+        assert stats.lease_expirations == 0
+        # Nothing failed by timing out, and nobody else counts timeouts.
+        assert stats.timeouts == 0
 
 
 class TestLeaseExpiry:

@@ -89,6 +89,11 @@ class TestDispatchCli:
         with pytest.raises(SystemExit):
             cli.main(["fig1", "--hosts", "local:2"])
 
+    def test_removed_shm_backend_is_an_argparse_error(self):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig1", "--backend", "shm"])
+        assert exit_info.value.code == 2
+
     def test_bad_retry_policy_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
             cli.main(["fig1", "--retry-policy", "attempts=2,warp=9"])

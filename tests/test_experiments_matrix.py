@@ -143,7 +143,7 @@ class TestBackendEquivalence:
         )
         return payload, lines, runner.last_stats
 
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_payloads_and_journals_identical(self, backend, reference, tmp_path):
         ref_payload, ref_journal, _ = reference
         payload, journal, stats = self._sweep(backend, tmp_path)

@@ -38,6 +38,15 @@ class TestApiSurface:
 
         assert source_class("trim") is repro.TrimSource
 
+    def test_run_helpers_live_on_their_modules_only(self):
+        # The package-root re-export shims are gone; the functions are not.
+        import repro.experiments
+        from repro.experiments.fattree import run_fattree
+
+        assert callable(run_fattree)
+        with pytest.raises(AttributeError):
+            repro.experiments.run_fattree
+
 
 class TestQuickstartPath:
     def test_readme_quickstart_runs(self):

@@ -1,22 +1,21 @@
-"""The SweepBackend seam: backend equivalence, shm transport, the
-cost-aware scheduler, and the deprecated executor_factory shim.
+"""The SweepBackend seam: backend equivalence, the cost-aware
+scheduler, and the engine's one attempt loop.
 
 The headline guarantees under test:
 
-* serial, process, and shm backends produce byte-identical merged
-  payloads *and* checkpoint journals for the same sweep;
-* shared-memory transport round-trips payloads exactly (threshold 0
-  forces every result through a segment) and leaves no segment behind;
+* serial and process backends produce byte-identical merged payloads
+  *and* checkpoint journals for the same sweep (dispatch is held to the
+  same bar in test_dispatch_backend.py);
 * scheduler reordering — any permutation at all, by hypothesis — can
   never change merged output, and with cost history present the runner
   submits predicted-longest points first;
-* a sweep SIGKILLed under the shm backend resumes under serial (the
-  journal is backend-independent);
-* ``executor_factory=`` still works but warns, and the CostModel ledger
-  survives corrupt files and round-trips through flush.
+* a sweep SIGKILLed under the process backend resumes under serial (the
+  journal is backend-independent), and so does a journal an older
+  release wrote under the since-removed ``shm`` backend;
+* the backend is closed on every exit path of the attempt loop, and the
+  CostModel ledger survives corrupt files and round-trips through flush.
 """
 
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -34,15 +33,15 @@ from repro.experiments.base import Experiment, Point
 from repro.experiments.store import to_jsonable
 from repro.runner import (
     CostModel,
-    LegacyExecutorBackend,
     ResultCache,
     SweepCheckpoint,
     SweepRunner,
     create_backend,
 )
-from repro.runner.backends import BACKENDS, SharedMemoryBackend
+from repro.runner.backends import BACKENDS, SerialBackend
 from repro.runner.checkpoint import digest_params
 from repro.sim.randomness import derive_seed
+from tests.helpers import ThreadPoolBackend
 
 
 @dataclasses.dataclass
@@ -117,7 +116,7 @@ class TestBackendEquivalence:
         payload = runner.run(experiment, params, seed=3)
         return payload, _journal_point_lines(journal), runner.last_stats
 
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_payloads_and_journals_identical(
         self, backend, reference, tmp_path
     ):
@@ -137,7 +136,7 @@ class TestBackendEquivalence:
 class TestOpenLoopBackendEquivalence:
     """One openloop point (seeded schedule + driver) is byte-identical
     under every backend — the open-loop engine's determinism crosses
-    the pickle and shared-memory transports intact."""
+    the pickle transport intact."""
 
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
@@ -159,7 +158,7 @@ class TestOpenLoopBackendEquivalence:
         payload = runner.run(experiment, params, seed=11)
         return payload, _journal_point_lines(journal), runner.last_stats
 
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_payloads_and_journals_identical(
         self, backend, reference, tmp_path
     ):
@@ -177,44 +176,7 @@ class TestOpenLoopBackendEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory transport
-# ----------------------------------------------------------------------
-
-class TestSharedMemoryTransport:
-    @pytest.fixture
-    def spy(self):
-        experiment = _SpyExperiment()
-        registry._ensure_loaded()
-        registry._REGISTRY[experiment.id] = experiment
-        yield experiment
-        registry._REGISTRY.pop(experiment.id, None)
-
-    def test_threshold_zero_forces_segments_and_round_trips(self, spy):
-        # threshold 0: every result, however small, travels via shm.
-        runner = SweepRunner(
-            jobs=2, backend=SharedMemoryBackend(threshold_bytes=0)
-        )
-        payload = runner.run(spy, _ToyParams(), seed=9)
-        assert payload == [
-            {"label": f"p{i}", "seed": derive_seed(9, f"{spy.id}/p{i}")}
-            for i in range(4)
-        ]
-        assert runner.last_stats.backend == "shm"
-
-    def test_matches_serial_payload_exactly(self, spy):
-        serial = SweepRunner(backend="serial").run(spy, _ToyParams(), seed=2)
-        shm = SweepRunner(
-            jobs=2, backend=SharedMemoryBackend(threshold_bytes=0)
-        ).run(spy, _ToyParams(), seed=2)
-        assert shm == serial
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match="threshold_bytes"):
-            SharedMemoryBackend(threshold_bytes=-1)
-
-
-# ----------------------------------------------------------------------
-# Backend selection and the deprecated seam
+# Backend selection
 # ----------------------------------------------------------------------
 
 class TestBackendSelection:
@@ -228,11 +190,15 @@ class TestBackendSelection:
         registry._REGISTRY.pop(experiment.id, None)
 
     def test_create_backend_unknown_name_lists_known(self):
-        with pytest.raises(ValueError, match="process.*serial.*shm"):
+        with pytest.raises(ValueError, match="serial, process, dispatch"):
             create_backend("threads")
 
+    def test_create_backend_shm_is_gone(self):
+        with pytest.raises(ValueError, match="serial, process, dispatch"):
+            create_backend("shm")
+
     def test_registry_names(self):
-        assert set(BACKENDS) == {"serial", "process", "shm"}
+        assert set(BACKENDS) == {"serial", "process"}
 
     def test_runner_rejects_non_backend_object(self):
         with pytest.raises(TypeError, match="SweepBackend"):
@@ -249,37 +215,13 @@ class TestBackendSelection:
         assert runner.last_stats.backend == "serial"
         assert spy.executed == ["p0", "p1", "p2", "p3"]
 
-    def test_executor_factory_warns_and_still_works(self, spy):
-        with pytest.warns(DeprecationWarning, match="executor_factory"):
-            runner = SweepRunner(
-                jobs=2,
-                executor_factory=lambda n: (
-                    concurrent.futures.ThreadPoolExecutor(n)
-                ),
-            )
+    def test_make_pool_override_supplies_the_executor(self, spy):
+        # The seam for a custom executor: subclass the pool backend and
+        # override _make_pool (here, threads).
+        runner = SweepRunner(jobs=2, backend=ThreadPoolBackend())
         payload = runner.run(spy, _ToyParams(), seed=1)
         assert [r["label"] for r in payload] == ["p0", "p1", "p2", "p3"]
-        assert runner.last_stats.backend == "legacy"
-
-    def test_backend_and_executor_factory_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            SweepRunner(
-                backend="serial",
-                executor_factory=lambda n: (
-                    concurrent.futures.ThreadPoolExecutor(n)
-                ),
-            )
-
-    def test_legacy_backend_without_warning(self, spy):
-        # The migration target: wrap the factory explicitly, no warning.
-        runner = SweepRunner(
-            jobs=2,
-            backend=LegacyExecutorBackend(
-                lambda n: concurrent.futures.ThreadPoolExecutor(n)
-            ),
-        )
-        payload = runner.run(spy, _ToyParams(), seed=1)
-        assert [r["label"] for r in payload] == ["p0", "p1", "p2", "p3"]
+        assert spy.executed  # ran in this process, on the thread pool
 
 
 # ----------------------------------------------------------------------
@@ -416,14 +358,23 @@ class TestJournalHeader:
         assert first["schedule"] == "cost"
 
     def test_resume_accepts_records_from_another_backend(self, tmp_path):
+        self._resume_under_serial(tmp_path, written_by="process")
+
+    def test_resume_accepts_a_journal_headed_shm(self, tmp_path):
+        # Input from an older release: the backend is gone, but the
+        # header is informational and its journals must keep resuming.
+        self._resume_under_serial(tmp_path, written_by="shm")
+
+    @staticmethod
+    def _resume_under_serial(tmp_path, written_by):
         spy = _SpyExperiment()
         params = _ToyParams()
         path = tmp_path / "journal.jsonl"
-        # A journal "left behind" by a process-backend run that only got
-        # through p1 (header + one record, written by hand).
+        # A journal "left behind" by a run on another backend that only
+        # got through p1 (header + one record, written by hand).
         seed_p1 = derive_seed(6, f"{spy.id}/p1")
         ckpt = SweepCheckpoint(path)
-        ckpt.write_header(backend="process", jobs=8, schedule="cost")
+        ckpt.write_header(backend=written_by, jobs=8, schedule="cost")
         ckpt.record(
             spy.id, "p1", seed_p1, {"label": "p1", "seed": seed_p1},
             params_digest=digest_params(params),
@@ -440,13 +391,12 @@ class TestJournalHeader:
         assert payload == baseline
 
 
-_SHM_KILL_SCRIPT = """
+_PROCESS_KILL_SCRIPT = """
 import dataclasses, json, os, sys, time
 
 from repro.experiments import registry
 from repro.experiments.base import Experiment, Point
 from repro.runner import SweepCheckpoint, SweepRunner
-from repro.runner.backends import SharedMemoryBackend
 
 
 @dataclasses.dataclass
@@ -455,8 +405,8 @@ class Params:
 
 
 class Sleepy(Experiment):
-    id = "toy-shm-kill"
-    title = "shm kill -9 target"
+    id = "toy-process-kill"
+    title = "process-backend kill -9 target"
     params_cls = Params
 
     def points(self, params):
@@ -484,7 +434,7 @@ else:
     runner = SweepRunner(
         jobs=2,
         checkpoint=SweepCheckpoint(sys.argv[1]),
-        backend=SharedMemoryBackend(threshold_bytes=0),
+        backend="process",
     )
 payload = runner.run(registry.get(Sleepy.id), Params(), seed=5)
 print(json.dumps({
@@ -496,18 +446,18 @@ print(json.dumps({
 """
 
 
-class TestShmKillDashNine:
-    def test_sigkill_under_shm_then_resume_under_serial(self, tmp_path):
+class TestProcessKillDashNine:
+    def test_sigkill_under_process_resumes_under_serial(self, tmp_path):
         script = tmp_path / "sweep.py"
-        script.write_text(_SHM_KILL_SCRIPT)
+        script.write_text(_PROCESS_KILL_SCRIPT)
         journal = tmp_path / "journal.jsonl"
         env = dict(
             os.environ,
             PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
         )
 
-        # Run 1 (shm backend): p0's segment-transported result lands in
-        # the journal, p1/p2 sleep in workers; SIGKILL the parent.
+        # Run 1 (process backend): p0's result lands in the journal,
+        # p1/p2 sleep in workers; SIGKILL the parent.
         proc = subprocess.Popen(
             [sys.executable, str(script), str(journal)],
             env={**env, "SLOW": "1"},
@@ -528,11 +478,11 @@ class TestShmKillDashNine:
         loaded = SweepCheckpoint(journal)
         journalled = loaded.load()
         assert [(key[0], key[1]) for key in journalled] == [
-            ("toy-shm-kill", "p0")
+            ("toy-process-kill", "p0")
         ]
-        assert loaded.header["backend"] == "shm"
+        assert loaded.header["backend"] == "process"
 
-        # Run 2: resume the shm journal on the serial backend.
+        # Run 2: resume the process journal on the serial backend.
         resumed = subprocess.run(
             [sys.executable, str(script), str(journal)],
             env={**env, "SLOW": "0", "RESUME": "1"},
@@ -611,9 +561,7 @@ class TestFailureAccounting:
         try:
             runner = SweepRunner(
                 jobs=2,
-                backend=LegacyExecutorBackend(
-                    lambda n: concurrent.futures.ThreadPoolExecutor(n)
-                ),
+                backend=ThreadPoolBackend(),
                 retries=0,
                 timeout=0.1,
             )
@@ -638,51 +586,68 @@ class TestFailureAccounting:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory transport degradation
+# The backend is released on every exit path of the attempt loop
 # ----------------------------------------------------------------------
 
-class TestShmPipeFallback:
-    def test_unavailable_shm_rides_the_pipe_and_is_counted(
-        self, tmp_path, monkeypatch
+class _CloseSpy:
+    """Mixin: run as the base backend does, remember how it was closed."""
+
+    def __init__(self):
+        super().__init__()
+        self.close_calls = []
+
+    def close(self, wait=True, cancel_futures=False):
+        self.close_calls.append((wait, cancel_futures))
+        super().close(wait=wait, cancel_futures=cancel_futures)
+
+
+class _InlineCloseSpy(_CloseSpy, SerialBackend):
+    pass
+
+
+class _PoolCloseSpy(_CloseSpy, ThreadPoolBackend):
+    pass
+
+
+class _FullDiskCheckpoint(SweepCheckpoint):
+    def record(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "spy_backend", [_InlineCloseSpy, _PoolCloseSpy], ids=["inline", "pool"]
+)
+class TestCloseOnEveryExit:
+    @pytest.fixture
+    def experiment(self):
+        # The pool spy resolves experiments by id, like any pool.
+        experiment = _SpyExperiment()
+        registry._ensure_loaded()
+        registry._REGISTRY[experiment.id] = experiment
+        yield experiment
+        registry._REGISTRY.pop(experiment.id, None)
+
+    def test_journal_error_closes_and_propagates(
+        self, spy_backend, experiment, tmp_path
     ):
-        """With /dev/shm unusable, results still arrive byte-identical —
-        and the degradation is visible on ``backend.fallbacks``."""
-        import multiprocessing
-
-        experiment = registry.get("incast")
-        params = experiment.make_params(
-            "quick", protocol="reno", sender_counts=(2, 3),
-            block_bytes=16 * 1024,
+        backend = spy_backend()
+        runner = SweepRunner(
+            jobs=2,
+            backend=backend,
+            checkpoint=_FullDiskCheckpoint(tmp_path / "journal.jsonl"),
         )
+        with pytest.raises(OSError, match="No space left"):
+            runner.run(experiment, _ToyParams(), seed=0)
+        # Not waited on, queued work dropped: an error exit must not
+        # block on stragglers.
+        assert backend.close_calls == [(False, True)]
 
-        def _sweep(backend, journal):
-            runner = SweepRunner(
-                jobs=2, cache=None, backend=backend,
-                checkpoint=SweepCheckpoint(journal),
-            )
-            runner.run(experiment, params, seed=3)
-            return _journal_point_lines(journal)
-
-        reference = _sweep("serial", tmp_path / "serial.jsonl")
-
-        def _no_shm(*args, **kwargs):
-            raise OSError("shm unavailable (injected)")
-
-        # threshold 0 forces every result toward a segment; the fork
-        # start method makes workers inherit the broken constructor.
-        monkeypatch.setattr(
-            "multiprocessing.shared_memory.SharedMemory", _no_shm
+    def test_clean_run_closes_waiting(self, spy_backend, experiment):
+        backend = spy_backend()
+        SweepRunner(jobs=2, backend=backend).run(
+            experiment, _ToyParams(), seed=0
         )
-        backend = SharedMemoryBackend(
-            threshold_bytes=0,
-            mp_context=multiprocessing.get_context("fork"),
-        )
-        degraded = _sweep(backend, tmp_path / "shm.jsonl")
-
-        assert degraded == reference
-        assert backend.fallbacks >= 2, (
-            "every point should have fallen back to the pickle pipe"
-        )
+        assert backend.close_calls == [(True, False)]
 
 
 # ----------------------------------------------------------------------

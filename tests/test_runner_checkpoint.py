@@ -15,7 +15,6 @@ The headline guarantees under test:
   partial payloads, with everything completed already on disk.
 """
 
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -31,7 +30,6 @@ import pytest
 from repro.experiments import registry
 from repro.experiments.base import Experiment, Point
 from repro.runner import (
-    LegacyExecutorBackend,
     ResultCache,
     SweepCheckpoint,
     SweepInterrupted,
@@ -39,6 +37,7 @@ from repro.runner import (
 )
 from repro.runner.checkpoint import digest_params
 from repro.sim.randomness import derive_seed
+from tests.helpers import ThreadPoolBackend
 
 
 @dataclasses.dataclass
@@ -366,9 +365,7 @@ class TestStragglerRace:
             jobs=2,
             timeout=0.1,
             retries=1,
-            backend=LegacyExecutorBackend(
-                lambda n: concurrent.futures.ThreadPoolExecutor(n)
-            ),
+            backend=ThreadPoolBackend(),
         )
 
         class TwoPoints(_StragglerExperiment):
@@ -401,9 +398,7 @@ class TestStragglerRace:
                 jobs=2,
                 timeout=0.1,
                 retries=1,
-                backend=LegacyExecutorBackend(
-                    lambda n: concurrent.futures.ThreadPoolExecutor(n)
-                ),
+                backend=ThreadPoolBackend(),
             )
 
             class TwoPoints(type(experiment)):
