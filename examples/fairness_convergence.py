@@ -13,33 +13,27 @@ Run:  python examples/fairness_convergence.py [--protocol trim]
 import argparse
 
 from repro.experiments.fairness import FairnessParams, run_fairness
+from repro.metrics import jain_fairness, strip_chart
 
-GLYPHS = "12345"
+ROWS = 40
 
 
-def strip_chart(result, params) -> None:
-    """One row per sample epoch; columns are Mbps scaled to 60 chars."""
+def print_chart(result, params) -> None:
+    """The library strip chart, one row per time slice, with the Jain
+    index of the flows' mean rates in that slice appended."""
     series = result.flow_series
-    n_rows = 40
-    t0 = min(s.times[0] for s in series if len(s))
-    t1 = max(s.times[-1] for s in series if len(s))
-    step = (t1 - t0) / n_rows
-    peak = params.bottleneck_bps
-    print(f"    time   {'throughput (0 .. bottleneck)':<62s} Jain")
-    for row in range(n_rows):
-        start, end = t0 + row * step, t0 + (row + 1) * step
-        line = [" "] * 62
-        shares = []
-        for idx, s in enumerate(series):
-            window = s.window(start, end)
-            bps = window.mean() if len(window) else 0.0
-            shares.append(bps)
-            col = min(61, int(bps / peak * 60))
-            line[col] = GLYPHS[idx % len(GLYPHS)]
-        total = sum(shares)
-        sq = sum(x * x for x in shares)
-        jain = (total * total / (len(shares) * sq)) if sq else 1.0
-        print(f"  {start:7.2f}s |{''.join(line)}| {jain:4.2f}")
+    chart = strip_chart(
+        series, peak=params.bottleneck_bps, rows=ROWS, width=62, glyphs="12345"
+    )
+    # strip_chart cuts [first sample, last sample] into ROWS equal
+    # slices; the Jain column is computed over the same slices.
+    t0 = min(s.times[0] for s in series)
+    step = (max(s.times[-1] for s in series) - t0) / ROWS
+    print(f"      time   {'throughput (0 .. bottleneck)':<62s} Jain")
+    for row, line in enumerate(chart):
+        windows = [s.window(t0 + row * step, t0 + (row + 1) * step) for s in series]
+        shares = [w.mean() if len(w) else 0.0 for w in windows]
+        print(f"{line} {jain_fairness(shares):4.2f}")
 
 
 def main() -> None:
@@ -59,7 +53,7 @@ def main() -> None:
         print(f"{protocol}: flows start every {params.stagger:.2f}s, "
               f"stop from t={params.stop_start:.2f}s  "
               f"(digits 1-5 mark each flow's share)")
-        strip_chart(result, params)
+        print_chart(result, params)
         shares = " ".join(f"{s / 1e6:.1f}" for s in result.plateau_shares)
         print(f"plateau shares (Mbps): [{shares}]  "
               f"Jain index {result.plateau_fairness:.4f}  "

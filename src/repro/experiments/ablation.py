@@ -22,6 +22,7 @@ from repro.experiments.motivation import MotivationParams, run_motivation
 from repro.experiments.scenarios import packets_per_second, path_base_rtt
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
+from repro.sim.monitor import PeriodicSampler
 from repro.tcp.base import TcpConfig, TcpSink
 from repro.core.trim import TrimSource
 
@@ -111,19 +112,14 @@ def _run_trim_star(
 
     measure_from = duration * 0.25
     baseline = {}
-    queue_samples = []
 
     def snapshot() -> None:
         for sink in sinks:
             baseline[sink.flow_id] = sink.delivered_segments
 
-    def sample_queue() -> None:
-        queue_samples.append(star.bottleneck.backlog_pkts)
-        if sim.now < duration:
-            sim.schedule(5e-4, sample_queue)
-
     sim.schedule_at(measure_from, snapshot)
-    sim.schedule_at(measure_from, sample_queue)
+    queue = PeriodicSampler(sim, 5e-4, lambda: star.bottleneck.backlog_pkts)
+    queue.start(measure_from)
     sim.run(until=duration)
 
     window = duration - measure_from
@@ -136,7 +132,7 @@ def _run_trim_star(
         k=k,
         goodput_bps=goodput,
         utilization=goodput / bandwidth_bps,
-        average_queue_pkts=sum(queue_samples) / max(1, len(queue_samples)),
+        average_queue_pkts=queue.series.mean(),
         dropped_packets=star.network.total_dropped(),
         timeouts=sum(s.stats.timeouts for s in sources),
     )

@@ -27,11 +27,10 @@ from repro.experiments.scenarios import (
     warm_config,
 )
 from repro.http.apps import LongTrainSender
-from repro.metrics.monitors import SinkThroughputMonitor
 from repro.metrics.stats import jain_fairness
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import TimeSeries
+from repro.sim.monitor import PeriodicSampler, TimeSeries, delta_rate
 from repro.tcp.factory import default_config
 
 __all__ = [
@@ -121,8 +120,17 @@ def run_fairness(params: FairnessParams) -> FairnessResult:
     sources = connections.connect_many(
         star.servers, star.frontend, config=warm_config(config)
     )
+    # Per-connection goodput in bits/s, from deltas of each sink's
+    # unique deliveries (Fig. 10's curves are per connection).
     monitors = [
-        SinkThroughputMonitor(sim, sink, period=params.sample_period).start(0.0)
+        PeriodicSampler(
+            sim,
+            params.sample_period,
+            delta_rate(
+                lambda sink=sink: sink.delivered_bytes, params.sample_period, scale=8.0
+            ),
+            name=f"flow:{sink.name}",
+        ).start(0.0)
         for sink in connections.sinks
     ]
     for i, source in enumerate(sources):
@@ -138,7 +146,8 @@ def run_fairness(params: FairnessParams) -> FairnessResult:
     plateau_end = params.stop_start
     margin = params.stagger / 4.0
     shares = [
-        m.mean_bps(plateau_start + margin, plateau_end - margin) for m in monitors
+        m.series.window(plateau_start + margin, plateau_end - margin).mean()
+        for m in monitors
     ]
     return FairnessResult(
         protocol=params.protocol,

@@ -29,11 +29,10 @@ from repro.experiments.scenarios import (
 )
 from repro.http.apps import ScheduledResponder
 from repro.http.workload import response_schedule
-from repro.metrics.monitors import CwndTracer, QueueMonitor, ThroughputMonitor
 from repro.metrics.stats import act, completion_times
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import TimeSeries
+from repro.sim.monitor import PeriodicSampler, TimeSeries, delta_rate
 from repro.sim.randomness import RandomStreams
 from repro.tcp.factory import default_config
 
@@ -144,10 +143,21 @@ def run_motivation(params: MotivationParams) -> MotivationResult:
             lambda s=source: lpt_messages.append(s.send_message(lpt_segments)),
         )
 
-    throughput = ThroughputMonitor(sim, star.bottleneck, period=5e-3).start(0.0)
-    queue = QueueMonitor(sim, star.bottleneck, period=params.trace_period).start(0.0)
+    link = star.bottleneck
+    throughput = PeriodicSampler(
+        sim,
+        5e-3,
+        delta_rate(lambda: link.stats.tx_bytes, 5e-3, scale=8.0),
+        name=f"thr:{link.name}",
+    ).start(0.0)
+    queue = PeriodicSampler(
+        sim, params.trace_period, lambda: link.backlog_pkts, name=f"qlen:{link.name}"
+    ).start(0.0)
     tracers = [
-        CwndTracer(sim, s, period=params.trace_period).start(0.0) for s in sources
+        PeriodicSampler(
+            sim, params.trace_period, lambda s=s: s.cwnd, name=f"cwnd:{s.name}"
+        ).start(0.0)
+        for s in sources
     ]
 
     inherited: list[float] = []

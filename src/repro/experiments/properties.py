@@ -26,10 +26,9 @@ from repro.experiments.scenarios import (
     warm_config,
 )
 from repro.http.apps import LongTrainSender
-from repro.metrics.monitors import QueueMonitor
 from repro.net.topology import StarTopology, build_star
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import TimeSeries
+from repro.sim.monitor import PeriodicSampler, TimeSeries
 from repro.tcp.factory import default_config
 
 __all__ = [
@@ -114,10 +113,20 @@ def _build(
     return sim, star, connections, sources
 
 
+def _queue_sampler(
+    sim: Simulator, star: StarTopology, params: PropertiesParams
+) -> PeriodicSampler:
+    """Samples the bottleneck's egress backlog (packets)."""
+    link = star.bottleneck
+    return PeriodicSampler(
+        sim, params.queue_period, lambda: link.backlog_pkts, name=f"qlen:{link.name}"
+    )
+
+
 def run_queue_trace(params: PropertiesParams, n_trains: int = 5) -> TimeSeries:
     """Fig. 9(a): the bottleneck queue trace with ``n_trains`` LPTs."""
     sim, star, _connections, sources = _build(params, n_trains)
-    monitor = QueueMonitor(sim, star.bottleneck, period=params.queue_period).start(0.0)
+    monitor = _queue_sampler(sim, star, params).start(0.0)
     for source in sources:
         sim.schedule_at(params.end_time, source.stop)
     sim.run(until=params.end_time)
@@ -129,8 +138,7 @@ def run_properties_case(params: PropertiesParams, n_trains: int) -> PropertiesCa
     if n_trains < 1:
         raise ValueError("need at least one train")
     sim, star, connections, sources = _build(params, n_trains)
-    monitor = QueueMonitor(sim, star.bottleneck, period=params.queue_period)
-    monitor.start(params.measure_from)
+    monitor = _queue_sampler(sim, star, params).start(params.measure_from)
     frontend_sinks = connections.sinks
 
     delivered_at_start = {}
@@ -150,8 +158,8 @@ def run_properties_case(params: PropertiesParams, n_trains: int) -> PropertiesCa
     goodput = delivered_segments * connections.sources[0].config.mss_bytes * 8.0 / window
     return PropertiesCase(
         n_trains=n_trains,
-        average_queue_pkts=monitor.average_pkts,
-        peak_queue_pkts=monitor.peak_pkts,
+        average_queue_pkts=monitor.series.mean(),
+        peak_queue_pkts=monitor.series.max(),
         dropped_packets=star.network.total_dropped(),
         goodput_bps=goodput,
         utilization=goodput / params.bandwidth_bps,

@@ -5,8 +5,8 @@ installed ``repro`` package).  Per-file rules enforce the invariants
 every reproduced figure rests on: deterministic replay (SIM001/SIM002),
 precision-safe time handling (SIM003), state isolation between sweep
 points (SIM004/SIM005), kernel discipline (SIM006), the Experiment
-sweep contract (SIM007), sanctioned fault/observer/executor seams
-(SIM008-SIM010), and justified suppressions (SIM016).  Cross-module
+sweep contract (SIM007), sanctioned fault/executor seams
+(SIM008, SIM010), and justified suppressions (SIM016).  Cross-module
 rules (SIM011-SIM015, :mod:`repro.lint.xrules`) analyze the whole tree
 at once through a :class:`~repro.lint.project.ProjectContext` — RNG and
 wall-clock taint through helper returns, SweepBackend picklability,

@@ -20,7 +20,6 @@ from repro.lint.core import (
 )
 
 __all__ = [
-    "DeliveryHookSwapRule",
     "ExperimentContractRule",
     "FaultBypassRule",
     "HandlerReentrancyRule",
@@ -424,53 +423,6 @@ class FaultBypassRule(Rule):
                             "direct write to a queue's capacity_pkts "
                             "mutates buffering outside the faults API",
                         )
-
-
-@register_rule
-class DeliveryHookSwapRule(Rule):
-    """Delivery monitoring goes through observers, not hook swapping.
-
-    Assigning another object's ``on_deliver`` installs a single hook by
-    *replacing* whatever was there; the save-and-restore chaining idiom
-    built on it (``self._prev = link.on_deliver; link.on_deliver = me``)
-    silently drops other observers whenever detaches are not strictly
-    LIFO — the PacketLogger bug this rule exists to keep fixed.  Links
-    now support any number of observers natively; the network layer
-    itself (which implements the property) and :mod:`repro.obs` are
-    exempt.
-    """
-
-    id = "SIM009"
-    summary = "on_deliver hook-swapping drops observers on non-LIFO detach"
-    fixit = (
-        "register with link.add_observer(fn) and detach with "
-        "link.remove_observer(fn) (order-independent), or record through "
-        "the repro.obs telemetry bus instead of a per-link hook"
-    )
-
-    #: layers allowed to touch the hook: the implementation itself.
-    EXEMPT_DIRS = ("/net/", "/obs/")
-
-    def _applies(self, path: str) -> bool:
-        return not any(part in f"/{path}" for part in self.EXEMPT_DIRS)
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not self._applies(module.path):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                continue
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if FaultBypassRule._non_self_attr(target, "on_deliver"):
-                    yield from module.finding(
-                        node,
-                        self,
-                        "assignment to another object's on_deliver "
-                        "replaces its delivery hook; use add_observer()",
-                    )
 
 
 @register_rule

@@ -1,15 +1,15 @@
-"""Measurement: completion statistics and network monitors."""
+"""Measurement: what is computed from an observed run.
 
-from repro.metrics.faults import FaultReport, fault_report
-from repro.metrics.monitors import (
-    CwndTracer,
-    GoodputMeter,
-    QueueMonitor,
-    SinkThroughputMonitor,
-    ThroughputMonitor,
-)
+Completion and fairness statistics (:mod:`~repro.metrics.stats`), the
+injected-versus-congestion loss ledger (:mod:`~repro.metrics.faults`),
+the per-packet wire log built on ``Link.add_observer``
+(:mod:`~repro.metrics.tracing`) and terminal charts
+(:mod:`~repro.metrics.ascii`).  Time series themselves come from
+:class:`repro.sim.monitor.PeriodicSampler`.
+"""
+
 from repro.metrics.ascii import cdf_table, sparkline, strip_chart
-from repro.metrics.tracing import LoggedPacket, PacketLogger
+from repro.metrics.faults import FaultReport, fault_report
 from repro.metrics.stats import (
     CompletionSummary,
     act,
@@ -19,17 +19,13 @@ from repro.metrics.stats import (
     percentile,
     summarize,
 )
+from repro.metrics.tracing import LoggedPacket, PacketLogger
 
 __all__ = [
     "CompletionSummary",
-    "CwndTracer",
     "FaultReport",
-    "GoodputMeter",
     "LoggedPacket",
     "PacketLogger",
-    "QueueMonitor",
-    "SinkThroughputMonitor",
-    "ThroughputMonitor",
     "act",
     "cdf_points",
     "cdf_table",

@@ -33,11 +33,9 @@ class LoggedPacket:
 class PacketLogger:
     """Records every packet a link delivers.
 
-    Registers as a link delivery *observer* (``Link.add_observer``), so
-    any number of loggers and monitors can share a link and detach in
-    any order.  (The old save-and-restore ``on_deliver`` chaining
-    silently dropped other observers whenever detaches were not strictly
-    LIFO; simlint's SIM009 now flags that idiom.)
+    Registers as a link delivery *observer* (``Link.add_observer``, the
+    link's one per-packet tap), so any number of loggers can share a
+    link and detach in any order.
     """
 
     def __init__(

@@ -75,14 +75,10 @@ class Link:
         self._faults: Optional["LinkFaultState"] = None
         #: seconds per byte, so ``tx_time`` is one multiply on the hot path.
         self._secs_per_byte = 8.0 / bandwidth_bps
-        # Per-delivery observers.  ``on_deliver`` (a property) is the
-        # legacy single-hook slot; ``add_observer`` is the supported way
-        # to stack several monitors on one link.  ``_deliver_hooks`` is
-        # the flattened call list — a tuple rebuilt on every change so
-        # ``_arrive`` pays one attribute load when nobody listens.
-        self._deliver_legacy: Optional[Callable[[Packet], None]] = None
-        self._observers: list[Callable[[Packet], None]] = []
-        self._deliver_hooks: tuple[Callable[[Packet], None], ...] = ()
+        #: per-delivery observers, in registration order.  A tuple
+        #: replaced (never mutated) on every change, so an observer may
+        #: detach mid-delivery without disturbing ``_arrive``'s loop.
+        self._observers: tuple[Callable[[Packet], None], ...] = ()
 
     # ------------------------------------------------------------------
     @property
@@ -132,44 +128,21 @@ class Link:
     # ------------------------------------------------------------------
     # Delivery observers
     # ------------------------------------------------------------------
-    @property
-    def on_deliver(self) -> Optional[Callable[[Packet], None]]:
-        """Legacy single per-delivery hook (runs before observers).
-
-        Kept assignable for existing code, but new monitors should use
-        :meth:`add_observer` — chaining by saving and restoring this
-        attribute breaks as soon as hooks detach out of LIFO order
-        (simlint's SIM009 flags the idiom).
-        """
-        return self._deliver_legacy
-
-    @on_deliver.setter
-    def on_deliver(self, hook: Optional[Callable[[Packet], None]]) -> None:
-        self._deliver_legacy = hook
-        self._rebuild_hooks()
-
     def add_observer(self, fn: Callable[[Packet], None]) -> None:
-        """Append a per-delivery observer.  Observers run after the
-        legacy ``on_deliver`` hook, in registration order."""
-        self._observers.append(fn)
-        self._rebuild_hooks()
+        """Append a per-delivery observer (the link's one per-packet
+        tap); observers run in registration order."""
+        self._observers += (fn,)
 
     def remove_observer(self, fn: Callable[[Packet], None]) -> None:
         """Remove an observer registered with :meth:`add_observer`;
         unknown observers are ignored so teardown is idempotent and
         order-independent."""
+        observers = list(self._observers)
         try:
-            self._observers.remove(fn)
+            observers.remove(fn)
         except ValueError:
             return
-        self._rebuild_hooks()
-
-    def _rebuild_hooks(self) -> None:
-        hooks: list[Callable[[Packet], None]] = []
-        if self._deliver_legacy is not None:
-            hooks.append(self._deliver_legacy)
-        hooks.extend(self._observers)
-        self._deliver_hooks = tuple(hooks)
+        self._observers = tuple(observers)
 
     def send(self, pkt: Packet) -> None:
         """Entry point used by the owning node to emit ``pkt``."""
@@ -282,6 +255,6 @@ class Link:
 
     def _arrive(self, pkt: Packet) -> None:
         pkt.hops += 1
-        for hook in self._deliver_hooks:
-            hook(pkt)
+        for observer in self._observers:
+            observer(pkt)
         self.dst_node.receive(pkt)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.net.packet import Packet
 from repro.sim.randomness import seeded_rng
@@ -57,7 +57,6 @@ class DropTailQueue:
         self.name = name
         self.stats = QueueStats()
         self._fifo: deque[Packet] = deque()
-        self.on_drop: Optional[Callable[[Packet], None]] = None
         #: flight-recorder tap, installed by the owning link's ``queue``
         #: setter; queues report drop/mark/evict *causes* through it
         #: (occupancy sampling stays with the link, which has the clock).
@@ -75,8 +74,6 @@ class DropTailQueue:
         """Add ``pkt``; returns False (and drops it) when full."""
         if len(self._fifo) >= self.capacity_pkts:
             self.stats.dropped += 1
-            if self.on_drop is not None:
-                self.on_drop(pkt)
             if self.tap is not None:
                 self.tap.drop(len(self._fifo))
             return False
@@ -97,8 +94,8 @@ class DropTailQueue:
         cells: when the new capacity is below the resident backlog, the
         *newest* packets are evicted (they are the ones a smaller buffer
         would have tail-dropped on arrival), counted in
-        ``stats.evicted`` and reported to ``on_drop``.  Growing the
-        capacity never touches resident packets.  This is the one
+        ``stats.evicted`` and reported to the tap.  Growing the capacity
+        never touches resident packets.  This is the one
         sanctioned mutation of a live queue's capacity — fault plans
         reach it through ``BufferResize`` events (simlint SIM008 flags
         direct capacity writes elsewhere).
@@ -108,11 +105,9 @@ class DropTailQueue:
         self.capacity_pkts = capacity_pkts
         evicted = 0
         while len(self._fifo) > capacity_pkts:
-            pkt = self._fifo.pop()  # newest first
+            self._fifo.pop()  # newest first
             self.stats.evicted += 1
             evicted += 1
-            if self.on_drop is not None:
-                self.on_drop(pkt)
             if self.tap is not None:
                 self.tap.evict(len(self._fifo))
         return evicted
@@ -149,8 +144,6 @@ class EcnQueue(DropTailQueue):
     def enqueue(self, pkt: Packet) -> bool:
         if len(self._fifo) >= self.capacity_pkts:
             self.stats.dropped += 1
-            if self.on_drop is not None:
-                self.on_drop(pkt)
             if self.tap is not None:
                 self.tap.drop(len(self._fifo))
             return False
@@ -187,9 +180,9 @@ class FairQueue(DropTailQueue):
       CE-marked, telling exactly the over-share senders to back off
       while under-share flows keep ramping.
 
-    Conservation identity and the reporting surface (``stats``,
-    ``on_drop``, ``tap``) match :class:`DropTailQueue` exactly, so the
-    runtime invariant monitor and the flight recorder work unchanged;
+    Conservation identity and the reporting surface (``stats``, ``tap``)
+    match :class:`DropTailQueue` exactly, so the runtime invariant
+    monitor and the flight recorder work unchanged;
     ``resize`` evicts from the longest backlogs first (the shared
     buffer reclaims cells from the hogs).
     """
@@ -227,20 +220,18 @@ class FairQueue(DropTailQueue):
     def _drop_resident_head(self, flow_id: int) -> None:
         """Remove the head packet of ``flow_id``'s FIFO to make room.
 
-        A longest-queue-drop removal is a congestion loss (``dropped``,
-        ``on_drop``) of an already-admitted packet, so it must *also*
+        A longest-queue-drop removal is a congestion loss (``dropped``)
+        of an already-admitted packet, so it must *also*
         count as an eviction to keep the conservation identity
         ``enqueued == dequeued + evicted + resident`` balanced.
         """
         q = self._flows[flow_id]
-        victim = q.popleft()
+        q.popleft()
         if not q:
             self._rr.remove(flow_id)
         self._resident -= 1
         self.stats.dropped += 1
         self.stats.evicted += 1
-        if self.on_drop is not None:
-            self.on_drop(victim)
         if self.tap is not None:
             self.tap.drop(self._resident)
 
@@ -251,8 +242,6 @@ class FairQueue(DropTailQueue):
                 # The newcomer is the hog (or every backlog is a single
                 # packet): tail-drop the arrival itself.
                 self.stats.dropped += 1
-                if self.on_drop is not None:
-                    self.on_drop(pkt)
                 if self.tap is not None:
                     self.tap.drop(self._resident)
                 return False
@@ -305,14 +294,12 @@ class FairQueue(DropTailQueue):
         while self._resident > capacity_pkts:
             hog = self._longest_flow()
             q = self._flows[hog]
-            pkt = q.pop()  # newest of the hog
+            q.pop()  # newest of the hog
             if not q:
                 self._rr.remove(hog)
             self._resident -= 1
             self.stats.evicted += 1
             evicted += 1
-            if self.on_drop is not None:
-                self.on_drop(pkt)
             if self.tap is not None:
                 self.tap.evict(self._resident)
         return evicted
@@ -374,8 +361,6 @@ class RedQueue(DropTailQueue):
         if len(self._fifo) >= self.capacity_pkts:
             self.stats.dropped += 1
             self._count = 0
-            if self.on_drop is not None:
-                self.on_drop(pkt)
             if self.tap is not None:
                 self.tap.drop(len(self._fifo))
             return False
@@ -388,8 +373,6 @@ class RedQueue(DropTailQueue):
             else:
                 self.stats.dropped += 1
                 self._count = 0
-                if self.on_drop is not None:
-                    self.on_drop(pkt)
                 if self.tap is not None:
                     self.tap.early_drop(len(self._fifo))
                 return False

@@ -3,9 +3,12 @@
 A low-overhead, seed-deterministic observability layer: a central
 :class:`Telemetry` bus attached to the simulation kernel, typed records
 from the transport/TRIM/queue/fault emit points, bounded ring buffers
-with optional decimation, deterministic JSONL/CSV export, and timeline
-query views.  Off by default; a simulation without a bus pays one
-attribute load and one None-check per emit point.
+with optional decimation, deterministic JSONL export, and timeline
+query views.  This is the *push* half of observation (an opt-in event
+trace); figures are built from the pull half,
+:class:`repro.sim.monitor.PeriodicSampler`.  Off by default; a
+simulation without a bus pays one attribute load and one None-check per
+emit point.
 """
 
 from repro.obs.dispatch import DispatchLog
@@ -13,7 +16,6 @@ from repro.obs.export import (
     check_jsonl,
     dump_row,
     load_jsonl,
-    write_csv,
     write_jsonl,
 )
 from repro.obs.records import (
@@ -59,6 +61,5 @@ __all__ = [
     "dump_row",
     "load_jsonl",
     "validate_row",
-    "write_csv",
     "write_jsonl",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic JSONL/CSV export of telemetry rows.
+"""Deterministic JSONL export of telemetry rows.
 
 The JSONL encoding is the flight recorder's interchange format: one
 JSON object per line, keys sorted, no whitespace, floats in Python's
@@ -12,7 +12,6 @@ every line must parse, validate against the per-channel schema in
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Union
@@ -23,7 +22,6 @@ __all__ = [
     "check_jsonl",
     "dump_row",
     "load_jsonl",
-    "write_csv",
     "write_jsonl",
 ]
 
@@ -92,26 +90,3 @@ def check_jsonl(path: PathLike) -> int:
                 )
             count += 1
     return count
-
-
-def write_csv(rows: Iterable[Mapping[str, Any]], path: PathLike) -> Path:
-    """Write rows as CSV with a deterministic header.
-
-    Columns are the union of the rows' keys: ``ch`` and ``t`` first,
-    then the remaining keys sorted; absent fields are left empty.
-    Intended for one channel per file, but tolerant of mixed rows.
-    """
-    materialized = [dict(row) for row in rows]
-    keys: set[str] = set()
-    for row in materialized:
-        keys.update(row)
-    lead = [k for k in ("ch", "t") if k in keys]
-    fields = lead + sorted(keys - set(lead))
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-        writer.writeheader()
-        for row in materialized:
-            writer.writerow(row)
-    return target

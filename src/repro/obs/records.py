@@ -15,7 +15,7 @@ round-trips exactly), and optional fields are simply absent rather than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, ClassVar, Optional
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "ProbeRecord",
     "QueueRecord",
     "REQUIRED_ROW_KEYS",
+    "Record",
     "RtoRecord",
     "RttRecord",
     "SessionRecord",
@@ -34,31 +35,10 @@ __all__ = [
     "validate_row",
 ]
 
-#: every channel the bus knows, in display order.
-CHANNELS: tuple[str, ...] = (
-    "cwnd", "rtt", "state", "probe", "queue", "rto", "fault",
-    "session", "pool", "dispatch",
-)
-
 #: channels carrying periodic samples; only these honour a trace spec's
 #: ``@N`` decimation — discrete events (probes, drops, RTOs, faults)
 #: are never thinned.
 SAMPLE_CHANNELS: frozenset[str] = frozenset({"cwnd", "rtt", "queue"})
-
-#: the keys a well-formed JSONL row must carry, per channel; extra keys
-#: are allowed (optional record fields), missing ones are a schema error.
-REQUIRED_ROW_KEYS: dict[str, frozenset[str]] = {
-    "cwnd": frozenset({"ch", "t", "flow", "cwnd", "ssthresh"}),
-    "rtt": frozenset({"ch", "t", "flow", "rtt"}),
-    "state": frozenset({"ch", "t", "flow", "state"}),
-    "probe": frozenset({"ch", "t", "flow", "event"}),
-    "queue": frozenset({"ch", "t", "link", "kind", "backlog"}),
-    "rto": frozenset({"ch", "t", "flow", "rto", "cwnd"}),
-    "fault": frozenset({"ch", "t", "fault"}),
-    "session": frozenset({"ch", "t", "session", "event"}),
-    "pool": frozenset({"ch", "t", "pool", "event", "conn"}),
-    "dispatch": frozenset({"ch", "t", "event"}),
-}
 
 #: queue-record kinds: one periodic sample plus the four event causes.
 QUEUE_KINDS: tuple[str, ...] = ("sample", "drop", "early_drop", "mark", "evict")
@@ -85,7 +65,28 @@ DISPATCH_EVENTS: tuple[str, ...] = (
 
 
 @dataclass(frozen=True, slots=True)
-class CwndRecord:
+class Record:
+    """What every channel's record shares: its channel tag and row form.
+
+    A subclass's fields *are* the channel's schema: a field without a
+    default is a key every row must carry, an ``Optional`` field
+    defaulting to ``None`` is a key that is simply absent when unset.
+    """
+
+    channel: ClassVar[str]
+
+    def row(self) -> dict[str, Any]:
+        """The flat JSON row: ``ch`` plus every field that is not None."""
+        row: dict[str, Any] = {"ch": self.channel}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None:
+                row[field.name] = value
+        return row
+
+
+@dataclass(frozen=True, slots=True)
+class CwndRecord(Record):
     """One congestion-window sample for a flow."""
 
     channel: ClassVar[str] = "cwnd"
@@ -94,15 +95,9 @@ class CwndRecord:
     cwnd: float
     ssthresh: float
 
-    def row(self) -> dict[str, Any]:
-        return {
-            "ch": "cwnd", "t": self.t, "flow": self.flow,
-            "cwnd": self.cwnd, "ssthresh": self.ssthresh,
-        }
-
 
 @dataclass(frozen=True, slots=True)
-class RttRecord:
+class RttRecord(Record):
     """One valid (Karn-filtered) RTT sample."""
 
     channel: ClassVar[str] = "rtt"
@@ -110,12 +105,9 @@ class RttRecord:
     flow: int
     rtt: float
 
-    def row(self) -> dict[str, Any]:
-        return {"ch": "rtt", "t": self.t, "flow": self.flow, "rtt": self.rtt}
-
 
 @dataclass(frozen=True, slots=True)
-class StateRecord:
+class StateRecord(Record):
     """A sender state transition (``recovery`` / ``open`` / ``timeout``)."""
 
     channel: ClassVar[str] = "state"
@@ -123,14 +115,9 @@ class StateRecord:
     flow: int
     state: str
 
-    def row(self) -> dict[str, Any]:
-        return {
-            "ch": "state", "t": self.t, "flow": self.flow, "state": self.state,
-        }
-
 
 @dataclass(frozen=True, slots=True)
-class ProbeRecord:
+class ProbeRecord(Record):
     """One TCP-TRIM probe lifecycle event.
 
     ``event`` is one of :data:`PROBE_EVENTS`; the optional fields carry
@@ -150,19 +137,9 @@ class ProbeRecord:
     factor: Optional[float] = None
     cwnd: Optional[float] = None
 
-    def row(self) -> dict[str, Any]:
-        row: dict[str, Any] = {
-            "ch": "probe", "t": self.t, "flow": self.flow, "event": self.event,
-        }
-        for key in ("saved_cwnd", "n_probes", "rtt", "success", "factor", "cwnd"):
-            value = getattr(self, key)
-            if value is not None:
-                row[key] = value
-        return row
-
 
 @dataclass(frozen=True, slots=True)
-class QueueRecord:
+class QueueRecord(Record):
     """A queue occupancy sample or a drop/mark/eviction event.
 
     ``kind`` is one of :data:`QUEUE_KINDS`; ``backlog`` is the resident
@@ -176,15 +153,9 @@ class QueueRecord:
     kind: str
     backlog: int
 
-    def row(self) -> dict[str, Any]:
-        return {
-            "ch": "queue", "t": self.t, "link": self.link,
-            "kind": self.kind, "backlog": self.backlog,
-        }
-
 
 @dataclass(frozen=True, slots=True)
-class RtoRecord:
+class RtoRecord(Record):
     """A retransmission-timeout firing, after back-off was applied."""
 
     channel: ClassVar[str] = "rto"
@@ -193,27 +164,18 @@ class RtoRecord:
     rto: float
     cwnd: float
 
-    def row(self) -> dict[str, Any]:
-        return {
-            "ch": "rto", "t": self.t, "flow": self.flow,
-            "rto": self.rto, "cwnd": self.cwnd,
-        }
-
 
 @dataclass(frozen=True, slots=True)
-class FaultRecord:
+class FaultRecord(Record):
     """An injected fault taking effect (mirrors the invariant audit trail)."""
 
     channel: ClassVar[str] = "fault"
     t: float
     fault: str
 
-    def row(self) -> dict[str, Any]:
-        return {"ch": "fault", "t": self.t, "fault": self.fault}
-
 
 @dataclass(frozen=True, slots=True)
-class SessionRecord:
+class SessionRecord(Record):
     """One open-loop session event.
 
     ``event`` is one of :data:`SESSION_EVENTS`; ``size`` rides along on
@@ -228,20 +190,9 @@ class SessionRecord:
     size: Optional[int] = None
     latency: Optional[float] = None
 
-    def row(self) -> dict[str, Any]:
-        row: dict[str, Any] = {
-            "ch": "session", "t": self.t, "session": self.session,
-            "event": self.event,
-        }
-        if self.size is not None:
-            row["size"] = self.size
-        if self.latency is not None:
-            row["latency"] = self.latency
-        return row
-
 
 @dataclass(frozen=True, slots=True)
-class PoolRecord:
+class PoolRecord(Record):
     """A connection-pool transition (open/reuse/checkin/close).
 
     ``pool`` names the pool (one per backend server), ``conn`` the
@@ -258,20 +209,9 @@ class PoolRecord:
     leased: Optional[int] = None
     idle: Optional[int] = None
 
-    def row(self) -> dict[str, Any]:
-        row: dict[str, Any] = {
-            "ch": "pool", "t": self.t, "pool": self.pool,
-            "event": self.event, "conn": self.conn,
-        }
-        if self.leased is not None:
-            row["leased"] = self.leased
-        if self.idle is not None:
-            row["idle"] = self.idle
-        return row
-
 
 @dataclass(frozen=True, slots=True)
-class DispatchRecord:
+class DispatchRecord(Record):
     """One fleet-dispatch event (lease, retry, breaker, quarantine...).
 
     ``t`` is host-side elapsed seconds since the dispatch log's epoch —
@@ -292,13 +232,36 @@ class DispatchRecord:
     attempt: Optional[int] = None
     detail: Optional[str] = None
 
-    def row(self) -> dict[str, Any]:
-        row: dict[str, Any] = {"ch": "dispatch", "t": self.t, "event": self.event}
-        for key in ("worker", "host", "point", "attempt", "detail"):
-            value = getattr(self, key)
-            if value is not None:
-                row[key] = value
-        return row
+
+#: one record class per channel, in display order.  (Listed, not taken
+#: from ``Record.__subclasses__()``: ``slots=True`` rebuilds each class,
+#: so the discarded originals show up there too.)
+RECORD_TYPES: tuple[type[Record], ...] = (
+    CwndRecord, RttRecord, StateRecord, ProbeRecord, QueueRecord,
+    RtoRecord, FaultRecord, SessionRecord, PoolRecord, DispatchRecord,
+)
+
+#: every channel the bus knows, in display order.
+CHANNELS: tuple[str, ...] = tuple(cls.channel for cls in RECORD_TYPES)
+
+#: the keys a well-formed JSONL row must carry, per channel: ``ch`` plus
+#: the record class's default-less fields.  Extra keys are allowed (the
+#: optional fields), missing ones are a schema error.
+REQUIRED_ROW_KEYS: dict[str, frozenset[str]] = {
+    cls.channel: frozenset(
+        {"ch"} | {f.name for f in fields(cls) if f.default is MISSING}
+    )
+    for cls in RECORD_TYPES
+}
+
+#: channels whose ``kind``/``event`` key is drawn from a closed vocabulary.
+_VOCABULARIES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "probe": ("event", PROBE_EVENTS),
+    "queue": ("kind", QUEUE_KINDS),
+    "session": ("event", SESSION_EVENTS),
+    "pool": ("event", POOL_EVENTS),
+    "dispatch": ("event", DISPATCH_EVENTS),
+}
 
 
 def validate_row(row: Any) -> str:
@@ -318,6 +281,14 @@ def validate_row(row: Any) -> str:
         raise ValueError(
             f"{channel} row missing key(s) {sorted(missing)}: {row!r}"
         )
-    if not isinstance(row["t"], (int, float)):
-        raise ValueError(f"trace row time is not a number: {row!r}")
+    t = row["t"]
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
+        raise ValueError(f"trace row time 't' is not a number: {row!r}")
+    if channel in _VOCABULARIES:
+        key, allowed = _VOCABULARIES[channel]
+        if row[key] not in allowed:
+            raise ValueError(
+                f"{channel} row has unknown {key} {row[key]!r} "
+                f"(allowed: {', '.join(allowed)}): {row!r}"
+            )
     return channel

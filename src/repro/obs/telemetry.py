@@ -28,7 +28,7 @@ queue and consults on enqueue/dequeue.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.obs.records import (
     CHANNELS,
@@ -37,6 +37,7 @@ from repro.obs.records import (
     PoolRecord,
     ProbeRecord,
     QueueRecord,
+    Record,
     RtoRecord,
     RttRecord,
     SessionRecord,
@@ -48,11 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 __all__ = ["QueueTap", "Telemetry"]
-
-Record = Union[
-    CwndRecord, RttRecord, StateRecord, ProbeRecord, QueueRecord,
-    RtoRecord, FaultRecord, SessionRecord, PoolRecord,
-]
 
 #: default per-channel ring capacity — generous for quick-preset sweeps
 #: (a point emits a few thousand cwnd samples) while bounding a paper

@@ -1,14 +1,18 @@
 """Discrete-event simulation kernel.
 
-This subpackage is the NS2 substitute's engine: a binary-heap event
-scheduler (:mod:`repro.sim.kernel`), seeded random-number streams
-(:mod:`repro.sim.randomness`), and time-series monitors
-(:mod:`repro.sim.monitor`).
+This subpackage is the NS2 substitute's engine: the event scheduler
+(:mod:`repro.sim.kernel` — a binary heap plus a coarse timer wheel and
+pooled transient events, same ``(time, sequence)`` order as a bare
+heap), seeded random-number streams (:mod:`repro.sim.randomness`), and
+the *pull* side of observation (:mod:`repro.sim.monitor`): a
+:class:`PeriodicSampler` polls a probe into a lossless
+:class:`TimeSeries`, which is what every figure's curve is made of.
+(The push side — the opt-in event trace — is :mod:`repro.obs`.)
 """
 
 from repro.sim.invariants import InvariantMonitor, InvariantViolation
 from repro.sim.kernel import Event, Kernel, SimulationError, Simulator
-from repro.sim.monitor import PeriodicSampler, TimeSeries, rate_series
+from repro.sim.monitor import PeriodicSampler, TimeSeries, delta_rate
 from repro.sim.randomness import RandomStreams, derive_seed, seeded_rng
 
 __all__ = [
@@ -21,7 +25,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "TimeSeries",
+    "delta_rate",
     "derive_seed",
-    "rate_series",
     "seeded_rng",
 ]

@@ -381,46 +381,14 @@ class Simulator:
     def step(self) -> bool:
         """Execute the single next pending event.  Returns False if none.
 
-        Runs under the same reentrancy guard and invariant semantics as
-        :meth:`run`: calling ``step()`` from inside an event handler
-        raises, each executed event feeds the invariant monitor, and the
-        full check sweep runs before returning.
+        This is ``run(max_events=1)``: the same reentrancy guard (calling
+        ``step()`` from inside an event handler raises), the executed
+        event feeds the invariant monitor, and the full check sweep runs
+        before returning.
         """
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        fired = False
-        try:
-            heap = self._heap
-            while True:
-                if heap:
-                    event = heap[0]
-                    if self._wheel_next <= event.time:
-                        self._flush_due(event.time)
-                        continue
-                    heapq.heappop(heap)
-                    if event.cancelled:
-                        continue
-                    self._pending -= 1
-                    event._sim = None
-                    self.now = event.time
-                    event.fn(*event.args)
-                    self.events_executed += 1
-                    if self.invariants is not None:
-                        self.invariants.after_event(event.time)
-                    if event._transient:
-                        self._recycle(event)
-                    fired = True
-                    break
-                elif self._wheel:
-                    self._flush_due(self._wheel_next)
-                else:
-                    break
-        finally:
-            self._running = False
-        if self.invariants is not None:
-            self.invariants.check_all()
-        return fired
+        before = self.events_executed
+        self.run(max_events=1)
+        return self.events_executed > before
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""

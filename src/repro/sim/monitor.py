@@ -1,19 +1,20 @@
 """Time-series recording for simulations.
 
-:class:`TimeSeries` is an append-only ``(time, value)`` log used by queue
-monitors, throughput monitors, and congestion-window traces.
-:class:`PeriodicSampler` drives a callback at a fixed period and records
-its return value — the standard way to trace a queue length or compute a
-windowed throughput, mirroring NS2's queue monitors.
+:class:`TimeSeries` is an append-only ``(time, value)`` log.
+:class:`PeriodicSampler` drives a probe at a fixed period and records
+its return value — the pull path every figure's queue-length, window
+and throughput curve is made of, mirroring NS2's queue monitors;
+:func:`delta_rate` is the probe that bins a cumulative counter into a
+rate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from repro.sim.kernel import Event, Simulator
 
-__all__ = ["PeriodicSampler", "TimeSeries"]
+__all__ = ["PeriodicSampler", "TimeSeries", "delta_rate"]
 
 
 class TimeSeries:
@@ -116,29 +117,22 @@ class PeriodicSampler:
         self._event = self.sim.schedule(self.period, self._tick)
 
 
-def rate_series(
-    event_times: Sequence[float],
-    event_sizes: Sequence[float],
-    bin_width: float,
-    start: float = 0.0,
-    end: Optional[float] = None,
-) -> TimeSeries:
-    """Bin per-event sizes into a rate time series (units/second).
+def delta_rate(
+    counter: Callable[[], float], period: float, scale: float = 1.0
+) -> Callable[[], float]:
+    """A probe turning a cumulative counter into a per-period rate.
 
-    Used to turn per-packet delivery logs into throughput curves, e.g.
-    bits delivered per 10 ms bin → Mbps.
+    Each call returns the counter's growth since the previous call (the
+    first: since this factory ran) times ``scale``, per ``period``
+    seconds.  Hand it to a :class:`PeriodicSampler` of the same period
+    to bin a byte or segment counter into bits/s.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    if end is None:
-        end = max(event_times, default=start) + bin_width
-    series = TimeSeries("rate")
-    n_bins = max(1, int((end - start) / bin_width + 0.999999))
-    totals = [0.0] * n_bins
-    for t, s in zip(event_times, event_sizes):
-        if t < start or t >= end:
-            continue
-        totals[min(int((t - start) / bin_width), n_bins - 1)] += s
-    for i, total in enumerate(totals):
-        series.record(start + i * bin_width, total / bin_width)
-    return series
+    last = counter()
+
+    def probe() -> float:
+        nonlocal last
+        current = counter()
+        delta, last = current - last, current
+        return delta * scale / period
+
+    return probe

@@ -591,8 +591,6 @@ class TcpSink:
         self._drain_event: Optional[Event] = None
         self._held_pkt: Optional[Packet] = None
         self._delack_event: Optional[Event] = None
-        #: optional per-unique-delivery hook (seq, time): goodput monitors
-        self.on_deliver: Optional[Callable[[Packet], None]] = None
 
     def receive_packet(self, pkt: Packet) -> None:
         if pkt.kind != DATA:
@@ -608,7 +606,6 @@ class TcpSink:
                 while self.next_expected in self._out_of_order:
                     self._out_of_order.remove(self.next_expected)
                     self.next_expected += 1
-                self._deliver(pkt)
                 self._schedule_drain()
         elif pkt.seq > self.next_expected:
             if pkt.seq in self._out_of_order:
@@ -618,7 +615,6 @@ class TcpSink:
             else:
                 self._out_of_order.add(pkt.seq)
                 self.delivered_segments += 1
-                self._deliver(pkt)
         else:
             self.duplicate_segments += 1
 
@@ -714,10 +710,6 @@ class TcpSink:
         if self._delack_event is not None:
             self._delack_event.cancel()
             self._delack_event = None
-
-    def _deliver(self, pkt: Packet) -> None:
-        if self.on_deliver is not None:
-            self.on_deliver(pkt)
 
     @property
     def delivered_bytes(self) -> int:

@@ -23,7 +23,9 @@ class TestFramework:
         rules = all_rules()
         ids = [r.id for r in rules]
         assert ids == sorted(ids)
-        assert ids == [f"SIM{n:03d}" for n in range(1, 18)]
+        # SIM009 is retired (the hook slot it policed is gone); ids are
+        # never renumbered, so the sequence keeps the gap.
+        assert ids == [f"SIM{n:03d}" for n in range(1, 18) if n != 9]
         for rule in rules:
             assert rule.summary and rule.fixit
 
@@ -266,47 +268,6 @@ class TestSim008FaultBypass:
         assert lint_source(src, path="repro/experiments/chaos.py") == []
 
 
-class TestSim009DeliveryHookSwap:
-    def test_flags_hook_swap_on_another_object(self):
-        src = (
-            "def attach(link, fn):\n"
-            "    prev = link.on_deliver\n"
-            "    link.on_deliver = fn\n"
-        )
-        findings = lint_source(src, path="repro/metrics/tracing.py")
-        assert rule_ids(findings) == ["SIM009"]
-        assert "add_observer" in findings[0].fixit
-
-    def test_flags_annotated_and_augmented_writes(self):
-        src = "def f(link, fn):\n    link.on_deliver: object = fn\n"
-        assert rule_ids(
-            lint_source(src, path="repro/experiments/probe.py")
-        ) == ["SIM009"]
-
-    def test_self_assignment_is_fine(self):
-        # The owner initializing its own hook is the implementation.
-        src = (
-            "class Link:\n"
-            "    def __init__(self):\n"
-            "        self.on_deliver = None\n"
-        )
-        assert lint_source(src, path="repro/metrics/tracing.py") == []
-
-    def test_reads_and_observer_registration_are_fine(self):
-        src = (
-            "def attach(link, fn):\n"
-            "    hook = link.on_deliver\n"
-            "    link.add_observer(fn)\n"
-            "    return hook\n"
-        )
-        assert lint_source(src, path="repro/metrics/tracing.py") == []
-
-    def test_net_and_obs_layers_are_exempt(self):
-        src = "def wire(link, fn):\n    link.on_deliver = fn\n"
-        assert lint_source(src, path="repro/net/link.py") == []
-        assert lint_source(src, path="repro/obs/capture.py") == []
-
-
 class TestSim010RawExecutor:
     def test_flags_direct_construction(self):
         src = (
@@ -413,7 +374,7 @@ class TestCli:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for n in range(1, 18):
-            assert f"SIM{n:03d}" in out
+            assert (f"SIM{n:03d}" in out) == (n != 9)
 
     def test_directory_walk(self, tmp_path):
         pkg = tmp_path / "pkg"

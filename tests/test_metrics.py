@@ -1,15 +1,8 @@
-"""Unit tests for completion statistics and network monitors."""
+"""Unit tests for completion statistics and the sampler over live traffic."""
 
 import numpy as np
 import pytest
 
-from repro.metrics.monitors import (
-    CwndTracer,
-    GoodputMeter,
-    QueueMonitor,
-    SinkThroughputMonitor,
-    ThroughputMonitor,
-)
 from repro.metrics.stats import (
     act,
     cdf_points,
@@ -18,6 +11,7 @@ from repro.metrics.stats import (
     percentile,
     summarize,
 )
+from repro.sim.monitor import PeriodicSampler, delta_rate
 from repro.tcp.base import Message
 from tests.helpers import make_pair
 
@@ -127,49 +121,41 @@ class TestStatsAcceptNumpyArrays:
 
 
 class TestMonitors:
+    """PeriodicSampler (+ delta_rate) pointed at a live star, with the
+    probes the figure experiments use."""
+
     def test_queue_monitor_records_backlog(self):
         sim, star, source, _sink = make_pair(frontend_bandwidth=100e6)
-        monitor = QueueMonitor(sim, star.bottleneck, period=1e-3).start(0.0)
+        link = star.bottleneck
+        monitor = PeriodicSampler(sim, 1e-3, lambda: link.backlog_pkts).start(0.0)
         source.send_message(500)
         sim.run(until=0.05)
-        assert monitor.peak_pkts > 0
-        assert monitor.average_pkts >= 0
+        assert monitor.series.max() > 0
+        assert monitor.series.mean() >= 0
 
     def test_throughput_monitor_measures_line_rate(self):
         sim, star, source, _sink = make_pair()
-        monitor = ThroughputMonitor(sim, star.bottleneck, period=1e-3).start(0.0)
+        link = star.bottleneck
+        probe = delta_rate(lambda: link.stats.tx_bytes, 1e-3, scale=8.0)
+        monitor = PeriodicSampler(sim, 1e-3, probe).start(0.0)
         source.send_message(3000)
         sim.run(until=0.04)
         # Mid-transfer bins should be near 1 Gbps.
         peak = monitor.series.max()
         assert peak == pytest.approx(1e9, rel=0.05)
 
-    def test_goodput_meter(self):
-        sim, _star, source, sink = make_pair()
-        meter = GoodputMeter(sim, sink)
-        sim.schedule_at(0.001, meter.start)
-        source.send_message(1000)
-        sim.run(until=0.05)
-        goodput = meter.goodput_bps()
-        expected = 1000 * 1460 * 8 / (0.05 - 0.001)
-        assert goodput == pytest.approx(expected, rel=0.05)
-
-    def test_goodput_meter_requires_start(self):
-        sim, _star, _source, sink = make_pair()
-        with pytest.raises(RuntimeError):
-            GoodputMeter(sim, sink).goodput_bps()
-
     def test_sink_throughput_monitor(self):
         sim, _star, source, sink = make_pair()
-        monitor = SinkThroughputMonitor(sim, sink, period=1e-3).start(0.0)
+        probe = delta_rate(lambda: sink.delivered_bytes, 1e-3, scale=8.0)
+        monitor = PeriodicSampler(sim, 1e-3, probe).start(0.0)
         source.send_message(3000)
         sim.run(until=0.04)
         assert monitor.series.max() == pytest.approx(1e9, rel=0.1)
-        assert monitor.mean_bps(0.0, 0.04) > 0
+        assert monitor.series.window(0.0, 0.04).mean() > 0
 
     def test_cwnd_tracer(self):
         sim, _star, source, _sink = make_pair()
-        tracer = CwndTracer(sim, source, period=1e-3).start(0.0)
+        tracer = PeriodicSampler(sim, 1e-3, lambda: source.cwnd).start(0.0)
         source.send_message(100)
         sim.run(until=0.02)
         assert tracer.series.values[0] == pytest.approx(2.0)

@@ -36,9 +36,10 @@ class TestPacketLogger:
         assert len(data_logger) == 0
 
     def test_chains_existing_hook(self):
+        """A logger joins whatever already observes the link."""
         sim, star, source, _sink = make_pair()
         seen = []
-        star.bottleneck.on_deliver = lambda pkt: seen.append(pkt.seq)
+        star.bottleneck.add_observer(lambda pkt: seen.append(pkt.seq))
         logger = PacketLogger(star.bottleneck)
         source.send_message(5)
         sim.run(until=0.1)
@@ -123,12 +124,3 @@ class TestObserverChain:
         source.send_message(7)
         sim.run(until=0.1)
         assert [len(lg) for lg in loggers] == [0, 0, 7]
-
-    def test_legacy_hook_runs_before_observers(self):
-        sim, star, source, _sink = make_pair()
-        order = []
-        star.bottleneck.on_deliver = lambda pkt: order.append("legacy")
-        star.bottleneck.add_observer(lambda pkt: order.append("observer"))
-        source.send_message(1)
-        sim.run(until=0.1)
-        assert order == ["legacy", "observer"]

@@ -89,11 +89,11 @@ class TestLinkTiming:
         assert link.stats.tx_bytes == 1200
         assert link.stats.busy_time == pytest.approx((500 + 700) * 8 / 8e6)
 
-    def test_on_deliver_hook_and_hop_count(self):
+    def test_observer_sees_delivery_and_hop_count(self):
         sim = Simulator()
         _, dst, link = make_link(sim)
         seen = []
-        link.on_deliver = seen.append
+        link.add_observer(seen.append)
         link.send(pkt())
         sim.run()
         assert len(seen) == 1
@@ -154,17 +154,6 @@ class TestDeliveryObservers:
         sim = Simulator()
         _, _, link = make_link(sim)
         link.remove_observer(lambda p: None)  # never registered: no raise
-
-    def test_clearing_legacy_hook_keeps_observers(self):
-        sim = Simulator()
-        _, _, link = make_link(sim)
-        seen = []
-        link.on_deliver = lambda p: seen.append("legacy")
-        link.add_observer(lambda p: seen.append("observer"))
-        link.on_deliver = None
-        link.send(pkt())
-        sim.run()
-        assert seen == ["observer"]
 
 
 class TestQueueSwap:

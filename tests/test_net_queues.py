@@ -31,15 +31,6 @@ class TestDropTailQueue:
         assert q.stats.dropped == 1
         assert len(q) == 2
 
-    def test_drop_callback(self):
-        q = DropTailQueue(1)
-        dropped = []
-        q.on_drop = dropped.append
-        q.enqueue(pkt(seq=1))
-        victim = pkt(seq=2)
-        q.enqueue(victim)
-        assert dropped == [victim]
-
     def test_peak_length_tracked(self):
         q = DropTailQueue(5)
         for i in range(3):
@@ -123,14 +114,14 @@ class TestResize:
         # Survivors are the oldest arrivals, still in FIFO order.
         assert [q.dequeue().seq for _ in range(2)] == [0, 1]
 
-    def test_evictions_reported_to_on_drop(self):
+    def test_evictions_take_the_newest_first(self):
         q = DropTailQueue(3)
-        victims = []
-        q.on_drop = victims.append
         for i in range(3):
             q.enqueue(pkt(seq=i))
         q.resize(1)
-        assert [p.seq for p in victims] == [2, 1]  # newest first
+        assert q.stats.evicted == 2
+        # The victims were seq 2 then 1: only the oldest arrival is left.
+        assert [q.dequeue().seq, q.dequeue()] == [0, None]
 
     def test_grow_never_touches_residents(self):
         q = DropTailQueue(2)
@@ -249,13 +240,15 @@ class TestFairQueue:
             q.enqueue(fpkt(1, seq))
         q.enqueue(fpkt(2, 0))
         # Buffer full; a newcomer flow's arrival evicts the hog's head.
-        victims = []
-        q.on_drop = victims.append
         assert q.enqueue(fpkt(3, 0))
-        assert [(p.flow_id, p.seq) for p in victims] == [(1, 0)]
+        assert (q.stats.dropped, q.stats.evicted) == (1, 1)
         assert q.backlog_of(1) == 2
         assert q.backlog_of(3) == 1
         assert len(q) == 4
+        # Victim identity: of the hog's packets it is the *head*, (1, 0),
+        # that is missing from the survivors.
+        survivors = [(p.flow_id, p.seq) for p in (q.dequeue() for _ in range(4))]
+        assert survivors == [(1, 1), (2, 0), (3, 0), (1, 2)]
 
     def test_hog_arrival_tail_drops_itself(self):
         q = FairQueue(3)

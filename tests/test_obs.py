@@ -2,13 +2,15 @@
 
 The flight recorder's contracts, unit by unit: strict ``--trace``
 parsing, channel/flow/link filtering and 1-in-N decimation on the bus,
-bounded rings with counted overflow, deterministic JSONL/CSV export
+bounded rings with counted overflow, deterministic JSONL export
 (canonical-form validation included), the step-function timeline views,
 and the ``REPRO_TRACE`` environment auto-attach that carries tracing
 across the sweep-pool boundary.
 """
 
 from __future__ import annotations
+
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -24,10 +26,10 @@ from repro.obs import (
     dump_row,
     load_jsonl,
     validate_row,
-    write_csv,
     write_jsonl,
 )
 from repro.obs import capture
+from repro.obs.records import RECORD_TYPES, REQUIRED_ROW_KEYS
 from repro.sim.kernel import Simulator
 from tests.helpers import make_pair
 
@@ -245,11 +247,36 @@ class TestExport:
         with pytest.raises(ValueError):
             validate_row({"ch": "nope", "t": 0.0})
 
-    def test_csv_header_leads_with_ch_and_t(self, tmp_path):
-        path = write_csv(self._rows(), tmp_path / "t.csv")
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[:2] == ["ch", "t"]
-        assert header[2:] == sorted(header[2:])
+    @pytest.mark.parametrize(
+        "row, names",
+        [
+            ({"ch": "queue", "t": 0.1, "link": "a->b", "kind": "bogus",
+              "backlog": 3}, ["kind", "early_drop"]),
+            ({"ch": "probe", "t": 0.1, "flow": 1, "event": "nope"},
+             ["event", "inherit"]),
+            ({"ch": "session", "t": 0.1, "session": 1, "event": "nope"},
+             ["event", "complete"]),
+            ({"ch": "pool", "t": 0.1, "pool": "s0", "event": "nope", "conn": 1},
+             ["event", "checkin"]),
+            ({"ch": "dispatch", "t": 0.1, "event": "nope"}, ["event", "lease"]),
+            ({"ch": "fault", "t": True, "fault": "link_down"}, ["'t'"]),
+        ],
+    )
+    def test_validate_row_rejects_out_of_vocabulary_values(self, row, names):
+        """``trace --check`` input comes from outside the program: an
+        unknown kind/event or a boolean time is a schema error naming
+        the offending field and, for a vocabulary, the allowed values."""
+        with pytest.raises(ValueError) as err:
+            validate_row(row)
+        for name in names:
+            assert name in str(err.value)
+
+    def test_required_keys_are_the_default_less_record_fields(self):
+        assert len(RECORD_TYPES) == len(REQUIRED_ROW_KEYS) == len(CHANNELS)
+        for cls in RECORD_TYPES:
+            required = {f.name for f in fields(cls) if f.default is MISSING}
+            assert REQUIRED_ROW_KEYS[cls.channel] == {"ch"} | required
+            assert "t" in required
 
 
 class TestTimelines:

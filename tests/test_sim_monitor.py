@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import PeriodicSampler, TimeSeries, rate_series
+from repro.sim.monitor import PeriodicSampler, TimeSeries, delta_rate
 
 
 class TestTimeSeries:
@@ -101,19 +101,15 @@ class TestPeriodicSampler:
             PeriodicSampler(Simulator(), 0.0, lambda: 1.0)
 
 
-class TestRateSeries:
-    def test_bins_events_into_rates(self):
-        series = rate_series([0.05, 0.15, 0.18], [10.0, 20.0, 30.0], bin_width=0.1, end=0.2)
-        assert series.values == pytest.approx([100.0, 500.0])
+class TestDeltaRate:
+    def test_first_bin_measured_from_value_at_construction(self):
+        counter = [1000]
+        probe = delta_rate(lambda: counter[0], period=0.5, scale=8.0)
+        counter[0] = 1250
+        assert probe() == pytest.approx(250 * 8.0 / 0.5)  # not 1250 * ...
+        counter[0] = 1300
+        assert probe() == pytest.approx(50 * 8.0 / 0.5)
 
-    def test_events_outside_range_ignored(self):
-        series = rate_series([-1.0, 0.05, 5.0], [1.0, 1.0, 1.0], bin_width=0.1, end=0.1)
-        assert series.values == pytest.approx([10.0])
-
-    def test_empty_events(self):
-        series = rate_series([], [], bin_width=0.1, end=0.2)
-        assert all(v == 0.0 for v in series.values)
-
-    def test_invalid_bin_width(self):
-        with pytest.raises(ValueError):
-            rate_series([0.0], [1.0], bin_width=0.0)
+    def test_constant_counter_reads_zero(self):
+        probe = delta_rate(lambda: 42, period=1e-3)
+        assert [probe(), probe()] == [0.0, 0.0]
