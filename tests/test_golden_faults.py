@@ -139,7 +139,6 @@ def run_golden_fault_scenario(protocol: str, plan: FaultPlan = PLAN):
                 f"{r.time!r}|{r.flow_id}|{r.seq}|{r.size_bytes}|"
                 f"{int(r.is_retransmission)}\n".encode()
             )
-    h.update(f"events={sim.events_executed}\n".encode())
     for s in sources:
         h.update(
             f"flow{s.flow_id}:{s.stats.segments_sent}:{s.stats.retransmits}:"
