@@ -156,7 +156,9 @@ _WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-_SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "schedule_transient"})
+_SCHEDULE_METHODS = frozenset(
+    {"schedule", "schedule_at", "schedule_reserved", "schedule_transient"}
+)
 
 
 def _wall_seed(module: ModuleContext, call: ast.Call, resolved: str) -> str:

@@ -5,6 +5,14 @@ packet propagates for ``delay_s`` before arriving at the destination
 node.  Arrivals while the transmitter is busy wait in the link's egress
 queue (or are dropped by it).  A full-duplex cable is modelled as two
 independent ``Link`` instances sharing nothing, exactly as in NS2.
+
+The end of a serialization (``_tx_done``) only matters when something
+waits for it, so ``_transmit`` normally just *reserves* the event's
+``(time, sequence)`` key; the transmitter counts as free once the kernel
+says that key has passed, and the event is queued under that same key
+only when a packet joins the queue behind it.  Every event that does run
+therefore keeps the exact position it had when ``_tx_done`` was always
+scheduled, and an uncongested hop costs one scheduler event, not two.
 """
 
 from __future__ import annotations
@@ -67,7 +75,12 @@ class Link:
         self.name = name or f"{src_node.name}->{dst_node.name}"
         self.queue = queue
         self.stats = LinkStats()
+        #: a queued ``_tx_done`` event will restart the transmitter.
         self._busy = False
+        #: key reserved for the current packet's ``_tx_done`` while it is
+        #: not queued; ``_free_seq`` is -1 when there is none.
+        self._free_at = 0.0
+        self._free_seq = -1
         #: carrier state: False while a LinkDown fault holds the link.
         self._up = True
         #: impairment windows/counters, attached by a FaultInjector;
@@ -111,6 +124,8 @@ class Link:
         #: that inherit DropTailQueue's no-op (RED is the only
         #: time-driven queue; drop-tail and ECN marking are not).
         self._queue_ticks = ticks
+        if ticks and old is not None and self.busy and not self._busy:
+            self._arm_tx_done()  # a time-driven queue is ticked at that instant
         invariants = getattr(self.sim, "invariants", None)
         if invariants is not None:
             invariants.register_queue(queue, name=self.name)
@@ -149,17 +164,32 @@ class Link:
         queue = self._queue
         if self._queue_ticks:
             queue.tick(self.sim.now)
-        if self._busy or not self._up:
-            queue.enqueue(pkt)
-            tap = self._tap
-            if tap is not None:
-                tap.sample(len(queue))
-            return
-        self._transmit(pkt)
+        if not self._busy:
+            seq = self._free_seq
+            if seq < 0 or self.sim.key_passed(self._free_at, seq):
+                if self._up:
+                    self._transmit(pkt, False)
+                    return
+            else:
+                self._arm_tx_done()
+        queue.enqueue(pkt)
+        tap = self._tap
+        if tap is not None:
+            tap.sample(len(queue))
 
     @property
     def busy(self) -> bool:
-        return self._busy
+        """Is a packet on the transmitter (its ``_tx_done`` still ahead)?"""
+        seq = self._free_seq
+        return self._busy or (
+            seq >= 0 and not self.sim.key_passed(self._free_at, seq)
+        )
+
+    def _arm_tx_done(self) -> None:
+        """Queue the reserved ``_tx_done``: something now waits for it."""
+        self._busy = True
+        self.sim.schedule_reserved(self._free_at, self._free_seq, self._tx_done)
+        self._free_seq = -1
 
     @property
     def up(self) -> bool:
@@ -185,13 +215,13 @@ class Link:
         if self._up:
             return
         self._up = True
-        if not self._busy:
+        if not self.busy:
             queue = self._queue
             if self._queue_ticks:
                 queue.tick(self.sim.now)
             nxt = queue.dequeue()
             if nxt is not None:
-                self._transmit(nxt)
+                self._transmit(nxt, len(queue) > 0)
 
     @property
     def backlog_pkts(self) -> int:
@@ -203,19 +233,23 @@ class Link:
         return pkt.size_bytes * self._secs_per_byte
 
     # ------------------------------------------------------------------
-    def _transmit(self, pkt: Packet) -> None:
-        self._busy = True
+    def _transmit(self, pkt: Packet, backlog: bool) -> None:
         size = pkt.size_bytes
         tx = size * self._secs_per_byte
         stats = self.stats
         stats.tx_packets += 1
         stats.tx_bytes += size
         stats.busy_time += tx
-        # Transient scheduling: these events are never cancelled and no
-        # handle is kept, so the kernel may pool the records.
-        schedule = self.sim.schedule_transient
-        schedule(tx, self._tx_done)
-        schedule(tx + self.delay_s, self._deliver, pkt)
+        sim = self.sim
+        if backlog or self._queue_ticks:
+            # A backlog needs the restart; RED needs the instant.
+            self._busy = True
+            sim.schedule_transient(tx, self._tx_done)
+        else:
+            self._busy = False
+            self._free_at = sim.now + tx
+            self._free_seq = sim.reserve_seq()
+        sim.schedule_transient(tx + self.delay_s, self._deliver, pkt)
 
     def _tx_done(self) -> None:
         if not self._up:
@@ -230,7 +264,7 @@ class Link:
         if nxt is None:
             self._busy = False
         else:
-            self._transmit(nxt)
+            self._transmit(nxt, len(queue) > 0)
             tap = self._tap
             if tap is not None:
                 tap.sample(len(queue))

@@ -1,9 +1,9 @@
 """Discrete-event simulation kernel.
 
 This subpackage is the NS2 substitute's engine: the event scheduler
-(:mod:`repro.sim.kernel` — a binary heap plus a coarse timer wheel and
-pooled transient events, same ``(time, sequence)`` order as a bare
-heap), seeded random-number streams (:mod:`repro.sim.randomness`), and
+(:mod:`repro.sim.kernel` — a binary heap of plain tuples plus a coarse
+timer wheel and reservable keys, same ``(time, sequence)`` order as a
+bare heap), seeded random-number streams (:mod:`repro.sim.randomness`), and
 the *pull* side of observation (:mod:`repro.sim.monitor`): a
 :class:`PeriodicSampler` polls a probe into a lossless
 :class:`TimeSeries`, which is what every figure's curve is made of.

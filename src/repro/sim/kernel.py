@@ -1,16 +1,18 @@
 """Discrete-event simulation kernel.
 
 The kernel is deliberately small: a :class:`Simulator` owns a binary heap
-of :class:`Event` records ordered by ``(time, sequence)``.  Ties in time
+of ``(time, sequence, fn, args, handle)`` tuples, so heap order is a C
+tuple comparison on the unique ``(time, sequence)`` prefix.  Ties in time
 are broken by scheduling order, which makes every run fully deterministic
 for a given seed and call sequence — a property the test suite relies on
 (and the golden-trace fixtures under ``tests/golden/`` pin down).
 
-Events are cancellable in O(1) by flagging; cancelled events are skipped
-when popped (lazy deletion), which is the standard approach for
-simulations with many retransmission timers that are usually cancelled.
+:meth:`Simulator.schedule` returns an :class:`Event` handle that cancels
+in O(1) by flagging; cancelled entries are skipped when popped (lazy
+deletion), which is the standard approach for simulations with many
+retransmission timers that are usually cancelled.
 
-Three hot-path mechanisms keep the loop fast without changing behavior:
+Four hot-path mechanisms keep the loop fast without changing behavior:
 
 * **Dispatch-selected run loop** — ``run()`` picks a tight loop with no
   invariant-monitor branch when checking is off, so the common case
@@ -21,10 +23,16 @@ Three hot-path mechanisms keep the loop fast without changing behavior:
   only when the clock approaches it.  Retransmission timers — which are
   overwhelmingly cancelled long before expiry — therefore never touch
   the heap at all: O(1) in, O(1) cancelled, O(1) discarded at spill.
-* **Event pool** — :meth:`Simulator.schedule_transient` schedules a
-  callback *without returning a handle*; because the caller provably
-  holds no reference, the kernel recycles the Event record through a
-  free list, eliminating allocation churn on per-packet events.
+* **Handle-less events** — :meth:`Simulator.schedule_transient` queues
+  the bare tuple with no :class:`Event` at all, the cheap path for
+  per-packet events that are never cancelled.
+* **Reserved keys** — a component whose next event is usually a no-op
+  (an idle link's end-of-serialization) takes the sequence number with
+  :meth:`Simulator.reserve_seq` instead of scheduling, asks
+  :meth:`Simulator.key_passed` later, and only when something depends
+  on the instant queues the event under that exact key with
+  :meth:`Simulator.schedule_reserved` — execution order is unchanged
+  because every surviving event keeps the key it would have had.
 """
 
 from __future__ import annotations
@@ -43,22 +51,13 @@ __all__ = ["Event", "Kernel", "SimulationError", "Simulator"]
 
 _INF = float("inf")
 
-#: free-list bound: transient events alive at once scale with busy links
-#: (two per link), so a small cap covers real topologies while bounding
-#: worst-case idle memory.
-_POOL_CAP = 1024
-
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, running twice...)."""
 
 
-def _noop() -> None:  # pragma: no cover - placeholder for pooled records
-    """Callback held by pooled Event records between uses."""
-
-
 class Event:
-    """A scheduled callback.
+    """Cancellation handle of a scheduled callback.
 
     Instances are created by :meth:`Simulator.schedule` /
     :meth:`Simulator.schedule_at`; user code only holds them to call
@@ -66,22 +65,16 @@ class Event:
     timer fires).
     """
 
-    __slots__ = ("time", "_seq", "fn", "args", "cancelled", "_sim", "_transient")
+    __slots__ = ("time", "fn", "cancelled", "_sim")
 
-    def __init__(
-        self, time: float, seq: int, fn: Callable[..., Any], args: tuple[Any, ...]
-    ) -> None:
+    def __init__(self, time: float, fn: Callable[..., Any], sim: "Simulator") -> None:
         self.time = time
-        self._seq = seq
         self.fn = fn
-        self.args = args
         self.cancelled = False
         #: owning simulator while the event is queued (heap or wheel);
         #: cleared on execution/cancellation so the live-event counter
         #: is decremented exactly once per event.
-        self._sim: Optional["Simulator"] = None
-        #: True for handle-less events eligible for pooling.
-        self._transient = False
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
@@ -92,19 +85,16 @@ class Event:
                 self._sim = None
                 sim._pending -= 1
 
-    def __lt__(self, other: "Event") -> bool:
-        # Exact equality is deliberate: both operands are *stored*
-        # floats, and only byte-identical timestamps may fall through
-        # to the sequence-number tie-break that keeps runs
-        # deterministic.  # simlint: disable=SIM003
-        if self.time != other.time:
-            return self.time < other.time
-        return self._seq < other._seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"Event(t={self.time:.9f}, fn={name}, {state})"
+
+
+#: one queued event: ``(time, seq, fn, args, handle)``; ``(time, seq)`` is
+#: unique, so tuple comparison never reaches ``fn``.  ``handle`` is None
+#: for events nobody can cancel.
+_Entry = tuple[float, int, Callable[..., Any], tuple[Any, ...], Optional[Event]]
 
 
 class Simulator:
@@ -136,8 +126,12 @@ class Simulator:
         if not timer_granularity > 0:
             raise ValueError("timer_granularity must be positive")
         self.now: float = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[_Entry] = []
         self._seq: int = 0
+        #: sequence number of the executing event; between runs, the
+        #: next unallocated one (everything queued so far at or before
+        #: ``now`` has run, nothing scheduled from here on has).
+        self._cur_seq: int = 0
         self._running = False
         self.events_executed: int = 0
         #: live (non-cancelled) events currently queued, maintained on
@@ -145,12 +139,10 @@ class Simulator:
         self._pending: int = 0
         self._granularity = timer_granularity
         #: coarse timer wheel: bucket index -> events in insertion order.
-        self._wheel: dict[int, list[Event]] = {}
+        self._wheel: dict[int, list[_Entry]] = {}
         #: start time of the earliest non-empty bucket (inf when empty).
         self._wheel_next: float = _INF
         self._wheel_next_idx: int = 0
-        #: free list of pooled transient Event records.
-        self._pool: list[Event] = []
         if check_invariants is None:
             check_invariants = _invariants_default()
         #: runtime invariant checker; components self-register on it
@@ -170,11 +162,11 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0 or not math.isfinite(delay):
+        if not 0 <= delay < _INF:
             raise SimulationError(
                 f"cannot schedule with negative or non-finite delay {delay!r}"
             )
-        return self._schedule_event(self.now + delay, fn, args, False)
+        return self._schedule_handle(self.now + delay, fn, args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
@@ -184,46 +176,59 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time!r}, before current time {self.now!r}"
             )
-        return self._schedule_event(time, fn, args, False)
+        return self._schedule_handle(time, fn, args)
+
+    def _schedule_handle(
+        self, time: float, fn: Callable[..., Any], args: tuple[Any, ...]
+    ) -> Event:
+        event = Event(time, fn, self)
+        seq = self._seq
+        self._seq = seq + 1
+        self._push((time, seq, fn, args, event))
+        return event
 
     def schedule_transient(
         self, delay: float, fn: Callable[..., Any], *args: Any
     ) -> None:
         """Schedule ``fn(*args)`` without returning a cancellation handle.
 
-        Because the caller provably holds no reference to the event, the
-        kernel recycles the underlying :class:`Event` record through a
-        free list once it fires — the zero-allocation fast path for
-        per-packet events that are never cancelled (link transmissions
-        and deliveries).  Semantics are otherwise identical to
-        :meth:`schedule`.
+        No :class:`Event` is allocated — the fast path for per-packet
+        events that are never cancelled (link deliveries).  Semantics
+        are otherwise identical to :meth:`schedule`.
         """
-        if delay < 0 or not math.isfinite(delay):
+        if not 0 <= delay < _INF:
             raise SimulationError(
                 f"cannot schedule with negative or non-finite delay {delay!r}"
             )
-        self._schedule_event(self.now + delay, fn, args, True)
+        seq = self._seq
+        self._seq = seq + 1
+        self._push((self.now + delay, seq, fn, args, None))
 
-    def _schedule_event(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        args: tuple[Any, ...],
-        transient: bool,
-    ) -> Event:
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event._seq = self._seq
-            event.fn = fn
-            event.args = args
-            event._transient = transient
-        else:
-            event = Event(time, self._seq, fn, args)
-            event._transient = transient
-        self._seq += 1
-        event._sim = self
+    def reserve_seq(self) -> int:
+        """Take the sequence number the next scheduled event would get."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def schedule_reserved(
+        self, time: float, seq: int, fn: Callable[..., Any], *args: Any
+    ) -> None:
+        """Queue a handle-less ``fn(*args)`` under the key ``(time, seq)``
+        (``seq`` from :meth:`reserve_seq`), which must still be ahead."""
+        if self.key_passed(time, seq):
+            raise SimulationError(f"key ({time!r}, {seq}) has already passed")
+        self._push((time, seq, fn, args, None))
+
+    def key_passed(self, time: float, seq: int) -> bool:
+        """Would an event keyed ``(time, seq)`` have run already?"""
+        # Exact equality is deliberate: both operands are *stored*
+        # floats, and only byte-identical timestamps may fall through
+        # to the sequence-number tie-break that keeps runs
+        # deterministic.  # simlint: disable=SIM003
+        return time < self.now or (time == self.now and seq < self._cur_seq)
+
+    def _push(self, entry: _Entry) -> None:
+        time = entry[0]
         self._pending += 1
         if time - self.now >= self._granularity:
             # Far enough out for the wheel: park it in its time bucket.
@@ -235,15 +240,14 @@ class Simulator:
                 start = bucket * granularity
             slot = self._wheel.get(bucket)
             if slot is None:
-                self._wheel[bucket] = [event]
+                self._wheel[bucket] = [entry]
                 if start < self._wheel_next:
                     self._wheel_next = start
                     self._wheel_next_idx = bucket
             else:
-                slot.append(event)
-            return event
-        heapq.heappush(self._heap, event)
-        return event
+                slot.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)
 
     def _flush_due(self, limit: float) -> None:
         """Spill wheel buckets starting at or before ``limit`` into the heap.
@@ -258,25 +262,16 @@ class Simulator:
         push = heapq.heappush
         wheel = self._wheel
         while wheel and self._wheel_next <= limit:
-            for event in wheel.pop(self._wheel_next_idx):
-                if event.cancelled:
-                    continue
-                push(heap, event)
+            for entry in wheel.pop(self._wheel_next_idx):
+                handle = entry[4]
+                if handle is None or not handle.cancelled:
+                    push(heap, entry)
             if wheel:
                 idx = min(wheel)
                 self._wheel_next = idx * self._granularity
                 self._wheel_next_idx = idx
             else:
                 self._wheel_next = _INF
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired transient event to the free list."""
-        if len(self._pool) < _POOL_CAP:
-            event.fn = _noop
-            event.args = ()
-            event.cancelled = False
-            event._sim = None
-            self._pool.append(event)
 
     # ------------------------------------------------------------------
     # Execution
@@ -308,34 +303,33 @@ class Simulator:
     def _run_fast(self, until: Optional[float]) -> None:
         heap = self._heap
         pop = heapq.heappop
+        limit = _INF if until is None else until
         executed = 0
         try:
             while True:
                 if heap:
-                    event = heap[0]
-                    time = event.time
+                    time, seq, fn, args, handle = heap[0]
                     if self._wheel_next <= time:
                         self._flush_due(time)
                         continue
-                    if event.cancelled:
-                        pop(heap)
-                        continue
-                    if until is not None and time > until:
-                        return
+                    if time > limit:
+                        break
                     pop(heap)
+                    if handle is not None:
+                        if handle.cancelled:
+                            continue
+                        handle._sim = None
                     self._pending -= 1
-                    event._sim = None
                     self.now = time
-                    event.fn(*event.args)
+                    self._cur_seq = seq
+                    fn(*args)
                     executed += 1
-                    if event._transient:
-                        self._recycle(event)
-                elif self._wheel:
-                    if until is not None and self._wheel_next > until:
-                        return
+                elif self._wheel and self._wheel_next <= limit:
                     self._flush_due(self._wheel_next)
                 else:
-                    return
+                    break
+            # Idle again: every key at or before ``now`` has passed.
+            self._cur_seq = self._seq
         finally:
             self.events_executed += executed
 
@@ -343,38 +337,38 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         invariants = self.invariants
+        limit = _INF if until is None else until
         executed = 0
         try:
             while True:
                 if heap:
-                    event = heap[0]
-                    time = event.time
+                    time, seq, fn, args, handle = heap[0]
                     if self._wheel_next <= time:
                         self._flush_due(time)
                         continue
-                    if event.cancelled:
-                        pop(heap)
-                        continue
-                    if until is not None and time > until:
-                        return
+                    if time > limit:
+                        break
                     pop(heap)
+                    if handle is not None:
+                        if handle.cancelled:
+                            continue
+                        handle._sim = None
                     self._pending -= 1
-                    event._sim = None
                     self.now = time
-                    event.fn(*event.args)
+                    self._cur_seq = seq
+                    fn(*args)
                     executed += 1
                     if invariants is not None:
                         invariants.after_event(time)
-                    if event._transient:
-                        self._recycle(event)
                     if max_events is not None and executed >= max_events:
+                        # Stopped mid-timestamp: ``_cur_seq`` stays on
+                        # the last event so later ties have not passed.
                         return
-                elif self._wheel:
-                    if until is not None and self._wheel_next > until:
-                        return
+                elif self._wheel and self._wheel_next <= limit:
                     self._flush_due(self._wheel_next)
                 else:
-                    return
+                    break
+            self._cur_seq = self._seq
         finally:
             self.events_executed += executed
 
@@ -394,17 +388,18 @@ class Simulator:
         """Time of the next pending (non-cancelled) event, or None."""
         heap = self._heap
         while True:
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
             if heap:
-                if self._wheel_next <= heap[0].time:
-                    self._flush_due(heap[0].time)
-                    continue
-                return heap[0].time
-            if self._wheel:
+                time, _, _, _, handle = heap[0]
+                if handle is not None and handle.cancelled:
+                    heapq.heappop(heap)
+                elif self._wheel_next <= time:
+                    self._flush_due(time)
+                else:
+                    return time
+            elif self._wheel:
                 self._flush_due(self._wheel_next)
-                continue
-            return None
+            else:
+                return None
 
     def notify_fault(self, description: str) -> None:
         """Report an injected fault (link outage, loss burst, buffer
@@ -433,10 +428,9 @@ class Simulator:
         Walks the heap and every wheel bucket; the property-based kernel
         tests assert this always equals the O(1) ``pending`` counter.
         """
-        count = sum(1 for e in self._heap if not e.cancelled)
-        for events in self._wheel.values():
-            count += sum(1 for e in events if not e.cancelled)
-        return count
+        queued = [self._heap, *self._wheel.values()]
+        handles = [entry[4] for entries in queued for entry in entries]
+        return sum(h is None or not h.cancelled for h in handles)
 
 
 #: alias matching the project's "sim kernel" vocabulary:

@@ -1,11 +1,13 @@
-"""Shared test fixtures: tiny networks with controllable loss, and a
-thread-backed sweep backend for deterministic straggler timing."""
+"""Shared test fixtures: tiny networks with controllable loss, a
+thread-backed sweep backend for deterministic straggler timing, and the
+two-events-per-packet reference link."""
 
 from __future__ import annotations
 
 import concurrent.futures
 from typing import Callable, Optional
 
+from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.net.topology import build_star
@@ -24,6 +26,45 @@ class ThreadPoolBackend(ProcessPoolBackend):
 
     def _make_pool(self, max_workers):
         return concurrent.futures.ThreadPoolExecutor(max_workers)
+
+
+class EagerLink(Link):
+    """Reference transmitter: every packet schedules its own ``_tx_done``
+    (the link as it was before that event became lazy).  ``_tx_done`` is
+    inherited; with ``_busy`` set for the whole serialization it is the
+    old one."""
+
+    def send(self, pkt: Packet) -> None:
+        if self._queue_ticks:
+            self._queue.tick(self.sim.now)
+        if self._busy or not self._up:
+            self._queue.enqueue(pkt)
+        else:
+            self._transmit(pkt)
+
+    @property
+    def busy(self) -> bool:
+        return self._busy
+
+    def set_up(self) -> None:
+        if self._up:
+            return
+        self._up = True
+        if not self._busy:
+            if self._queue_ticks:
+                self._queue.tick(self.sim.now)
+            nxt = self._queue.dequeue()
+            if nxt is not None:
+                self._transmit(nxt)
+
+    def _transmit(self, pkt: Packet, backlog: bool = False) -> None:
+        self._busy = True
+        tx = pkt.size_bytes * self._secs_per_byte
+        self.stats.tx_packets += 1
+        self.stats.tx_bytes += pkt.size_bytes
+        self.stats.busy_time += tx
+        self.sim.schedule_transient(tx, self._tx_done)
+        self.sim.schedule_transient(tx + self.delay_s, self._deliver, pkt)
 
 
 def make_pair(

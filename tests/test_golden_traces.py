@@ -63,9 +63,9 @@ TRAIN_GAP = 0.08  # well above smooth_RTT: triggers probe/restart cycles
 HORIZON = 0.45
 
 
-def run_golden_scenario(protocol: str):
-    """The canonical scenario; returns (digest, metadata)."""
-    sim = Simulator(check_invariants=False)
+def run_golden_scenario(protocol: str, check_invariants: bool = False):
+    """The canonical scenario; returns its metadata (digest included)."""
+    sim = Simulator(check_invariants=check_invariants)
     star = build_star(
         sim,
         N_SERVERS,
@@ -196,3 +196,11 @@ def test_golden_trace(protocol, regen_golden):
 def test_golden_scenario_is_deterministic(protocol):
     """The scenario itself must be a pure function of its constants."""
     assert run_golden_scenario(protocol) == run_golden_scenario(protocol)
+
+
+def test_checked_loop_runs_the_same_bytes_as_the_fast_loop():
+    """``_run_fast`` and ``_run_checked`` are two bodies of one loop:
+    same records, same counters, same number of events."""
+    assert run_golden_scenario("reno", check_invariants=True) == (
+        run_golden_scenario("reno")
+    )

@@ -141,9 +141,9 @@ class TestTransient:
             with pytest.raises(SimulationError):
                 sim.schedule_transient(delay, lambda: None)
 
-    def test_pooled_records_fire_exactly_once(self):
-        # Recycle the same pooled record many times; every firing must
-        # carry its own (fn, args), never a stale pair.
+    def test_transient_events_fire_exactly_once(self):
+        # A chain of handle-less events; every firing must carry its
+        # own (fn, args), never a stale pair.
         sim = Simulator()
         seen = []
 
@@ -156,9 +156,9 @@ class TestTransient:
         sim.run()
         assert seen == list(range(51))
 
-    def test_pool_reuse_does_not_leak_cancelled_flag(self):
-        # A cancelled regular event is never pooled, and a recycled
-        # transient record starts un-cancelled even after heavy mixing.
+    def test_cancelled_handles_do_not_disturb_transient_events(self):
+        # Cancelled regular events interleaved key-for-key with
+        # handle-less ones: only the cancelled ones are skipped.
         sim = Simulator()
         seen = []
         for i in range(20):
@@ -166,6 +166,66 @@ class TestTransient:
             sim.schedule(0.001 + i * 1e-4, lambda: None).cancel()
         sim.run()
         assert seen == list(range(20))
+
+
+class TestReservedKeys:
+    """reserve_seq / schedule_reserved / key_passed: an event queued
+    late under a reserved key runs exactly where it would have."""
+
+    def test_reserved_event_keeps_its_place_among_ties(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, seen.append, "a")
+        seq = sim.reserve_seq()
+        sim.schedule_at(1.0, seen.append, "c")
+        # Queued from an earlier event, long after its seq was taken.
+        sim.schedule_at(0.5, sim.schedule_reserved, 1.0, seq, seen.append, "b")
+        assert sim.pending == 3
+        sim.run()
+        assert seen == ["a", "b", "c"]
+        assert sim.pending == 0
+
+    def test_queueing_under_a_passed_key_is_rejected(self):
+        sim = Simulator()
+        seq = sim.reserve_seq()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(1.0, seq, lambda: None)
+
+    def test_reserve_seq_consumes_one_number(self):
+        sim = Simulator()
+        assert sim.reserve_seq() + 1 == sim.reserve_seq()
+
+    def test_key_passed_inside_the_loop_breaks_ties_by_seq(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, lambda: seen.append(sim.key_passed(1.0, seq)))
+        seq = sim.reserve_seq()
+        sim.schedule_at(1.0, lambda: seen.append(sim.key_passed(1.0, seq)))
+        sim.schedule_at(2.0, lambda: seen.append(sim.key_passed(1.0, seq)))
+        sim.run()
+        assert seen == [False, True, True]
+
+    def test_key_passed_between_runs(self):
+        sim = Simulator()
+        early = sim.reserve_seq()
+        assert not sim.key_passed(1.0, early)
+        sim.run(until=1.0)
+        # The slice ran everything at or before its horizon...
+        assert sim.key_passed(1.0, early)
+        # ...but nothing allocated since, even at the same instant.
+        assert not sim.key_passed(1.0, sim.reserve_seq())
+        assert not sim.key_passed(1.5, early)
+
+    def test_key_passed_after_an_event_budget_stop(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        seq = sim.reserve_seq()
+        sim.schedule_at(1.0, lambda: None)
+        assert sim.step()  # stopped between the two ties
+        assert not sim.key_passed(1.0, seq)
+        assert sim.step()
+        assert sim.key_passed(1.0, seq)
 
 
 class TestRun:

@@ -3,7 +3,7 @@
 The kernel promises byte-identical determinism and exact
 ``(time, scheduling-order)`` execution regardless of its internal
 shortcuts — the timer wheel, the live pending counter, and the
-transient-event pool.  These properties drive randomized interleavings
+handle-less transient events.  These properties drive randomized interleavings
 of schedule / cancel / transient operations across the wheel-granularity
 boundary and check each shortcut against a brute-force reference.
 """
@@ -114,8 +114,8 @@ def test_property_pending_matches_brute_force_scan(program):
 
 @settings(max_examples=60, deadline=None)
 @given(program=ops)
-def test_property_pool_never_resurrects_cancelled_events(program):
-    """With the transient pool churning, cancelled regular events never
+def test_property_cancelled_never_fire_others_fire_once(program):
+    """With handle-less events churning, cancelled regular events never
     fire, live ones fire exactly once, transients fire exactly once."""
     sim = Simulator()
     fired = []
