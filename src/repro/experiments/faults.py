@@ -44,6 +44,7 @@ from repro.faults import (
     LinkUp,
     LossBurst,
 )
+from repro.http.apps import burst_at
 from repro.metrics.faults import FaultReport, fault_report
 from repro.net.packet import MSS_BYTES
 from repro.net.topology import build_star
@@ -182,11 +183,7 @@ def run_faults_case(params: FaultsParams, intensity: float, seed: int) -> Faults
     surge_sources = connections.connect_many(
         star.servers[params.senders:], star.frontend, config=warm_config(config)
     )
-    for source in foreground:
-        sim.schedule_at(
-            params.start_time,
-            lambda s=source: s.send_message(_BACKLOGGED_SEGMENTS),
-        )
+    burst_at(sim, foreground, params.start_time, _BACKLOGGED_SEGMENTS)
 
     def surge_factory(index: int) -> Callable[[], None]:
         source = surge_sources[index % len(surge_sources)]

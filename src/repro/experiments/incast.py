@@ -28,6 +28,7 @@ from repro.experiments.scenarios import (
 )
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
+from repro.tcp.base import Message, TcpSource
 from repro.tcp.factory import default_config
 
 __all__ = [
@@ -100,12 +101,14 @@ def run_incast(params: IncastParams, n_senders: int) -> IncastCase:
         base_rtt=path_base_rtt([(params.delay_s, params.bandwidth_bps)] * 2),
     )
     sources = connections.connect_many(star.servers, star.frontend)
-    messages = []
-    for source in sources:
-        sim.schedule_at(
-            params.start_time,
-            lambda s=source: messages.append(s.send_bytes(params.block_bytes)),
-        )
+    messages: list[Message] = []
+
+    def start_all(senders: list[TcpSource]) -> None:
+        # one event: per-sender ones would hold consecutive keys (DESIGN.md)
+        for source in senders:
+            messages.append(source.send_bytes(params.block_bytes))
+
+    sim.schedule_at(params.start_time, start_all, sources)
     run_until(
         sim,
         lambda: len(messages) == n_senders

@@ -267,12 +267,14 @@ def _run_incast(
     #: wave k starts only after wave k-1 fully lands (synchronized
     #: barriers, as the storage-stripe pattern behaves).
     wave_gap = params.deadline / max(1, params.waves)
+
+    def start_wave(senders: list[TcpSource]) -> None:
+        # one event: per-sender ones would hold consecutive keys (DESIGN.md)
+        for source in senders:
+            messages.append(source.send_message(segments))
+
     for k in range(params.waves):
-        for source in sources:
-            sim.schedule_at(
-                params.start_time + k * wave_gap,
-                lambda s=source: messages.append(s.send_message(segments)),
-            )
+        sim.schedule_at(params.start_time + k * wave_gap, start_wave, sources)
     expected = params.waves * len(sources)
     run_until(
         sim,

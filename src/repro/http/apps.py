@@ -107,24 +107,31 @@ def burst_at(
         raise ValueError("an SPT needs at least one segment")
     messages: list[Message] = []
 
-    def emit(source: TcpSource) -> None:
-        messages.append(source.send_message(segments))
+    def emit_all(batch: list[TcpSource]) -> None:
+        for source in batch:
+            messages.append(source.send_message(segments))
 
-    for source in sources:
-        sim.schedule_at(time, emit, source)
+    # One event for the instant: per-source events would hold consecutive
+    # sequence numbers, so nothing could run between them (DESIGN.md).
+    burst = list(sources)
+    if burst:
+        sim.schedule_at(time, emit_all, burst)
     return messages
 
 
-@dataclass
+@dataclass(slots=True)
 class Exchange:
     """One request/response pair on an :class:`HttpSession`."""
 
     request: Message
     response_bytes: int
+    #: the connection carrying the response (non-persistent: a fresh one)
+    _response_source: TcpSource
     #: when the exchange was initiated (for non-persistent sessions this
     #: is the connection attempt, before the handshake round trip)
     start_time: float = 0.0
     response: Optional[Message] = None
+    #: one-shot, like :attr:`Message.on_complete`: cleared before the call
     on_complete: Optional[Callable[["Exchange"], None]] = None
 
     @property
@@ -219,18 +226,18 @@ class HttpSession:
         """Issue one HTTP request expecting ``response_bytes`` back."""
         if response_bytes < 1:
             raise ValueError("a response needs at least one byte")
-        exchange = Exchange(
-            request=None,  # type: ignore[arg-type]  # set just below
-            response_bytes=response_bytes,
-            start_time=self.sim.now,
-            on_complete=on_complete,
-        )
         if self.persistent:
             request_source = self.request_source
             response_source = self.response_source
         else:
             request_source, response_source = self._fresh_pair()
-        exchange._response_source = response_source  # type: ignore[attr-defined]
+        exchange = Exchange(
+            request=None,  # type: ignore[arg-type]  # set just below
+            response_bytes=response_bytes,
+            _response_source=response_source,
+            start_time=self.sim.now,
+            on_complete=on_complete,
+        )
 
         def send_request() -> None:
             exchange.request = request_source.send_message(
@@ -256,15 +263,16 @@ class HttpSession:
         self.sim.schedule(self.service_time, self._respond, exchange)
 
     def _respond(self, exchange: Exchange) -> None:
-        source = getattr(exchange, "_response_source", self.response_source)
-        exchange.response = source.send_bytes(
+        exchange.response = exchange._response_source.send_bytes(
             exchange.response_bytes,
             on_complete=lambda _msg: self._finish(exchange),
         )
 
     def _finish(self, exchange: Exchange) -> None:
-        if exchange.on_complete is not None:
-            exchange.on_complete(exchange)
+        on_complete = exchange.on_complete
+        if on_complete is not None:
+            exchange.on_complete = None
+            on_complete(exchange)
 
     @property
     def completed(self) -> list[Exchange]:

@@ -20,6 +20,8 @@ telemetry byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Optional
 
 from repro.http.apps import Exchange, HttpSession
@@ -128,9 +130,18 @@ class OpenLoopDriver:
         drain margin) before reading it.
         """
         run = OpenLoopRun(offered=len(schedule))
-        for request in schedule:
-            self.sim.schedule_at(request.time, self._issue, request, run)
+        # Not one event per request: fan-out siblings share a timestamp and
+        # would hold consecutive sequence numbers, so no other event could run
+        # between them (DESIGN.md, "One event per application instant").
+        for time, group in groupby(schedule, key=attrgetter("time")):
+            self.sim.schedule_at(time, self._issue_batch, list(group), run)
         return run
+
+    def _issue_batch(
+        self, requests: list[ScheduledRequest], run: OpenLoopRun
+    ) -> None:
+        for request in requests:
+            self._issue(request, run)
 
     def _issue(self, request: ScheduledRequest, run: OpenLoopRun) -> None:
         server_index = self._issue_counter % len(self.servers)

@@ -27,6 +27,7 @@ paper's completion-time metrics measure.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -80,7 +81,7 @@ class TcpConfig:
             raise ValueError("initial cwnd must be >= 1 segment")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One application message (an HTTP response / packet train)."""
 
@@ -89,6 +90,8 @@ class Message:
     end_seq: int  # exclusive
     submit_time: float
     finish_time: Optional[float] = None
+    #: one-shot: cleared just before it is called, so whatever the
+    #: closure holds is released at completion, not at the end of the run
     on_complete: Optional[Callable[["Message"], None]] = None
 
     @property
@@ -161,7 +164,7 @@ class TcpSource:
         #: receiver's advertised window from the latest ACK (segments)
         self.rwnd_segments: float = float("inf")
         self.messages: list[Message] = []
-        self._pending_messages: list[Message] = []  # completion FIFO
+        self._pending_messages: deque[Message] = deque()  # completion FIFO
         self._rtx_event: Optional[Event] = None
         self._pace_event: Optional[Event] = None
         self._next_pace_time: float = 0.0
@@ -215,9 +218,9 @@ class TcpSource:
         long-lived senders being switched off (Fig. 10's staggered
         stops)."""
         self.app_limit = min(self.app_limit, max(self.t_seqno, self.max_seq_sent + 1))
-        self._pending_messages = [
+        self._pending_messages = deque(
             m for m in self._pending_messages if m.end_seq <= self.app_limit
-        ]
+        )
 
     @property
     def flight(self) -> int:
@@ -486,10 +489,12 @@ class TcpSource:
         while self._pending_messages and (
             self.highest_ack >= self._pending_messages[0].end_seq - 1
         ):
-            message = self._pending_messages.pop(0)
+            message = self._pending_messages.popleft()
             message.finish_time = self.sim.now
-            if message.on_complete is not None:
-                message.on_complete(message)
+            on_complete = message.on_complete
+            if on_complete is not None:
+                message.on_complete = None
+                on_complete(message)
 
     # ------------------------------------------------------------------
     # Hooks for protocol variants

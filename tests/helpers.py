@@ -1,12 +1,15 @@
 """Shared test fixtures: tiny networks with controllable loss, a
-thread-backed sweep backend for deterministic straggler timing, and the
-two-events-per-packet reference link."""
+thread-backed sweep backend for deterministic straggler timing, the
+two-events-per-packet reference link, and the one-event-per-item
+references for the batched start sites."""
 
 from __future__ import annotations
 
 import concurrent.futures
 from typing import Callable, Optional
 
+from repro.http.openloop import OpenLoopDriver
+from repro.http.openloop.driver import OpenLoopRun
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
@@ -65,6 +68,31 @@ class EagerLink(Link):
         self.stats.busy_time += tx
         self.sim.schedule_transient(tx, self._tx_done)
         self.sim.schedule_transient(tx + self.delay_s, self._deliver, pkt)
+
+
+class PerRequestDriver(OpenLoopDriver):
+    """Reference player: ``play`` as it was before same-time requests
+    were batched, one kernel event per request."""
+
+    def play(self, schedule):
+        run = OpenLoopRun(offered=len(schedule))
+        for request in schedule:
+            self.sim.schedule_at(request.time, self._issue, request, run)
+        return run
+
+
+class PerItemSimulator(Simulator):
+    """Reference kernel for the batched start sites, which all pass their
+    items as the event's first argument: such an event is split back
+    into one event per item, scheduled consecutively as the per-sender
+    loops scheduled them."""
+
+    def schedule_at(self, time, fn, *args):
+        if not (args and isinstance(args[0], list)):
+            return super().schedule_at(time, fn, *args)
+        for item in args[0]:
+            event = super().schedule_at(time, fn, [item], *args[1:])
+        return event
 
 
 def make_pair(
