@@ -1,9 +1,9 @@
-"""Benchmark-suite configuration.
+"""Figure-regenerator suite configuration.
 
-Each benchmark runs one experiment at the ``quick`` preset exactly once
-(`benchmark.pedantic(rounds=1)`): the interesting output is the
-paper-style table the bench prints, and the wall time pytest-benchmark
-records for regenerating it — not statistical timing of a hot loop.
+Each test runs one experiment at the ``quick`` preset exactly once,
+prints the paper-style table (``pytest benchmarks/ -q -s`` shows them)
+and asserts the figure's shape.  Nothing here is timed: how fast the
+simulator regenerates a figure is ``bench/``'s question.
 """
 
 import sys

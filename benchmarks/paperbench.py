@@ -12,8 +12,3 @@ def header(title: str) -> None:
 
 def row(text: str) -> None:
     print(f"  {text}")
-
-
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark and return its value."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -7,7 +7,7 @@ stale, probes are condemned by out-of-date deadlines, and the stream
 slows.  The paper's 0.25 sits in the flat, safe region.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.core.trim import TrimSource
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
@@ -17,13 +17,10 @@ ALPHAS = (0.1, 0.25, 0.5, 0.9)
 CAPACITY = 1e9 / (8 * 1460)
 
 
-def test_ablation_smooth_alpha(benchmark):
+def test_ablation_smooth_alpha():
     from repro.experiments.ablation import run_alpha_sweep
 
-    results = run_once(
-        benchmark,
-        lambda: {c.alpha: c for c in run_alpha_sweep(alphas=ALPHAS)},
-    )
+    results = {c.alpha: c for c in run_alpha_sweep(alphas=ALPHAS)}
 
     header("Ablation: smooth-RTT gain α (contended 20-train ON/OFF stream)")
     for alpha, c in results.items():

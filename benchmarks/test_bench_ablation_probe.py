@@ -13,19 +13,19 @@ TRIM should match GIP's safety (no timeouts) while finishing the long
 trains no slower — the probe reclaims capacity GIP gives up.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.motivation import MotivationParams, run_motivation
 
 PROTOCOLS = ("reno", "vegas", "gip", "trim")
 
 
-def test_ablation_probe_mechanism(benchmark):
+def test_ablation_probe_mechanism():
     def sweep():
         return {
             p: run_motivation(MotivationParams.quick(p)) for p in PROTOCOLS
         }
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     header("Ablation: window-inheritance policy on the motivation scenario")
     for protocol, r in results.items():

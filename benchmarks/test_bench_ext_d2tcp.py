@@ -7,7 +7,7 @@ near-deadline flows and misses fewer deadlines — the comparison the
 paper cites when positioning TCP-TRIM against deadline-aware work.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpSink
@@ -65,14 +65,11 @@ def run_protocol(deadline_aware: bool):
     }
 
 
-def test_ext_d2tcp_deadlines(benchmark):
-    results = run_once(
-        benchmark,
-        lambda: {
-            "dctcp": run_protocol(deadline_aware=False),
-            "d2tcp": run_protocol(deadline_aware=True),
-        },
-    )
+def test_ext_d2tcp_deadlines():
+    results = {
+        "dctcp": run_protocol(deadline_aware=False),
+        "d2tcp": run_protocol(deadline_aware=True),
+    }
 
     header("Extension: staggered deadlines on a shared bottleneck")
     for name, r in results.items():

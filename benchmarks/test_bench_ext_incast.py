@@ -7,18 +7,18 @@ synchronized tails exceed what the buffer absorbs (whole flows park on
 collapse to the point where N × min_cwnd alone overruns the pipe.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.incast import IncastParams, run_incast_sweep
 
 
-def test_ext_incast_collapse(benchmark):
+def test_ext_incast_collapse():
     def sweep():
         return {
             protocol: run_incast_sweep(IncastParams.quick(protocol))
             for protocol in ("reno", "trim")
         }
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     header("Extension: incast goodput vs fan-in (64 KB blocks, 64-pkt buffer)")
     for reno, trim in zip(results["reno"], results["trim"]):

@@ -9,7 +9,7 @@ inheritance.  One bench, three policies, same contended workload.
 
 import numpy as np
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.scenarios import packets_per_second, warm_config
 from repro.http.apps import HttpSession, LongTrainSender
 from repro.net.topology import build_star
@@ -65,7 +65,7 @@ def run_policy(protocol: str, persistent: bool, seed: int = 2):
     }
 
 
-def test_ext_persistence_tension(benchmark):
+def test_ext_persistence_tension():
     def sweep():
         return {
             "reno non-persistent": run_policy("reno", persistent=False),
@@ -73,7 +73,7 @@ def test_ext_persistence_tension(benchmark):
             "trim persistent": run_policy("trim", persistent=True),
         }
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     header("Extension: the persistence tension (contended 1 Gbps star)")
     for name, r in results.items():

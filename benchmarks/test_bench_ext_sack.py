@@ -8,12 +8,12 @@ completion-time distribution still dominates — loss *avoidance* beats
 loss *repair* for tail latency.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.testbed import WebServiceParams, run_web_service
 from repro.tcp.factory import default_config
 
 
-def test_ext_sack_on_baseline(benchmark):
+def test_ext_sack_on_baseline():
     def sweep():
         out = {}
         out["cubic"] = run_web_service(WebServiceParams.quick("cubic"))
@@ -25,7 +25,7 @@ def test_ext_sack_on_baseline(benchmark):
         out["trim"] = run_web_service(WebServiceParams.quick("trim"))
         return out
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     header("Extension: SACK on the web-service baseline vs TCP-TRIM")
     for name, r in results.items():

@@ -7,12 +7,12 @@ composition the figure narrates (SPTs carry a few to dozens of packets,
 LPTs about a hundred or more).
 """
 
-from benchmarks.paperbench import header, row, run_once
+from benchmarks.paperbench import header, row
 from repro.experiments.workload_figs import characterize_workload
 
 
-def test_fig01_packet_trains(benchmark):
-    wl = run_once(benchmark, lambda: characterize_workload(seed=1, duration=10.0))
+def test_fig01_packet_trains():
+    wl = characterize_workload(seed=1, duration=10.0)
 
     trains = wl.trains
     spts = [t for t in trains if not t.is_long]

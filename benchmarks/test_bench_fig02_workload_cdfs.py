@@ -8,18 +8,18 @@ milliseconds.
 
 import numpy as np
 
-from benchmarks.paperbench import header, row, run_once
+from benchmarks.paperbench import header, row
 from repro.http.workload import gap_sampler, pt_size_sampler
 
 
-def test_fig02_workload_cdfs(benchmark):
+def test_fig02_workload_cdfs():
     def sample():
         rng = np.random.default_rng(2)
         sizes = pt_size_sampler().sample(rng, 50_000)
         gaps = gap_sampler().sample(rng, 50_000)
         return sizes, gaps
 
-    sizes, gaps = run_once(benchmark, sample)
+    sizes, gaps = sample()
 
     header("Fig. 2(a): CDF of packet-train size")
     for kb in (0.5, 4, 16, 64, 128, 256):

@@ -6,14 +6,12 @@ the 0.5 s long train, and the resulting burst causes two timeouts
 (~0.5 s and ~0.7 s) and throughput collapse.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.motivation import MotivationParams, run_motivation
 
 
-def test_fig04_reno_collapse(benchmark):
-    result = run_once(
-        benchmark, lambda: run_motivation(MotivationParams.quick("reno"))
-    )
+def test_fig04_reno_collapse():
+    result = run_motivation(MotivationParams.quick("reno"))
 
     header("Fig. 4: TCP Reno on the motivation scenario")
     row(f"inherited cwnd at 0.5 s: {[round(c) for c in result.inherited_cwnd]} "

@@ -6,11 +6,11 @@ The paper: ACT rises with the LPT count and becomes "unacceptably high"
 with 2 LPTs; the worst SPT suffers two timeouts beyond 6 SPTs.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.concurrency import ConcurrencyParams, run_concurrency_sweep
 
 
-def test_fig05_tcp_concurrency(benchmark):
+def test_fig05_tcp_concurrency():
     def sweep():
         results = {}
         for n_lpts in (0, 1, 2):
@@ -18,7 +18,7 @@ def test_fig05_tcp_concurrency(benchmark):
             results[n_lpts] = run_concurrency_sweep(params)
         return results
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     header("Fig. 5(a): ACT of concurrent SPTs under TCP Reno")
     for n_lpts, cases in results.items():

@@ -6,14 +6,12 @@ the queue never exceeds ~20 packets, every window stays small before
 and every transfer completes before 0.6 s.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.motivation import MotivationParams, run_motivation
 
 
-def test_fig06_trim_impairment(benchmark):
-    result = run_once(
-        benchmark, lambda: run_motivation(MotivationParams.quick("trim"))
-    )
+def test_fig06_trim_impairment():
+    result = run_motivation(MotivationParams.quick("trim"))
 
     header("Fig. 6: TCP-TRIM on the motivation scenario")
     row(f"timeouts per connection: {result.timeouts_per_connection} (paper: none)")

@@ -6,11 +6,11 @@ case); TRIM's delay-based back-off keeps buffer headroom to absorb the
 burst, avoiding loss and RTOs.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.concurrency import ConcurrencyParams, run_concurrency_sweep
 
 
-def test_fig07_trim_concurrency(benchmark):
+def test_fig07_trim_concurrency():
     def sweep():
         out = {}
         for protocol in ("reno", "trim"):
@@ -18,7 +18,7 @@ def test_fig07_trim_concurrency(benchmark):
             out[protocol] = run_concurrency_sweep(params)
         return out
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     header("Fig. 7: ACT of SPTs with 2 LPTs — TCP vs TCP-TRIM")
     for n_idx in range(len(results["reno"])):

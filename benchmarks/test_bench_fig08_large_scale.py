@@ -7,11 +7,11 @@ still ≥50% past 840 servers.  The quick preset shrinks the fan-in
 ``python -m repro.experiments fig8 --preset paper`` for full scale.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.large_scale import LargeScaleParams, run_large_scale_sweep
 
 
-def test_fig08_large_scale(benchmark):
+def test_fig08_large_scale():
     def sweep():
         out = {}
         for protocol in ("reno", "trim"):
@@ -22,7 +22,7 @@ def test_fig08_large_scale(benchmark):
                 out[(protocol, distribution)] = run_large_scale_sweep(params)
         return out
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     reductions = []
     for distribution in ("uniform", "exponential"):

@@ -6,7 +6,7 @@ rises with the train count but stays far below TCP's.  (c) TRIM drops
 nothing.  (d) goodput stays near full utilization (paper: ~98%).
 """
 
-from benchmarks.paperbench import header, row, run_once
+from benchmarks.paperbench import header, row
 from repro.experiments.properties import (
     PropertiesParams,
     run_properties_sweep,
@@ -16,7 +16,7 @@ from repro.experiments.properties import (
 COUNTS = (2, 4, 6, 8, 10)
 
 
-def test_fig09_properties(benchmark):
+def test_fig09_properties():
     def full():
         out = {}
         for protocol in ("reno", "trim"):
@@ -27,7 +27,7 @@ def test_fig09_properties(benchmark):
             }
         return out
 
-    results = run_once(benchmark, full)
+    results = full()
 
     header("Fig. 9(a): queue with 5 LPTs")
     for protocol in ("reno", "trim"):

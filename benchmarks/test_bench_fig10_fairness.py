@@ -6,18 +6,18 @@ share at every arrival/departure; TCP is fair only on average, with
 large variation.  The quick preset compresses time and rate 10×.
 """
 
-from benchmarks.paperbench import header, row, run_once
+from benchmarks.paperbench import header, row
 from repro.experiments.fairness import FairnessParams, run_fairness
 
 
-def test_fig10_fairness(benchmark):
+def test_fig10_fairness():
     def both():
         return {
             protocol: run_fairness(FairnessParams.quick(protocol))
             for protocol in ("reno", "trim")
         }
 
-    results = run_once(benchmark, both)
+    results = both()
 
     header("Fig. 10: all-flows-active plateau (shares in Mbps)")
     for protocol, result in results.items():

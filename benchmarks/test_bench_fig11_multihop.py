@@ -8,18 +8,18 @@ group because it avoids the buffer overflows that stall TCP.  The quick
 preset scales all rates by 10×.
 """
 
-from benchmarks.paperbench import header, row, run_once
+from benchmarks.paperbench import header, row
 from repro.experiments.multihop import MultiHopParams, run_multihop
 
 
-def test_fig11_multihop(benchmark):
+def test_fig11_multihop():
     def both():
         return {
             protocol: run_multihop(MultiHopParams.quick(protocol))
             for protocol in ("reno", "trim")
         }
 
-    results = run_once(benchmark, both)
+    results = both()
 
     header("Fig. 11(b): per-sender throughput (Mbps, quick preset = paper/10)")
     for protocol, result in results.items():

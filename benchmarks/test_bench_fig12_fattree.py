@@ -7,14 +7,14 @@ pods 4–10: TCP is always worst with sharply rising tails; TRIM is best
 everywhere.  The quick preset uses pods 4 and 6 with 300 KB transfers.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.fattree import FatTreeParams, run_fattree
 
 PROTOCOLS = ("reno", "dctcp", "l2dct", "trim")
 PODS = (4, 6)
 
 
-def test_fig12_fattree_completion(benchmark):
+def test_fig12_fattree_completion():
     def sweep():
         # The paper's full 1 MB per server: pods 4 and 6 are already
         # congested enough at this load to separate the protocols.
@@ -26,7 +26,7 @@ def test_fig12_fattree_completion(benchmark):
             for k in PODS
         }
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     header("Fig. 12: big-transfer mean/max completion (ms)")
     for k in PODS:

@@ -8,18 +8,18 @@ DESIGN.md) reproduces the gentler-trend and endpoint wins; the 128 KB
 midpoint is within noise of parity (recorded in EXPERIMENTS.md).
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.testbed import ArctParams, run_arct_sweep
 
 
-def test_fig13a_arct(benchmark):
+def test_fig13a_arct():
     def both():
         return {
             protocol: run_arct_sweep(ArctParams.quick(protocol))
             for protocol in ("cubic", "trim")
         }
 
-    results = run_once(benchmark, both)
+    results = both()
 
     header("Fig. 13(a): ARCT vs mean response size (100 Mbps testbed substitute)")
     for cubic, trim in zip(results["cubic"], results["trim"]):

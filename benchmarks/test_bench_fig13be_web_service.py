@@ -7,20 +7,20 @@ TCP-TRIM no sample exceeds 25 ms; the full CDF has ~99% of TRIM
 responses under 25 ms.
 """
 
-from benchmarks.paperbench import MS, header, row, run_once
+from benchmarks.paperbench import MS, header, row
 from repro.experiments.testbed import WebServiceParams, run_web_service
 
 PROTOCOLS = ("cubic", "reno", "trim")
 
 
-def test_fig13be_web_service(benchmark):
+def test_fig13be_web_service():
     def sweep():
         return {
             protocol: run_web_service(WebServiceParams.quick(protocol))
             for protocol in PROTOCOLS
         }
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     header("Fig. 13(b)-(e): response completion times (quick preset)")
     for protocol, r in results.items():

@@ -7,7 +7,7 @@ confirm the trade-off: K below the guideline costs utilization, K above
 it only adds queueing.
 """
 
-from benchmarks.paperbench import header, row, run_once
+from benchmarks.paperbench import header, row
 from repro.core import kguide
 from repro.core.model import SteadyStateModel
 from repro.experiments.properties import PropertiesParams, run_properties_case
@@ -17,7 +17,7 @@ D = 1e-3
 MULTIPLIERS = (0.6, 0.8, 1.0, 1.5, 2.0)
 
 
-def test_kguide_model_sweep(benchmark):
+def test_kguide_model_sweep():
     def sweep():
         k_star = kguide.k_threshold(C, D)
         out = []
@@ -27,7 +27,7 @@ def test_kguide_model_sweep(benchmark):
             out.append((mult, k, trace))
         return out
 
-    traces = run_once(benchmark, sweep)
+    traces = sweep()
 
     header("K guideline (fluid model, N=10): queue head-room vs K")
     for mult, k, trace in traces:
@@ -41,14 +41,14 @@ def test_kguide_model_sweep(benchmark):
     assert queues == sorted(queues)
 
 
-def test_kguide_simulator_sweep(benchmark):
+def test_kguide_simulator_sweep():
     """Simulator cross-check: utilization near-full at the guideline K."""
 
     def run():
         params = PropertiesParams.quick("trim", end_time=0.4)
         return run_properties_case(params, n_trains=5)
 
-    case = run_once(benchmark, run)
+    case = run()
     header("K guideline (simulator, 5 trains at Eq. 22 K)")
     row(f"goodput={case.goodput_bps / 1e6:7.1f} Mbps ({case.utilization:.1%})  "
         f"AQL={case.average_queue_pkts:5.1f} pkt  drops={case.dropped_packets}")

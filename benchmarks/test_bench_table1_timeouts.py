@@ -14,14 +14,14 @@ reproduces the ordering at pods 4–6 with heavier per-server load to
 induce congestion at small scale.
 """
 
-from benchmarks.paperbench import header, row, run_once
+from benchmarks.paperbench import header, row
 from repro.experiments.fattree import FatTreeParams, run_fattree
 
 PROTOCOLS = ("reno", "dctcp", "l2dct", "trim")
 PODS = (4, 6)
 
 
-def test_table1_timeout_counts(benchmark):
+def test_table1_timeout_counts():
     def sweep():
         return {
             (protocol, k): run_fattree(
@@ -31,7 +31,7 @@ def test_table1_timeout_counts(benchmark):
             for k in PODS
         }
 
-    results = run_once(benchmark, sweep)
+    results = sweep()
 
     header("Table I: timeouts per protocol")
     row(f"{'pods':>5} " + "".join(f"{p:>8}" for p in PROTOCOLS))

@@ -5,11 +5,11 @@ Usage::
     python -m repro.perf --quick                    # CI smoke: small scales
     python -m repro.perf                            # full scales
     python -m repro.perf --bench kernel_churn --repeats 9
-    python -m repro.perf --quick --output BENCH_kernel.json \
-        --baseline benchmarks/baselines/BENCH_kernel.json --max-regression 30
+    python -m repro.perf --quick --output BENCH_kernel.json
 
-Exit status is non-zero when a ``--baseline`` comparison finds a
-benchmark slower than ``--max-regression`` percent (CI's gate).
+The table on stdout is the result; a ``repro-bench/2`` artifact is
+written only where ``--output`` says.  Exit status is non-zero only when
+a benchmark is not deterministic across its repeats.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ import argparse
 import sys
 
 from repro.perf.benchmarks import BENCHMARKS
-from repro.perf.harness import (
-    compare_to_baseline,
-    load_bench_json,
-    run_benchmark,
-    write_bench_json,
-)
+from repro.perf.harness import run_benchmark, write_bench_json
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -50,20 +45,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--output",
-        default="BENCH_kernel.json",
-        help="BENCH JSON artifact path (default: BENCH_kernel.json)",
-    )
-    parser.add_argument(
-        "--baseline",
         default=None,
-        help="compare against this committed BENCH JSON artifact",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=30.0,
-        help="fail when a compared benchmark is this much slower than "
-        "the baseline, in percent (default: 30)",
+        help="write a BENCH JSON artifact here (default: write nothing)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list benchmarks and exit"
@@ -88,36 +71,15 @@ def main(argv: "list[str] | None" = None) -> int:
         result = run_benchmark(spec, repeats=args.repeats, quick=args.quick)
         results[spec.name] = result
         print(
-            f"  {spec.name:18s} median={result.wall_median_s * 1e3:8.1f} ms  "
+            f"  {spec.name:18s} events={result.events:9,d}  "
+            f"median={result.wall_median_s * 1e3:8.1f} ms  "
             f"p90={result.wall_p90_s * 1e3:8.1f} ms  "
-            f"{result.events_per_sec:12,.0f} events/s  "
-            f"rss={result.peak_rss_kb / 1024:.0f} MB"
+            f"{result.events_per_sec:12,.0f} events/s"
         )
-    out = write_bench_json(args.output, results, quick=args.quick)
-    print(f"wrote {out}")
-
-    if args.baseline is None:
-        return 0
-    current = load_bench_json(out)
-    baseline = load_bench_json(args.baseline)
-    if baseline["mode"] != current["mode"]:
-        print(
-            f"warning: comparing a {current['mode']!r} run against a "
-            f"{baseline['mode']!r} baseline",
-            file=sys.stderr,
-        )
-    failed = False
-    for cmp in compare_to_baseline(current, baseline):
-        verdict = "ok"
-        if cmp.drop_pct > args.max_regression:
-            verdict = f"REGRESSION (> {args.max_regression:.0f}%)"
-            failed = True
-        print(
-            f"  {cmp.name:18s} baseline={cmp.baseline_events_per_sec:12,.0f} "
-            f"now={cmp.current_events_per_sec:12,.0f} events/s  "
-            f"delta={-cmp.drop_pct:+6.1f}%  {verdict}"
-        )
-    return 1 if failed else 0
+    if args.output is not None:
+        out = write_bench_json(args.output, results, quick=args.quick)
+        print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":

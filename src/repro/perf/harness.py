@@ -1,40 +1,40 @@
 """Timing harness and BENCH JSON artifact handling.
 
 One :class:`BenchResult` per benchmark: the wall-clock distribution over
-``repeats`` runs (median and p90), the executed-event throughput, and
-the process peak RSS.  ``write_bench_json`` serializes a run to the
-``repro-bench/1`` schema::
+``repeats`` runs (median and p90) and the executed-event throughput.
+``write_bench_json`` serializes a run to the ``repro-bench/2`` schema::
 
     {
-      "schema": "repro-bench/1",
+      "schema": "repro-bench/2",
       "mode": "quick" | "full",
       "python": "3.12.1",
       "platform": "Linux-...",
+      "peak_rss_kb": 34816,
       "results": {
         "kernel_churn": {
           "repeats": 5,
           "scale": 25,
-          "events": 51550,
+          "events": 50050,
           "sim_seconds": 0.7,
           "wall_median_s": 0.041,
           "wall_p90_s": 0.043,
-          "events_per_sec": 1257317.0,
-          "peak_rss_kb": 34816
+          "events_per_sec": 1257317.0
         },
         ...
       }
     }
 
-No timestamps on purpose: artifacts are compared across commits, and
-a timestamp would make byte-identical runs produce different files.
+``peak_rss_kb`` is the process's lifetime high-water mark, so there is
+one per run, in the header, not one per benchmark.  No timestamps on
+purpose: a timestamp would make byte-identical runs produce different
+files.
 
-``compare_to_baseline`` implements the CI regression gate: for each
-benchmark present in both files it reports the relative drop in
-``events_per_sec`` (positive = slower than baseline).  Wall-clock on
-shared CI runners is noisy, so the gate is a coarse backstop (the
-default threshold is 30%); the committed baseline is the trajectory's
-anchor and should be re-recorded whenever the hot path intentionally
-changes speed.
+The wall-clock numbers are for a local A/B on one host (run the parent,
+run the change, read the two tables); nothing compares them to a
+committed file.  What must hold everywhere — each benchmark's ``events``
+— is pinned by ``tests/test_perf.py``, and a speed *claim* goes through
+the benchmark of record (``python3 -m bench measure`` pairs, see
+EXPERIMENTS.md "Performance").
 """
 
 from __future__ import annotations
@@ -42,25 +42,18 @@ from __future__ import annotations
 import json
 import platform
 import resource
+import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.perf.benchmarks import BenchmarkSpec
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchResult",
-    "Regression",
-    "compare_to_baseline",
-    "load_bench_json",
-    "run_benchmark",
-    "write_bench_json",
-]
+__all__ = ["BENCH_SCHEMA", "BenchResult", "run_benchmark", "write_bench_json"]
 
-BENCH_SCHEMA = "repro-bench/1"
+BENCH_SCHEMA = "repro-bench/2"
 
 
 @dataclass
@@ -74,34 +67,6 @@ class BenchResult:
     wall_median_s: float
     wall_p90_s: float
     events_per_sec: float
-    peak_rss_kb: int
-
-
-@dataclass
-class Regression:
-    """One benchmark's throughput drop relative to the baseline."""
-
-    name: str
-    baseline_events_per_sec: float
-    current_events_per_sec: float
-
-    @property
-    def drop_pct(self) -> float:
-        """Relative slowdown in percent (negative = faster)."""
-        return 100.0 * (
-            1.0 - self.current_events_per_sec / self.baseline_events_per_sec
-        )
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Linear-interpolated percentile of an ascending list."""
-    if not sorted_values:
-        raise ValueError("no values")
-    pos = (q / 100.0) * (len(sorted_values) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
 
 
 def _peak_rss_kb() -> int:
@@ -120,7 +85,7 @@ def run_benchmark(
     The warm-up run absorbs import costs, allocator growth, and branch
     warmup; every timed repeat must produce the identical behavior
     checksum or the benchmark is broken (a non-deterministic benchmark
-    cannot anchor a trajectory) and a ``RuntimeError`` is raised.
+    measures different work each time) and a ``RuntimeError`` is raised.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -136,17 +101,21 @@ def run_benchmark(
                 f"benchmark {spec.name!r} is not deterministic: checksum "
                 f"{run.checksum} != {reference.checksum}"
             )
-    walls.sort()
-    median = _percentile(walls, 50.0)
+    median = statistics.median(walls)
+    # quantiles() needs two points; one repeat is its own p90.
+    p90 = (
+        statistics.quantiles(walls, n=10, method="inclusive")[-1]
+        if repeats > 1
+        else median
+    )
     return BenchResult(
         repeats=repeats,
         scale=scale,
         events=reference.events,
         sim_seconds=reference.sim_seconds,
         wall_median_s=median,
-        wall_p90_s=_percentile(walls, 90.0),
+        wall_p90_s=p90,
         events_per_sec=reference.events / median if median > 0 else float("inf"),
-        peak_rss_kb=_peak_rss_kb(),
     )
 
 
@@ -155,58 +124,15 @@ def write_bench_json(
     results: dict[str, BenchResult],
     quick: bool = True,
 ) -> Path:
-    """Serialize ``results`` to the ``repro-bench/1`` schema at ``path``."""
+    """Serialize ``results`` to the ``repro-bench/2`` schema at ``path``."""
     payload = {
         "schema": BENCH_SCHEMA,
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "peak_rss_kb": _peak_rss_kb(),
         "results": {name: asdict(res) for name, res in results.items()},
     }
     out = Path(path)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return out
-
-
-def load_bench_json(path: Union[str, Path]) -> dict:
-    """Read and validate a BENCH artifact."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported schema {payload.get('schema')!r}; "
-            f"expected {BENCH_SCHEMA!r}"
-        )
-    return payload
-
-
-def compare_to_baseline(
-    current: dict,
-    baseline: dict,
-    benchmarks: Optional[list[str]] = None,
-) -> list[Regression]:
-    """Per-benchmark throughput drop of ``current`` versus ``baseline``.
-
-    Only benchmarks present in both artifacts are compared (so adding a
-    benchmark does not require regenerating every baseline).  Returns
-    every comparison; the caller applies its threshold to
-    :attr:`Regression.drop_pct`.
-    """
-    names = benchmarks
-    if names is None:
-        names = sorted(
-            set(current["results"]) & set(baseline["results"])
-        )
-    comparisons = []
-    for name in names:
-        cur = current["results"].get(name)
-        base = baseline["results"].get(name)
-        if cur is None or base is None:
-            raise KeyError(f"benchmark {name!r} missing from one artifact")
-        comparisons.append(
-            Regression(
-                name=name,
-                baseline_events_per_sec=float(base["events_per_sec"]),
-                current_events_per_sec=float(cur["events_per_sec"]),
-            )
-        )
-    return comparisons
