@@ -62,6 +62,13 @@ class TrimSource(TcpSource):
     SMOOTH_ALPHA = 0.25  # the paper's α for smooth_RTT (Section IV)
     FALLBACK_K_FACTOR = 1.5  # K = factor · min_RTT when C is unknown
 
+    __slots__ = (
+        "capacity_pps", "base_rtt", "smooth_rtt", "min_rtt", "k",
+        "probing", "probes_completed", "probes_timed_out", "_probe_seqs",
+        "_probe_rtts", "_saved_cwnd", "_probe_deadline",
+        "_decrease_barrier", "delay_decreases",
+    )
+
     def __init__(
         self,
         sim: Simulator,

@@ -154,6 +154,13 @@ class HttpSession:
     OFF periods are whatever the request pattern leaves idle.
     """
 
+    __slots__ = (
+        "sim", "frontend", "server", "protocol", "service_time", "persistent",
+        "_config", "_request_config", "_response_kwargs", "_next_flow_id",
+        "request_source", "request_sink", "response_source", "response_sink",
+        "exchanges",
+    )
+
     def __init__(
         self,
         sim: Simulator,

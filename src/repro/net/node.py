@@ -28,6 +28,8 @@ class Agent(Protocol):
 class Node:
     """Base class holding identity and per-neighbour egress links."""
 
+    __slots__ = ("sim", "node_id", "name", "egress")
+
     def __init__(self, sim: Simulator, node_id: int, name: str = "") -> None:
         self.sim = sim
         self.node_id = node_id
@@ -54,6 +56,8 @@ class Host(Node):
     delivered to the sink registered for the flow; ACKs to the source.
     Both are registered under the same flow id on their own hosts.
     """
+
+    __slots__ = ("_agents", "_nic")
 
     def __init__(self, sim: Simulator, node_id: int, name: str = "") -> None:
         super().__init__(sim, node_id, name)
@@ -111,6 +115,8 @@ class Switch(Node):
 
     ``routes`` maps destination node id → tuple of next-hop node ids.
     """
+
+    __slots__ = ("routes",)
 
     def __init__(self, sim: Simulator, node_id: int, name: str = "") -> None:
         super().__init__(sim, node_id, name)

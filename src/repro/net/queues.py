@@ -8,6 +8,10 @@ still tail-drops at capacity, so non-ECN flows see normal losses.
 ``RedQueue`` implements Floyd & Jacobson's Random Early Detection as an
 additional AQM substrate (NS2 ships it; the DCTCP lineage compares
 against it), with an optional mark-instead-of-drop ECN mode.
+
+There are two queues per host and more per switch, so every queue class
+is slotted: a subclass declares its own ``__slots__`` (DESIGN.md, "State
+layout"; ``tests/test_state_layout.py`` walks the subclasses).
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ class DropTailQueue:
     DropTail accounting, which the paper's "buffer of 100 packets ⇒ at
     most 118 packets in flight" arithmetic assumes).
     """
+
+    __slots__ = ("capacity_pkts", "name", "stats", "_fifo", "tap")
 
     def __init__(self, capacity_pkts: int, name: str = "") -> None:
         if capacity_pkts < 1:
@@ -127,6 +133,8 @@ class EcnQueue(DropTailQueue):
     DCTCP paper prescribes for low-latency operation).
     """
 
+    __slots__ = ("mark_threshold_pkts",)
+
     def __init__(
         self,
         capacity_pkts: int,
@@ -186,6 +194,8 @@ class FairQueue(DropTailQueue):
     ``resize`` evicts from the longest backlogs first (the shared
     buffer reclaims cells from the hogs).
     """
+
+    __slots__ = ("_flows", "_rr", "_resident")
 
     def __init__(self, capacity_pkts: int, name: str = "") -> None:
         super().__init__(capacity_pkts, name)
@@ -319,6 +329,11 @@ class RedQueue(DropTailQueue):
     """
 
     WEIGHT = 0.002  # the classic w_q
+
+    __slots__ = (
+        "min_threshold", "max_threshold", "max_probability", "ecn_mode",
+        "mean_tx_time", "avg", "_count", "_idle_since", "_rng", "now",
+    )
 
     def __init__(
         self,

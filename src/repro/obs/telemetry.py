@@ -10,7 +10,7 @@ emit points throughout the transport and network layers do::
 
 so a simulation without a bus pays exactly one attribute load and one
 identity check per emit point — the flight recorder's "zero-cost when
-disabled" contract, enforced by the ``kernel_churn`` bench gate.
+disabled" contract, enforced by ``tests/test_perf.py``.
 
 Records land in per-channel bounded rings (oldest evicted first, the
 eviction counted in :attr:`Telemetry.overflow`), with 1-in-N decimation

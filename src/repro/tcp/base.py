@@ -22,12 +22,18 @@ Protocol variants subclass and override the small hook surface
 *messages* (HTTP responses / packet trains) via :meth:`TcpSource.send_message`;
 message completion is detected from cumulative ACKs, which is what the
 paper's completion-time metrics measure.
+
+State layout: sender and sink are slotted (a new attribute goes into the
+class's ``__slots__``; ``tests/test_state_layout.py`` says so if it is
+forgotten), and the scoreboards only loss recovery writes start as one
+shared empty ``frozenset`` that the first write replaces with the
+connection's own ``set`` — DESIGN.md, "State layout".
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,6 +46,17 @@ __all__ = ["Message", "TcpConfig", "TcpSink", "TcpSource"]
 
 RENO = "reno"
 NEWRENO = "newreno"
+
+_INF = float("inf")
+#: the empty scoreboard every connection shares until loss recovery first
+#: writes one; never mutated, only replaced (DESIGN.md, "State layout")
+_NO_SEQS: AbstractSet[int] = frozenset()
+
+
+def _writable(seqs: AbstractSet[int]) -> set[int]:
+    """``seqs`` itself once it is a connection's own set, else a fresh
+    one for the caller to store in place of the shared sentinel."""
+    return seqs if isinstance(seqs, set) else set()
 
 
 @dataclass
@@ -126,6 +143,15 @@ class TcpSource:
 
     protocol_name = "reno"
 
+    __slots__ = (
+        "sim", "host", "flow_id", "dst_id", "config", "name",
+        "cwnd", "ssthresh", "t_seqno", "highest_ack", "max_seq_sent", "app_limit",
+        "dupacks", "in_recovery", "recover_seq", "suspended", "last_send_time",
+        "rtt", "stats", "_sacked", "_recovery_retx", "rwnd_segments",
+        "messages", "_pending_messages", "_rtx_event", "_pace_event",
+        "_next_pace_time", "_next_message_id", "on_timeout", "_invariants",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -159,12 +185,12 @@ class TcpSource:
             min_rto=cfg.min_rto, max_rto=cfg.max_rto, initial_rto=cfg.initial_rto
         )
         self.stats = SourceStats()
-        self._sacked: set[int] = set()  # SACK scoreboard
-        self._recovery_retx: set[int] = set()  # holes already resent
+        self._sacked: AbstractSet[int] = _NO_SEQS  # SACK scoreboard
+        self._recovery_retx: AbstractSet[int] = _NO_SEQS  # holes already resent
         #: receiver's advertised window from the latest ACK (segments)
-        self.rwnd_segments: float = float("inf")
+        self.rwnd_segments: float = _INF
         self.messages: list[Message] = []
-        self._pending_messages: deque[Message] = deque()  # completion FIFO
+        self._pending_messages: list[Message] = []  # completion FIFO, 1-few long
         self._rtx_event: Optional[Event] = None
         self._pace_event: Optional[Event] = None
         self._next_pace_time: float = 0.0
@@ -218,9 +244,9 @@ class TcpSource:
         long-lived senders being switched off (Fig. 10's staggered
         stops)."""
         self.app_limit = min(self.app_limit, max(self.t_seqno, self.max_seq_sent + 1))
-        self._pending_messages = deque(
+        self._pending_messages = [
             m for m in self._pending_messages if m.end_seq <= self.app_limit
-        )
+        ]
 
     @property
     def flight(self) -> int:
@@ -334,10 +360,17 @@ class TcpSource:
             self._handle_dupack(pkt)
 
     def _update_scoreboard(self, pkt: Packet) -> None:
-        for start, end in pkt.sack_blocks:
-            self._sacked.update(range(start, end))
-        if pkt.ack >= self.highest_ack:
+        if pkt.sack_blocks:
+            self._sacked = sacked = _writable(self._sacked)
+            for start, end in pkt.sack_blocks:
+                sacked.update(range(start, end))
+        if self._sacked and pkt.ack >= self.highest_ack:
             self._sacked = {s for s in self._sacked if s > pkt.ack}
+
+    def _mark_resent(self, seq: int) -> None:
+        """Remember ``seq`` as already resent this recovery episode."""
+        self._recovery_retx = resent = _writable(self._recovery_retx)
+        resent.add(seq)
 
     def _next_hole(self) -> Optional[int]:
         """Lowest segment inferred lost: below the highest SACKed
@@ -397,13 +430,13 @@ class TcpSource:
             hole = self._next_hole() if self.config.sack else self.highest_ack + 1
             if hole is not None:
                 self._send_segment(hole)
-                self._recovery_retx.add(hole)
+                self._mark_resent(hole)
             self._set_rtx_timer()
             return
         # Full ACK (or plain Reno): deflate to ssthresh and exit.
         self.in_recovery = False
         self.dupacks = 0
-        self._recovery_retx.clear()
+        self._recovery_retx = _NO_SEQS
         self.cwnd = max(self.config.min_cwnd, self.ssthresh)
         tel = self.sim.telemetry
         if tel is not None:
@@ -421,7 +454,7 @@ class TcpSource:
                 hole = self._next_hole()
                 if hole is not None:
                     self._send_segment(hole)
-                    self._recovery_retx.add(hole)
+                    self._mark_resent(hole)
                     return
             self._try_send()
         elif self.dupacks == self.config.dupack_threshold:
@@ -431,7 +464,7 @@ class TcpSource:
         self.stats.fast_retransmits += 1
         self.in_recovery = True
         self.recover_seq = self.t_seqno - 1
-        self._recovery_retx.clear()
+        self._recovery_retx = _NO_SEQS
         self.ssthresh = self._halve_window_on_loss()
         self.cwnd = self.ssthresh + self.config.dupack_threshold
         tel = self.sim.telemetry
@@ -439,7 +472,7 @@ class TcpSource:
             tel.on_state(self.sim.now, self.flow_id, "recovery")
             tel.on_cwnd(self.sim.now, self.flow_id, self.cwnd, self.ssthresh)
         self._send_segment(self.highest_ack + 1)
-        self._recovery_retx.add(self.highest_ack + 1)
+        self._mark_resent(self.highest_ack + 1)
         self._set_rtx_timer()
 
     def _halve_window_on_loss(self) -> float:
@@ -468,8 +501,8 @@ class TcpSource:
         self.cwnd = self.config.cwnd_after_timeout
         self.dupacks = 0
         self.in_recovery = False
-        self._sacked.clear()  # conservative: forget SACK state on RTO
-        self._recovery_retx.clear()
+        self._sacked = _NO_SEQS  # conservative: forget SACK state on RTO
+        self._recovery_retx = _NO_SEQS
         self.t_seqno = self.highest_ack + 1  # go-back-N from the hole
         tel = self.sim.telemetry
         if tel is not None:
@@ -489,7 +522,7 @@ class TcpSource:
         while self._pending_messages and (
             self.highest_ack >= self._pending_messages[0].end_seq - 1
         ):
-            message = self._pending_messages.popleft()
+            message = self._pending_messages.pop(0)
             message.finish_time = self.sim.now
             on_complete = message.on_complete
             if on_complete is not None:
@@ -562,6 +595,14 @@ class TcpSink:
     sender's one-segment floor acts as the persist probe.
     """
 
+    __slots__ = (
+        "sim", "host", "flow_id", "name", "next_expected", "_out_of_order",
+        "delivered_segments", "duplicate_segments", "acks_sent",
+        "delayed_ack", "delack_timeout", "receive_buffer_segments",
+        "drain_rate_pps", "app_read_segments", "rwnd_overflow_drops",
+        "_drain_event", "_held_pkt", "_delack_event",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -579,7 +620,7 @@ class TcpSink:
         self.name = name or f"sink-{flow_id}"
         host.attach_agent(flow_id, self)
         self.next_expected: int = 0
-        self._out_of_order: set[int] = set()
+        self._out_of_order: AbstractSet[int] = _NO_SEQS
         self.delivered_segments: int = 0  # unique, in-order-or-buffered
         self.duplicate_segments: int = 0
         self.acks_sent: int = 0
@@ -608,9 +649,13 @@ class TcpSink:
                 in_order = True
                 self.next_expected += 1
                 self.delivered_segments += 1
-                while self.next_expected in self._out_of_order:
-                    self._out_of_order.remove(self.next_expected)
-                    self.next_expected += 1
+                if self.next_expected in self._out_of_order:
+                    buffered = _writable(self._out_of_order)  # non-empty: own set
+                    while self.next_expected in buffered:
+                        buffered.remove(self.next_expected)
+                        self.next_expected += 1
+                    if not buffered:
+                        self._out_of_order = _NO_SEQS
                 self._schedule_drain()
         elif pkt.seq > self.next_expected:
             if pkt.seq in self._out_of_order:
@@ -618,7 +663,8 @@ class TcpSink:
             elif self._buffer_full():
                 self.rwnd_overflow_drops += 1
             else:
-                self._out_of_order.add(pkt.seq)
+                self._out_of_order = buffered = _writable(self._out_of_order)
+                buffered.add(pkt.seq)
                 self.delivered_segments += 1
         else:
             self.duplicate_segments += 1
@@ -674,7 +720,7 @@ class TcpSink:
 
     def _advertised_window(self) -> float:
         if self.receive_buffer_segments is None:
-            return float("inf")
+            return _INF
         return max(0, self.receive_buffer_segments - self._buffered_segments())
 
     def _schedule_drain(self) -> None:

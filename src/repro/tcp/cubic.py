@@ -25,6 +25,8 @@ class CubicSource(TcpSource):
     BETA = 0.7
     FAST_CONVERGENCE = True
 
+    __slots__ = ("w_max", "_epoch_start", "_origin", "_k")
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.w_max: float = 0.0

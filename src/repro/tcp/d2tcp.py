@@ -29,6 +29,8 @@ class D2tcpSource(DctcpSource):
     D_MIN = 0.5
     D_MAX = 2.0
 
+    __slots__ = ("deadline",)
+
     def __init__(
         self, *args: Any, deadline: Optional[float] = None, **kwargs: Any
     ) -> None:

@@ -30,6 +30,8 @@ class DctcpSource(TcpSource):
 
     G = 1.0 / 16.0  # alpha estimation gain, per the DCTCP paper
 
+    __slots__ = ("alpha", "_window_end", "_acked_in_window", "_marked_in_window")
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         config = kwargs.get("config")
         if config is None:

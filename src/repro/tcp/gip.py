@@ -27,6 +27,8 @@ class GipSource(TcpSource):
 
     SMOOTH_ALPHA = 0.25
 
+    __slots__ = ("smooth_rtt",)
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.smooth_rtt = EwmaRtt(self.SMOOTH_ALPHA)

@@ -35,6 +35,8 @@ class L2dctSource(DctcpSource):
     #: the L2DCT evaluation centres on flows up to ~1 MB.
     LARGE_FLOW_BYTES = 1_000_000
 
+    __slots__ = ()
+
     def _weight(self) -> float:
         sent_bytes = (self.highest_ack + 1) * self.config.mss_bytes
         progress = min(1.0, max(0.0, sent_bytes / self.LARGE_FLOW_BYTES))

@@ -16,3 +16,5 @@ class RenoSource(TcpSource):
     """Plain TCP Reno sender (see :class:`~repro.tcp.base.TcpSource`)."""
 
     protocol_name = "reno"
+
+    __slots__ = ()

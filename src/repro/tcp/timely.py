@@ -43,6 +43,11 @@ class TimelySource(TcpSource):
     T_LOW_FACTOR = 1.1
     T_HIGH_FACTOR = 2.5
 
+    __slots__ = (
+        "_t_low_cfg", "_t_high_cfg", "min_rtt", "_prev_rtt", "_gradient",
+        "_neg_gradient_streak", "_epoch_end", "_epoch_last_rtt",
+    )
+
     def __init__(
         self,
         *args: Any,

@@ -52,6 +52,8 @@ class TinyBufferSource(TcpSource):
     #: EWMA gain of the delivery-rate estimator.
     RATE_ALPHA = 0.25
 
+    __slots__ = ("min_rtt", "_rate", "_last_ack_time")
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         if not self.config.pacing:

@@ -31,7 +31,7 @@ from typing import Any, Optional
 
 from repro.net.packet import ACK, Packet
 from repro.sim.kernel import Event
-from repro.tcp.base import TcpSource
+from repro.tcp.base import _NO_SEQS, TcpSource
 
 __all__ = ["TracksSource"]
 
@@ -48,6 +48,11 @@ class TracksSource(TcpSource):
     #: floor of the tail timer, guarding against spurious retransmits
     #: when srtt collapses to microseconds on an idle path.
     TAIL_TIMER_FLOOR = 1e-3
+
+    __slots__ = (
+        "_send_time", "_rack_time", "min_rtt", "_tail_event", "_acks_at_arm",
+        "time_detected_losses",
+    )
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -125,7 +130,7 @@ class TracksSource(TcpSource):
             self.stats.fast_retransmits += 1
             self.in_recovery = True
             self.recover_seq = self.t_seqno - 1
-            self._recovery_retx.clear()
+            self._recovery_retx = _NO_SEQS
             self.ssthresh = self._halve_window_on_loss()
             self.cwnd = max(self.config.min_cwnd, self.ssthresh)
             tel = self.sim.telemetry
@@ -136,7 +141,7 @@ class TracksSource(TcpSource):
             return
         self.time_detected_losses += 1
         self._send_segment(seq)
-        self._recovery_retx.add(seq)
+        self._mark_resent(seq)
         self._set_rtx_timer()
 
     # ------------------------------------------------------------------

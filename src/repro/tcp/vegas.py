@@ -32,6 +32,8 @@ class VegasSource(TcpSource):
     BETA = 3.0  # packets queued: upper bound
     GAMMA = 1.0  # slow-start exit threshold
 
+    __slots__ = ("base_rtt", "_epoch_end", "_epoch_min_rtt", "_ss_grow_this_epoch")
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.base_rtt: float = float("inf")

@@ -17,7 +17,7 @@ from repro.net.topology import build_star
 from repro.runner import ProcessPoolBackend
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig, TcpSink, TcpSource
-from repro.tcp.factory import create_source
+from repro.tcp.factory import source_class
 
 FAST = dict(min_rto=0.01, initial_rto=0.01)
 """Millisecond-scale RTO so loss tests run in simulated milliseconds."""
@@ -96,7 +96,7 @@ class PerItemSimulator(Simulator):
 
 
 def make_pair(
-    protocol: str = "reno",
+    protocol: str | type[TcpSource] = "reno",
     n_servers: int = 1,
     bandwidth: float = 1e9,
     delay: float = 50e-6,
@@ -106,7 +106,10 @@ def make_pair(
     frontend_bandwidth: Optional[float] = None,
     **source_kwargs,
 ):
-    """One server, one front-end, one connection of ``protocol``.
+    """One server, one front-end, one connection of ``protocol`` — a
+    registered name, or a test's own :class:`TcpSource` subclass (how a
+    test observes a hook: the senders are slotted, so a method cannot be
+    shadowed on an instance).
 
     Pass ``frontend_bandwidth`` below ``bandwidth`` to make the switch
     egress the bottleneck (required when the queue under test must form
@@ -126,14 +129,9 @@ def make_pair(
     )
     if config is None:
         config = TcpConfig(**FAST)
-    source = create_source(
-        protocol,
-        sim,
-        star.servers[0],
-        star.frontend.node_id,
-        flow_id=1,
-        config=config,
-        **source_kwargs,
+    cls = source_class(protocol) if isinstance(protocol, str) else protocol
+    source = cls(
+        sim, star.servers[0], 1, star.frontend.node_id, config=config, **source_kwargs
     )
     sink = TcpSink(sim, star.frontend, flow_id=1)
     return sim, star, source, sink
@@ -156,7 +154,9 @@ def install_loss(link, should_drop) -> None:
     """Wrap ``link.send`` to silently discard selected packets.
 
     Intercepting at ``send`` (not the queue) catches packets that would
-    bypass the queue straight into transmission on an idle link.
+    bypass the queue straight into transmission on an idle link.  This
+    relies on ``Link`` keeping its ``__dict__``: it is the one per-host
+    class left unslotted, so that ``send`` can be shadowed per instance.
     """
     original = link.send
 

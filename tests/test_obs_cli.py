@@ -16,9 +16,11 @@ from repro.obs import capture, check_jsonl, load_jsonl
 
 @pytest.fixture(autouse=True)
 def clean_capture(monkeypatch):
-    """The CLI writes REPRO_TRACE* into os.environ; keep tests isolated."""
-    monkeypatch.delenv(capture.ENV_SPEC, raising=False)
-    monkeypatch.delenv(capture.ENV_OUT, raising=False)
+    """The CLI writes REPRO_TRACE* into os.environ; keep tests isolated.
+    Set to empty (= off), not deleted: deleting an absent variable records
+    nothing to undo, and the CLI's write then leaks into every later test."""
+    monkeypatch.setenv(capture.ENV_SPEC, "")
+    monkeypatch.setenv(capture.ENV_OUT, "")
     capture.discard_active()
     yield
     capture.discard_active()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.net.packet import MSS_BYTES
 from repro.tcp.base import TcpConfig
+from repro.tcp.reno import RenoSource
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
 
@@ -187,21 +188,30 @@ class TestTimeout:
         assert source.all_acked
 
 
+def sample_log():
+    """A Reno sender whose RTT-sample hook logs the segment sampled."""
+    samples = []
+
+    class SampleLog(RenoSource):
+        def _on_rtt_sample(self, rtt, pkt):
+            samples.append(pkt.for_seq)
+
+    return SampleLog, samples
+
+
 class TestKarn:
     def test_retransmitted_segment_gives_no_rtt_sample(self):
-        sim, star, source, _sink = make_pair()
+        source_cls, samples = sample_log()
+        sim, star, source, _sink = make_pair(source_cls)
         install_loss(star.bottleneck, drop_seqs_once({0, 1}))
-        samples = []
-        source._on_rtt_sample = lambda rtt, pkt: samples.append(pkt.for_seq)
         source.send_message(2)
         sim.run(until=1.0)
         # Retransmissions of 0 and 1 are excluded by Karn's rule.
         assert 0 not in samples and 1 not in samples
 
     def test_clean_transfer_samples_every_segment(self):
-        sim, _star, source, _sink = make_pair()
-        samples = []
-        source._on_rtt_sample = lambda rtt, pkt: samples.append(pkt.for_seq)
+        source_cls, samples = sample_log()
+        sim, _star, source, _sink = make_pair(source_cls)
         source.send_message(10)
         sim.run(until=1.0)
         assert sorted(samples) == list(range(10))

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.tcp.base import TcpConfig, TcpSink
+from repro.tcp.reno import RenoSource
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
 
-def sack_pair(**kwargs):
+def sack_pair(protocol="reno", **kwargs):
     config = kwargs.pop("config", TcpConfig(sack=True, **FAST))
-    return make_pair("reno", config=config, **kwargs)
+    return make_pair(protocol, config=config, **kwargs)
 
 
 class TestSinkBlocks:
@@ -38,12 +39,15 @@ class TestSinkBlocks:
 
 class TestScoreboard:
     def test_blocks_fill_scoreboard(self):
-        sim, star, source, _sink = sack_pair()
-        install_loss(star.bottleneck, drop_seqs_once({4}))
         snapshots = []
-        original = source._fast_retransmit
-        source._fast_retransmit = lambda: (snapshots.append(set(source._sacked)),
-                                           original())
+
+        class Snapshot(RenoSource):
+            def _fast_retransmit(self):
+                snapshots.append(set(self._sacked))
+                super()._fast_retransmit()
+
+        sim, star, source, _sink = sack_pair(Snapshot)
+        install_loss(star.bottleneck, drop_seqs_once({4}))
         source.send_message(12)
         sim.run(until=1.0)
         # At fast-retransmit time the scoreboard held data above the hole.
