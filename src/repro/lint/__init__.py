@@ -1,23 +1,23 @@
 """simlint — whole-program simulator-correctness linter.
 
-Run it with ``python -m repro.lint [paths...]`` (defaults to the
-installed ``repro`` package).  Per-file rules enforce the invariants
-every reproduced figure rests on: deterministic replay (SIM001/SIM002),
-precision-safe time handling (SIM003), state isolation between sweep
-points (SIM004/SIM005), kernel discipline (SIM006), the Experiment
-sweep contract (SIM007), sanctioned fault/executor seams
-(SIM008, SIM010), and justified suppressions (SIM016).  Cross-module
-rules (SIM011-SIM015, :mod:`repro.lint.xrules`) analyze the whole tree
-at once through a :class:`~repro.lint.project.ProjectContext` — RNG and
-wall-clock taint through helper returns, SweepBackend picklability,
-unit-suffix dimension checks, and experiment-registration conformance.
+There is one way to run it: ``python -m repro.lint [paths...]
+[--select IDS] [--list-rules] [--format text|json]`` (paths default to
+the installed ``repro`` package), always a cold pass over the whole
+tree, exit 0 clean / 1 findings / 2 usage error.  Per-file rules
+(:mod:`repro.lint.rules`) enforce the invariants every reproduced
+figure rests on: deterministic replay (SIM001/SIM002), precision-safe
+time handling (SIM003), state isolation between sweep points (SIM005),
+sanctioned fault/executor/socket seams (SIM008, SIM010, SIM017), and
+justified suppressions (SIM016).  Cross-module rules (SIM011-SIM015,
+:mod:`repro.lint.xrules`) analyze the whole tree at once through a
+:class:`~repro.lint.project.ProjectContext` — RNG and wall-clock taint
+through helper returns, SweepBackend picklability, unit-suffix
+dimension checks, and experiment-registration conformance.  Retired
+ids (SIM004, SIM006, SIM007, SIM009) are not reused; CONTRIBUTING.md
+says what covers each.
 
 Suppress a deliberate violation with a ``# simlint: disable=SIM00x``
-comment plus a justification (SIM016 polices the justification), or a
-checked-in baseline entry (:mod:`repro.lint.baseline`).  The engine
-re-lints incrementally — a changed module plus its reverse-import
-closure — via :mod:`repro.lint.cache`, and emits text, JSON, or SARIF
-2.1 (:mod:`repro.lint.sarif`) for code scanning.
+comment plus a justification (SIM016 polices the justification).
 
 The runtime complement — packet-conservation and protocol-state checks
 while a simulation executes — lives in :mod:`repro.sim.invariants` and

@@ -5,39 +5,29 @@ Usage::
     python -m repro.lint                     # lint the installed repro package
     python -m repro.lint src/repro           # lint a source tree
     python -m repro.lint --list-rules        # show every rule id and summary
-    python -m repro.lint --select SIM001,SIM004 src/repro
-    python -m repro.lint --format sarif src/repro > simlint.sarif
-    python -m repro.lint --cache .simlint-cache.json src/repro
-    python -m repro.lint --changed-since HEAD~1 src/repro
-    python -m repro.lint --baseline simlint-baseline.json src/repro
+    python -m repro.lint --select SIM001,SIM005 src/repro
+    python -m repro.lint --format json src/repro > findings.json
 
-Exit-status contract (CI keys on it):
+Every run is a cold whole-program pass (about three seconds on the
+shipped tree).  Exit-status contract (CI keys on it):
 
-* ``0`` — clean: no findings (after baseline filtering) and no stale
-  baseline entries.
-* ``1`` — findings were reported, or the baseline carries stale
-  entries that must be removed.
-* ``2`` — usage or configuration error: unreadable paths, a malformed
-  or unjustified baseline, or ``--changed-since`` against a revision
-  git cannot resolve.
+* ``0`` — clean: no findings.
+* ``1`` — findings were reported.
+* ``2`` — usage error: an unknown flag, an unreadable path, or a file
+  that does not parse.
 
 Every non-``--list-rules`` run ends with a one-line summary count on
-stdout (text format) or stderr (json/sarif, keeping the payload pure).
+stdout (text format) or stderr (json, keeping the payload pure).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import Baseline, BaselineError
-from repro.lint.cache import lint_paths_cached
-from repro.lint.core import Finding, all_rules, iter_python_files, lint_paths
-from repro.lint.project import ProjectContext
-from repro.lint.sarif import render_sarif
+from repro.lint.core import all_rules, lint_paths
 
 USAGE_ERROR = 2
 
@@ -46,31 +36,6 @@ def _default_target() -> str:
     import repro
 
     return str(Path(repro.__file__).parent)
-
-
-def _changed_modules_since(rev: str, paths: list[str]) -> set[str]:
-    """Dotted names of project modules touched since ``rev``.
-
-    Resolution reuses the project namer: the diff is matched by absolute
-    path against the modules the lint run actually parsed.
-    """
-    proc = subprocess.run(
-        ["git", "diff", "--name-only", rev, "--"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    changed_files = {
-        Path(line).resolve()
-        for line in proc.stdout.splitlines()
-        if line.endswith(".py")
-    }
-    changed: set[str] = set()
-    project = ProjectContext.from_files(iter_python_files(paths))
-    for name, info in project.modules.items():
-        if Path(info.path).resolve() in changed_files:
-            changed.add(name)
-    return project.reverse_closure(changed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,44 +58,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="finding output format (default: text)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="FILE",
-        help="incremental state file; unchanged modules replay cached "
-        "findings instead of re-analyzing",
-    )
-    parser.add_argument(
-        "--changed-since",
-        default=None,
-        metavar="REV",
-        help="only report findings for modules changed since the git "
-        "revision REV, plus their reverse-import closure",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="filter findings through a checked-in baseline; every entry "
-        "must carry a justification",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings as a baseline skeleton (entries "
-        "get a placeholder justification to replace) and exit 0",
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="FILE",
-        help="with --cache: write the analyzed/reused module journal as "
-        "JSON (used by tests and CI diagnostics)",
     )
     args = parser.parse_args(argv)
 
@@ -148,84 +78,24 @@ def main(argv: list[str] | None = None) -> int:
         ]
     paths = args.paths or [_default_target()]
 
-    only_modules: set[str] | None = None
-    if args.changed_since:
-        try:
-            only_modules = _changed_modules_since(args.changed_since, paths)
-        except (subprocess.CalledProcessError, OSError) as exc:
-            print(f"simlint: cannot diff against {args.changed_since}: {exc}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-
     try:
-        if args.cache:
-            findings, journal = lint_paths_cached(
-                paths, args.cache, select=select, only_modules=only_modules
-            )
-            if args.journal:
-                Path(args.journal).write_text(
-                    json.dumps(journal.to_dict(), indent=2) + "\n",
-                    encoding="utf-8",
-                )
-        else:
-            findings = lint_paths(paths, select=select)
-            if only_modules is not None:
-                project = ProjectContext.from_files(iter_python_files(paths))
-                keep = {
-                    info.path
-                    for name, info in project.modules.items()
-                    if name in only_modules
-                }
-                findings = [f for f in findings if f.path in keep]
+        findings = lint_paths(paths, select=select)
     except (OSError, SyntaxError) as exc:
         print(f"simlint: cannot lint {paths}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    if args.write_baseline:
-        Baseline.from_findings(
-            findings, justification="TODO: justify this accepted finding"
-        ).dump(args.write_baseline)
-        print(
-            f"simlint: wrote {len(findings)} baseline entr(ies) to "
-            f"{args.write_baseline}; replace the TODO justifications"
-        )
-        return 0
-
-    stale_entries = []
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except BaselineError as exc:
-            print(f"simlint: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        findings, stale_entries = baseline.apply(findings)
-
-    return _emit(findings, stale_entries, args.format)
-
-
-def _emit(
-    findings: list[Finding],
-    stale_entries: list[object],
-    fmt: str,
-) -> int:
-    summary_stream = sys.stdout if fmt == "text" else sys.stderr
-    if fmt == "json":
+    summary_stream = sys.stdout if args.format == "text" else sys.stderr
+    if args.format == "json":
         print(json.dumps([f.to_dict() for f in findings], indent=2))
-    elif fmt == "sarif":
-        print(render_sarif(findings))
     else:
         for finding in findings:
             print(finding.render())
-    for entry in stale_entries:
-        print(f"simlint: stale baseline entry: {entry.rule_id} at "  # type: ignore[attr-defined]
-              f"{entry.path} (no matching finding; remove it)",  # type: ignore[attr-defined]
-              file=summary_stream)
     count = len(findings)
     print(
         f"simlint: {count} finding(s)" if count else "simlint: no findings",
         file=summary_stream,
     )
-    return 1 if (findings or stale_entries) else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

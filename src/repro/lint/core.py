@@ -8,13 +8,10 @@ themselves with the :func:`register_rule` decorator; the CLI and the
 test suite discover them through :func:`all_rules`.
 
 Per-file rules subclass :class:`Rule`; rules that need to see the whole
-program (import graph, cross-module taint) subclass
+program (symbol tables, cross-module taint) subclass
 :class:`ProjectRule` and receive a
 :class:`~repro.lint.project.ProjectContext` alongside the module under
-analysis.  Either way a rule reports findings *per module*, which is
-what makes incremental re-linting (see :mod:`repro.lint.cache`) sound:
-a module's findings depend only on the module itself plus the project
-summaries of the modules it imports.
+analysis.  Either way a rule reports findings *per module*.
 
 Suppression is per line: a trailing ``# simlint: disable=SIM003``
 comment silences the named rule(s) on that physical line (comma-
@@ -70,7 +67,7 @@ class Finding:
         return text
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready mapping (the cache and ``--format json`` schema)."""
+        """JSON-ready mapping (the ``--format json`` schema)."""
         return {
             "path": self.path,
             "line": self.line,
@@ -79,17 +76,6 @@ class Finding:
             "message": self.message,
             "fixit": self.fixit,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "Finding":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            rule_id=str(data["rule_id"]),
-            message=str(data["message"]),
-            fixit=str(data.get("fixit", "")),
-        )
 
 
 @dataclass(frozen=True)
@@ -267,14 +253,8 @@ class ProjectRule(Rule):
 
     Subclasses implement :meth:`check_module`; the engine calls it once
     per module with the shared :class:`ProjectContext`, so findings stay
-    attributable to a single module (the incremental-cache unit).
+    attributable to a single module.
     """
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        from repro.lint.project import ProjectContext
-
-        project = ProjectContext.for_single_module(module)
-        return self.check_module(project, module)
 
     def check_module(
         self, project: "ProjectContext", module: ModuleContext
@@ -296,18 +276,12 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
 
 
 def all_rules() -> list[Rule]:
-    """Fresh instances of every registered rule, ordered by id."""
-    _load_rule_modules()
+    """Fresh instances of every registered rule, ordered by id.
+
+    The rule modules register on import, and ``repro.lint/__init__``
+    imports them before any caller can reach this function.
+    """
     return [_RULES[rule_id]() for rule_id in sorted(_RULES)]
-
-
-def _load_rule_modules() -> None:
-    """Import the rule modules (idempotent; they register on import)."""
-    from repro.lint import rules, xrules  # noqa: F401  (side effect)
-
-
-def _selected(rule: Rule, select: Sequence[str] | None) -> bool:
-    return select is None or rule.id in select
 
 
 def lint_module_in_project(
@@ -315,14 +289,10 @@ def lint_module_in_project(
     module: ModuleContext,
     select: Sequence[str] | None = None,
 ) -> list[Finding]:
-    """Run every rule against one module of a parsed project.
-
-    This is the incremental unit: the cache replays its output for
-    modules whose content *and* whose imported modules are unchanged.
-    """
+    """Run every rule against one module of a parsed project."""
     findings: list[Finding] = []
     for rule in all_rules():
-        if not _selected(rule, select):
+        if select is not None and rule.id not in select:
             continue
         if isinstance(rule, ProjectRule):
             findings.extend(rule.check_module(project, module))

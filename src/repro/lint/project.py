@@ -1,13 +1,9 @@
 """Whole-program context for cross-module simlint rules.
 
 A :class:`ProjectContext` parses every module of the tree under
-analysis exactly once and derives three things the SIM011+ rule family
+analysis exactly once and derives two things the SIM011+ rule family
 needs:
 
-* an **import graph** between project modules (absolute and relative
-  imports resolved to dotted module names), plus its reverse closure —
-  the set of modules whose analysis can change when a given module
-  changes, which is also the incremental cache's re-lint unit;
 * **per-module symbol tables**: top-level functions, classes, and
   class methods by qualified name, so a dotted call site in one module
   can be resolved to the function definition in another;
@@ -58,16 +54,14 @@ class FunctionInfo:
 
 
 class ModuleInfo:
-    """A parsed project module plus its symbol table and imports."""
+    """A parsed project module plus its symbol table."""
 
-    __slots__ = ("name", "path", "context", "imports", "functions", "classes")
+    __slots__ = ("name", "path", "context", "functions", "classes")
 
     def __init__(self, name: str, context: ModuleContext) -> None:
         self.name = name
         self.path = context.path
         self.context = context
-        #: dotted names of *project* modules this module imports.
-        self.imports: set[str] = set()
         #: qualname -> FunctionInfo for top-level functions and methods.
         self.functions: dict[str, FunctionInfo] = {}
         #: class name -> ClassDef for top-level classes.
@@ -127,11 +121,6 @@ class ProjectContext:
 
     def __init__(self, modules: dict[str, ModuleInfo]) -> None:
         self.modules = modules
-        self.by_path: dict[str, ModuleInfo] = {
-            info.path: info for info in modules.values()
-        }
-        for info in modules.values():
-            info.imports = self._project_imports(info)
         self._summaries: dict[str, TaintSummary] = {}
         self._subclass_cache: dict[str, set[str]] = {}
 
@@ -166,60 +155,6 @@ class ProjectContext:
         name = module.module_name or _guess_name_from_path(module.path)
         module.module_name = name
         return cls({name: ModuleInfo(name, module)})
-
-    # -- the import graph -----------------------------------------------
-    def _project_imports(self, info: ModuleInfo) -> set[str]:
-        """Project modules ``info`` imports (directly)."""
-        imported: set[str] = set()
-
-        def note(dotted: str) -> None:
-            # "repro.tcp.base.TcpSink" may name a module or an object in
-            # a module; record the longest project-module prefix.
-            parts = dotted.split(".")
-            for end in range(len(parts), 0, -1):
-                candidate = ".".join(parts[:end])
-                if candidate in self.modules and candidate != info.name:
-                    imported.add(candidate)
-                    return
-
-        for node in ast.walk(info.context.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    note(alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level > 0:
-                    parts = info.name.split(".")
-                    if len(parts) < node.level:
-                        continue
-                    anchor = ".".join(parts[: len(parts) - node.level])
-                    base = f"{anchor}.{node.module}" if node.module else anchor
-                if not base:
-                    continue
-                note(base)
-                for alias in node.names:
-                    if alias.name != "*":
-                        note(f"{base}.{alias.name}")
-        return imported
-
-    def reverse_closure(self, names: Iterable[str]) -> set[str]:
-        """``names`` plus every project module that (transitively)
-        imports one of them — the set whose findings may change when
-        ``names`` change."""
-        importers: dict[str, set[str]] = {name: set() for name in self.modules}
-        for info in self.modules.values():
-            for dep in info.imports:
-                if dep in importers:
-                    importers[dep].add(info.name)
-        result: set[str] = set()
-        frontier = [name for name in names if name in self.modules]
-        while frontier:
-            name = frontier.pop()
-            if name in result:
-                continue
-            result.add(name)
-            frontier.extend(importers.get(name, ()))
-        return result
 
     def modules_in_path_order(self) -> list[ModuleInfo]:
         return sorted(self.modules.values(), key=lambda info: info.path)
@@ -426,7 +361,7 @@ def local_tainted_names(
             targets, value = [stmt.target], stmt.value
         if value is None:
             continue
-        reason = _expr_taint(value, module, tainted, call_reason, expr_seed)
+        reason = expr_taint_reason(value, module, tainted, call_reason, expr_seed)
         if not reason:
             continue
         for target in targets:
@@ -438,21 +373,11 @@ def local_tainted_names(
 def expr_taint_reason(
     node: ast.expr,
     module: ModuleContext,
-    tainted_names: dict[str, str],
-    call_reason: Callable[[ModuleContext, ast.Call], str],
-    expr_seed: Optional[Callable[[ast.expr], str]] = None,
-) -> str:
-    """Public wrapper over :func:`_expr_taint` for rule sink checks."""
-    return _expr_taint(node, module, tainted_names, call_reason, expr_seed)
-
-
-def _expr_taint(
-    node: ast.expr,
-    module: ModuleContext,
     tainted: dict[str, str],
     call_reason: Callable[[ModuleContext, ast.Call], str],
     expr_seed: Optional[Callable[[ast.expr], str]] = None,
 ) -> str:
+    """Why ``node`` evaluates to a tainted value (``""`` when it does not)."""
     if expr_seed is not None:
         seeded = expr_seed(node)
         if seeded:
@@ -467,18 +392,18 @@ def _expr_taint(
         # *result*; only the callee summary decides that.
         return ""
     if isinstance(node, ast.BinOp):
-        return _expr_taint(
+        return expr_taint_reason(
             node.left, module, tainted, call_reason, expr_seed
-        ) or _expr_taint(node.right, module, tainted, call_reason, expr_seed)
+        ) or expr_taint_reason(node.right, module, tainted, call_reason, expr_seed)
     if isinstance(node, ast.UnaryOp):
-        return _expr_taint(node.operand, module, tainted, call_reason, expr_seed)
+        return expr_taint_reason(node.operand, module, tainted, call_reason, expr_seed)
     if isinstance(node, ast.IfExp):
-        return _expr_taint(
+        return expr_taint_reason(
             node.body, module, tainted, call_reason, expr_seed
-        ) or _expr_taint(node.orelse, module, tainted, call_reason, expr_seed)
+        ) or expr_taint_reason(node.orelse, module, tainted, call_reason, expr_seed)
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         for elt in node.elts:
-            reason = _expr_taint(elt, module, tainted, call_reason, expr_seed)
+            reason = expr_taint_reason(elt, module, tainted, call_reason, expr_seed)
             if reason:
                 return reason
         return ""
@@ -486,14 +411,14 @@ def _expr_taint(
         for value in node.values:
             if value is None:
                 continue
-            reason = _expr_taint(value, module, tainted, call_reason, expr_seed)
+            reason = expr_taint_reason(value, module, tainted, call_reason, expr_seed)
             if reason:
                 return reason
         return ""
     if isinstance(node, ast.NamedExpr):
-        return _expr_taint(node.value, module, tainted, call_reason, expr_seed)
+        return expr_taint_reason(node.value, module, tainted, call_reason, expr_seed)
     if isinstance(node, ast.Starred):
-        return _expr_taint(node.value, module, tainted, call_reason, expr_seed)
+        return expr_taint_reason(node.value, module, tainted, call_reason, expr_seed)
     return ""
 
 
@@ -510,7 +435,7 @@ def _returns_tainted(
     )
     for stmt in _statements_in_order(func.body):
         if isinstance(stmt, ast.Return) and stmt.value is not None:
-            reason = _expr_taint(
+            reason = expr_taint_reason(
                 stmt.value, module, tainted, call_reason, expr_seed
             )
             if reason:

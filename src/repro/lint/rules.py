@@ -1,9 +1,10 @@
 """The simlint rule set.
 
 Each rule protects an invariant the reproduction's credibility rests
-on — deterministic replay, conservation-friendly component wiring, or
-the Experiment sweep contract.  See CONTRIBUTING.md for the one-line
-"what it protects" table and how to add a rule.
+on — deterministic replay, state isolation between sweep points, or a
+sanctioned seam (faults, sweep backends, the dispatch transport).  See
+CONTRIBUTING.md for the one-line "what it protects" table and how to
+add a rule.
 """
 
 from __future__ import annotations
@@ -20,17 +21,15 @@ from repro.lint.core import (
 )
 
 __all__ = [
-    "ExperimentContractRule",
     "FaultBypassRule",
-    "HandlerReentrancyRule",
     "ModuleMutableStateRule",
-    "MutableDefaultRule",
     "RawExecutorRule",
     "RawSocketRule",
     "TimeEqualityRule",
     "UnjustifiedSuppressionRule",
     "UnseededRandomnessRule",
     "WallClockRule",
+    "is_randomness_home",
 ]
 
 #: the one module allowed to construct generators and read entropy —
@@ -38,8 +37,13 @@ __all__ = [
 RANDOMNESS_HOME = "sim/randomness.py"
 
 
-def _is_randomness_home(path: str) -> bool:
+def is_randomness_home(path: str) -> bool:
     return path.endswith(RANDOMNESS_HOME)
+
+
+def _under(path: str, dirs: tuple[str, ...]) -> bool:
+    """True when ``path`` lies inside one of the ``/pkg/`` directories."""
+    return any(part in f"/{path}" for part in dirs)
 
 
 @register_rule
@@ -82,7 +86,7 @@ class UnseededRandomnessRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if _is_randomness_home(module.path):
+        if is_randomness_home(module.path):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
@@ -141,7 +145,7 @@ class WallClockRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if _is_randomness_home(module.path):
+        if is_randomness_home(module.path):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
@@ -202,42 +206,6 @@ class TimeEqualityRule(Rule):
 
 
 @register_rule
-class MutableDefaultRule(Rule):
-    """No mutable default arguments."""
-
-    id = "SIM004"
-    summary = "mutable defaults alias state across calls (and sweep points)"
-    fixit = (
-        "default to None and create the container inside the function, "
-        "or use dataclasses.field(default_factory=...)"
-    )
-
-    MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "defaultdict", "deque"})
-
-    def _is_mutable(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)):
-            return True
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            return name.rsplit(".", 1)[-1] in self.MUTABLE_CALLS
-        return False
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            args = node.args
-            for default in [*args.defaults, *args.kw_defaults]:
-                if default is not None and self._is_mutable(default):
-                    name = getattr(node, "name", "<lambda>")
-                    yield from module.finding(
-                        default,
-                        self,
-                        f"mutable default argument in {name}()",
-                    )
-
-
-@register_rule
 class ModuleMutableStateRule(Rule):
     """No module-level mutable containers in tcp/ and net/.
 
@@ -257,9 +225,6 @@ class ModuleMutableStateRule(Rule):
     SCOPED_DIRS = ("/tcp/", "/net/")
     MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "defaultdict", "deque", "OrderedDict", "Counter"})
 
-    def _applies(self, path: str) -> bool:
-        return any(part in f"/{path}" for part in self.SCOPED_DIRS)
-
     def _is_mutable(self, node: ast.expr) -> bool:
         if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)):
             return True
@@ -269,7 +234,7 @@ class ModuleMutableStateRule(Rule):
         return False
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not self._applies(module.path):
+        if not _under(module.path, self.SCOPED_DIRS):
             return
         for node in module.tree.body:
             if isinstance(node, ast.Assign):
@@ -290,69 +255,6 @@ class ModuleMutableStateRule(Rule):
                         self,
                         f"module-level mutable container {name!r} in a "
                         "protocol/network module",
-                    )
-
-
-@register_rule
-class HandlerReentrancyRule(Rule):
-    """Scheduled event handlers must not re-enter the kernel run loop.
-
-    A function handed to ``schedule``/``schedule_at`` executes *inside*
-    ``Simulator.run``; calling ``run``/``run_until``/``step`` from it
-    re-enters the event loop and corrupts the clock (the kernel raises
-    at runtime — this catches it before any simulation is spent).
-    """
-
-    id = "SIM006"
-    summary = "event handlers re-entering kernel.run*/step corrupt the clock"
-    fixit = (
-        "handlers only schedule further events; run()/run_until()/step() "
-        "belong to the top-level driver that owns the simulator"
-    )
-
-    RUN_METHODS = frozenset({"run", "run_until", "step"})
-    KERNEL_RECEIVERS = frozenset({"sim", "kernel", "simulator"})
-
-    @staticmethod
-    def _callback_names(tree: ast.Module) -> set[str]:
-        """Names of functions referenced as schedule() callbacks."""
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func_name = dotted_name(node.func)
-            if func_name.rsplit(".", 1)[-1] not in ("schedule", "schedule_at"):
-                continue
-            for arg in node.args[1:2]:  # the callback slot
-                if isinstance(arg, ast.Attribute):
-                    names.add(arg.attr)
-                elif isinstance(arg, ast.Name):
-                    names.add(arg.id)
-        return names
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        callbacks = self._callback_names(module.tree)
-        if not callbacks:
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name not in callbacks:
-                continue
-            for call in ast.walk(node):
-                if not isinstance(call, ast.Call):
-                    continue
-                chain = dotted_name(call.func).split(".")
-                if (
-                    len(chain) >= 2
-                    and chain[-1] in self.RUN_METHODS
-                    and chain[-2] in self.KERNEL_RECEIVERS
-                ):
-                    yield from module.finding(
-                        call,
-                        self,
-                        f"event handler {node.name}() calls "
-                        f"{'.'.join(chain)}() — kernel re-entry",
                     )
 
 
@@ -383,9 +285,6 @@ class FaultBypassRule(Rule):
     #: the implementation itself.
     EXEMPT_DIRS = ("/net/", "/faults/")
 
-    def _applies(self, path: str) -> bool:
-        return not any(part in f"/{path}" for part in self.EXEMPT_DIRS)
-
     @staticmethod
     def _non_self_attr(node: ast.expr, attr: str) -> bool:
         """True for ``X.<attr>`` where X is not ``self``/``cls``."""
@@ -399,7 +298,7 @@ class FaultBypassRule(Rule):
         )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not self._applies(module.path):
+        if _under(module.path, self.EXEMPT_DIRS):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call) and self._non_self_attr(
@@ -448,11 +347,8 @@ class RawExecutorRule(Rule):
     #: the sanctioned implementation of the seam.
     EXEMPT_DIRS = ("/runner/backends/",)
 
-    def _applies(self, path: str) -> bool:
-        return not any(part in f"/{path}" for part in self.EXEMPT_DIRS)
-
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not self._applies(module.path):
+        if _under(module.path, self.EXEMPT_DIRS):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -483,8 +379,8 @@ class UnjustifiedSuppressionRule(Rule):
     summary = "simlint suppression without a justification comment"
     fixit = (
         "say why on the directive line ('# exact tie-break; see "
-        "Event.__lt__  # simlint: disable=SIM003') or in a comment "
-        "directly above it"
+        "Simulator.key_passed  # simlint: disable=SIM003') or in a "
+        "comment directly above it"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
@@ -502,46 +398,6 @@ class UnjustifiedSuppressionRule(Rule):
                 f"suppression of {ids} has no justification comment",
                 self.fixit,
             )
-
-
-@register_rule
-class ExperimentContractRule(Rule):
-    """Experiment subclasses must implement the full sweep contract."""
-
-    id = "SIM007"
-    summary = "Experiment subclasses must define points/run_point/reduce"
-    fixit = (
-        "implement points() (enumerate the sweep), run_point() (execute "
-        "one seeded point), and reduce() (fold results into the figure "
-        "payload) explicitly — implicit inheritance hides contract drift"
-    )
-
-    REQUIRED = ("points", "run_point", "reduce")
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if node.name == "Experiment":
-                continue  # the abstract base itself
-            base_names = {
-                dotted_name(base).rsplit(".", 1)[-1] for base in node.bases
-            }
-            if "Experiment" not in base_names:
-                continue
-            defined = {
-                item.name
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            missing = [name for name in self.REQUIRED if name not in defined]
-            if missing:
-                yield from module.finding(
-                    node,
-                    self,
-                    f"Experiment subclass {node.name} does not define "
-                    f"{', '.join(missing)}",
-                )
 
 
 @register_rule
@@ -578,11 +434,8 @@ class RawSocketRule(Rule):
         }
     )
 
-    def _applies(self, path: str) -> bool:
-        return not any(part in f"/{path}" for part in self.EXEMPT_DIRS)
-
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not self._applies(module.path):
+        if _under(module.path, self.EXEMPT_DIRS):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):

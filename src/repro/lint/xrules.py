@@ -49,6 +49,7 @@ from repro.lint.project import (
     expr_taint_reason,
     local_tainted_names,
 )
+from repro.lint.rules import is_randomness_home
 
 __all__ = [
     "ExperimentConformanceRule",
@@ -58,18 +59,12 @@ __all__ = [
     "WallClockTaintRule",
 ]
 
-RANDOMNESS_HOME = "sim/randomness.py"
-
 #: numpy.random generator constructors (entropy-less calls are
 #: nondeterministic anywhere, including inside sim/randomness.py).
 _NP_GENERATOR_CTORS = frozenset(
     {"default_rng", "RandomState", "Generator", "PCG64", "PCG64DXSM",
      "MT19937", "Philox", "SFC64"}
 )
-
-
-def _is_randomness_home(path: str) -> bool:
-    return path.endswith(RANDOMNESS_HOME)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +84,7 @@ def _rng_seed(module: ModuleContext, call: ast.Call, resolved: str) -> str:
                     f"entropy-free numpy.random.{tail}() "
                     "(seeded from the OS, different every run)"
                 )
-            if not _is_randomness_home(module.path):
+            if not is_randomness_home(module.path):
                 return f"numpy.random.{tail}() outside sim/randomness.py"
     return ""
 
@@ -184,13 +179,7 @@ class WallClockTaintRule(ProjectRule):
     ) -> Iterator[Finding]:
         summary = project.taint_summary("wallclock", _wall_seed)
         call_reason = project.call_reason_with(_wall_seed, summary)
-        scopes: list[ast.FunctionDef | ast.AsyncFunctionDef | ast.Module] = [
-            module.tree
-        ]
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node)
-        for scope in scopes:
+        for scope in _scopes(module):
             tainted = local_tainted_names(module, scope, call_reason)
             for node in _scope_walk(scope):
                 if not isinstance(node, ast.Call):
@@ -212,9 +201,18 @@ class WallClockTaintRule(ProjectRule):
                     )
 
 
-def _scope_walk(
-    scope: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module,
-) -> Iterator[ast.AST]:
+_Scope = ast.FunctionDef | ast.AsyncFunctionDef | ast.Module
+
+
+def _scopes(module: ModuleContext) -> Iterator[_Scope]:
+    """The module body, then every function body, each its own scope."""
+    yield module.tree
+    for node in ast.walk(module.tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def _scope_walk(scope: _Scope) -> Iterator[ast.AST]:
     """``ast.walk`` over a scope, not descending into nested functions
     (they are analyzed as their own scopes)."""
     stack: list[ast.AST] = list(ast.iter_child_nodes(scope))
@@ -280,13 +278,7 @@ class ProcessBoundaryRule(ProjectRule):
             local_defs_reason=_LOCAL_DEF_REASON,
         )
         call_reason = project.call_reason_with(_unpicklable_seed, summary)
-        scopes: list[ast.FunctionDef | ast.AsyncFunctionDef | ast.Module] = [
-            module.tree
-        ]
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node)
-        for scope in scopes:
+        for scope in _scopes(module):
             tainted = local_tainted_names(
                 module,
                 scope,

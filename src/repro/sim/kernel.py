@@ -65,25 +65,16 @@ class Event:
     timer fires).
     """
 
-    __slots__ = ("time", "fn", "cancelled", "_sim")
+    __slots__ = ("time", "fn", "cancelled")
 
-    def __init__(self, time: float, fn: Callable[..., Any], sim: "Simulator") -> None:
+    def __init__(self, time: float, fn: Callable[..., Any]) -> None:
         self.time = time
         self.fn = fn
         self.cancelled = False
-        #: owning simulator while the event is queued (heap or wheel);
-        #: cleared on execution/cancellation so the live-event counter
-        #: is decremented exactly once per event.
-        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            sim = self._sim
-            if sim is not None:
-                self._sim = None
-                sim._pending -= 1
+        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -134,9 +125,6 @@ class Simulator:
         self._cur_seq: int = 0
         self._running = False
         self.events_executed: int = 0
-        #: live (non-cancelled) events currently queued, maintained on
-        #: schedule/cancel/pop so ``pending`` is O(1).
-        self._pending: int = 0
         self._granularity = timer_granularity
         #: coarse timer wheel: bucket index -> events in insertion order.
         self._wheel: dict[int, list[_Entry]] = {}
@@ -181,7 +169,7 @@ class Simulator:
     def _schedule_handle(
         self, time: float, fn: Callable[..., Any], args: tuple[Any, ...]
     ) -> Event:
-        event = Event(time, fn, self)
+        event = Event(time, fn)
         seq = self._seq
         self._seq = seq + 1
         self._push((time, seq, fn, args, event))
@@ -229,7 +217,6 @@ class Simulator:
 
     def _push(self, entry: _Entry) -> None:
         time = entry[0]
-        self._pending += 1
         if time - self.now >= self._granularity:
             # Far enough out for the wheel: park it in its time bucket.
             granularity = self._granularity
@@ -255,8 +242,8 @@ class Simulator:
         Events keep their original ``(time, sequence)`` keys, so heap
         order — and therefore execution order — is byte-identical to a
         wheel-less kernel.  Cancelled events are discarded here without
-        ever touching the heap (their counter was decremented by
-        ``cancel``); that is the wheel's payoff for timer churn.
+        ever touching the heap; that is the wheel's payoff for timer
+        churn.
         """
         heap = self._heap
         push = heapq.heappush
@@ -315,11 +302,8 @@ class Simulator:
                     if time > limit:
                         break
                     pop(heap)
-                    if handle is not None:
-                        if handle.cancelled:
-                            continue
-                        handle._sim = None
-                    self._pending -= 1
+                    if handle is not None and handle.cancelled:
+                        continue
                     self.now = time
                     self._cur_seq = seq
                     fn(*args)
@@ -349,11 +333,8 @@ class Simulator:
                     if time > limit:
                         break
                     pop(heap)
-                    if handle is not None:
-                        if handle.cancelled:
-                            continue
-                        handle._sim = None
-                    self._pending -= 1
+                    if handle is not None and handle.cancelled:
+                        continue
                     self.now = time
                     self._cur_seq = seq
                     fn(*args)
@@ -419,14 +400,10 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of non-cancelled events still queued.  O(1)."""
-        return self._pending
+        """Number of non-cancelled events still queued.
 
-    def _pending_scan(self) -> int:
-        """Brute-force recount of queued live events (testing aid).
-
-        Walks the heap and every wheel bucket; the property-based kernel
-        tests assert this always equals the O(1) ``pending`` counter.
+        Walks the heap and every wheel bucket: nothing on a simulation's
+        path reads this, so no event pays for a running count.
         """
         queued = [self._heap, *self._wheel.values()]
         handles = [entry[4] for entries in queued for entry in entries]

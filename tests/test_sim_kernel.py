@@ -331,16 +331,16 @@ class TestStepAndPeek:
 
     def test_pending_counts_far_future_cancellations(self):
         # Far-future events live in the timer wheel, not the heap; the
-        # live counter must track them and their cancellations too.
+        # count must cover them and their cancellations too.
         sim = Simulator()
         near = sim.schedule(1e-4, lambda: None)
         far = sim.schedule(10.0, lambda: None)
-        assert sim.pending == 2 == sim._pending_scan()
+        assert sim.pending == 2
         far.cancel()
-        assert sim.pending == 1 == sim._pending_scan()
+        assert sim.pending == 1
         near.cancel()
-        far.cancel()  # idempotent: no double decrement
-        assert sim.pending == 0 == sim._pending_scan()
+        far.cancel()  # idempotent
+        assert sim.pending == 0
 
     def test_step_rejects_reentry(self):
         # Regression: step() used to ignore the _running guard, so a

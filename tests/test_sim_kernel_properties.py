@@ -2,11 +2,13 @@
 
 The kernel promises byte-identical determinism and exact
 ``(time, scheduling-order)`` execution regardless of its internal
-shortcuts — the timer wheel, the live pending counter, and the
+shortcuts — the timer wheel, lazily discarded cancellations, and the
 handle-less transient events.  These properties drive randomized interleavings
 of schedule / cancel / transient operations across the wheel-granularity
 boundary and check each shortcut against a brute-force reference.
 """
+
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
@@ -87,29 +89,47 @@ def test_property_wheel_is_behavior_invisible(program):
 @settings(max_examples=60, deadline=None)
 @given(program=ops)
 def test_property_pending_matches_brute_force_scan(program):
-    """The O(1) live counter always equals a full scan of heap + wheel,
-    at every point in the run."""
+    """``pending`` (a scan of heap + wheel) always equals the model
+    count — scheduled minus cancelled minus executed — at every point
+    in the run."""
     sim = Simulator()
+    live = [0]
+    fired = set()
     checked = []
+
+    def counted(token, fn):
+        def fire():
+            live[0] -= 1
+            fired.add(token)
+            fn()
+
+        live[0] += 1
+        return fire
+
+    def cancel(token, event):
+        if token not in fired and not event.cancelled:
+            live[0] -= 1
+        event.cancel()
+        event.cancel()  # idempotent
 
     def probe():
         checked.append(True)
-        assert sim.pending == sim._pending_scan()
+        assert sim.pending == live[0]
         if sim.peek_time() is not None:
-            sim.schedule(0.0005, probe)
+            sim.schedule(0.0005, counted(object(), probe))
 
     for i, (delay, kind, cancel_after) in enumerate(program):
         if kind == "transient":
-            sim.schedule_transient(delay, lambda: None)
+            sim.schedule_transient(delay, counted(i, lambda: None))
         else:
-            event = sim.schedule(delay, lambda: None)
+            event = sim.schedule(delay, counted(i, lambda: None))
             if cancel_after is not None:
-                sim.schedule(cancel_after, event.cancel)
-        assert sim.pending == sim._pending_scan()
-    sim.schedule(0.0, probe)
+                sim.schedule(cancel_after, counted(object(), partial(cancel, i, event)))
+        assert sim.pending == live[0]
+    sim.schedule(0.0, counted(object(), probe))
     sim.run()
     assert checked
-    assert sim.pending == 0 == sim._pending_scan()
+    assert sim.pending == 0 == live[0]
 
 
 @settings(max_examples=60, deadline=None)
