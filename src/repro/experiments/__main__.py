@@ -13,11 +13,11 @@ of independent points, fanned out to ``--jobs`` workers on a pluggable
 execution backend (``--backend serial|process|dispatch``) with a
 content-addressed result cache (``--cache-dir`` / ``--no-cache``).
 When the cache has seen a point before, its measured runtime also
-drives cost-aware scheduling (``--schedule cost``, the default):
-predicted-longest points are submitted first to shrink pool makespan.
-Results are bit-identical for any ``--jobs`` value, any backend, and
-any schedule.  Each experiment prints rows shaped like the paper's
-figure/table.
+drives cost-aware scheduling: predicted-longest points are submitted
+first to shrink pool makespan.  Results are bit-identical for any
+``--jobs`` value and any backend.  Each experiment prints rows shaped
+like the paper's figure/table.  A sweep in which any point failed
+exits 1 after naming each failure on stderr.
 
 Sweeps are crash-safe: every completed point is journalled durably to a
 JSONL checkpoint next to the result cache (override with
@@ -42,6 +42,7 @@ from typing import Any, Sequence
 from repro.experiments import registry
 from repro.experiments.base import Experiment
 from repro.runner import (
+    PointFailure,
     ResultCache,
     SweepCheckpoint,
     SweepInterrupted,
@@ -148,9 +149,10 @@ def main(argv: list[str] | None = None) -> int:
         help="sweep execution backend: serial (inline), process "
         "(worker pool, pickle transport), or "
         "dispatch (fault-tolerant socket workers with heartbeat "
-        "leases, classified retry, and quarantine — see --hosts); "
+        "leases and per-host circuit breakers — see --hosts); "
         "default picks serial under --jobs 1 and process otherwise. "
-        "Results are identical under every backend.",
+        "Results, and what happens to a point that fails "
+        "(--retry-policy), are identical under every backend.",
     )
     parser.add_argument(
         "--hosts",
@@ -165,20 +167,12 @@ def main(argv: list[str] | None = None) -> int:
         "--retry-policy",
         default=None,
         metavar="SPEC",
-        help="failure-handling policy, e.g. "
-        "'attempts=3,base=0.1,mult=2,cap=5,jitter=0.5,transient=8,"
-        "seed=7': attempts caps a point's own retries (exponential "
-        "backoff with deterministic seeded jitter), transient budgets "
-        "environment-fault retries separately (worker death, lease "
-        "expiry)",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("cost", "fifo"),
-        default="cost",
-        help="sweep submission order: cost (default) uses the cache's "
-        "runtime history to start predicted-longest points first; fifo "
-        "keeps enumeration order. Either way results are identical.",
+        help="failure-handling policy, e.g. 'attempts=3,transient=8': "
+        "attempts caps a point's total executions for its own errors "
+        "and timeouts (default 2), transient budgets environment-fault "
+        "retries separately (worker death, lease expiry; default 8). "
+        "On a fleet, the same error from two distinct workers "
+        "quarantines the point at once.",
     )
     parser.add_argument(
         "--cache-dir",
@@ -422,10 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             quarantine_path = "quarantine.jsonl"
         backend = create_backend(
-            "dispatch",
-            hosts=hosts,
-            retry_policy=retry_policy,
-            quarantine_path=quarantine_path,
+            "dispatch", hosts=hosts, quarantine_path=quarantine_path
         )
     runner = SweepRunner(
         jobs=args.jobs,
@@ -437,10 +428,10 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint=checkpoint,
         resume=args.resume,
         backend=backend,
-        schedule=args.schedule,
     )
     artifacts = {}
-    totals = {"hits": 0, "executed": 0, "quarantined": 0}
+    totals = {"hits": 0, "executed": 0}
+    failures: list[PointFailure] = []
 
     def run_selected() -> None:
         seen: set[str] = set()
@@ -456,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
             if stats is not None:
                 totals["hits"] += stats.cache_hits
                 totals["executed"] += stats.executed
-                totals["quarantined"] += stats.quarantined
+                failures.extend(stats.failures)
             note = ""
             if stats is not None and stats.cache_hits:
                 note += f", {stats.cache_hits}/{stats.total_points} cached"
@@ -527,19 +518,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"results written to {path}")
     if interrupted:
         return 130
-    if totals["quarantined"]:
-        # The sweep *completed* — every healthy point has its result —
-        # but a quarantined point is a reproducible failure that must
-        # not pass silently.
+    for failure in failures:
         print(
-            f"{totals['quarantined']} point(s) quarantined"
-            + (
-                f"; tracebacks in {quarantine_path}"
-                if quarantine_path is not None
-                else ""
-            ),
+            f"FAILED {failure.experiment_id}/{failure.label}: "
+            f"kind={failure.kind} attempts={failure.attempts} "
+            f"error={failure.error}",
             file=sys.stderr,
         )
+    if any(failure.kind == "quarantined" for failure in failures):
+        print(f"quarantine tracebacks in {quarantine_path}", file=sys.stderr)
+    if failures:
+        # The sweep *completed* — every healthy point has its result —
+        # but a failed point must not pass silently.
         return 1
     return 0
 

@@ -163,10 +163,6 @@ class ConcurrencyExperiment(Experiment):
     def run_point(self, params: ConcurrencyParams, point: Point, seed: int) -> Any:
         return run_concurrency(params, point.kwargs["n_spts"])
 
-    def reduce(self, params: Any, points: Sequence[Point], results: Sequence[Any]) -> Any:
-        """One ConcurrencyCase per SPT count, in sweep order."""
-        return [r for r in results if r is not None]
-
     def report(self, params: Any, payload: Any) -> None:
         MS = 1e3
         print(f"[{params.protocol}] ACT of SPTs with {params.n_lpts} LPTs:")

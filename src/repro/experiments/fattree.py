@@ -188,10 +188,6 @@ class FatTreeExperiment(Experiment):
     def run_point(self, params: FatTreeParams, point: Point, seed: int) -> Any:
         return run_fattree(replace(params, k=point.kwargs["k"], seed=seed))
 
-    def reduce(self, params: Any, points: Sequence[Point], results: Sequence[Any]) -> Any:
-        """One FatTreeResult per pod count, in sweep order."""
-        return [r for r in results if r is not None]
-
     def report(self, params: Any, payload: Any) -> None:
         MS = 1e3
         print(f"[{params.protocol}] Fig.12 mean/max completion (ms) "

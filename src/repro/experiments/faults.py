@@ -230,10 +230,6 @@ class FaultsExperiment(Experiment):
     def run_point(self, params: FaultsParams, point: Point, seed: int) -> Any:
         return run_faults_case(params, point.kwargs["intensity"], seed)
 
-    def reduce(self, params: Any, points: Sequence[Point], results: Sequence[Any]) -> Any:
-        """One FaultsCase per intensity, in sweep order."""
-        return [r for r in results if r is not None]
-
     def report(self, params: Any, payload: Any) -> None:
         print(f"[{params.protocol}] goodput/RTOs vs fault intensity "
               f"({params.senders} senders, horizon {params.horizon:g}s):")

@@ -149,10 +149,6 @@ class IncastExperiment(Experiment):
     def run_point(self, params: IncastParams, point: Point, seed: int) -> Any:
         return run_incast(params, point.kwargs["n_senders"])
 
-    def reduce(self, params: Any, points: Sequence[Point], results: Sequence[Any]) -> Any:
-        """One IncastCase per fan-in, in sweep order."""
-        return [r for r in results if r is not None]
-
     def report(self, params: Any, payload: Any) -> None:
         MS = 1e3
         print(f"[{params.protocol}] incast goodput vs fan-in "

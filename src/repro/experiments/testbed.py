@@ -334,10 +334,6 @@ class ArctExperiment(Experiment):
             replace(params, seed=seed), point.kwargs["mean_size"]
         )
 
-    def reduce(self, params: Any, points: Sequence[Point], results: Sequence[Any]) -> Any:
-        """One ArctCase per mean response size, in sweep order."""
-        return [r for r in results if r is not None]
-
     def report(self, params: Any, payload: Any) -> None:
         MS = 1e3
         print(f"[{params.protocol}] Fig.13a ARCT vs mean response size:")

@@ -16,15 +16,16 @@ out to a pluggable execution backend, with:
   experiment id, params, point, and seed, so re-runs of unchanged
   points are free;
 * per-point timeout and retry with graceful degradation to a partial
-  result set, governed by a shared
-  :class:`~repro.runner.dispatch.retry.RetryPolicy` that classifies
-  failures (transient / timeout / deterministic) and backs off with
-  deterministic seeded jitter; one loop in the engine resubmits
-  stragglers for every backend;
+  result set: backends report each failed attempt (with the worker that
+  ran it, when they know), and one loop in the engine
+  (:meth:`SweepRunner._drain`) classifies it (transient / timeout /
+  deterministic) and decides — by the one
+  :class:`~repro.runner.dispatch.retry.RetryPolicy` — whether the point
+  runs again, for every backend; a failure two distinct workers agree
+  on quarantines the point;
 * a fault-tolerant multi-host backend (``dispatch``,
   :mod:`repro.runner.dispatch`): socket workers with heartbeat leases,
-  error-classified retry, per-host circuit breakers, and quarantine of
-  deterministically failing points;
+  lost-worker detection, and per-host circuit breakers;
 * crash-safe checkpointing: an append-only, fsynced JSONL journal of
   completed points (:class:`~repro.runner.checkpoint.SweepCheckpoint`)
   that ``resume=True`` replays after a crash or Ctrl-C — under any
@@ -58,7 +59,8 @@ from repro.runner.checkpoint import SweepCheckpoint
 # The DispatchBackend itself is loaded lazily via create_backend.
 from repro.runner.dispatch.retry import (
     DispatchError,
-    QuarantinedPoint,
+    LeaseExpired,
+    RemoteError,
     RetryPolicy,
     WorkerLost,
 )
@@ -73,11 +75,12 @@ from repro.runner.progress import ProgressReporter
 __all__ = [
     "CostModel",
     "DispatchError",
+    "LeaseExpired",
     "PointFailure",
     "PointSpec",
     "ProcessPoolBackend",
     "ProgressReporter",
-    "QuarantinedPoint",
+    "RemoteError",
     "ResultCache",
     "RetryPolicy",
     "SerialBackend",

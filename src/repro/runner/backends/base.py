@@ -3,8 +3,12 @@
 A backend is the execution seam of :class:`~repro.runner.engine.SweepRunner`:
 the runner decides *what* to run (entries, seeds, retries, journalling,
 merge order) and the backend decides *where and how* one point executes
-(inline, on a process pool, on a dispatch fleet).  The contract is
-deliberately small:
+(inline, on a process pool, on a dispatch fleet).  A backend never
+retries: each submission executes at most once and its failure is
+*reported* as the future's exception — carrying ``worker`` / ``host``
+attributes when the backend knows who ran it
+(:mod:`repro.runner.dispatch.retry`) — for the runner to act on.  The
+contract is deliberately small:
 
 ``open(max_workers)``
     Acquire workers.  Called once per dispatch; a backend instance may

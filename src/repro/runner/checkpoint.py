@@ -40,7 +40,7 @@ from typing import Any, Optional, TextIO
 __all__ = ["JOURNAL_SCHEMA", "SweepCheckpoint", "digest_params"]
 
 #: schema id carried by journal header lines.  A header records which
-#: execution backend (and jobs/schedule configuration) produced the
+#: execution backend (and jobs configuration) produced the
 #: run's records; resume accepts any backend — the journal format is
 #: backend-independent, so a sweep killed under ``process`` can resume
 #: under ``serial`` and vice versa.  The backend name is informational
@@ -118,7 +118,6 @@ class SweepCheckpoint:
         self,
         backend: str = "",
         jobs: int = 0,
-        schedule: str = "",
         workers: "tuple[str, ...] | list[str]" = (),
     ) -> None:
         """Append a header naming the run's execution configuration.
@@ -134,7 +133,6 @@ class SweepCheckpoint:
             "schema": JOURNAL_SCHEMA,
             "backend": backend,
             "jobs": int(jobs),
-            "schedule": schedule,
         }
         if workers:
             header["workers"] = list(workers)

@@ -13,24 +13,21 @@ backends already honor.
 
 Robustness is the headline, mirroring how T-RACKs argues for recovery
 that tolerates loss without global coordination — recover locally,
-never stall the fleet on one sick participant:
+never stall the fleet on one sick participant.  **The fleet detects and
+reports; the engine decides**: the reactor settles each lease's future
+exactly once, naming the worker and host on a failure, and
+:meth:`repro.runner.engine.SweepRunner._drain` — the same loop that
+serves the inline and pool backends — classifies it, charges a
+:class:`RetryPolicy` budget, resubmits, or quarantines (the contract is
+spelled out in :mod:`~repro.runner.dispatch.backend`).  What lives here
+is what only a fleet has:
 
 * **Leases with heartbeat expiry** — every assigned point is a lease
   with a deadline; a worker that stops heartbeating (silent death,
-  ``SIGSTOP``, network partition) forfeits the lease and the point is
-  re-enqueued on another worker.
-* **Error-classified retry** (:mod:`~repro.runner.dispatch.retry`) —
-  a shared :class:`RetryPolicy` with exponential backoff, deterministic
-  seeded jitter, a delay cap, and an attempt budget classifies failures
-  into *transient* (worker crash, lease expiry, connection reset →
-  retry on another worker), *timeout* (the engine resubmits the
-  straggler, earliest-submission-wins — decided in
-  :mod:`repro.runner.engine` for every backend, never here), and
-  *deterministic* (same exception from two distinct workers →
-  quarantine).
-* **Quarantine** — a deterministically failing point is recorded in a
-  ``quarantine.jsonl`` sidecar with both tracebacks and the sweep keeps
-  going; one poisoned point never stalls the fleet.
+  ``SIGSTOP``, partition) forfeits it.
+* **Placement memory** — a point resubmitted after failing on a worker
+  is leased to one it has not failed on while the fleet has any, so a
+  retry is also a second opinion.
 * **Per-host circuit breakers** (:mod:`~repro.runner.dispatch.breaker`)
   — K consecutive failures drain a host; after a cooldown a half-open
   probe decides whether it rejoins.
@@ -49,10 +46,9 @@ from repro.runner.dispatch.retry import (
     DETERMINISTIC,
     TIMEOUT,
     TRANSIENT,
-    BackoffSchedule,
     DispatchError,
     LeaseExpired,
-    QuarantinedPoint,
+    RemoteError,
     RetryPolicy,
     WorkerLost,
     classify_failure,
@@ -62,14 +58,13 @@ __all__ = [
     "DETERMINISTIC",
     "TIMEOUT",
     "TRANSIENT",
-    "BackoffSchedule",
     "CircuitBreaker",
     "DispatchBackend",
     "DispatchError",
     "FrameError",
     "HostSpec",
     "LeaseExpired",
-    "QuarantinedPoint",
+    "RemoteError",
     "RetryPolicy",
     "WorkerLost",
     "classify_failure",

@@ -1,4 +1,4 @@
-"""The dispatch backend: leases, classified retry, quarantine, breakers.
+"""The dispatch backend: fleet mechanics behind the backend protocol.
 
 One :class:`DispatchBackend` is a tiny cluster scheduler behind the
 ordinary :class:`~repro.runner.backends.base.SweepBackend` protocol.
@@ -6,34 +6,31 @@ ordinary :class:`~repro.runner.backends.base.SweepBackend` protocol.
 config (local subprocesses by default; anything the spawn template can
 start otherwise), and hands the sockets to a single *reactor* thread.
 ``submit()`` enqueues a :class:`PointSpec` and returns a real
-:class:`concurrent.futures.Future`; the reactor assigns points to idle
-workers as ``task`` frames and resolves futures from ``result`` /
-``error`` frames.
+:class:`concurrent.futures.Future`; the reactor leases each submission
+to one idle worker as a ``task`` frame — once — and settles its future
+exactly once, from the ``result`` / ``error`` frame or from whatever
+ended the lease.
 
-All fleet state — workers, leases, retry bookkeeping, breakers — is
-owned by the reactor thread alone; the only cross-thread traffic is
-the submit queue, the stop flag, and completed futures (which are
-thread-safe by contract).  That single-writer discipline is what keeps
-the failure handling auditable: every state transition happens in one
-loop, in one thread, in a deterministic order.
+All fleet state — workers, leases, breakers — is owned by the reactor
+thread alone; the only cross-thread traffic is the submit queue, the
+stop flag, and settled futures (which are thread-safe by contract).
+That single-writer discipline is what keeps the fleet auditable: every
+state transition happens in one loop, in one thread, in a deterministic
+order.
 
-Fault model (see the package docstring for the full story):
-
-* worker EOF / torn frame / spawn death  → *transient*: the lease is
-  re-enqueued on another worker, within ``RetryPolicy.transient_budget``;
-* heartbeat silence past ``lease_timeout`` → *lease expiry*: same
-  re-enqueue path, separately counted (this is how a ``SIGSTOP``-wedged
-  or network-partitioned worker is survived);
-* an ``error`` frame → the failure signature is compared across
-  workers: a repeat from a *different* worker quarantines the point
-  (``quarantine.jsonl``); otherwise it retries with the policy's seeded
-  exponential backoff until ``max_attempts``;
-* ``breaker_threshold`` consecutive failures on one host → the host is
-  drained; after ``breaker_cooldown`` a half-open probe readmits it.
-
-A point that merely runs long is not this module's business: the
-engine's ``timeout`` resubmits it as a fresh task, exactly as it does
-for a pool point, so a task here holds at most one lease at a time.
+Failure contract: the reactor *detects* and *reports*; it never
+retries.  Worker EOF / torn frame settles the lease's future with
+``WorkerLost``, heartbeat silence past ``lease_timeout`` with
+``LeaseExpired`` (how a ``SIGSTOP``-wedged or partitioned worker is
+survived), an ``error`` frame — or a spec the frame layer cannot encode
+— with ``RemoteError`` (:mod:`~repro.runner.dispatch.retry`), each
+naming the worker and host.  Whether the point runs again, and whether
+two workers agreeing on a failure quarantines it, is decided by
+:meth:`repro.runner.engine.SweepRunner._drain`, which resubmits it as a
+fresh task; the reactor's part in a retry is to lease that task to a
+worker the point has not failed on.  ``breaker_threshold`` consecutive
+failures on one host drain the host; after ``breaker_cooldown`` a
+half-open probe readmits it.
 
 Results land in the ordinary sweep journal via the engine, so a
 dispatch run killed at any instant resumes under any backend.
@@ -42,8 +39,6 @@ dispatch run killed at any instant resumes under any backend.
 from __future__ import annotations
 
 import concurrent.futures
-import heapq
-import json
 import os
 import selectors
 import socket
@@ -68,12 +63,10 @@ from repro.runner.dispatch.frames import (
 from repro.runner.dispatch.breaker import CircuitBreaker
 from repro.runner.dispatch.hosts import HostSpec, default_hosts
 from repro.runner.dispatch.retry import (
-    BackoffSchedule,
     DispatchError,
-    QuarantinedPoint,
-    RetryPolicy,
+    LeaseExpired,
+    RemoteError,
     WorkerLost,
-    failure_signature,
 )
 
 __all__ = ["DispatchBackend"]
@@ -82,28 +75,13 @@ __all__ = ["DispatchBackend"]
 #: fleet spawns — the seam the chaos harness's worker-killer reads.
 PIDFILE_ENV = "REPRO_DISPATCH_PIDFILE"
 
-#: reactor tick: the cadence of lease/backoff checks.
+#: reactor tick: the cadence of lease and spawn checks.
 _TICK_SECONDS = 0.05
 
 #: spawn failures tolerated per host before it is written off entirely
 #: (breakers handle *transient* host sickness; this bounds a host whose
 #: spawn command can never succeed, so the reactor cannot probe forever).
 _SPAWN_FAIL_LIMIT = 10
-
-#: error-frame type names treated as environmental rather than the
-#: point's own fault (the worker survived to report them, but they
-#: describe the world around the experiment, not the experiment).
-_TRANSIENT_ERROR_NAMES = frozenset(
-    {
-        "ConnectionError",
-        "ConnectionResetError",
-        "ConnectionAbortedError",
-        "BrokenPipeError",
-        "EOFError",
-        "LeaseExpired",
-    }
-)
-
 
 class _Worker:
     """Reactor-private record of one fleet member."""
@@ -132,38 +110,26 @@ class _Worker:
         self.state = self.SPAWNED
         self.last_beat = 0.0
         self.hello_deadline = hello_deadline
-        self.task: Optional[int] = None
+        self.task: Optional[_Task] = None
 
 
 class _Task:
-    """Reactor-private record of one submitted point."""
+    """Reactor-private record of one submission: leased at most once."""
 
-    __slots__ = (
-        "tid", "spec", "label", "future", "schedule",
-        "failed_attempts", "executions", "transient_retries",
-        "failures", "avoid", "lost_workers", "done",
-    )
+    __slots__ = ("tid", "spec", "label", "key", "future", "done")
 
     def __init__(
         self,
         tid: int,
         spec: PointSpec,
         future: "concurrent.futures.Future[tuple[float, Any]]",
-        schedule: BackoffSchedule,
     ) -> None:
         self.tid = tid
         self.spec = spec
         self.label = str(getattr(spec.point, "label", tid))
+        #: the point's identity across resubmissions (see ``_avoid``).
+        self.key = (spec.experiment_id, self.label, spec.params_digest)
         self.future = future
-        self.schedule = schedule
-        self.failed_attempts = 0
-        self.executions = 0
-        self.transient_retries = 0
-        #: every error frame seen, for quarantine records.
-        self.failures: list[dict[str, str]] = []
-        #: workers this point already failed on — avoided when possible.
-        self.avoid: set[str] = set()
-        self.lost_workers: set[str] = set()
         self.done = False
 
 
@@ -176,7 +142,6 @@ class DispatchBackend(SweepBackend):
     def __init__(
         self,
         hosts: Optional[list[HostSpec]] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         lease_timeout: float = 10.0,
         heartbeat_interval: float = 0.5,
         spawn_timeout: float = 20.0,
@@ -199,14 +164,16 @@ class DispatchBackend(SweepBackend):
                 "worker must fit several beats inside one lease)"
             )
         self.hosts_config = hosts
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.lease_timeout = lease_timeout
         self.heartbeat_interval = heartbeat_interval
         self.spawn_timeout = spawn_timeout
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
-        self.quarantine_path = (
-            Path(quarantine_path) if quarantine_path is not None else None
+        #: where the engine records quarantined points (it alone decides
+        #: them; the path lives here beside the fleet that has workers
+        #: to disagree).
+        self.quarantine_path = Path(
+            quarantine_path if quarantine_path is not None else "quarantine.jsonl"
         )
         self.bind_host = bind_host
         self.advertise_host = advertise_host or bind_host
@@ -220,7 +187,10 @@ class DispatchBackend(SweepBackend):
         self._waker: Optional[tuple[socket.socket, socket.socket]] = None
         self._thread: Optional[threading.Thread] = None
         self._stop_mode: Optional[str] = None  # None | "wait" | "cancel"
+        #: guards ``_submissions`` and ``_accepting`` — a submission is
+        #: either refused or certain to be settled by the reactor.
         self._submit_lock = threading.Lock()
+        self._accepting = False
         self._submissions: deque[
             tuple[PointSpec, "concurrent.futures.Future[tuple[float, Any]]"]
         ] = deque()
@@ -229,8 +199,10 @@ class DispatchBackend(SweepBackend):
         self._workers: dict[str, _Worker] = {}
         self._pending_socks: dict[socket.socket, float] = {}
         self._tasks: dict[int, _Task] = {}
-        self._ready: deque[int] = deque()
-        self._delayed: list[tuple[float, int]] = []
+        self._ready: deque[_Task] = deque()
+        #: point key -> workers it already failed on; a resubmission of
+        #: the point is leased elsewhere when anyone else is idle.
+        self._avoid: dict[tuple[str, str, str], set[str]] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._spawn_counter: dict[str, int] = {}
         self._spawn_failures: dict[str, int] = {}
@@ -240,8 +212,6 @@ class DispatchBackend(SweepBackend):
 
         # counters (reactor-written, read anywhere under the GIL).
         self.lease_expirations = 0
-        self.transient_retries = 0
-        self.quarantined = 0
         self.duplicate_results = 0
         self.frames_sent = 0
         self.frames_received = 0
@@ -272,7 +242,7 @@ class DispatchBackend(SweepBackend):
         self._pending_socks = {}
         self._tasks = {}
         self._ready = deque()
-        self._delayed = []
+        self._avoid = {}
         self._stop_mode = None
 
         self._listener = listen_socket(self.bind_host)
@@ -288,6 +258,7 @@ class DispatchBackend(SweepBackend):
             for _ in range(host.workers):
                 self._spawn_worker(host, now)
 
+        self._accepting = True
         self._thread = threading.Thread(
             target=self._reactor, name="dispatch-reactor", daemon=True
         )
@@ -297,12 +268,12 @@ class DispatchBackend(SweepBackend):
         self, spec: PointSpec
     ) -> "concurrent.futures.Future[tuple[float, Any]]":
         """Queue one point for the fleet; resolves to ``(seconds, value)``."""
-        if self._thread is None or not self._thread.is_alive():
-            raise RuntimeError("DispatchBackend.submit before open()")
         future: "concurrent.futures.Future[tuple[float, Any]]" = (
             concurrent.futures.Future()
         )
         with self._submit_lock:
+            if not self._accepting:
+                raise RuntimeError("DispatchBackend.submit while not open")
             self._submissions.append((spec, future))
         self._wake()
         return future
@@ -338,8 +309,6 @@ class DispatchBackend(SweepBackend):
         """Fleet counters the engine folds into :class:`SweepStats`."""
         return {
             "lease_expirations": self.lease_expirations,
-            "transient_retries": self.transient_retries,
-            "quarantined": self.quarantined,
             "duplicate_results": self.duplicate_results,
             "frames_sent": self.frames_sent,
             "frames_received": self.frames_received,
@@ -430,6 +399,7 @@ class DispatchBackend(SweepBackend):
     def _reactor(self) -> None:
         """Single-threaded fleet event loop; owns all dispatch state."""
         assert self._selector is not None
+        cause = "closed"
         try:
             while True:
                 for key, _ in self._selector.select(_TICK_SECONDS):
@@ -446,7 +416,6 @@ class DispatchBackend(SweepBackend):
                 self._ingest_submissions()
                 self._check_spawned(now)
                 self._check_leases(now)
-                self._promote_delayed(now)
                 self._ensure_capacity()
                 self._assign()
                 self._check_fleet_viability()
@@ -454,8 +423,12 @@ class DispatchBackend(SweepBackend):
                     break
                 if self._stop_mode == "wait" and not self._undone_tasks():
                     break
+        except Exception as exc:  # noqa: BLE001 - reported on every open future
+            # A reactor bug must surface as failed points, never as a
+            # sweep blocked forever on futures nobody will settle.
+            cause = f"reactor failed: {type(exc).__name__}: {exc}"
         finally:
-            self._teardown()
+            self._teardown(cause)
 
     def _wake(self) -> None:
         if self._waker is not None:
@@ -482,12 +455,30 @@ class DispatchBackend(SweepBackend):
                 if not self._submissions:
                     return
                 spec, future = self._submissions.popleft()
-            tid = self._next_tid
+            task = _Task(self._next_tid, spec, future)
             self._next_tid += 1
-            key = f"{spec.experiment_id}/{getattr(spec.point, 'label', tid)}"
-            task = _Task(tid, spec, future, self.retry_policy.schedule(key))
-            self._tasks[tid] = task
-            self._ready.append(tid)
+            self._tasks[task.tid] = task
+            self._ready.append(task)
+
+    def _settle(
+        self,
+        task: _Task,
+        outcome: Optional[tuple[float, Any]] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Resolve ``task``'s future — the one place, so exactly once.
+
+        A leased task's future is already running; one that never got a
+        lease is started here, unless the engine cancelled it first.
+        """
+        task.done = True
+        future = task.future
+        if not future.running() and not future.set_running_or_notify_cancel():
+            return
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(outcome)
 
     # -- connections ---------------------------------------------------
 
@@ -568,10 +559,9 @@ class DispatchBackend(SweepBackend):
             worker.state = _Worker.IDLE
 
     def _on_result(self, worker: _Worker, frame: dict[str, Any]) -> None:
-        tid = int(frame["task"])
-        task = self._tasks.get(tid)
-        self._release(worker)
+        task = self._tasks.get(int(frame["task"]))
         if task is None or task.done:
+            self._release(worker)
             self.duplicate_results += 1
             return
         try:
@@ -580,136 +570,30 @@ class DispatchBackend(SweepBackend):
         except Exception as exc:  # noqa: BLE001 - any decode failure
             self._mark_dead(worker, "worker_dead", f"undecodable result: {exc}")
             return
-        task.done = True
+        self._release(worker)
         self._breaker_success(worker.host.name)
         self.log.emit(
             "result", worker=worker.name, host=worker.host.name,
-            point=task.label, attempt=task.executions,
+            point=task.label,
         )
-        if not task.future.cancelled():
-            task.future.set_result((seconds, value))
+        self._settle(task, outcome=(seconds, value))
 
     def _on_error(self, worker: _Worker, frame: dict[str, Any]) -> None:
-        tid = int(frame["task"])
-        task = self._tasks.get(tid)
+        task = self._tasks.get(int(frame["task"]))
         self._release(worker)
         if task is None or task.done:
             self.duplicate_results += 1
             return
-        error_type = str(frame.get("error_type", "Exception"))
-        message = str(frame.get("error", ""))
-        signature = failure_signature(error_type, message)
-        task.failures.append(
-            {
-                "worker": worker.name,
-                "host": worker.host.name,
-                "error_type": error_type,
-                "error": message,
-                "traceback": str(frame.get("traceback", "")),
-                "signature": signature,
-            }
+        error = RemoteError(
+            str(frame.get("error_type", "Exception")),
+            str(frame.get("error", "")),
+            worker=worker.name,
+            host=worker.host.name,
+            traceback=str(frame.get("traceback", "")),
         )
-        task.avoid.add(worker.name)
-        self._breaker_failure(worker.host.name, signature)
-        if error_type in _TRANSIENT_ERROR_NAMES:
-            self._retry_transient(task, worker.name, signature)
-            return
-        task.failed_attempts += 1
-        repeat_workers = sorted(
-            {
-                failure["worker"]
-                for failure in task.failures
-                if failure["signature"] == signature
-            }
-        )
-        if len(repeat_workers) >= 2:
-            self._quarantine(task, signature, repeat_workers)
-            return
-        if self.retry_policy.allows(task.failed_attempts + 1):
-            delay = task.schedule.delay(task.failed_attempts)
-            heapq.heappush(self._delayed, (time.monotonic() + delay, task.tid))
-            self.log.emit(
-                "retry", worker=worker.name, point=task.label,
-                attempt=task.failed_attempts, detail=f"deterministic +{delay:.3f}s",
-            )
-            return
-        task.done = True
-        if not task.future.cancelled():
-            task.future.set_exception(
-                DispatchError(
-                    f"point {task.label!r} failed {task.failed_attempts} "
-                    f"attempt(s); last error {signature}"
-                )
-            )
-
-    def _retry_transient(self, task: _Task, lost_worker: str, detail: str) -> None:
-        """Re-enqueue after an environmental failure, within budget."""
-        task.lost_workers.add(lost_worker)
-        if task.done:
-            return  # resolved meanwhile
-        if self.retry_policy.allows_transient(task.transient_retries):
-            task.transient_retries += 1
-            self.transient_retries += 1
-            task.avoid.add(lost_worker)
-            self._ready.append(task.tid)
-            self.log.emit(
-                "retry", worker=lost_worker, point=task.label,
-                attempt=task.transient_retries, detail=f"transient: {detail}",
-            )
-            return
-        task.done = True
-        if not task.future.cancelled():
-            task.future.set_exception(
-                WorkerLost(
-                    task.label,
-                    task.transient_retries,
-                    tuple(sorted(task.lost_workers)),
-                )
-            )
-
-    def _quarantine(
-        self, task: _Task, signature: str, workers: list[str]
-    ) -> None:
-        """Same signature from two distinct workers: record and move on."""
-        path = self.quarantine_path or Path("quarantine.jsonl")
-        record = {
-            "schema": "repro-quarantine/1",
-            "experiment": task.spec.experiment_id,
-            "label": task.label,
-            "seed": task.spec.seed,
-            "params_digest": task.spec.params_digest,
-            "signature": signature,
-            "workers": workers,
-            "executions": task.executions,
-            "failures": [
-                {
-                    "worker": failure["worker"],
-                    "host": failure["host"],
-                    "error_type": failure["error_type"],
-                    "error": failure["error"],
-                    "traceback": failure["traceback"],
-                }
-                for failure in task.failures
-                if failure["signature"] == signature
-            ],
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self.quarantined += 1
-        task.done = True
-        self.log.emit(
-            "quarantine", point=task.label, detail=signature,
-            attempt=task.failed_attempts,
-        )
-        if not task.future.cancelled():
-            task.future.set_exception(
-                QuarantinedPoint(
-                    task.label, signature, tuple(workers), str(path)
-                )
-            )
+        self._avoid.setdefault(task.key, set()).add(worker.name)
+        self._breaker_failure(worker.host.name, str(error))
+        self._settle(task, error=error)
 
     # -- worker death and leases ---------------------------------------
 
@@ -742,16 +626,14 @@ class DispatchBackend(SweepBackend):
             event, worker=worker.name, host=worker.host.name, detail=detail
         )
         self._breaker_failure(worker.host.name, detail)
-        tid = worker.task
-        worker.task = None
-        if tid is None:
+        task, worker.task = worker.task, None
+        if task is None or task.done:
             return
-        task = self._tasks.get(tid)
-        if task is None:
-            return
+        lost = WorkerLost
         if event == "expire":
             self.lease_expirations += 1
-        self._retry_transient(task, worker.name, detail)
+            lost = LeaseExpired
+        self._settle(task, error=lost(worker.name, worker.host.name, detail))
 
     def _check_spawned(self, now: float) -> None:
         """Catch workers that died (or never dialed in) before hello."""
@@ -796,11 +678,6 @@ class DispatchBackend(SweepBackend):
                     f"(lease_timeout={self.lease_timeout})",
                 )
 
-    def _promote_delayed(self, now: float) -> None:
-        while self._delayed and self._delayed[0][0] <= now:
-            _, tid = heapq.heappop(self._delayed)
-            self._ready.append(tid)
-
     # -- capacity and assignment ---------------------------------------
 
     def _live_count(self, host_name: str) -> int:
@@ -825,72 +702,98 @@ class DispatchBackend(SweepBackend):
                     break
 
     def _pick_worker(self, task: _Task) -> Optional[_Worker]:
-        """An idle worker for ``task``, preferring untried ones."""
-        idle = sorted(
-            (
-                worker
-                for worker in self._workers.values()
-                if worker.state == _Worker.IDLE
-            ),
-            key=lambda worker: worker.name,
+        """An idle worker for ``task`` that it has not failed on yet.
+
+        While the fleet holds any such worker — busy or still spawning
+        included — the task waits for it: a resubmitted failure always
+        gets the second opinion that tells a poisoned point from a sick
+        worker.  Only a fleet with nobody else left leases it back to a
+        worker it failed on.
+        """
+        avoid = self._avoid.get(task.key, ())
+        untried_left = bool(avoid) and any(
+            worker.state != _Worker.DEAD and worker.name not in avoid
+            for worker in self._workers.values()
         )
-        for strict in (True, False):
-            for worker in idle:
-                if strict and worker.name in task.avoid:
-                    continue
-                if not self._breaker_admits(worker.host.name):
-                    continue
+        for worker in sorted(self._workers.values(), key=lambda w: w.name):
+            if worker.state != _Worker.IDLE:
+                continue
+            if untried_left and worker.name in avoid:
+                continue
+            if self._breaker_admits(worker.host.name):
                 return worker
         return None
 
     def _assign(self) -> None:
         """Lease ready points onto idle workers, FIFO."""
-        deferred: deque[int] = deque()
+        deferred: deque[_Task] = deque()
         while self._ready:
-            tid = self._ready.popleft()
-            task = self._tasks.get(tid)
-            if task is None or task.done or task.future.cancelled():
-                if task is not None and not task.done:
-                    task.done = True  # cancelled before any lease
+            task = self._ready.popleft()
+            if task.done:
+                continue
+            if task.future.cancelled():
+                task.done = True  # the engine cancelled it before any lease
                 continue
             worker = self._pick_worker(task)
             if worker is None:
-                deferred.append(tid)
+                deferred.append(task)
+                if task.key in self._avoid:
+                    continue  # it is being picky; those behind it need not wait
                 break
             self._lease(task, worker)
         deferred.extend(self._ready)
         self._ready = deferred
 
     def _lease(self, task: _Task, worker: _Worker) -> None:
-        """Send one task frame; a send failure is a worker death."""
+        """Send one task frame and start its future.
+
+        A spec the frame layer cannot encode fails that point alone; a
+        send failure is a worker death, and the task — never leased —
+        goes back to the head of the queue.
+        """
         assert worker.sock is not None
         spec = task.spec
-        frame = {
-            "op": "task",
-            "task": task.tid,
-            "experiment": spec.experiment_id,
-            "params": encode_payload(spec.params),
-            "point": encode_payload(spec.point),
-            "seed": spec.seed,
-            "params_digest": spec.params_digest,
-        }
+        try:
+            frame = {
+                "op": "task",
+                "task": task.tid,
+                "experiment": spec.experiment_id,
+                "params": encode_payload(spec.params),
+                "point": encode_payload(spec.point),
+                "seed": spec.seed,
+                "params_digest": spec.params_digest,
+            }
+        except Exception as exc:  # noqa: BLE001 - whatever pickle raises
+            self._settle(
+                task,
+                error=RemoteError(
+                    type(exc).__name__,
+                    f"point {task.label!r} cannot be sent to a worker: {exc}",
+                ),
+            )
+            return
         try:
             send_frame(worker.sock, frame)
         except OSError as exc:
             self._mark_dead(worker, "worker_dead", f"task send failed: {exc}")
-            if not task.done and task.tid not in self._ready:
-                # _mark_dead only re-enqueues leased tasks; this one was
-                # never leased, so put it straight back.
-                self._ready.appendleft(task.tid)
+            self._ready.appendleft(task)
             return
         self.frames_sent += 1
         worker.state = _Worker.BUSY
-        worker.task = task.tid
-        task.executions += 1
+        worker.task = task
         self.log.emit(
-            "lease", worker=worker.name, host=worker.host.name,
-            point=task.label, attempt=task.executions,
+            "lease", worker=worker.name, host=worker.host.name, point=task.label,
         )
+        avoided = self._avoid.get(task.key)
+        if avoided:
+            self.log.emit(
+                "retry", worker=worker.name, host=worker.host.name,
+                point=task.label, detail=f"failed before on {sorted(avoided)}",
+            )
+        if not task.future.set_running_or_notify_cancel():
+            # Cancelled by the engine as the frame went out: the worker
+            # runs it anyway and its frame is counted as a duplicate.
+            task.done = True
 
     def _check_fleet_viability(self) -> None:
         """Fail outstanding work when no host can ever run it again."""
@@ -905,30 +808,34 @@ class DispatchBackend(SweepBackend):
         ):
             return
         for task in undone:
-            task.done = True
-            if not task.future.cancelled():
-                task.future.set_exception(
-                    DispatchError(
-                        f"point {task.label!r}: dispatch fleet unavailable "
-                        f"(all {len(self._hosts)} host(s) exhausted "
-                        f"{_SPAWN_FAIL_LIMIT} spawn failures)"
-                    )
-                )
+            self._settle(
+                task,
+                error=DispatchError(
+                    f"point {task.label!r}: dispatch fleet unavailable "
+                    f"(all {len(self._hosts)} host(s) exhausted "
+                    f"{_SPAWN_FAIL_LIMIT} spawn failures)"
+                ),
+            )
 
     # -- shutdown ------------------------------------------------------
 
-    def _teardown(self) -> None:
+    def _teardown(self, cause: str) -> None:
         """Reactor exit path: settle futures, stop workers, close sockets."""
-        for task in self._tasks.values():
-            if task.done:
-                continue
-            task.done = True
-            if not task.future.cancel() and not task.future.cancelled():
-                task.future.set_exception(
-                    DispatchError(
-                        f"point {task.label!r}: dispatcher shut down"
-                    )
-                )
+        self.log.emit(
+            "shutdown", detail=f"{cause}; {len(self._roster)} worker(s) spawned"
+        )
+        with self._submit_lock:
+            self._accepting = False
+        self._ingest_submissions()
+        for task in self._undone_tasks():
+            # An exception, not a bare cancel(): a thread blocked in
+            # concurrent.futures.wait only wakes on a notified future.
+            self._settle(
+                task,
+                error=DispatchError(
+                    f"point {task.label!r}: dispatcher shut down ({cause})"
+                ),
+            )
         for worker in self._workers.values():
             if worker.sock is not None:
                 try:
@@ -961,7 +868,6 @@ class DispatchBackend(SweepBackend):
                 proc.wait(timeout=5.0)
         for sock in list(self._pending_socks):
             self._drop_pending(sock)
-        self.log.emit("shutdown", detail=f"{len(self._roster)} worker(s) spawned")
         assert self._selector is not None
         if self._listener is not None:
             try:

@@ -21,31 +21,28 @@ Scheduling contract: when a cache is attached, the runner consults its
 ``(experiment, params, label)`` but not seed — and submits predicted-
 longest points first, shrinking a pool sweep's makespan (the classic
 LPT heuristic).  Points without history keep submission order, so a
-cold sweep behaves exactly as before.  Because merge is by point
-index, reordering can never change payloads; ``schedule="fifo"``
-disables it anyway for A/B timing.
+cold sweep runs in enumeration order.  Because merge is by point index,
+reordering can never change payloads.
 
-Failure contract: every failed attempt is classified through the shared
-:class:`~repro.runner.dispatch.retry.RetryPolicy` — *transient* faults
-(worker crashes, broken pools, connection resets) are retried against a
-separate, more generous budget than the point's own ``max_attempts``;
-*timeouts* trigger speculative resubmission (the straggler keeps
-running, and whichever earliest-submitted attempt completes
-successfully wins, so the outcome does not depend on the race); and
-*deterministic* errors retry with seeded exponential backoff until the
-budget runs out.  A point that exhausts its budgets degrades to a
-``None`` result; ``reduce`` receives the partial result set and the
-failures — with their classification — are recorded on
-:attr:`SweepRunner.last_stats`, split into :attr:`SweepStats.timeouts`
-and :attr:`SweepStats.errors`.  Dispatch-terminal failures
-(:class:`~repro.runner.dispatch.retry.QuarantinedPoint`,
-:class:`~repro.runner.dispatch.retry.DispatchError`) are never retried
-here: the dispatch backend already spent its own budgets on them.
-All of this is decided in one loop (:meth:`SweepRunner._drain`) for
-every backend; the dispatch reactor keeps only what needs worker
-identity — lease expiry, worker-aware error retry, quarantine, breakers.
-Extra completed successes are counted in
-:attr:`SweepStats.duplicate_results`.
+Failure contract: backends *detect* and *report* — a failed attempt is
+an exception on its future, naming the worker and host when the backend
+has them — and one loop, :meth:`SweepRunner._drain`, *decides*, for
+every backend, by the one :class:`~repro.runner.dispatch.retry.RetryPolicy`:
+*transient* faults (worker crashes, broken pools, lost or expired
+leases) are resubmitted against a separate, more generous budget than
+the point's own ``max_attempts``; *timeouts* trigger speculative
+resubmission (the straggler keeps running, and whichever
+earliest-submitted attempt completes successfully wins, so the outcome
+does not depend on the race); *deterministic* errors are resubmitted
+until ``max_attempts`` executions are spent — unless two distinct
+workers report the same failure signature, which is proof enough: the
+point is *quarantined*, its evidence (both tracebacks) appended to the
+backend's ``repro-quarantine/1`` journal.  A point that exhausts its
+budgets degrades to a ``None`` result; ``reduce`` receives the partial
+result set and the failures — with their classification — are recorded
+on :attr:`SweepRunner.last_stats`, split into
+:attr:`SweepStats.timeouts` and :attr:`SweepStats.errors`.  Extra
+completed successes are counted in :attr:`SweepStats.duplicate_results`.
 
 Crash contract: give the runner a
 :class:`~repro.runner.checkpoint.SweepCheckpoint` and every completed
@@ -64,10 +61,13 @@ callers can report before exiting non-zero.
 from __future__ import annotations
 
 import concurrent.futures
+import json
+import os
 import pickle
 import time
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.runner.backends import (
@@ -83,10 +83,10 @@ from repro.runner.dispatch.retry import (
     DETERMINISTIC,
     TIMEOUT,
     TRANSIENT,
-    DispatchError,
-    QuarantinedPoint,
+    RemoteError,
     RetryPolicy,
     classify_failure,
+    failure_signature,
 )
 from repro.runner.progress import ProgressReporter
 from repro.sim.randomness import derive_seed
@@ -108,8 +108,8 @@ class PointFailure:
 
     ``kind`` is the final failure's classification: ``"timeout"``,
     ``"transient"`` (every attempt lost its worker), ``"quarantined"``
-    (the dispatch backend proved the failure deterministic across two
-    workers), or ``"deterministic"`` (the point's own exception).
+    (two distinct workers reported the same failure signature), or
+    ``"deterministic"`` (the point's own exception).
     """
 
     experiment_id: str
@@ -160,8 +160,8 @@ class SweepStats:
     #: pools, lease expiries — which never consume a point's own
     #: attempt budget.
     transient_retries: int = 0
-    #: points the dispatch backend quarantined (same failure signature
-    #: from two distinct workers); always ⊆ ``errors``.
+    #: points quarantined (same failure signature from two distinct
+    #: workers); always ⊆ ``errors``.
     quarantined: int = 0
     #: dispatch leases forfeited because a worker stopped heartbeating.
     lease_expirations: int = 0
@@ -233,6 +233,16 @@ class _Entry:
         )
 
 
+def _agreed_failures(evidence: "list[RemoteError]") -> "list[RemoteError]":
+    """The failures sharing one signature across two distinct workers
+    (the quarantine rule), or an empty list."""
+    for exc in evidence:
+        same = [other for other in evidence if str(other) == str(exc)]
+        if len({other.worker for other in same}) >= 2:
+            return same
+    return []
+
+
 class SweepRunner:
     """Fan independent sweep points out to a backend, cached and seeded.
 
@@ -251,15 +261,10 @@ class SweepRunner:
         Seconds to wait for one point's result before retrying/failing
         it, or None to wait forever.  Enforced on pool and dispatch
         backends alike (an inline point cannot be preempted).
-    retries:
-        Re-submissions after a point raises or times out.  Shorthand
-        for the common case; ``retry_policy`` supersedes it.
     retry_policy:
-        A :class:`~repro.runner.dispatch.retry.RetryPolicy` governing
-        attempt budgets, the separate transient budget, and backoff
-        with deterministic seeded jitter.  None derives a policy from
-        ``retries`` with zero backoff delay — exactly the historical
-        behavior.
+        The :class:`~repro.runner.dispatch.retry.RetryPolicy` — a
+        point's own attempt budget and the separate transient budget.
+        None is the default policy: two executions per point.
     progress:
         True to print per-point progress/ETA lines to stderr, or a
         :class:`~repro.runner.progress.ProgressReporter` to customize.
@@ -276,10 +281,6 @@ class SweepRunner:
         :class:`~repro.runner.backends.SweepBackend` instance, or None
         to pick automatically (serial under ``jobs=1``, process pool
         otherwise).  ``"serial"`` ignores ``jobs``.
-    schedule:
-        ``"cost"`` (default) submits predicted-longest points first
-        using the cache's runtime history; ``"fifo"`` keeps submission
-        order.  Either way merged payloads are identical.
     """
 
     def __init__(
@@ -287,14 +288,12 @@ class SweepRunner:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
-        retries: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
         progress: Any = False,
         label: str = "sweep",
         checkpoint: Optional[SweepCheckpoint] = None,
         resume: bool = False,
         backend: "str | SweepBackend | None" = None,
-        schedule: str = "cost",
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -302,21 +301,11 @@ class SweepRunner:
             raise ValueError("timeout must be positive (or None)")
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint")
-        if schedule not in ("cost", "fifo"):
-            raise ValueError(f"unknown schedule {schedule!r} (use 'cost' or 'fifo')")
         self.jobs = int(jobs)
         self.cache = cache
         self.timeout = timeout
-        self.retries = max(0, int(retries))
-        #: the classification/backoff policy; the legacy ``retries``
-        #: knob derives one with no backoff so existing sweeps keep
-        #: their exact timing.
         self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(
-                max_attempts=self.retries + 1, base_delay=0.0, jitter=0.0
-            )
+            retry_policy if retry_policy is not None else RetryPolicy()
         )
         if isinstance(progress, ProgressReporter):
             self._reporter: Optional[ProgressReporter] = progress
@@ -326,7 +315,6 @@ class SweepRunner:
             self._reporter = None
         self.checkpoint = checkpoint
         self.resume = bool(resume)
-        self.schedule = schedule
         if isinstance(backend, str):
             backend = create_backend(backend)
         if backend is not None and not isinstance(backend, SweepBackend):
@@ -487,10 +475,10 @@ class SweepRunner:
 
         Points without history keep submission order ahead of ranked
         ones (they could be arbitrarily long, and a cold sweep must
-        behave exactly like FIFO).  Reordering is submission-side only;
+        run in enumeration order).  Reordering is submission-side only;
         results are merged by point index regardless.
         """
-        if self.schedule != "cost" or self.cache is None or len(pending) < 2:
+        if self.cache is None or len(pending) < 2:
             return pending
         costs = self.cache.costs
         ranked: list[tuple[int, float, int, _Entry]] = []
@@ -585,32 +573,56 @@ class SweepRunner:
                 entry.point.label, cached=cached, failed=failed, kind=kind
             )
 
-    @staticmethod
-    def _terminal_kind(exc: BaseException) -> Optional[str]:
-        """The failure kind for dispatch-terminal exceptions, else None.
-
-        The dispatch backend already spent its own retry/transient
-        budgets before raising these; wrapping another retry loop
-        around them would multiply budgets, so the engine records them
-        and moves on.
-        """
-        if isinstance(exc, QuarantinedPoint):
-            return "quarantined"
-        if isinstance(exc, DispatchError):
-            return DETERMINISTIC
-        return None
+    def _quarantine(
+        self,
+        entry: _Entry,
+        agreed: "list[RemoteError]",
+        attempts: int,
+        backend: SweepBackend,
+        stats: SweepStats,
+    ) -> None:
+        """Two distinct workers agree the failure is the point's own:
+        append the evidence to the backend's quarantine journal and
+        fail the point without spending the rest of its budget."""
+        signature = str(agreed[0])
+        path = Path(getattr(backend, "quarantine_path", "quarantine.jsonl"))
+        record = {
+            "schema": "repro-quarantine/1",
+            "experiment": entry.experiment.id,
+            "label": entry.point.label,
+            "seed": entry.seed,
+            "params_digest": entry.params_digest,
+            "signature": signature,
+            "workers": sorted({str(exc.worker) for exc in agreed}),
+            "executions": attempts,
+            "failures": [
+                {
+                    "worker": exc.worker,
+                    "host": exc.host,
+                    "error_type": exc.error_type,
+                    "error": exc.error,
+                    "traceback": exc.traceback,
+                }
+                for exc in agreed
+            ],
+        }
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        stats.quarantined += 1
+        self._fail(entry, signature, attempts, stats, kind="quarantined")
 
     def _merge_backend_stats(
         self, backend: SweepBackend, stats: SweepStats
     ) -> None:
-        """Fold a backend's internal counters into the sweep stats."""
+        """Fold a backend's fleet counters into the sweep stats."""
         collect = getattr(backend, "collect_stats", None)
         if not callable(collect):
             return
         collected = collect()
-        stats.transient_retries += int(collected.get("transient_retries", 0))
         stats.lease_expirations += int(collected.get("lease_expirations", 0))
-        stats.quarantined += int(collected.get("quarantined", 0))
         stats.duplicate_results += int(collected.get("duplicate_results", 0))
 
     def _dispatch(
@@ -633,7 +645,6 @@ class SweepRunner:
                 self.checkpoint.write_header(
                     backend=backend.name,
                     jobs=self.jobs,
-                    schedule=self.schedule,
                     workers=getattr(backend, "worker_roster", ()),
                 )
             self._drain(backend, pending, results, stats)
@@ -686,7 +697,8 @@ class SweepRunner:
             last_error: Optional[str] = None
             last_kind: str = DETERMINISTIC
             transient_used = 0
-            terminal = False
+            #: the point's own failures that named their worker.
+            evidence: list[RemoteError] = []
             while True:
                 # Wait only on attempts not yet finished — waiting on
                 # the full list would return immediately forever once
@@ -712,17 +724,14 @@ class SweepRunner:
                     if id(future) in counted:
                         continue
                     counted.add(id(future))
-                    last_error = f"{type(exc).__name__}: {exc}"
-                    terminal_kind = self._terminal_kind(exc)
-                    if terminal_kind is not None:
-                        last_kind = terminal_kind
-                        terminal = True
-                        continue
+                    last_error = failure_signature(exc)
                     last_kind = classify_failure(exc)
                     if last_kind == TRANSIENT:
                         transient_new += 1
-                    else:
-                        failed_new += 1
+                        continue
+                    failed_new += 1
+                    if isinstance(exc, RemoteError) and exc.worker is not None:
+                        evidence.append(exc)
                 if winner is not None:
                     seconds, value = winner.result()
                     self._record(entry, seconds, value, results, stats)
@@ -731,14 +740,13 @@ class SweepRunner:
                         if not future.done()
                     )
                     break
-                if terminal:
-                    # The dispatch backend already spent its own
-                    # budgets on this point — record and move on.
+                agreed = _agreed_failures(evidence)
+                if agreed:
                     for future in attempts:
-                        if not future.done():
-                            future.cancel()
-                    self._fail(entry, last_error or "dispatch failure",
-                               len(attempts), stats, kind=last_kind)
+                        future.cancel()
+                    self._quarantine(
+                        entry, agreed, len(attempts), backend, stats
+                    )
                     break
                 timed_out = bool(unfinished) and not progressed
                 if timed_out:
@@ -754,23 +762,9 @@ class SweepRunner:
                     resubmit = True
                 elif failed_new or timed_out:
                     # Attempts charged against the point's own
-                    # budget exclude the transient ones above —
-                    # exactly the historical `attempts <= retries`
-                    # gate when no transients occurred.
+                    # budget exclude the transient ones above.
                     budget_used = len(attempts) - transient_used
                     resubmit = policy.allows(budget_used + 1)
-                    if resubmit and backend.inline:
-                        # The seeded backoff is slept only inline,
-                        # where nothing else is in flight: on a pool it
-                        # would serialize the drain loop across
-                        # unrelated entries (pool retries go straight
-                        # back to a free slot; the dispatch backend
-                        # delays its internal retries itself).
-                        delay = policy.schedule(
-                            f"{entry.experiment.id}/{entry.point.label}"
-                        ).delay(budget_used)
-                        if delay > 0:
-                            time.sleep(delay)
                 if resubmit:
                     try:
                         attempts.append(backend.submit(entry.spec()))

@@ -10,10 +10,11 @@ Each toy models one failure class the dispatcher must survive:
 
 ``ECHO``     deterministic success — equivalence and plumbing tests
 ``FLAKY``    fails exactly once per label (marker file), then succeeds
-             — exercises the deterministic-retry-with-backoff path
+             — exercises the deterministic-retry path
              without tripping quarantine
-``POISON``   always fails for selected labels with a stable message —
-             the quarantine path (same signature, two workers)
+``POISON``   always fails for selected labels with a stable message,
+             after ``sleep_s`` — the quarantine path (same signature,
+             two workers) and the budget path (every execution counted)
 ``CRASSH``   hard-exits the worker process for selected labels — the
              transient path (worker death mid-task)
 ``STALL``    sleeps forever (in sweep terms) for selected labels on the
@@ -54,6 +55,15 @@ class _ToyBase(Experiment):
     def reduce(self, params, points, results):
         return list(results)
 
+    @staticmethod
+    def _count_run(params, point):
+        """Append this execution's pid to ``<label>.runs``, so a test can
+        count how often a point really ran across the fleet."""
+        if params.state_dir:
+            runs = os.path.join(params.state_dir, f"{point.label}.runs")
+            with open(runs, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+
 
 class EchoExperiment(_ToyBase):
     id = "dispatch_toys:ECHO"
@@ -83,6 +93,8 @@ class PoisonExperiment(_ToyBase):
 
     def run_point(self, params, point, seed):
         if point.label in params.labels:
+            self._count_run(params, point)
+            time.sleep(params.sleep_s)
             raise ValueError(f"poison {point.label}")
         return {"label": point.label, "seed": seed}
 
@@ -106,17 +118,13 @@ class StallExperiment(_ToyBase):
 
     The second execution (the resubmission) finds the marker and
     returns immediately — so a straggler test completes fast and both
-    executions produce the identical deterministic value.  Every
-    execution appends its pid to ``<label>.runs``, so a test can count
-    how often a point really ran across the fleet.
+    executions produce the identical deterministic value.
     """
 
     id = "dispatch_toys:STALL"
 
     def run_point(self, params, point, seed):
-        runs = os.path.join(params.state_dir, f"{point.label}.runs")
-        with open(runs, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()}\n")
+        self._count_run(params, point)
         marker = os.path.join(params.state_dir, f"{point.label}.stalled")
         if point.label in params.labels and not os.path.exists(marker):
             with open(marker, "w", encoding="utf-8") as handle:

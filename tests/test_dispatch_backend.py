@@ -6,8 +6,9 @@ via ``extra_sys_path``).  Covered here: byte-identical equivalence with
 the serial backend, transient retry after a worker crash, deterministic
 retry of a flaky point, quarantine after two distinct workers agree on
 a failure, lease expiry for a SIGSTOPped worker, the engine's timeout
-resubmission of an overdue point, and the stats/roster/telemetry
-plumbing.  The full chaos storm (many
+resubmission of an overdue point, the one-rule-on-every-backend
+contract, reactor failures that must not hang the sweep, and
+the stats/roster/telemetry plumbing.  The full chaos storm (many
 kills, dispatcher kill -9 + resume) lives in test_dispatch_chaos.py.
 """
 
@@ -30,6 +31,7 @@ if TESTS_DIR not in sys.path:
     sys.path.insert(0, TESTS_DIR)
 import dispatch_toys  # noqa: E402
 
+from repro.experiments.base import Point  # noqa: E402
 from repro.experiments.store import to_jsonable  # noqa: E402
 from repro.runner import RetryPolicy, SweepCheckpoint, SweepRunner  # noqa: E402
 from repro.runner.dispatch.backend import DispatchBackend  # noqa: E402
@@ -166,12 +168,10 @@ class TestFailureClasses:
             n_points=5, state_dir=str(tmp_path), labels=("p3",)
         )
         quarantine = tmp_path / "quarantine.jsonl"
-        backend = _backend(
-            tmp_path,
-            retry_policy=RetryPolicy(max_attempts=4, base_delay=0.01),
-        )
+        backend = _backend(tmp_path)
         payload, stats = _run(
-            dispatch_toys.POISON, params, backend, tmp_path / "sweep.jsonl"
+            dispatch_toys.POISON, params, backend, tmp_path / "sweep.jsonl",
+            retry_policy=RetryPolicy(max_attempts=4),
         )
         # The sweep completes: the other four points all have results.
         assert sum(1 for item in payload if item is not None) == 4
@@ -211,11 +211,12 @@ class TestFailureClasses:
         started = time.monotonic()
         payload, stats = _run(
             dispatch_toys.STALL, params, _backend(tmp_path),
-            tmp_path / "sweep.jsonl", timeout=1.0, retries=1,
+            tmp_path / "sweep.jsonl", timeout=1.0,
+            retry_policy=RetryPolicy(max_attempts=2),
         )
         elapsed = time.monotonic() - started
         runs = (tmp_path / "p1.runs").read_text().splitlines()
-        assert len(runs) <= 2  # retries=1 means max_attempts == 2
+        assert len(runs) <= 2  # max_attempts bounds executions in total
         assert stats.failures == []
         assert payload == SweepRunner(backend="serial").run(
             dispatch_toys.STALL, params, seed=3
@@ -228,6 +229,105 @@ class TestFailureClasses:
         assert stats.lease_expirations == 0
         # Nothing failed by timing out, and nobody else counts timeouts.
         assert stats.timeouts == 0
+
+
+@pytest.mark.parametrize("kind", ["serial", "process", "dispatch"])
+class TestOneRuleThreeBackends:
+    """What happens to a failing point does not depend on the backend."""
+
+    @staticmethod
+    def _runner(kind, tmp_path):
+        backend = _backend(tmp_path) if kind == "dispatch" else kind
+        return SweepRunner(jobs=2, backend=backend)
+
+    def test_poisoned_point_fails_alike(self, kind, tmp_path):
+        params = dispatch_toys.ToyParams(n_points=4, labels=("p2",))
+        runner = self._runner(kind, tmp_path)
+        with pytest.warns(RuntimeWarning, match="failed"):
+            payload = runner.run(dispatch_toys.POISON, params, seed=3)
+        assert [item and item["label"] for item in payload] == [
+            "p0", "p1", None, "p3"
+        ]
+        [failure] = runner.last_stats.failures
+        assert failure.label == "p2"
+        assert failure.attempts == 2
+        assert failure.error == "ValueError: poison p2"
+        # Only a fleet has two workers to disagree with each other.
+        assert failure.kind == (
+            "quarantined" if kind == "dispatch" else "deterministic"
+        )
+
+    def test_flaky_point_succeeds_on_its_second_execution(self, kind, tmp_path):
+        params = dispatch_toys.ToyParams(
+            n_points=4, state_dir=str(tmp_path), labels=("p2",)
+        )
+        runner = self._runner(kind, tmp_path)
+        payload = runner.run(dispatch_toys.FLAKY, params, seed=3)
+        assert [item["label"] for item in payload] == ["p0", "p1", "p2", "p3"]
+        assert runner.last_stats.failures == []
+        assert (tmp_path / "p2.failed").exists()
+
+
+def _within(seconds, sweep):
+    """Run ``sweep`` on a thread; fail instead of hanging with it."""
+    outcome = {}
+    thread = threading.Thread(
+        target=lambda: outcome.update(value=sweep()), daemon=True
+    )
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"sweep still running after {seconds}s"
+    return outcome["value"]
+
+
+@pytest.mark.filterwarnings("ignore:.*sweep point.*failed:RuntimeWarning")
+class TestReactorNeverHangsTheSweep:
+    def test_unencodable_spec_fails_that_point_alone(self, tmp_path):
+        class LambdaKwargs(dispatch_toys.EchoExperiment):
+            def points(self, params):
+                return [
+                    Point(p.label, {"fn": lambda: 0})
+                    if p.label in params.labels else p
+                    for p in super().points(params)
+                ]
+
+        params = dispatch_toys.ToyParams(n_points=4, labels=("p1", "p2"))
+        backend = _backend(tmp_path)
+        payload, stats = _within(20.0, lambda: _run(
+            LambdaKwargs(), params, backend, tmp_path / "sweep.jsonl"
+        ))
+        assert [item and item["label"] for item in payload] == [
+            "p0", None, None, "p3"
+        ]
+        assert [failure.label for failure in stats.failures] == ["p1", "p2"]
+        for failure in stats.failures:
+            assert failure.kind == "deterministic"
+            assert failure.label in failure.error  # names the point...
+            assert "pickle" in failure.error.lower()  # ...and the cause
+        # The reactor outlived both bad points and closed in order.
+        assert "closed" in backend.log.records()[-1].detail
+
+    def test_reactor_crash_fails_the_open_points(self, tmp_path, monkeypatch):
+        assign = DispatchBackend._assign
+
+        def crashing_assign(self):
+            if self.log.counts().get("result", 0) >= 2:  # mid-sweep
+                raise RuntimeError("reactor bug")
+            assign(self)
+
+        monkeypatch.setattr(DispatchBackend, "_assign", crashing_assign)
+        params = dispatch_toys.ToyParams(n_points=6)
+        backend = _backend(tmp_path)
+        payload, stats = _within(20.0, lambda: _run(
+            dispatch_toys.ECHO, params, backend, tmp_path / "sweep.jsonl"
+        ))
+        assert stats.failures, "a dead reactor cannot have run every point"
+        assert len(stats.failures) + sum(
+            1 for item in payload if item is not None
+        ) == 6
+        shutdown = backend.log.records()[-1]
+        assert shutdown.event == "shutdown"
+        assert "RuntimeError: reactor bug" in shutdown.detail
 
 
 class TestLeaseExpiry:

@@ -35,8 +35,9 @@ from repro.runner.dispatch.retry import (
     DETERMINISTIC,
     TIMEOUT,
     TRANSIENT,
+    DispatchError,
     LeaseExpired,
-    QuarantinedPoint,
+    RemoteError,
     RetryPolicy,
     WorkerLost,
     classify_failure,
@@ -136,8 +137,16 @@ class TestFrames:
 class TestClassification:
     def test_transient_types(self):
         for exc in (ConnectionResetError("rst"), BrokenPipeError("pipe"),
-                    EOFError(), LeaseExpired("lease"), FrameError("torn")):
+                    EOFError(), FrameError("torn"),
+                    WorkerLost("local0", "local", "connection closed"),
+                    LeaseExpired("local1", "local", "no heartbeat"),
+                    RemoteError("BrokenPipeError", "pipe", worker="local0")):
             assert classify_failure(exc) == TRANSIENT
+
+    def test_lost_workers_name_where_the_fleet_collapsed(self):
+        lost = LeaseExpired("local1", "rack7", "no heartbeat for 2.1s")
+        assert (lost.worker, lost.host) == ("local1", "rack7")
+        assert "local1" in str(lost) and "rack7" in str(lost)
 
     def test_timeout_types(self):
         assert classify_failure(TimeoutError("slow")) == TIMEOUT
@@ -147,33 +156,38 @@ class TestClassification:
             assert classify_failure(exc) == DETERMINISTIC
 
     def test_dispatch_terminal_errors_are_not_transient(self):
-        # DispatchError subclasses RuntimeError, not ConnectionError —
-        # the engine must treat them as final, never re-retry.
-        lost = WorkerLost("n=1", 3, ("local0", "local1"))
-        quarantined = QuarantinedPoint("n=1", "ValueError: bad",
-                                       ("local0", "local1"), "q.jsonl")
-        assert classify_failure(lost) == DETERMINISTIC
-        assert classify_failure(quarantined) == DETERMINISTIC
-        assert "local1" in str(lost)
-        assert "quarantined" in str(quarantined)
+        # A fleet that cannot run the point and a point that raised on
+        # a worker are not environmental: neither may draw on the
+        # transient budget.
+        unavailable = DispatchError("point 'n=1': dispatch fleet unavailable")
+        remote = RemoteError("ValueError", "bad", worker="local0", host="local")
+        assert classify_failure(unavailable) == DETERMINISTIC
+        assert classify_failure(remote) == DETERMINISTIC
+
+    def test_remote_error_reads_like_the_local_exception(self):
+        # One signature on every backend: what a pool attempt raises
+        # locally and what a fleet worker reports must describe alike.
+        remote = RemoteError("ValueError", "poison p3", worker="local0")
+        assert str(remote) == "ValueError: poison p3"
+        assert failure_signature(remote) == failure_signature(
+            ValueError("poison p3")
+        )
 
     def test_failure_signature_folds_type_and_message(self):
-        sig = failure_signature("ValueError", "poison pill n=3")
+        sig = failure_signature(ValueError("poison pill n=3"))
         assert sig == "ValueError: poison pill n=3"
 
 
 class TestRetryPolicy:
     def test_spec_round_trip(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=0.1, multiplier=3.0,
-                             max_delay=5.0, jitter=0.25, transient_budget=4,
-                             seed=7)
+        policy = RetryPolicy(max_attempts=3, transient_budget=4)
+        assert policy.to_spec() == "attempts=3,transient=4"
         assert RetryPolicy.parse(policy.to_spec()) == policy
 
     def test_parse_partial_spec_keeps_defaults(self):
-        policy = RetryPolicy.parse("attempts=5,seed=9")
+        policy = RetryPolicy.parse("attempts=5")
         assert policy.max_attempts == 5
-        assert policy.seed == 9
-        assert policy.base_delay == RetryPolicy().base_delay
+        assert policy.transient_budget == RetryPolicy().transient_budget
 
     def test_parse_empty_spec_is_default(self):
         assert RetryPolicy.parse("") == RetryPolicy()
@@ -181,6 +195,8 @@ class TestRetryPolicy:
     def test_parse_rejects_unknown_key_and_bad_value(self):
         with pytest.raises(ValueError, match="bad retry-policy term"):
             RetryPolicy.parse("attempts=2,warp=9")
+        with pytest.raises(ValueError, match="bad retry-policy term"):
+            RetryPolicy.parse("attempts=2,base=0.1")  # backoff keys are gone
         with pytest.raises(ValueError, match="bad retry-policy value"):
             RetryPolicy.parse("attempts=two")
 
@@ -188,11 +204,9 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(ValueError):
             RetryPolicy(transient_budget=-1)
+        with pytest.raises(TypeError):
+            RetryPolicy(base_delay=0.1)
 
     def test_allows_is_one_based_cap(self):
         policy = RetryPolicy(max_attempts=3)
@@ -205,44 +219,6 @@ class TestRetryPolicy:
         assert policy.allows_transient(0)
         assert policy.allows_transient(1)
         assert not policy.allows_transient(2)
-
-    def test_backoff_growth_and_cap(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.35,
-                             jitter=0.0)
-        schedule = policy.schedule("exp/n=1")
-        assert schedule.delay(1) == pytest.approx(0.1)
-        assert schedule.delay(2) == pytest.approx(0.2)
-        # 0.4 raw, capped at 0.35; cap applies before jitter.
-        assert schedule.delay(3) == pytest.approx(0.35)
-        assert schedule.delay(7) == pytest.approx(0.35)
-
-    def test_jitter_is_deterministic_in_seed_and_key(self):
-        policy_a = RetryPolicy(seed=11, jitter=0.5)
-        policy_b = RetryPolicy(seed=11, jitter=0.5)
-        delays_a = [policy_a.schedule("exp/n=1").delay(i) for i in (1, 2, 3)]
-        delays_b = [policy_b.schedule("exp/n=1").delay(i) for i in (1, 2, 3)]
-        assert delays_a == delays_b
-
-    def test_jitter_differs_across_keys_and_seeds(self):
-        policy = RetryPolicy(seed=11, jitter=0.5)
-        other_key = [policy.schedule("exp/n=2").delay(i) for i in (1, 2, 3)]
-        same_key = [policy.schedule("exp/n=1").delay(i) for i in (1, 2, 3)]
-        other_seed = [RetryPolicy(seed=12, jitter=0.5).schedule("exp/n=1").delay(i)
-                      for i in (1, 2, 3)]
-        assert same_key != other_key
-        assert same_key != other_seed
-
-    def test_out_of_order_queries_do_not_perturb_draws(self):
-        policy = RetryPolicy(seed=3, jitter=1.0)
-        forward = policy.schedule("k")
-        ordered = [forward.delay(i) for i in (1, 2, 3)]
-        backward = policy.schedule("k")
-        reversed_query = [backward.delay(3), backward.delay(2), backward.delay(1)]
-        assert ordered == reversed_query[::-1]
-
-    def test_delay_is_one_based(self):
-        with pytest.raises(ValueError, match="1-based"):
-            RetryPolicy().schedule("k").delay(0)
 
 
 class FakeClock:

@@ -123,6 +123,19 @@ class TestDispatchCli:
 
         return dispatch_toys
 
+    @classmethod
+    def _register_poison(cls, monkeypatch, **toy_params):
+        """Register ``toypoison``: the POISON toy with fixed params."""
+        dispatch_toys = cls._toys(monkeypatch)
+
+        class _CliPoison(dispatch_toys.PoisonExperiment):
+            uses_protocols = False
+
+            def make_params(self, preset="quick", protocol=None, **overrides):
+                return dispatch_toys.ToyParams(**toy_params)
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "toypoison", _CliPoison())
+
     def test_dispatch_backend_runs_end_to_end(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -139,28 +152,20 @@ class TestDispatchCli:
             "toyecho", "--preset", "quick", "--no-cache",
             "--backend", "dispatch", "--jobs", "2",
             "--checkpoint", str(tmp_path / "journal.jsonl"),
-            "--retry-policy", "attempts=2,base=0.01",
+            "--retry-policy", "attempts=2",
         ]
         assert cli.main(argv) == 0
 
     def test_quarantined_point_exits_nonzero_with_evidence(
         self, monkeypatch, tmp_path, capsys
     ):
-        dispatch_toys = self._toys(monkeypatch)
-
-        class _CliPoison(dispatch_toys.PoisonExperiment):
-            uses_protocols = False
-
-            def make_params(self, preset="quick", protocol=None, **overrides):
-                return dispatch_toys.ToyParams(n_points=4, labels=("p1",))
-
-        monkeypatch.setitem(cli.EXPERIMENTS, "toypoison", _CliPoison())
+        self._register_poison(monkeypatch, n_points=4, labels=("p1",))
         journal = tmp_path / "journal.jsonl"
         argv = [
             "toypoison", "--preset", "quick", "--no-cache",
             "--backend", "dispatch", "--jobs", "2",
             "--checkpoint", str(journal),
-            "--retry-policy", "attempts=4,base=0.01",
+            "--retry-policy", "attempts=4",
         ]
         with pytest.warns(RuntimeWarning, match="failed"):
             exit_code = cli.main(argv)
@@ -171,6 +176,66 @@ class TestDispatchCli:
         quarantine = tmp_path / "toypoison-quick-seed1.quarantine.jsonl"
         assert quarantine.exists()
         assert "repro-quarantine/1" in quarantine.read_text()
+
+
+    def test_retry_policy_is_one_budget_on_a_fleet(
+        self, monkeypatch, tmp_path
+    ):
+        # attempts=3 bounds a point's executions *in total*.  p0 fails
+        # 0.3 s in, on a one-worker fleet, with --timeout armed so that
+        # a resubmission interleaves with the failures (and seven
+        # healthy points keep the host's breaker closed): a budget kept
+        # per resubmission would run it a fourth time.
+        self._register_poison(
+            monkeypatch, n_points=8, state_dir=str(tmp_path), labels=("p0",),
+            sleep_s=0.3,
+        )
+        argv = [
+            "toypoison", "--preset", "quick", "--no-cache", "--no-checkpoint",
+            "--backend", "dispatch", "--jobs", "1",
+            "--timeout", "0.9", "--retry-policy", "attempts=3",
+        ]
+        monkeypatch.chdir(tmp_path)  # quarantine.jsonl defaults to the cwd
+        with pytest.warns(RuntimeWarning, match="failed"):
+            assert cli.main(argv) == 1
+        runs = (tmp_path / "p0.runs").read_text().splitlines()
+        assert 1 <= len(runs) <= 3
+
+    @pytest.mark.parametrize(
+        "flags", [["--retry-policy", "base=0.1"], ["--schedule", "fifo"]],
+        ids=["backoff-key", "schedule"],
+    )
+    def test_deleted_knobs_are_usage_errors(self, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig1", *flags])
+        assert exit_info.value.code == 2
+
+
+class TestFailedPointsExitNonzero:
+    """A sweep that lost points must not look like a clean one."""
+
+    @pytest.mark.parametrize(
+        "backend_flags",
+        [["--backend", "serial"], ["--backend", "process", "--jobs", "2"]],
+        ids=["serial", "process"],
+    )
+    def test_failed_point_exits_one_and_is_named_on_stderr(
+        self, backend_flags, monkeypatch, capsys
+    ):
+        TestDispatchCli._register_poison(
+            monkeypatch, n_points=3, labels=("p1",)
+        )
+        argv = [
+            "toypoison", "--preset", "quick", "--no-cache", "--no-checkpoint",
+            *backend_flags,
+        ]
+        with pytest.warns(RuntimeWarning, match="failed"):
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "FAILED dispatch_toys:POISON/p1" in err
+        assert "kind=deterministic" in err
+        assert "attempts=2" in err
+        assert "ValueError: poison p1" in err
 
 
 class TestReportPartial:

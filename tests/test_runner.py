@@ -8,7 +8,7 @@ import pytest
 from repro.experiments import registry
 from repro.experiments.base import Experiment, Point
 from repro.experiments.store import to_jsonable
-from repro.runner import ResultCache, SweepRunner
+from repro.runner import ResultCache, RetryPolicy, SweepRunner
 from repro.sim.randomness import RandomStreams, derive_seed
 
 
@@ -232,7 +232,7 @@ class TestSweepRunner:
 
     def test_failed_point_degrades_and_warns(self):
         experiment = _FailingExperiment()
-        runner = SweepRunner(retries=1)
+        runner = SweepRunner(retry_policy=RetryPolicy(max_attempts=2))
         with pytest.warns(RuntimeWarning, match="failed"):
             payload = runner.run(experiment, _ToyParams(), seed=0)
         assert payload == [0, 2]  # default reduce drops the None
@@ -243,7 +243,7 @@ class TestSweepRunner:
     def test_failures_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
         experiment = _FailingExperiment()
-        runner = SweepRunner(cache=cache, retries=0)
+        runner = SweepRunner(cache=cache, retry_policy=RetryPolicy(max_attempts=1))
         with pytest.warns(RuntimeWarning):
             runner.run(experiment, _ToyParams(), seed=0)
         with pytest.warns(RuntimeWarning):

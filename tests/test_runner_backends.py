@@ -34,6 +34,7 @@ from repro.experiments.store import to_jsonable
 from repro.runner import (
     CostModel,
     ResultCache,
+    RetryPolicy,
     SweepCheckpoint,
     SweepRunner,
     create_backend,
@@ -205,8 +206,9 @@ class TestBackendSelection:
             SweepRunner(backend=object())
 
     def test_runner_rejects_unknown_schedule(self):
-        with pytest.raises(ValueError, match="schedule"):
-            SweepRunner(schedule="random")
+        # Cost-aware order is unconditional: there is no schedule to name.
+        with pytest.raises(TypeError, match="schedule"):
+            SweepRunner(schedule="fifo")
 
     def test_serial_backend_ignores_jobs(self):
         spy = _SpyExperiment()
@@ -259,17 +261,6 @@ class TestScheduler:
         runner.run(spy, params, seed=4)
         assert spy.executed == ["p0", "p2", "p3", "p1"]
         assert runner.last_stats.reordered > 0
-
-    def test_fifo_schedule_disables_reordering(self, tmp_path):
-        spy = _SpyExperiment(n_points=3)
-        params = _ToyParams()
-        digest = digest_params(params)
-        cache = ResultCache(tmp_path / "cache")
-        cache.costs.observe(CostModel.key(spy.id, "p2", digest), 9.0)
-        runner = SweepRunner(cache=cache, backend="serial", schedule="fifo")
-        runner.run(spy, params, seed=4)
-        assert spy.executed == ["p0", "p1", "p2"]
-        assert runner.last_stats.reordered == 0
 
     def test_observed_costs_flushed_after_dispatch(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -339,7 +330,7 @@ class TestJournalHeader:
     def test_header_round_trip(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         ckpt = SweepCheckpoint(path)
-        ckpt.write_header(backend="shm", jobs=4, schedule="cost")
+        ckpt.write_header(backend="shm", jobs=4)
         ckpt.record("toy", "p0", 1, "ok")
         ckpt.close()
         loaded = SweepCheckpoint(path)
@@ -355,7 +346,7 @@ class TestJournalHeader:
         runner.run(_SpyExperiment(), _ToyParams(), seed=1)
         first = json.loads(path.read_text().splitlines()[0])
         assert first["backend"] == "serial"
-        assert first["schedule"] == "cost"
+        assert "schedule" not in first
 
     def test_resume_accepts_records_from_another_backend(self, tmp_path):
         self._resume_under_serial(tmp_path, written_by="process")
@@ -373,8 +364,13 @@ class TestJournalHeader:
         # A journal "left behind" by a run on another backend that only
         # got through p1 (header + one record, written by hand).
         seed_p1 = derive_seed(6, f"{spy.id}/p1")
+        # The header is written by hand in an older release's shape: it
+        # still carries the ``schedule`` key this release no longer writes.
+        path.write_text(json.dumps({
+            "schema": "repro-sweep-journal/1", "backend": written_by,
+            "jobs": 8, "schedule": "cost",
+        }) + "\n")
         ckpt = SweepCheckpoint(path)
-        ckpt.write_header(backend=written_by, jobs=8, schedule="cost")
         ckpt.record(
             spy.id, "p1", seed_p1, {"label": "p1", "seed": seed_p1},
             params_digest=digest_params(params),
@@ -542,7 +538,9 @@ class _SleepyExperiment(_SpyExperiment):
 
 class TestFailureAccounting:
     def test_point_error_lands_in_stats_errors(self):
-        runner = SweepRunner(jobs=1, backend="serial", retries=0)
+        runner = SweepRunner(
+            jobs=1, backend="serial", retry_policy=RetryPolicy(max_attempts=1)
+        )
         with pytest.warns(RuntimeWarning, match="failed"):
             runner.run(_FailingExperiment(3), _ToyParams(), seed=0)
         stats = runner.last_stats
@@ -562,7 +560,7 @@ class TestFailureAccounting:
             runner = SweepRunner(
                 jobs=2,
                 backend=ThreadPoolBackend(),
-                retries=0,
+                retry_policy=RetryPolicy(max_attempts=1),
                 timeout=0.1,
             )
             with pytest.warns(RuntimeWarning, match="failed"):
@@ -579,7 +577,9 @@ class TestFailureAccounting:
         # SystemExit is control flow, not a point failure: the serial
         # backend must re-raise it instead of feeding it to the retry
         # loop as if the point had merely errored.
-        runner = SweepRunner(jobs=1, backend="serial", retries=3)
+        runner = SweepRunner(
+            jobs=1, backend="serial", retry_policy=RetryPolicy(max_attempts=4)
+        )
         with pytest.raises(SystemExit):
             runner.run(_ExitingExperiment(2), _ToyParams(), seed=0)
         assert runner.last_stats is None or runner.last_stats.errors == 0

@@ -31,6 +31,7 @@ from repro.experiments import registry
 from repro.experiments.base import Experiment, Point
 from repro.runner import (
     ResultCache,
+    RetryPolicy,
     SweepCheckpoint,
     SweepInterrupted,
     SweepRunner,
@@ -364,7 +365,7 @@ class TestStragglerRace:
         runner = SweepRunner(
             jobs=2,
             timeout=0.1,
-            retries=1,
+            retry_policy=RetryPolicy(max_attempts=2),
             backend=ThreadPoolBackend(),
         )
 
@@ -397,7 +398,7 @@ class TestStragglerRace:
             runner = SweepRunner(
                 jobs=2,
                 timeout=0.1,
-                retries=1,
+                retry_policy=RetryPolicy(max_attempts=2),
                 backend=ThreadPoolBackend(),
             )
 
