@@ -10,7 +10,7 @@ inheritance.  One bench, three policies, same contended workload.
 import numpy as np
 
 from benchmarks.paperbench import MS, header, row
-from repro.experiments.scenarios import packets_per_second, warm_config
+from repro.experiments.scenarios import packets_per_second, run_until, warm_config
 from repro.http.apps import HttpSession, LongTrainSender
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
@@ -46,8 +46,12 @@ def run_policy(protocol: str, persistent: bool, seed: int = 2):
         **bg_kwargs,
     )
 
-    def issue(_exchange=None):
-        if len(session.exchanges) >= N_REQUESTS:
+    done = []  # one request in flight at a time: completion order
+
+    def issue(exchange=None):
+        if exchange is not None:
+            done.append(exchange)
+        if len(done) >= N_REQUESTS:
             return
         size = int(rng.uniform(20_000, 200_000))
         sim.schedule(
@@ -56,8 +60,9 @@ def run_policy(protocol: str, persistent: bool, seed: int = 2):
         )
 
     issue()
-    sim.run(until=20.0)
-    times = session.completion_times()
+    # The background train never drains: stop at the last completion.
+    run_until(sim, lambda: len(done) >= N_REQUESTS, 20.0)
+    times = [e.completion_time for e in done]
     return {
         "mean": float(np.mean(times)),
         "p99": float(np.percentile(times, 99)),

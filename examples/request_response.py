@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from repro.experiments.scenarios import packets_per_second, warm_config
+from repro.experiments.scenarios import packets_per_second, run_until, warm_config
 from repro.http.apps import HttpSession, LongTrainSender
 from repro.metrics.ascii import cdf_table
 from repro.net.topology import build_star
@@ -57,8 +57,12 @@ def run_session(protocol: str, n_requests: int, seed: int) -> list[float]:
 
     # A think-time loop: the next request goes out a few ms after the
     # previous response — larger than the RTT, so OFF periods exist.
-    def issue(_exchange=None):
-        if len(session.exchanges) >= n_requests:
+    done = []  # one request in flight at a time: completion order
+
+    def issue(exchange=None):
+        if exchange is not None:
+            done.append(exchange)
+        if len(done) >= n_requests:
             return
         size = int(rng.uniform(8_000, 120_000))
         sim.schedule(
@@ -67,8 +71,9 @@ def run_session(protocol: str, n_requests: int, seed: int) -> list[float]:
         )
 
     issue()
-    sim.run(until=20.0)
-    return session.completion_times()
+    # The background transfer never drains: stop at the last completion.
+    run_until(sim, lambda: len(done) >= n_requests, 20.0)
+    return [e.completion_time for e in done]
 
 
 def main() -> None:

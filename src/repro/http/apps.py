@@ -152,13 +152,16 @@ class HttpSession:
     fully delivered the server waits ``service_time`` and transmits the
     response train.  This is the Section II.A loop — the connection's
     OFF periods are whatever the request pattern leaves idle.
+
+    The session keeps no roster of its exchanges: a caller keeps the
+    :class:`Exchange` that :meth:`request` returns (or receives it in
+    ``on_complete``), and a finished exchange the caller drops is freed.
     """
 
     __slots__ = (
         "sim", "frontend", "server", "protocol", "service_time", "persistent",
         "_config", "_request_config", "_response_kwargs", "_next_flow_id",
         "request_source", "request_sink", "response_source", "response_sink",
-        "exchanges",
     )
 
     def __init__(
@@ -204,7 +207,6 @@ class HttpSession:
             # exactly the overhead the paper says persistence avoids.
             self.request_source = None
             self.response_source = None
-        self.exchanges: list[Exchange] = []
 
     def _fresh_pair(self) -> tuple[TcpSource, TcpSource]:
         """A new connection pair for one non-persistent exchange."""
@@ -263,7 +265,6 @@ class HttpSession:
                 1, on_complete=lambda _msg: send_request()
             )
             exchange.request = syn  # submit time = connection attempt
-        self.exchanges.append(exchange)
         return exchange
 
     def _serve(self, exchange: Exchange) -> None:
@@ -280,14 +281,3 @@ class HttpSession:
         if on_complete is not None:
             exchange.on_complete = None
             on_complete(exchange)
-
-    @property
-    def completed(self) -> list[Exchange]:
-        return [
-            e
-            for e in self.exchanges
-            if e.response is not None and e.response.finish_time is not None
-        ]
-
-    def completion_times(self) -> list[float]:
-        return [e.completion_time for e in self.completed]

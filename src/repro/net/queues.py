@@ -11,12 +11,12 @@ against it), with an optional mark-instead-of-drop ECN mode.
 
 There are two queues per host and more per switch, so every queue class
 is slotted: a subclass declares its own ``__slots__`` (DESIGN.md, "State
-layout"; ``tests/test_state_layout.py`` walks the subclasses).
+layout"; ``tests/test_state_layout.py`` walks the subclasses), and every
+FIFO is a bounded ``list`` that keeps nothing once drained.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -52,6 +52,11 @@ class DropTailQueue:
     being serialized by the link is not in the queue (matching NS2's
     DropTail accounting, which the paper's "buffer of 100 packets ⇒ at
     most 118 packets in flight" arithmetic assumes).
+
+    The FIFO is a plain ``list``: depth is bounded by ``capacity_pkts``
+    (at most 250 in every in-tree experiment), so ``pop(0)`` stays cheap,
+    and a drained list frees its item array where an empty ``deque``
+    keeps a 760 B block (DESIGN.md, "State layout").
     """
 
     __slots__ = ("capacity_pkts", "name", "stats", "_fifo", "tap")
@@ -62,7 +67,7 @@ class DropTailQueue:
         self.capacity_pkts = capacity_pkts
         self.name = name
         self.stats = QueueStats()
-        self._fifo: deque[Packet] = deque()
+        self._fifo: list[Packet] = []
         #: flight-recorder tap, installed by the owning link's ``queue``
         #: setter; queues report drop/mark/evict *causes* through it
         #: (occupancy sampling stays with the link, which has the clock).
@@ -91,7 +96,7 @@ class DropTailQueue:
         if not self._fifo:
             return None
         self.stats.dequeued += 1
-        return self._fifo.popleft()
+        return self._fifo.pop(0)
 
     def resize(self, capacity_pkts: int) -> int:
         """Change the capacity at runtime; returns the eviction count.
@@ -201,9 +206,9 @@ class FairQueue(DropTailQueue):
         super().__init__(capacity_pkts, name)
         #: per-flow FIFOs, insertion-ordered (dict order is the
         #: round-robin seeding order for determinism).
-        self._flows: dict[int, deque[Packet]] = {}
+        self._flows: dict[int, list[Packet]] = {}
         #: round-robin service order over flows with backlog.
-        self._rr: deque[int] = deque()
+        self._rr: list[int] = []
         self._resident = 0
 
     def __len__(self) -> int:
@@ -236,7 +241,7 @@ class FairQueue(DropTailQueue):
         ``enqueued == dequeued + evicted + resident`` balanced.
         """
         q = self._flows[flow_id]
-        q.popleft()
+        q.pop(0)
         if not q:
             self._rr.remove(flow_id)
         self._resident -= 1
@@ -270,7 +275,7 @@ class FairQueue(DropTailQueue):
     def _admit(self, pkt: Packet) -> None:
         q = self._flows.get(pkt.flow_id)
         if q is None:
-            q = self._flows[pkt.flow_id] = deque()
+            q = self._flows[pkt.flow_id] = []
         if not q:
             self._rr.append(pkt.flow_id)
         q.append(pkt)
@@ -281,11 +286,11 @@ class FairQueue(DropTailQueue):
 
     def dequeue(self) -> Optional[Packet]:
         while self._rr:
-            flow_id = self._rr.popleft()
+            flow_id = self._rr.pop(0)
             q = self._flows[flow_id]
             if not q:
                 continue  # emptied by a drop/evict since it was queued
-            pkt = q.popleft()
+            pkt = q.pop(0)
             if q:
                 self._rr.append(flow_id)
             self._resident -= 1

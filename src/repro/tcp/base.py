@@ -138,7 +138,9 @@ class TcpSource:
 
     The application queues data with :meth:`send_message`; the source
     transmits as the congestion window allows and reports completion of
-    each message when its last segment is cumulatively ACKed.
+    each message when its last segment is cumulatively ACKed.  The source
+    forgets a message once it completes: the caller keeps the
+    :class:`Message` it is given.
     """
 
     protocol_name = "reno"
@@ -148,8 +150,8 @@ class TcpSource:
         "cwnd", "ssthresh", "t_seqno", "highest_ack", "max_seq_sent", "app_limit",
         "dupacks", "in_recovery", "recover_seq", "suspended", "last_send_time",
         "rtt", "stats", "_sacked", "_recovery_retx", "rwnd_segments",
-        "messages", "_pending_messages", "_rtx_event", "_pace_event",
-        "_next_pace_time", "_next_message_id", "on_timeout", "_invariants",
+        "_pending_messages", "_rtx_event", "_pace_event", "_next_pace_time",
+        "_next_message_id", "on_timeout", "_invariants",
     )
 
     def __init__(
@@ -189,7 +191,6 @@ class TcpSource:
         self._recovery_retx: AbstractSet[int] = _NO_SEQS  # holes already resent
         #: receiver's advertised window from the latest ACK (segments)
         self.rwnd_segments: float = _INF
-        self.messages: list[Message] = []
         self._pending_messages: list[Message] = []  # completion FIFO, 1-few long
         self._rtx_event: Optional[Event] = None
         self._pace_event: Optional[Event] = None
@@ -221,7 +222,6 @@ class TcpSource:
         )
         self._next_message_id += 1
         self.app_limit += n_segments
-        self.messages.append(message)
         self._pending_messages.append(message)
         self._try_send()
         return message

@@ -45,10 +45,9 @@ class TestNonPersistent:
 
     def test_fresh_connections_per_exchange(self):
         sim, star, session = make_session(persistent=False)
-        session.request(1460)
-        session.request(1460)
+        exchanges = [session.request(1460), session.request(1460)]
         sim.run(until=0.5)
-        sources = [getattr(e, "_response_source") for e in session.exchanges]
+        sources = [getattr(e, "_response_source") for e in exchanges]
         assert sources[0] is not sources[1]
 
     def test_cold_window_every_time(self):
@@ -57,17 +56,17 @@ class TestNonPersistent:
 
         def total_time(persistent):
             sim, _star, session = make_session(persistent=persistent)
-            done = []
+            issued, done = [], []
 
             def chain(exchange=None):
                 if exchange is not None:
                     done.append(exchange)
-                if len(session.exchanges) < 6:
-                    session.request(80_000, on_complete=chain)
+                if len(issued) < 6:
+                    issued.append(session.request(80_000, on_complete=chain))
 
             chain()
             sim.run(until=2.0)
-            assert len(done) == 6
+            assert done == issued and len(done) == 6
             return sum(e.completion_time for e in done)
 
         assert total_time(persistent=True) < total_time(persistent=False)

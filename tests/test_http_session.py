@@ -58,7 +58,7 @@ class TestHttpSession:
         session.request(5_000, on_complete=next_request)
         sim.run(until=1.0)
         assert len(done) == 5
-        assert len(session.completed) == 5
+        assert all(e.completion_time > 0 for e in done)
         # One persistent response connection carried all five responses.
         assert session.response_source.stats.segments_sent >= 5 * 4
 
@@ -66,21 +66,22 @@ class TestHttpSession:
         sim, _star, session = make_session(
             protocol="trim", capacity_pps=85616.0
         )
+        exchanges = []  # the session keeps no roster: the caller does
         for i in range(4):
             sim.schedule_at(
-                0.02 * (i + 1), lambda: session.request(30_000)
+                0.02 * (i + 1), lambda: exchanges.append(session.request(30_000))
             )
         sim.run(until=0.5)
-        assert len(session.completed) == 4
+        assert len(exchanges) == 4
+        assert all(e.completion_time > 0 for e in exchanges)
         # Requests arrive after idle gaps, so the response channel probed.
         assert session.response_source.probes_completed >= 2
 
     def test_completion_times_list(self):
         sim, _star, session = make_session()
-        session.request(1460)
-        session.request(1460)
+        exchanges = [session.request(1460), session.request(1460)]
         sim.run(until=0.5)
-        times = session.completion_times()
+        times = [e.completion_time for e in exchanges]
         assert len(times) == 2
         assert all(t > 0 for t in times)
 

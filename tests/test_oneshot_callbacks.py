@@ -4,9 +4,11 @@
 before they are called, so whatever the closure holds — for an
 open-loop request the whole chain request → serve → respond → finish →
 driver — is released when the message / exchange completes, while the
-simulation is still running, not when the point ends.  The cyclic
-collector is off for the whole module: only a dropped reference may
-free a callback here.
+simulation is still running, not when the point ends.  Neither the
+source nor the session keeps a roster of what it carried, so a finished
+message or exchange lives exactly as long as the caller's reference.
+The cyclic collector is off for the whole module: only a dropped
+reference may free anything here.
 """
 
 import gc
@@ -14,10 +16,12 @@ import weakref
 
 import pytest
 
-from repro.http.apps import HttpSession
+from repro.http import apps
+from repro.http.apps import Exchange, HttpSession
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.base import TcpConfig
+from repro.tcp import base
+from repro.tcp.base import Message, TcpConfig
 from tests.helpers import FAST, make_pair
 
 
@@ -46,6 +50,22 @@ def probe_later(sim, delay, ref, seen):
     sim.schedule(delay, lambda: seen.append((ref() is None, sim.pending > 0)))
 
 
+class _WeakMessage(Message):
+    __slots__ = ("__weakref__",)
+
+
+class _WeakExchange(Exchange):
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def weakrefable(monkeypatch):
+    """Build messages and exchanges as subclasses that only add a
+    ``__weakref__`` slot, so a test can watch them die."""
+    monkeypatch.setattr(base, "Message", _WeakMessage)
+    monkeypatch.setattr(apps, "Exchange", _WeakExchange)
+
+
 class TestMessageCallback:
     def test_released_at_completion_while_the_run_goes_on(self):
         sim, _star, source, _sink = make_pair()
@@ -71,7 +91,7 @@ class TestMessageCallback:
 
     def test_callback_may_queue_the_next_message(self):
         sim, _star, source, _sink = make_pair()
-        fired, refs = [], []
+        fired, refs, sent = [], [], []
 
         def queue_next():
             callback, ref = tracked_callback(fired)
@@ -82,13 +102,13 @@ class TestMessageCallback:
                 if len(refs) < 4:
                     queue_next()
 
-            source.send_message(2, on_complete=complete)
+            sent.append(source.send_message(2, on_complete=complete))
 
         queue_next()
         sim.run(until=0.5)
-        assert fired == source.messages and len(fired) == 4
+        assert fired == sent and len(fired) == 4
         assert all(ref() is None for ref in refs)
-        assert all(m.on_complete is None for m in source.messages)
+        assert all(m.on_complete is None for m in sent)
 
     def test_stopped_message_keeps_its_callback_and_never_fires_it(self):
         sim, _star, source, _sink = make_pair()
@@ -102,13 +122,23 @@ class TestMessageCallback:
         assert fired == [done]
         assert cut.finish_time is None
         assert cut.on_complete is callback
-        # stop() empties the completion FIFO of what it cut; the roster keeps it
+        # stop() empties the completion FIFO of what it cut: only the
+        # caller still holds ``cut``
         assert not source._pending_messages
-        assert source.messages == [done, cut]
         # ... and the FIFO still completes in submission order afterwards
         again = [source.send_message(2, on_complete=fired.append) for _ in range(3)]
         sim.run(until=1.0)
         assert fired == [done, *again]
+
+    def test_finished_message_dies_with_the_callers_reference(self, weakrefable):
+        sim, _star, source, _sink = make_pair()
+        short = source.send_message(3)
+        source.send_message(5_000)  # the run goes on
+        sim.run(until=0.005)
+        assert type(short) is _WeakMessage and short.finish_time is not None
+        ref = weakref.ref(short)
+        del short
+        assert ref() is None
 
 
 def make_session(persistent):
@@ -154,7 +184,7 @@ class TestExchangeCallback:
         → reuse does: the next request on the same session is issued
         from inside the previous one's completion."""
         sim, session = make_session(persistent)
-        fired, refs = [], []
+        fired, refs, issued = [], [], []
 
         def issue():
             callback, ref = tracked_callback(fired)
@@ -165,10 +195,26 @@ class TestExchangeCallback:
                 if len(refs) < 5:
                     issue()
 
-            session.request(4_000, on_complete=complete)
+            issued.append(session.request(4_000, on_complete=complete))
 
         issue()
         sim.run(until=0.5)
-        assert fired == session.exchanges and len(fired) == 5
+        assert fired == issued and len(fired) == 5
         assert all(ref() is None for ref in refs)
-        assert all(e.on_complete is None for e in session.exchanges)
+        assert all(e.on_complete is None for e in issued)
+
+    def test_finished_exchange_dies_with_the_callers_reference(
+        self, persistent, weakrefable
+    ):
+        sim, session = make_session(persistent)
+        exchange = session.request(3_000)
+        session.request(5_000_000)  # still in flight after the first is done
+        sim.run(until=0.005)
+        assert type(exchange) is _WeakExchange
+        assert exchange.completion_time < 0.005
+        parts = (exchange, exchange.request, exchange.response)
+        assert type(exchange.request) is type(exchange.response) is _WeakMessage
+        refs = [weakref.ref(obj) for obj in parts]
+        del exchange, parts
+        assert sim.pending > 0
+        assert [ref() for ref in refs] == [None, None, None]

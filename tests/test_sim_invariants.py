@@ -71,7 +71,7 @@ class _LeakyQueue(DropTailQueue):
     def _admit(self, pkt):
         super()._admit(pkt)
         if len(self._fifo) > 2:
-            self._fifo.popleft()  # uncounted eviction
+            self._fifo.pop(0)  # uncounted eviction
 
 
 class TestPacketConservation:

@@ -8,15 +8,21 @@ start as one shared, immutable empty set, replaced by a private ``set``
 on first write.  ``Link`` alone keeps its ``__dict__`` (``install_loss``
 shadows ``link.send`` per instance).
 
-The budget at the bottom is the quantity the benchmark multiplies by
-9 504 (``sweep_points``' forked pool worker holds every ``Simulator``,
-``Link`` and ``TcpSource`` of its 192 points): bytes retained per sender
-by the 97-sender incast point, tracemalloc, CPython 3.11 — parent
-8 114 (``trim``) / 7 826 (``reno``), now 5 259 / 4 895.  3.10 and 3.12
-are in the CI matrix but not in the build image, so their readings are
-unmeasured; the 5 500 B budget leaves 241 B (``trim``) for them.
+The budgets at the bottom are tracemalloc readings on CPython 3.11 with
+every ``Simulator``, ``Link`` and ``TcpSource`` held, as bench/observe.py
+holds them.  Bytes retained per sender by the 97-sender incast point are
+the quantity ``sweep_points`` multiplies by 9 504 (its forked pool worker
+holds every object of its 192 points): 8 114 (``trim``) / 7 826
+(``reno``) before the layout was fixed, 5 259 / 4 895 with slots, now
+3 644 / 3 267 with list FIFOs and no ``messages`` roster — budget 3 900.
+Per TCP connection of the ``openloop_sessions`` load-2.0 ``trim`` point,
+2 547 with the ``exchanges`` roster, now 1 302 — budget 1 800.  A
+drained drop-tail queue kept 1 056 B of its burst in a ``deque``, now 0 —
+budget 128.  3.10 and 3.12 are in the CI matrix but not in the build
+image, so their readings are unmeasured.
 """
 
+import dataclasses
 import gc
 import itertools
 import tracemalloc
@@ -26,13 +32,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.incast import IncastParams, run_incast
+from repro.experiments.openloop import OpenLoopParams, run_openloop_point
 from repro.http.apps import HttpSession
+from repro.net import queues
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.packet import ACK, DATA, Packet
 from repro.net.queues import DropTailQueue, EcnQueue, FairQueue, RedQueue
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
+from repro.sim.randomness import derive_seed
 from repro.tcp import factory
 from repro.tcp.base import TcpConfig, TcpSource
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
@@ -211,14 +220,18 @@ def drop_seqs_once_per_flow(seqs):
 
 
 # ----------------------------------------------------------------------
-# (d) budget: bytes retained per incast sender
+# (d) budgets: bytes retained per connection, and by an idle queue
 # ----------------------------------------------------------------------
-BUDGET_BYTES_PER_SENDER = 5_500
+BUDGET_BYTES_PER_SENDER = 3_900
+BUDGET_BYTES_PER_OPENLOOP_CONNECTION = 1_800
+BUDGET_BYTES_IDLE_QUEUE = 128
 N_SENDERS = 97
 
 
-@pytest.mark.parametrize("protocol", ["trim", "reno"])
-def test_retained_bytes_per_incast_sender(protocol, monkeypatch):
+def retained_bytes(monkeypatch, warm, run):
+    """``(run(), bytes it left allocated, TcpSources built)`` while every
+    ``Simulator``, ``Link`` and ``TcpSource`` is held, as bench/observe.py
+    holds them; ``warm()`` first pays imports and one-off module state."""
     for name in ("REPRO_TRACE", "REPRO_CHECK_INVARIANTS"):
         monkeypatch.delenv(name, raising=False)  # the budget is for a bare run
     held = []
@@ -232,26 +245,90 @@ def test_retained_bytes_per_incast_sender(protocol, monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", __init__)
 
-    for cls in (Simulator, Link, TcpSource):  # what bench/observe.py keeps
+    for cls in (Simulator, Link, TcpSource):
         keep(cls)
-    params = IncastParams(
-        protocol=protocol, sender_counts=(N_SENDERS,),
-        block_bytes=16 * 1024, min_rto=0.01,  # the sweep_points point
-    )
-    run_incast(params, 2)  # imports and one-off module state are not per sender
+    warm()
     held.clear()
     gc.collect()
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before, _peak = tracemalloc.get_traced_memory()
-        case = run_incast(params, N_SENDERS)
+        result = run()
         gc.collect()  # transient cycles are not retained state
         after, _peak = tracemalloc.get_traced_memory()
     finally:
         if not was_tracing:
             tracemalloc.stop()
+    return result, after - before, sum(isinstance(obj, TcpSource) for obj in held)
+
+
+@pytest.mark.parametrize("protocol", ["trim", "reno"])
+def test_retained_bytes_per_incast_sender(protocol, monkeypatch):
+    params = IncastParams(
+        protocol=protocol, sender_counts=(N_SENDERS,),
+        block_bytes=16 * 1024, min_rto=0.01,  # the sweep_points point
+    )
+    case, retained, sources = retained_bytes(
+        monkeypatch, lambda: run_incast(params, 2),
+        lambda: run_incast(params, N_SENDERS),
+    )
     assert case.completed == N_SENDERS
-    assert sum(isinstance(obj, TcpSource) for obj in held) == N_SENDERS
-    per_sender = (after - before) / N_SENDERS
+    assert sources == N_SENDERS
+    per_sender = retained / N_SENDERS
     assert per_sender <= BUDGET_BYTES_PER_SENDER, f"{per_sender:.0f} B per sender"
+
+
+def test_retained_bytes_per_openloop_connection(monkeypatch):
+    """The ``openloop_sessions`` load-2.0 ``trim`` point: ~1 560 pooled
+    sessions (two TCP connections each) carry ~14 500 exchanges, so a
+    roster of finished exchanges or messages would dominate the bytes."""
+    params = OpenLoopParams(
+        protocol="trim", arrivals="poisson:rate=240", load_factors=(2.0,),
+        horizon=1.0, drain=1.0, n_servers=8, mean_requests=2.0,
+        think_time_s=0.05, fanout_aggregators=1, fanout_leaves=16,
+        idle_timeout_s=0.01, max_reuse=64, bandwidth_bps=1e9, delay_s=50e-6,
+        buffer_pkts=100, min_rto=0.01,
+    )
+    seed = derive_seed(1, "openloop/load2")
+    tiny = dataclasses.replace(params, horizon=0.05, drain=0.05)
+    case, retained, connections = retained_bytes(
+        monkeypatch, lambda: run_openloop_point(tiny, 2.0, seed),
+        lambda: run_openloop_point(params, 2.0, seed),
+    )
+    assert case.completed == case.offered > 10_000
+    assert connections == 2 * case.conns_opened
+    per_connection = retained / connections
+    assert per_connection <= BUDGET_BYTES_PER_OPENLOOP_CONNECTION, (
+        f"{per_connection:.0f} B per connection"
+    )
+
+
+@pytest.mark.parametrize("make_queue", [
+    lambda: DropTailQueue(100),
+    lambda: EcnQueue(100, mark_threshold_pkts=50),
+    lambda: RedQueue(100, min_threshold=20, max_threshold=60),
+], ids=["droptail", "ecn", "red"])
+def test_drained_queue_keeps_nothing_of_its_burst(make_queue):
+    queue = make_queue()
+    by_queue_code = [tracemalloc.Filter(True, queues.__file__)]
+
+    def queue_bytes():
+        snapshot = tracemalloc.take_snapshot().filter_traces(by_queue_code)
+        return sum(trace.size for trace in snapshot.traces)
+
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = queue_bytes()
+        for seq in range(100):
+            assert queue.enqueue(Packet(1, 0, 1, DATA, seq=seq))
+        drained = 0
+        while queue.dequeue() is not None:
+            drained += 1
+        after = queue_bytes()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert drained == queue.stats.peak_length == 100 and len(queue) == 0
+    assert after - before <= BUDGET_BYTES_IDLE_QUEUE, f"{after - before} B"

@@ -32,8 +32,11 @@ def test_property_onoff_stream_invariants(schedule, losses, sack):
     install_loss(star.bottleneck, drop_seqs_once(losses))
 
     total = sum(n for _, n in schedule)
+    messages = []  # the source forgets a message once it completes
     for offset, segments in schedule:
-        sim.schedule_at(offset, lambda n=segments: source.send_message(n))
+        sim.schedule_at(
+            offset, lambda n=segments: messages.append(source.send_message(n))
+        )
 
     invariant_checks = []
 
@@ -58,7 +61,8 @@ def test_property_onoff_stream_invariants(schedule, losses, sack):
     assert source.all_acked
     assert sink.delivered_segments == total
     # Message bookkeeping: every message finished, in order.
-    finishes = [m.finish_time for m in source.messages]
+    finishes = [m.finish_time for m in messages]
+    assert len(finishes) == len(schedule)
     assert all(f is not None for f in finishes)
     assert finishes == sorted(finishes)
 
