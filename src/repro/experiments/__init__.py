@@ -28,77 +28,14 @@ under its figure ids::
     payload = SweepRunner(jobs=4).run(experiment, params, seed=1)
 
 ``python -m repro.experiments <id>`` is the command-line face of the
-same machinery.  The ad-hoc ``run_*`` helpers live on their defining
-modules (``repro.experiments.fattree.run_fattree`` and so on); the
-registry is the supported way in.
+same machinery.  Importing this package loads only the registry:
+``registry.get(id)`` imports just the module its table names for that
+id.  Params, result classes and the ad-hoc ``run_*`` helpers live on
+their defining modules (``repro.experiments.fattree.FatTreeParams``,
+``repro.experiments.fattree.run_fattree`` and so on); the registry is
+the supported way in.
 """
 
-from __future__ import annotations
-
 from repro.experiments import registry
-from repro.experiments.ablation import (
-    AblationParams,
-    AlphaCase,
-    KSweepCase,
-    ProbePolicyCase,
-)
-from repro.experiments.base import Experiment, Point
-from repro.experiments.concurrency import ConcurrencyCase, ConcurrencyParams
-from repro.experiments.fairness import FairnessParams, FairnessResult
-from repro.experiments.fattree import FatTreeParams, FatTreeResult
-from repro.experiments.incast import IncastCase, IncastParams
-from repro.experiments.large_scale import LargeScaleCase, LargeScaleParams
-from repro.experiments.motivation import MotivationParams, MotivationResult
-from repro.experiments.multihop import MultiHopParams, MultiHopResult
-from repro.experiments.properties import PropertiesCase, PropertiesParams
-from repro.experiments.scenarios import (
-    ConnectionSet,
-    dctcp_threshold_pkts,
-    ecn_threshold_for,
-    packets_per_second,
-    run_until,
-)
-from repro.experiments.testbed import (
-    ArctCase,
-    ArctParams,
-    WebServiceParams,
-    WebServiceResult,
-)
-from repro.experiments.workload_figs import WorkloadFigures, WorkloadParams
 
-__all__ = [
-    "AblationParams",
-    "AlphaCase",
-    "ArctCase",
-    "ArctParams",
-    "ConcurrencyCase",
-    "ConcurrencyParams",
-    "ConnectionSet",
-    "Experiment",
-    "FairnessParams",
-    "FairnessResult",
-    "FatTreeParams",
-    "FatTreeResult",
-    "IncastCase",
-    "IncastParams",
-    "KSweepCase",
-    "LargeScaleCase",
-    "LargeScaleParams",
-    "MotivationParams",
-    "MotivationResult",
-    "MultiHopParams",
-    "MultiHopResult",
-    "Point",
-    "ProbePolicyCase",
-    "PropertiesCase",
-    "PropertiesParams",
-    "WebServiceParams",
-    "WebServiceResult",
-    "WorkloadFigures",
-    "WorkloadParams",
-    "dctcp_threshold_pkts",
-    "ecn_threshold_for",
-    "packets_per_second",
-    "registry",
-    "run_until",
-]
+__all__ = ["registry"]

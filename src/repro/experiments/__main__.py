@@ -51,10 +51,6 @@ from repro.runner import (
 )
 from repro.runner.cache import default_cache_dir
 
-#: every resolvable id (canonical figure ids plus aliases such as
-#: ``fig2`` → ``fig1``) mapped to its experiment instance.
-EXPERIMENTS = {name: registry.get(name) for name in registry.ids()}
-
 
 def _run_one(
     name: str, exp: Experiment, runner: SweepRunner, args: argparse.Namespace
@@ -128,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.experiments",
         description="Run TCP-TRIM reproduction experiments.",
     )
-    parser.add_argument("experiment", choices=sorted(set(EXPERIMENTS)) + ["all"])
+    parser.add_argument("experiment", choices=registry.ids() + ["all"])
     parser.add_argument("--preset", choices=("quick", "paper"), default="quick")
     parser.add_argument(
         "--protocols",
@@ -322,7 +318,9 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
 
-    names = sorted(set(EXPERIMENTS)) if args.experiment == "all" else [args.experiment]
+    # Resolving an id imports its module, so resolve only what runs.
+    names = registry.ids() if args.experiment == "all" else [args.experiment]
+    experiments = {name: registry.get(name) for name in names}
 
     args.fault_plan_json = None
     if args.fault_plan is not None:
@@ -334,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
             FaultPlan.from_json(args.fault_plan_json)  # validate early
         except (OSError, ValueError, KeyError, TypeError) as exc:
             parser.error(f"--fault-plan {args.fault_plan}: {exc}")
-        if not any(EXPERIMENTS[name].accepts_fault_plan for name in names):
+        if not any(exp.accepts_fault_plan for exp in experiments.values()):
             parser.error(
                 f"--fault-plan: experiment {args.experiment!r} does not "
                 "take a fault plan (try the 'faults' experiment)"
@@ -345,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--arrivals and --replay are mutually exclusive")
     if args.arrivals is not None or args.replay is not None:
         flag = "--arrivals" if args.arrivals is not None else "--replay"
-        if not any(EXPERIMENTS[name].accepts_openloop for name in names):
+        if not any(exp.accepts_openloop for exp in experiments.values()):
             parser.error(
                 f"{flag}: experiment {args.experiment!r} does not take "
                 "an open-loop schedule (try the 'openloop' experiment)"
@@ -435,8 +433,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def run_selected() -> None:
         seen: set[str] = set()
-        for name in names:
-            exp = EXPERIMENTS[name]
+        for name, exp in experiments.items():
             if exp.id in seen:  # aliases (fig2, fig6, table1...) run once
                 continue
             seen.add(exp.id)

@@ -17,6 +17,11 @@ Registration is what makes sweep points *dispatchable*: a worker
 process receives only ``(experiment_id, params, point, seed)`` and
 re-resolves the experiment on its side of the fork, so nothing
 unpicklable crosses the process boundary.
+
+:data:`_EXPERIMENT_MODULES` is the one place an id meets its module:
+:func:`ids` reads it without importing any experiment, and :func:`get`
+imports only the module the table names (tests/test_import_graph.py
+holds the table equal to what the modules register).
 """
 
 from __future__ import annotations
@@ -29,24 +34,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["canonical_ids", "get", "ids", "register"]
 
-#: modules that define and register experiments, imported lazily so the
-#: registry stays usable from a half-initialized worker process.
-_EXPERIMENT_MODULES = (
-    "repro.experiments.workload_figs",
-    "repro.experiments.motivation",
-    "repro.experiments.concurrency",
-    "repro.experiments.large_scale",
-    "repro.experiments.properties",
-    "repro.experiments.fairness",
-    "repro.experiments.multihop",
-    "repro.experiments.fattree",
-    "repro.experiments.testbed",
-    "repro.experiments.ablation",
-    "repro.experiments.incast",
-    "repro.experiments.faults",
-    "repro.experiments.openloop",
-    "repro.experiments.matrix",
-)
+#: every resolvable id and alias -> the module that registers it.
+_EXPERIMENT_MODULES: dict[str, str] = {
+    "ablations": "repro.experiments.ablation",
+    "faults": "repro.experiments.faults",
+    "fig1": "repro.experiments.workload_figs",
+    "fig2": "repro.experiments.workload_figs",
+    "fig4": "repro.experiments.motivation",
+    "fig5": "repro.experiments.concurrency",
+    "fig6": "repro.experiments.motivation",
+    "fig7": "repro.experiments.concurrency",
+    "fig8": "repro.experiments.large_scale",
+    "fig9": "repro.experiments.properties",
+    "fig10": "repro.experiments.fairness",
+    "fig11": "repro.experiments.multihop",
+    "fig12": "repro.experiments.fattree",
+    "fig13a": "repro.experiments.testbed",
+    "fig13be": "repro.experiments.testbed",
+    "incast": "repro.experiments.incast",
+    "matrix": "repro.experiments.matrix",
+    "openloop": "repro.experiments.openloop",
+    "table1": "repro.experiments.fattree",
+}
 
 _REGISTRY: dict[str, "Experiment"] = {}
 _ALIASES: dict[str, str] = {}
@@ -71,17 +80,25 @@ def register(experiment: Union["Experiment", type]) -> Union["Experiment", type]
 
 
 def _ensure_loaded() -> None:
+    """Import every module in the table."""
     global _loaded
     if _loaded:
         return
-    for module in _EXPERIMENT_MODULES:
+    for module in _EXPERIMENT_MODULES.values():
         importlib.import_module(module)
     _loaded = True
 
 
 def get(experiment_id: str) -> "Experiment":
-    """Resolve an experiment by canonical id or alias."""
-    _ensure_loaded()
+    """Resolve an experiment by canonical id or alias.
+
+    Imports only the module the table names for ``experiment_id``; an
+    id neither the table nor a runtime registration knows raises
+    ``KeyError`` without importing anything.
+    """
+    module = _EXPERIMENT_MODULES.get(experiment_id)
+    if module is not None:
+        importlib.import_module(module)
     canonical = _ALIASES.get(experiment_id, experiment_id)
     try:
         return _REGISTRY[canonical]
@@ -93,12 +110,15 @@ def get(experiment_id: str) -> "Experiment":
 
 
 def canonical_ids() -> list[str]:
-    """Sorted canonical experiment ids (one per experiment)."""
+    """Sorted canonical experiment ids (one per experiment).
+
+    Imports every module in the table: which ids are canonical is
+    declared on the experiment classes.
+    """
     _ensure_loaded()
     return sorted(_REGISTRY)
 
 
 def ids() -> list[str]:
     """Sorted resolvable ids: canonical ids plus aliases."""
-    _ensure_loaded()
-    return sorted(set(_REGISTRY) | set(_ALIASES))
+    return sorted(set(_EXPERIMENT_MODULES) | set(_REGISTRY) | set(_ALIASES))

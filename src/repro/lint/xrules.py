@@ -427,14 +427,8 @@ class UnitDimensionRule(ProjectRule):
 # SIM015 — experiment contract conformance
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_BASES = (
-    "repro.experiments.base.Experiment",
-    "repro.experiments.Experiment",
-)
-_REGISTER_NAMES = (
-    "repro.experiments.registry.register",
-    "repro.experiments.register",
-)
+_EXPERIMENT_BASES = ("repro.experiments.base.Experiment",)
+_REGISTER_NAMES = ("repro.experiments.registry.register",)
 #: class attributes a registered experiment must declare in its body.
 _REQUIRED_DECLARATIONS = ("id", "title", "params_cls")
 

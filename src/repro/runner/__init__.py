@@ -55,8 +55,10 @@ from repro.runner.cache import CostModel, ResultCache
 from repro.runner.checkpoint import SweepCheckpoint
 
 # Light imports by design: the exceptions and policy live in
-# repro.runner.dispatch.retry, which pulls no sockets or subprocesses.
-# The DispatchBackend itself is loaded lazily via create_backend.
+# repro.runner.dispatch.retry, and the dispatch package re-exports
+# nothing, so this pulls no sockets, subprocesses or repro.obs.  The
+# DispatchBackend itself is loaded lazily via create_backend
+# (tests/test_import_graph.py holds both).
 from repro.runner.dispatch.retry import (
     DispatchError,
     LeaseExpired,

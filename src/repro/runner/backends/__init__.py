@@ -22,7 +22,10 @@ CONTRIBUTING.md for how to implement one.
 (or ``--backend dispatch``) imports the fleet machinery on demand, so
 single-process sweeps never pay for sockets and subprocess plumbing —
 and the import graph stays acyclic (the dispatch package itself builds
-on :mod:`repro.runner.backends.base`).
+on :mod:`repro.runner.backends.base`).  The dispatch package
+``__init__`` imports none of its modules, so importing the retry policy
+from it does not load the fleet either; tests/test_import_graph.py
+checks both.
 """
 
 from repro.runner.backends.base import (

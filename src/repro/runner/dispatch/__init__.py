@@ -36,40 +36,9 @@ is what only a fleet has:
   ``kill -9`` resumes under ``--backend serial`` (and vice versa)
   byte-identically; the chaos harness
   (:mod:`~repro.runner.dispatch.chaos`) proves it in CI.
+
+This package re-exports nothing; import from the submodules.  The
+engine needs only :mod:`~repro.runner.dispatch.retry` and a worker only
+:mod:`~repro.runner.dispatch.frames`, so neither loads the reactor's
+sockets, subprocesses and :mod:`repro.obs.dispatch`.
 """
-
-from repro.runner.dispatch.backend import DispatchBackend
-from repro.runner.dispatch.breaker import CircuitBreaker
-from repro.runner.dispatch.frames import FrameError, recv_frame, send_frame
-from repro.runner.dispatch.hosts import HostSpec, default_hosts, parse_hosts
-from repro.runner.dispatch.retry import (
-    DETERMINISTIC,
-    TIMEOUT,
-    TRANSIENT,
-    DispatchError,
-    LeaseExpired,
-    RemoteError,
-    RetryPolicy,
-    WorkerLost,
-    classify_failure,
-)
-
-__all__ = [
-    "DETERMINISTIC",
-    "TIMEOUT",
-    "TRANSIENT",
-    "CircuitBreaker",
-    "DispatchBackend",
-    "DispatchError",
-    "FrameError",
-    "HostSpec",
-    "LeaseExpired",
-    "RemoteError",
-    "RetryPolicy",
-    "WorkerLost",
-    "classify_failure",
-    "default_hosts",
-    "parse_hosts",
-    "recv_frame",
-    "send_frame",
-]

@@ -71,10 +71,6 @@ from repro.runner.dispatch.retry import (
 
 __all__ = ["DispatchBackend"]
 
-#: env var naming a file that receives ``<worker> <pid>`` lines as the
-#: fleet spawns — the seam the chaos harness's worker-killer reads.
-PIDFILE_ENV = "REPRO_DISPATCH_PIDFILE"
-
 #: reactor tick: the cadence of lease and spawn checks.
 _TICK_SECONDS = 0.05
 
@@ -229,8 +225,6 @@ class DispatchBackend(SweepBackend):
             if self.hosts_config is not None
             else default_hosts(max_workers)
         )
-        if self._pid_file is None and os.environ.get(PIDFILE_ENV, "").strip():
-            self._pid_file = Path(os.environ[PIDFILE_ENV])
         self._breakers = {
             host.name: CircuitBreaker(self.breaker_threshold, self.breaker_cooldown)
             for host in self._hosts

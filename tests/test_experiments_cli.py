@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import __main__ as cli
+from repro.experiments import registry
 
 
 class TestArgumentParsing:
@@ -14,14 +15,17 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             cli.main(["fig4", "--preset", "huge"])
 
-    def test_experiment_table_covers_all_figures(self):
+    def test_experiment_table_covers_all_figures(self, capsys):
         expected = {
             "fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
             "fig9", "fig10", "fig11", "fig12", "table1", "fig13a",
             "fig13be", "ablations", "incast", "faults", "openloop",
             "matrix",
         }
-        assert expected == set(cli.EXPERIMENTS)
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        help_text = "".join(capsys.readouterr().out.split())
+        assert "{" + ",".join([*sorted(expected), "all"]) + "}" in help_text
 
     def test_resume_requires_checkpointing(self):
         with pytest.raises(SystemExit):
@@ -134,7 +138,7 @@ class TestDispatchCli:
             def make_params(self, preset="quick", protocol=None, **overrides):
                 return dispatch_toys.ToyParams(**toy_params)
 
-        monkeypatch.setitem(cli.EXPERIMENTS, "toypoison", _CliPoison())
+        monkeypatch.setitem(registry._REGISTRY, "toypoison", _CliPoison())
 
     def test_dispatch_backend_runs_end_to_end(
         self, monkeypatch, tmp_path, capsys
@@ -147,7 +151,7 @@ class TestDispatchCli:
             def make_params(self, preset="quick", protocol=None, **overrides):
                 return dispatch_toys.ToyParams(n_points=4)
 
-        monkeypatch.setitem(cli.EXPERIMENTS, "toyecho", _CliEcho())
+        monkeypatch.setitem(registry._REGISTRY, "toyecho", _CliEcho())
         argv = [
             "toyecho", "--preset", "quick", "--no-cache",
             "--backend", "dispatch", "--jobs", "2",

@@ -39,13 +39,15 @@ class TestApiSurface:
         assert source_class("trim") is repro.TrimSource
 
     def test_run_helpers_live_on_their_modules_only(self):
-        # The package-root re-export shims are gone; the functions are not.
+        # The package-root re-exports are gone; the names are not.
         import repro.experiments
-        from repro.experiments.fattree import run_fattree
+        from repro.experiments.fattree import FatTreeParams, run_fattree
 
-        assert callable(run_fattree)
-        with pytest.raises(AttributeError):
-            repro.experiments.run_fattree
+        assert callable(run_fattree) and callable(FatTreeParams)
+        assert repro.experiments.__all__ == ["registry"]
+        for name in ("run_fattree", "FatTreeParams"):
+            with pytest.raises(AttributeError):
+                getattr(repro.experiments, name)
 
 
 class TestQuickstartPath:
