@@ -145,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
         help="sweep execution backend: serial (inline), process "
         "(worker pool, pickle transport), or "
         "dispatch (fault-tolerant socket workers with heartbeat "
-        "leases and per-host circuit breakers — see --hosts); "
+        "leases; a host that cannot start workers is dropped — see "
+        "--hosts); "
         "default picks serial under --jobs 1 and process otherwise. "
         "Results, and what happens to a point that fails "
         "(--retry-policy), are identical under every backend.",

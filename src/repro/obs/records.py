@@ -55,12 +55,10 @@ POOL_EVENTS: tuple[str, ...] = (
 )
 
 #: fleet-dispatch lifecycle events (repro.runner.dispatch): worker and
-#: lease life cycle, retry decisions, quarantine, and the per-host
-#: circuit breaker's transitions.
+#: lease life cycle, and a resubmitted point's placement.
 DISPATCH_EVENTS: tuple[str, ...] = (
     "spawn", "hello", "lease", "expire", "worker_dead", "retry",
-    "result", "quarantine", "breaker_open", "breaker_probe",
-    "breaker_close", "shutdown",
+    "result", "shutdown",
 )
 
 
@@ -212,7 +210,7 @@ class PoolRecord(Record):
 
 @dataclass(frozen=True, slots=True)
 class DispatchRecord(Record):
-    """One fleet-dispatch event (lease, retry, breaker, quarantine...).
+    """One fleet-dispatch event (spawn, lease, retry, worker death...).
 
     ``t`` is host-side elapsed seconds since the dispatch log's epoch —
     operational telemetry, deliberately *not* simulation time (the
@@ -220,7 +218,7 @@ class DispatchRecord(Record):
     :data:`DISPATCH_EVENTS`; the optional fields carry whatever the
     event has on hand: the worker and host involved, the point label,
     the attempt number, and a free-form ``detail`` (error signature,
-    breaker state, lease deadline...).
+    lease deadline, exit status...).
     """
 
     channel: ClassVar[str] = "dispatch"

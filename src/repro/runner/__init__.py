@@ -25,7 +25,7 @@ out to a pluggable execution backend, with:
   on quarantines the point;
 * a fault-tolerant multi-host backend (``dispatch``,
   :mod:`repro.runner.dispatch`): socket workers with heartbeat leases,
-  lost-worker detection, and per-host circuit breakers;
+  lost-worker detection, and a bound on hosts that cannot start workers;
 * crash-safe checkpointing: an append-only, fsynced JSONL journal of
   completed points (:class:`~repro.runner.checkpoint.SweepCheckpoint`)
   that ``resume=True`` replays after a crash or Ctrl-C — under any

@@ -8,8 +8,7 @@ Three implementations ship with the runner:
 ``process``   :class:`~concurrent.futures.ProcessPoolExecutor` fan-out with
               pickle result transport — the parallel default
 ``dispatch``  fault-tolerant multi-host fleet over a socket frame
-              protocol: worker leases, lost-worker detection,
-              per-host circuit breakers
+              protocol: worker leases, lost-worker detection
               (:mod:`repro.runner.dispatch`)
 ============ =================================================================
 

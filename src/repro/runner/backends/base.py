@@ -64,9 +64,7 @@ class PointSpec:
     directly, so experiments never need to be registered for serial
     runs); ``experiment_id`` is what crosses a process boundary —
     either a registry id or a ``"module:attribute"`` path resolvable by
-    :func:`resolve_experiment`.  ``cost`` is the scheduler's predicted
-    runtime in seconds (None when unknown); backends may use it as a
-    placement hint but must not let it affect results.
+    :func:`resolve_experiment`.
     """
 
     experiment: Any
@@ -75,7 +73,6 @@ class PointSpec:
     point: Any
     seed: int
     params_digest: str = ""
-    cost: Optional[float] = None
 
 
 def resolve_experiment(experiment_id: str) -> Any:

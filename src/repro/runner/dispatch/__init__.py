@@ -28,9 +28,11 @@ is what only a fleet has:
 * **Placement memory** — a point resubmitted after failing on a worker
   is leased to one it has not failed on while the fleet has any, so a
   retry is also a second opinion.
-* **Per-host circuit breakers** (:mod:`~repro.runner.dispatch.breaker`)
-  — K consecutive failures drain a host; after a cooldown a half-open
-  probe decides whether it rejoins.
+* **A bound on hosts that cannot start workers** — a host whose
+  workers die before saying hello is written off after a fixed count,
+  and a fleet with no host left fails its open points at once.  No
+  host is ever idled for its points' failures: those are the
+  engine's budgets to spend.
 * **Crash-safe merge/resume** — results flow through the ordinary
   ``repro-sweep-journal/1`` checkpoint, so a dispatch run killed with
   ``kill -9`` resumes under ``--backend serial`` (and vice versa)

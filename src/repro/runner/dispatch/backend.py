@@ -11,7 +11,7 @@ to one idle worker as a ``task`` frame — once — and settles its future
 exactly once, from the ``result`` / ``error`` frame or from whatever
 ended the lease.
 
-All fleet state — workers, leases, breakers — is owned by the reactor
+All fleet state — workers, leases, placement memory — is owned by the reactor
 thread alone; the only cross-thread traffic is the submit queue, the
 stop flag, and settled futures (which are thread-safe by contract).
 That single-writer discipline is what keeps the fleet auditable: every
@@ -28,9 +28,10 @@ naming the worker and host.  Whether the point runs again, and whether
 two workers agreeing on a failure quarantines it, is decided by
 :meth:`repro.runner.engine.SweepRunner._drain`, which resubmits it as a
 fresh task; the reactor's part in a retry is to lease that task to a
-worker the point has not failed on.  ``breaker_threshold`` consecutive
-failures on one host drain the host; after ``breaker_cooldown`` a
-half-open probe readmits it.
+worker the point has not failed on.  The fleet never judges a host by
+its points' failures: a point's own errors are bounded by the engine's
+``attempts`` budget, a dying worker by the per-point transient budget,
+and a host whose workers never say hello by ``_SPAWN_FAIL_LIMIT``.
 
 Results land in the ordinary sweep journal via the engine, so a
 dispatch run killed at any instant resumes under any backend.
@@ -60,7 +61,6 @@ from repro.runner.dispatch.frames import (
     recv_frame,
     send_frame,
 )
-from repro.runner.dispatch.breaker import CircuitBreaker
 from repro.runner.dispatch.hosts import HostSpec, default_hosts
 from repro.runner.dispatch.retry import (
     DispatchError,
@@ -74,9 +74,12 @@ __all__ = ["DispatchBackend"]
 #: reactor tick: the cadence of lease and spawn checks.
 _TICK_SECONDS = 0.05
 
-#: spawn failures tolerated per host before it is written off entirely
-#: (breakers handle *transient* host sickness; this bounds a host whose
-#: spawn command can never succeed, so the reactor cannot probe forever).
+#: seconds a spawned worker (or an accepted connection) has to say hello.
+_SPAWN_TIMEOUT = 20.0
+
+#: workers per host that may die before hello (spawn error, early exit,
+#: no hello in time) before the host is written off for the sweep; when
+#: every host is, ``_check_fleet_viability`` fails the open points.
 _SPAWN_FAIL_LIMIT = 10
 
 class _Worker:
@@ -140,15 +143,11 @@ class DispatchBackend(SweepBackend):
         hosts: Optional[list[HostSpec]] = None,
         lease_timeout: float = 10.0,
         heartbeat_interval: float = 0.5,
-        spawn_timeout: float = 20.0,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 5.0,
         quarantine_path: Union[str, Path, None] = None,
         bind_host: str = "127.0.0.1",
         advertise_host: Optional[str] = None,
         pid_file: Union[str, Path, None] = None,
         extra_sys_path: tuple[str, ...] = (),
-        log: Optional[DispatchLog] = None,
     ) -> None:
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be > 0")
@@ -162,9 +161,6 @@ class DispatchBackend(SweepBackend):
         self.hosts_config = hosts
         self.lease_timeout = lease_timeout
         self.heartbeat_interval = heartbeat_interval
-        self.spawn_timeout = spawn_timeout
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
         #: where the engine records quarantined points (it alone decides
         #: them; the path lives here beside the fleet that has workers
         #: to disagree).
@@ -175,7 +171,7 @@ class DispatchBackend(SweepBackend):
         self.advertise_host = advertise_host or bind_host
         self._pid_file = Path(pid_file) if pid_file is not None else None
         self.extra_sys_path = tuple(extra_sys_path)
-        self.log = log if log is not None else DispatchLog()
+        self.log = DispatchLog()
 
         self._hosts: list[HostSpec] = []
         self._listener: Optional[socket.socket] = None
@@ -199,7 +195,6 @@ class DispatchBackend(SweepBackend):
         #: point key -> workers it already failed on; a resubmission of
         #: the point is leased elsewhere when anyone else is idle.
         self._avoid: dict[tuple[str, str, str], set[str]] = {}
-        self._breakers: dict[str, CircuitBreaker] = {}
         self._spawn_counter: dict[str, int] = {}
         self._spawn_failures: dict[str, int] = {}
         self._dead_hosts: set[str] = set()
@@ -225,10 +220,6 @@ class DispatchBackend(SweepBackend):
             if self.hosts_config is not None
             else default_hosts(max_workers)
         )
-        self._breakers = {
-            host.name: CircuitBreaker(self.breaker_threshold, self.breaker_cooldown)
-            for host in self._hosts
-        }
         self._spawn_counter = {host.name: 0 for host in self._hosts}
         self._spawn_failures = {host.name: 0 for host in self._hosts}
         self._dead_hosts = set()
@@ -307,9 +298,6 @@ class DispatchBackend(SweepBackend):
             "frames_sent": self.frames_sent,
             "frames_received": self.frames_received,
             "workers_spawned": len(self._roster),
-            "breaker_trips": sum(
-                breaker.opened_count for breaker in self._breakers.values()
-            ),
         }
 
     # ------------------------------------------------------------------
@@ -340,9 +328,13 @@ class DispatchBackend(SweepBackend):
                 start_new_session=True,
             )
         except OSError as exc:
-            self._note_host_failure(host.name, f"spawn failed: {exc}")
+            self._note_spawn_failure(host.name)
+            self.log.emit(
+                "worker_dead", worker=worker_name, host=host.name,
+                detail=f"spawn failed: {exc}",
+            )
             return None
-        worker = _Worker(worker_name, host, proc, now + self.spawn_timeout)
+        worker = _Worker(worker_name, host, proc, now + _SPAWN_TIMEOUT)
         self._workers[worker_name] = worker
         self._roster.append(worker_name)
         self._write_pid(worker_name, proc.pid)
@@ -358,33 +350,11 @@ class DispatchBackend(SweepBackend):
             handle.flush()
             os.fsync(handle.fileno())
 
-    def _note_host_failure(self, host_name: str, detail: str) -> None:
-        """Record a spawn-level failure against a host's breaker."""
-        self._breaker_failure(host_name, detail)
+    def _note_spawn_failure(self, host_name: str) -> None:
+        """Count a worker lost before hello; write off a host at the limit."""
         self._spawn_failures[host_name] += 1
         if self._spawn_failures[host_name] >= _SPAWN_FAIL_LIMIT:
             self._dead_hosts.add(host_name)
-
-    def _breaker_failure(self, host_name: str, detail: str) -> None:
-        breaker = self._breakers[host_name]
-        was_open = breaker.state == CircuitBreaker.OPEN
-        breaker.record_failure()
-        if breaker.state == CircuitBreaker.OPEN and not was_open:
-            self.log.emit("breaker_open", host=host_name, detail=detail)
-
-    def _breaker_success(self, host_name: str) -> None:
-        breaker = self._breakers[host_name]
-        if breaker.state != CircuitBreaker.CLOSED:
-            self.log.emit("breaker_close", host=host_name)
-        breaker.record_success()
-
-    def _breaker_admits(self, host_name: str) -> bool:
-        breaker = self._breakers[host_name]
-        before = breaker.state
-        admitted = breaker.allows()
-        if admitted and before == CircuitBreaker.OPEN:
-            self.log.emit("breaker_probe", host=host_name)
-        return admitted
 
     # ------------------------------------------------------------------
     # the reactor
@@ -542,7 +512,7 @@ class DispatchBackend(SweepBackend):
         elif op == "error":
             self._on_error(worker, frame)
         elif op == "bye":
-            worker.state = _Worker.DEAD  # clean exit, no breaker charge
+            worker.state = _Worker.DEAD  # clean exit
             self._detach(worker)
 
     # -- results and failures ------------------------------------------
@@ -565,7 +535,6 @@ class DispatchBackend(SweepBackend):
             self._mark_dead(worker, "worker_dead", f"undecodable result: {exc}")
             return
         self._release(worker)
-        self._breaker_success(worker.host.name)
         self.log.emit(
             "result", worker=worker.name, host=worker.host.name,
             point=task.label,
@@ -586,7 +555,6 @@ class DispatchBackend(SweepBackend):
             traceback=str(frame.get("traceback", "")),
         )
         self._avoid.setdefault(task.key, set()).add(worker.name)
-        self._breaker_failure(worker.host.name, str(error))
         self._settle(task, error=error)
 
     # -- worker death and leases ---------------------------------------
@@ -619,7 +587,6 @@ class DispatchBackend(SweepBackend):
         self.log.emit(
             event, worker=worker.name, host=worker.host.name, detail=detail
         )
-        self._breaker_failure(worker.host.name, detail)
         task, worker.task = worker.task, None
         if task is None or task.done:
             return
@@ -637,10 +604,7 @@ class DispatchBackend(SweepBackend):
             proc = worker.proc
             if proc is not None and proc.poll() is not None:
                 worker.state = _Worker.DEAD
-                self._note_host_failure(
-                    worker.host.name,
-                    f"{worker.name} exited {proc.returncode} before hello",
-                )
+                self._note_spawn_failure(worker.host.name)
                 self.log.emit(
                     "worker_dead", worker=worker.name, host=worker.host.name,
                     detail=f"exit {proc.returncode} before hello",
@@ -648,15 +612,13 @@ class DispatchBackend(SweepBackend):
             elif now > worker.hello_deadline:
                 worker.state = _Worker.DEAD
                 self._detach(worker)
-                self._note_host_failure(
-                    worker.host.name, f"{worker.name} never sent hello"
-                )
+                self._note_spawn_failure(worker.host.name)
                 self.log.emit(
                     "worker_dead", worker=worker.name, host=worker.host.name,
                     detail="hello timeout",
                 )
         for sock, accepted in list(self._pending_socks.items()):
-            if now - accepted > self.spawn_timeout:
+            if now - accepted > _SPAWN_TIMEOUT:
                 self._drop_pending(sock)
 
     def _check_leases(self, now: float) -> None:
@@ -690,8 +652,6 @@ class DispatchBackend(SweepBackend):
             if host.name in self._dead_hosts:
                 continue
             while self._live_count(host.name) < host.workers:
-                if not self._breaker_admits(host.name):
-                    break
                 if self._spawn_worker(host, now) is None:
                     break
 
@@ -710,11 +670,9 @@ class DispatchBackend(SweepBackend):
             for worker in self._workers.values()
         )
         for worker in sorted(self._workers.values(), key=lambda w: w.name):
-            if worker.state != _Worker.IDLE:
-                continue
-            if untried_left and worker.name in avoid:
-                continue
-            if self._breaker_admits(worker.host.name):
+            if worker.state == _Worker.IDLE and not (
+                untried_left and worker.name in avoid
+            ):
                 return worker
         return None
 
@@ -830,19 +788,24 @@ class DispatchBackend(SweepBackend):
                     f"point {task.label!r}: dispatcher shut down ({cause})"
                 ),
             )
+        told: list[_Worker] = []
         for worker in self._workers.values():
-            if worker.sock is not None:
-                try:
-                    send_frame(worker.sock, {"op": "shutdown"})
-                    self.frames_sent += 1
-                except OSError:  # pragma: no cover - racing worker death
-                    pass
-        # A short grace window lets idle workers exit on the shutdown
-        # frame instead of eating a SIGKILL from _detach below.
+            if worker.sock is None:
+                # Not connected (yet): it cannot hear a shutdown frame.
+                self._detach(worker)
+                continue
+            try:
+                send_frame(worker.sock, {"op": "shutdown"})
+                self.frames_sent += 1
+                told.append(worker)
+            except OSError:  # pragma: no cover - racing worker death
+                pass
+        # A short grace window lets the workers that were told exit on
+        # the shutdown frame instead of eating a SIGKILL from _detach.
         grace_deadline = time.monotonic() + 2.0
         while time.monotonic() < grace_deadline and any(
             worker.proc is not None and worker.proc.poll() is None
-            for worker in self._workers.values()
+            for worker in told
         ):
             time.sleep(0.02)
         for worker in self._workers.values():

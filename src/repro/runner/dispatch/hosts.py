@@ -30,8 +30,8 @@ workers, the default) or a path to a JSON file::
      {"name": "node-b", "workers": 8}]
 
 A host entry without ``spawn`` gets the local template — useful for
-tests that want several "hosts" on one machine to exercise the
-per-host circuit breakers.
+tests that want several "hosts" on one machine, say one that cannot
+start a worker beside one that can.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Each toy models one failure class the dispatcher must survive:
 ``POISON``   always fails for selected labels with a stable message,
              after ``sleep_s`` — the quarantine path (same signature,
              two workers) and the budget path (every execution counted)
-``CRASSH``   hard-exits the worker process for selected labels — the
+``CRASH``    hard-exits the worker process for selected labels — the
              transient path (worker death mid-task)
 ``STALL``    sleeps forever (in sweep terms) for selected labels on the
              first execution only — the straggler paths (lease expiry,

@@ -7,9 +7,10 @@ the serial backend, transient retry after a worker crash, deterministic
 retry of a flaky point, quarantine after two distinct workers agree on
 a failure, lease expiry for a SIGSTOPped worker, the engine's timeout
 resubmission of an overdue point, the one-rule-on-every-backend
-contract, reactor failures that must not hang the sweep, and
-the stats/roster/telemetry plumbing.  The full chaos storm (many
-kills, dispatcher kill -9 + resume) lives in test_dispatch_chaos.py.
+contract, reactor failures that must not hang the sweep, hosts that
+cannot start a worker, a prompt close, and the stats/roster/telemetry
+plumbing.  The full chaos storm (many kills, dispatcher kill -9 +
+resume) lives in test_dispatch_chaos.py.
 """
 
 import concurrent.futures
@@ -37,8 +38,12 @@ from repro.experiments.store import to_jsonable  # noqa: E402
 from repro.runner import RetryPolicy, SweepCheckpoint, SweepRunner  # noqa: E402
 from repro.runner.backends import PointSpec  # noqa: E402
 from repro.runner.dispatch.backend import DispatchBackend  # noqa: E402
+from repro.runner.dispatch.hosts import HostSpec  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
+
+#: a host whose every worker exits before it can say hello.
+BAD_SPAWN = ("{python}", "-c", "raise SystemExit(3)")
 
 
 def _backend(tmp_path, **overrides):
@@ -259,6 +264,27 @@ class TestOneRuleThreeBackends:
             "quarantined" if kind == "dispatch" else "deterministic"
         )
 
+    def test_every_point_poisoned_fails_alike_and_promptly(self, kind, tmp_path):
+        labels = ("p0", "p1", "p2", "p3")
+        params = dispatch_toys.ToyParams(n_points=4, labels=labels)
+        runner = self._runner(kind, tmp_path)
+        started = time.monotonic()
+        with pytest.warns(RuntimeWarning, match="failed"):
+            payload = runner.run(dispatch_toys.POISON, params, seed=3)
+        elapsed = time.monotonic() - started
+        assert payload == [None] * 4
+        failures = sorted(runner.last_stats.failures, key=lambda f: f.label)
+        assert [failure.label for failure in failures] == list(labels)
+        for failure in failures:
+            assert failure.attempts == 2
+            assert failure.error == f"ValueError: poison {failure.label}"
+            assert failure.kind == (
+                "quarantined" if kind == "dispatch" else "deterministic"
+            )
+        # Eight failures in a row say nothing about the host: a fleet
+        # that idled 5 s after three of them would miss this bound.
+        assert elapsed < 5.0
+
     def test_flaky_point_succeeds_on_its_second_execution(self, kind, tmp_path):
         params = dispatch_toys.ToyParams(
             n_points=4, state_dir=str(tmp_path), labels=("p2",)
@@ -357,6 +383,48 @@ class TestReactorNeverHangsTheSweep:
         assert "RuntimeError: reactor bug" in shutdown.detail
 
 
+class TestHostHealth:
+    """A host that cannot start workers is written off; nothing else is."""
+
+    def test_fleet_whose_only_host_cannot_spawn_fails_every_point(
+        self, tmp_path
+    ):
+        backend = _backend(tmp_path, hosts=[HostSpec("bad", 2, BAD_SPAWN)])
+        params = dispatch_toys.ToyParams(n_points=4)
+        started = time.monotonic()
+        with pytest.warns(RuntimeWarning, match="failed"):
+            payload, stats = _run(
+                dispatch_toys.ECHO, params, backend, tmp_path / "sweep.jsonl"
+            )
+        elapsed = time.monotonic() - started
+        assert payload == [None] * 4
+        assert len(stats.failures) == 4
+        for failure in stats.failures:
+            assert "dispatch fleet unavailable" in failure.error
+        assert backend.log.counts().get("hello", 0) == 0
+        assert elapsed < 5.0
+
+    def test_good_host_carries_the_sweep_beside_a_bad_one(self, tmp_path):
+        params = dispatch_toys.ToyParams(n_points=6)
+        backend = _backend(
+            tmp_path,
+            hosts=[HostSpec("good", 2), HostSpec("bad", 1, BAD_SPAWN)],
+        )
+        payload, stats = _run(
+            dispatch_toys.ECHO, params, backend, tmp_path / "sweep.jsonl"
+        )
+        assert stats.failures == []
+        assert payload == SweepRunner(backend="serial").run(
+            dispatch_toys.ECHO, params, seed=3
+        )
+        hosts_that_said_hello = {
+            record.host
+            for record in backend.log.records()
+            if record.event == "hello"
+        }
+        assert hosts_that_said_hello == {"good"}
+
+
 class TestLeaseExpiry:
     def test_sigstopped_worker_loses_its_lease(self, tmp_path):
         # One worker takes p0, writes its marker, then sleeps.  We
@@ -421,6 +489,31 @@ class TestReuseAndShutdown:
         )
         assert to_jsonable(first) == to_jsonable(second)
         assert stats1.failures == stats2.failures == []
+
+    def test_crash_sweep_closes_promptly(self, tmp_path, monkeypatch):
+        # The last point kills its worker; its retry finishes on the
+        # other one while the replacement is typically still starting.
+        # That replacement cannot hear a shutdown frame, so close must
+        # kill it at once instead of waiting out the grace window.
+        closes = []
+        close = DispatchBackend.close
+
+        def timed_close(self, *args, **kwargs):
+            started = time.monotonic()
+            close(self, *args, **kwargs)
+            closes.append(time.monotonic() - started)
+
+        monkeypatch.setattr(DispatchBackend, "close", timed_close)
+        params = dispatch_toys.ToyParams(
+            n_points=5, state_dir=str(tmp_path), labels=("p4",)
+        )
+        _, stats = _run(
+            dispatch_toys.CRASH, params, _backend(tmp_path),
+            tmp_path / "sweep.jsonl",
+        )
+        assert stats.failures == []
+        assert stats.transient_retries >= 1
+        assert closes and max(closes) < 1.0
 
     def test_close_reaps_every_spawned_worker(self, tmp_path):
         pid_file = tmp_path / "workers.pid"

@@ -1,10 +1,9 @@
 """Unit tests for the dispatch building blocks: frames, retry policy,
-circuit breakers, and host-list parsing.
+and host-list parsing.
 
 Everything here is in-process and fast — no worker subprocesses.  The
-frame tests talk over a local socketpair; the breaker tests drive the
-state machine with a fake clock.  End-to-end fleet behavior lives in
-test_dispatch_backend.py and the chaos harness.
+frame tests talk over a local socketpair.  End-to-end fleet behavior
+lives in test_dispatch_backend.py and the chaos harness.
 """
 
 import json
@@ -14,7 +13,6 @@ import threading
 
 import pytest
 
-from repro.runner.dispatch.breaker import CircuitBreaker
 from repro.runner.dispatch.frames import (
     MAX_FRAME_BYTES,
     FrameError,
@@ -219,78 +217,6 @@ class TestRetryPolicy:
         assert policy.allows_transient(0)
         assert policy.allows_transient(1)
         assert not policy.allows_transient(2)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-class TestCircuitBreaker:
-    def test_closed_until_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=3, cooldown=5.0, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allows()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opened_count == 1
-
-    def test_success_resets_the_consecutive_count(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=5.0, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_open_blocks_until_cooldown_then_admits_one_probe(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allows()
-        clock.advance(4.9)
-        assert not breaker.allows()
-        clock.advance(0.2)
-        assert breaker.allows()  # the single probe
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert not breaker.allows()  # probe outstanding: nothing else
-
-    def test_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown=1.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(1.5)
-        assert breaker.allows()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allows()
-
-    def test_probe_failure_reopens_for_a_full_cooldown(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown=2.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(2.5)
-        assert breaker.allows()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opened_count == 2
-        assert not breaker.allows()
-        clock.advance(2.5)
-        assert breaker.allows()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown=-1.0)
 
 
 class TestHosts:

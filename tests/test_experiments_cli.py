@@ -187,8 +187,7 @@ class TestDispatchCli:
     ):
         # attempts=3 bounds a point's executions *in total*.  p0 fails
         # 0.3 s in, on a one-worker fleet, with --timeout armed so that
-        # a resubmission interleaves with the failures (and seven
-        # healthy points keep the host's breaker closed): a budget kept
+        # a resubmission interleaves with the failures: a budget kept
         # per resubmission would run it a fourth time.
         self._register_poison(
             monkeypatch, n_points=8, state_dir=str(tmp_path), labels=("p0",),
