@@ -309,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     args.protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     if not args.protocols:
         parser.error("--protocols must name at least one protocol")
     from repro.tcp.factory import source_class

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from repro.sim.monitor import TimeSeries
 
@@ -31,11 +30,12 @@ def to_jsonable(obj: Any) -> Any:
         if obj in (float("inf"), float("-inf")):
             return None
         return obj
-    if isinstance(obj, (np.integer,)):
+    np = sys.modules.get("numpy")  # a process that never loaded numpy holds none
+    if np is not None and isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if np is not None and isinstance(obj, np.floating):
         return to_jsonable(float(obj))
-    if isinstance(obj, np.ndarray):
+    if np is not None and isinstance(obj, np.ndarray):
         return [to_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, TimeSeries):
         return {

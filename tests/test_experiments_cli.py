@@ -43,6 +43,13 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             cli.main(["faults", "--fault-plan", str(plan)])
 
+    def test_negative_seed_rejected_at_parse_time(self, capsys):
+        # Not a traceback from deep inside the sweep's seed derivation.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["incast", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_fig1_runs_end_to_end(self, capsys):

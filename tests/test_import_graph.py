@@ -9,7 +9,10 @@ graph itself and not whatever this test session happened to import:
   layer and every figure module alone, and a dispatch worker never
   loads the fleet side;
 * the registry's table answers ``ids()`` without importing an
-  experiment module, and ``get(id)`` imports just that id's module.
+  experiment module, and ``get(id)`` imports just that id's module;
+* numpy loads at the first generator construction, never before: a
+  sweep whose points draw nothing (``incast``) runs and serializes its
+  payload without it.
 
 The drift guard holds the table equal to what the experiment modules
 register, so an experiment missing from the table fails here.
@@ -62,6 +65,47 @@ def _loaded_after(code: str) -> set[str]:
     loaded = _fresh(code + _PRINT_LOADED)
     assert isinstance(loaded, list)
     return set(loaded)
+
+
+_NUMPY_LOADED = """
+import json, sys
+print(json.dumps("numpy" in sys.modules))
+"""
+
+
+def _loads_numpy(code: str) -> bool:
+    loaded = _fresh(code + _NUMPY_LOADED)
+    assert isinstance(loaded, bool)
+    return loaded
+
+
+def test_runner_and_worker_imports_load_no_numpy():
+    assert not _loads_numpy("import repro.runner")
+    assert not _loads_numpy(
+        "import repro.runner.dispatch.worker as worker\n"
+        "worker.resolve_experiment('incast')\n"
+    )
+
+
+def test_a_sweep_that_draws_nothing_never_loads_numpy():
+    assert not _loads_numpy(
+        "from repro.experiments import registry\n"
+        "from repro.experiments.store import to_jsonable\n"
+        "from repro.runner import SweepRunner\n"
+        "incast = registry.get('incast')\n"
+        "tasks = [(incast, incast.make_params('quick', protocol=p))\n"
+        "         for p in ('reno', 'trim')]\n"
+        "payloads = SweepRunner().run_many(tasks, seed=1)\n"
+        "assert all(to_jsonable(payload) for payload in payloads)\n"
+    )
+
+
+def test_the_first_generator_loads_numpy():
+    # Positive control: the probe above would see numpy if it were there.
+    assert _loads_numpy(
+        "from repro.sim.randomness import RandomStreams\n"
+        "RandomStreams(1).get('x')\n"
+    )
 
 
 def test_import_repro_loads_no_other_repro_module():

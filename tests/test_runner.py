@@ -33,8 +33,10 @@ class TestDeriveSeed:
             assert 0 <= s < 2**63
 
     def test_matches_stream_spawn(self):
-        streams = RandomStreams(7)
-        assert streams.spawn_seed("fig4/run") == derive_seed(7, "fig4/run")
+        # One scheme: a derived seed is its named stream's own seed state.
+        seq = RandomStreams(7).get("fig4/run").bit_generator.seed_seq
+        low, high = (int(w) for w in seq.generate_state(2))
+        assert derive_seed(7, "fig4/run") == (low | high << 32) & (2**63 - 1)
 
 
 # ----------------------------------------------------------------------
