@@ -12,12 +12,11 @@ executed by :class:`repro.runner.SweepRunner`: every figure is a sweep
 of independent points, fanned out to ``--jobs`` workers on a pluggable
 execution backend (``--backend serial|process|dispatch``) with a
 content-addressed result cache (``--cache-dir`` / ``--no-cache``).
-When the cache has seen a point before, its measured runtime also
-drives cost-aware scheduling: predicted-longest points are submitted
-first to shrink pool makespan.  Results are bit-identical for any
-``--jobs`` value and any backend.  Each experiment prints rows shaped
-like the paper's figure/table.  A sweep in which any point failed
-exits 1 after naming each failure on stderr.
+Points are submitted in enumeration order and merged by point index,
+so results are bit-identical for any ``--jobs`` value and any backend.
+Each experiment prints rows shaped like the paper's figure/table.  A
+sweep in which any point failed exits 1 after naming each failure on
+stderr.
 
 Sweeps are crash-safe: every completed point is journalled durably to a
 JSONL checkpoint next to the result cache (override with
@@ -70,22 +69,18 @@ def _run_one(
             (exp, exp.make_params(args.preset, protocol=p, **overrides))
             for p in protocols
         ]
-        try:
-            payloads = runner.run_many(tasks, seed=args.seed)
-        except SweepInterrupted as interrupt:
-            _report_partial(tasks, interrupt.payloads)
-            raise
-        for (experiment, params), payload in zip(tasks, payloads):
-            experiment.report(params, payload)
-        return dict(zip(protocols, payloads))
-    params = exp.make_params(args.preset, **overrides)
+    else:
+        tasks = [(exp, exp.make_params(args.preset, **overrides))]
     try:
-        payload = runner.run(exp, params, seed=args.seed)
+        payloads = runner.run_many(tasks, seed=args.seed)
     except SweepInterrupted as interrupt:
-        _report_partial([(exp, params)], interrupt.payloads)
+        _report_partial(tasks, interrupt.payloads)
         raise
-    exp.report(params, payload)
-    return payload
+    for (experiment, params), payload in zip(tasks, payloads):
+        experiment.report(params, payload)
+    if exp.uses_protocols:
+        return dict(zip(protocols, payloads))
+    return payloads[0]
 
 
 def _report_partial(
@@ -285,8 +280,6 @@ def main(argv: list[str] | None = None) -> int:
         "(load with pstats or snakeviz); implies --profile",
     )
     args = parser.parse_args(argv)
-    if args.profile_out:
-        args.profile = True
     if args.check_invariants:
         # The environment is the one channel every Simulator sees —
         # including those built inside sweep worker processes, which
@@ -369,7 +362,9 @@ def main(argv: list[str] | None = None) -> int:
             (r.time, r.session, r.size_bytes) for r in schedule
         )
 
-    cache_root = args.cache_dir or default_cache_dir()
+    cache_root = os.path.expanduser(args.cache_dir or default_cache_dir())
+    if os.path.exists(cache_root) and not os.path.isdir(cache_root):
+        parser.error(f"--cache-dir {cache_root}: exists and is not a directory")
     cache = None
     if not args.no_cache:
         cache = ResultCache(cache_root)
@@ -377,8 +372,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--resume needs the checkpoint journal (--no-checkpoint given)")
     checkpoint = None
     if not args.no_checkpoint:
+        if args.checkpoint and os.path.isdir(os.path.expanduser(args.checkpoint)):
+            parser.error(f"--checkpoint {args.checkpoint}: is a directory")
         checkpoint_path = args.checkpoint or os.path.join(
-            os.path.expanduser(cache_root),
+            cache_root,
             "checkpoints",
             f"{args.experiment}-{args.preset}-seed{args.seed}.jsonl",
         )
@@ -419,17 +416,20 @@ def main(argv: list[str] | None = None) -> int:
         backend = create_backend(
             "dispatch", hosts=hosts, quarantine_path=quarantine_path
         )
-    runner = SweepRunner(
-        jobs=args.jobs,
-        cache=cache,
-        timeout=args.timeout,
-        retry_policy=retry_policy,
-        progress=args.progress,
-        label=args.experiment,
-        checkpoint=checkpoint,
-        resume=args.resume,
-        backend=backend,
-    )
+    try:
+        runner = SweepRunner(
+            jobs=args.jobs,
+            cache=cache,
+            timeout=args.timeout,
+            retry_policy=retry_policy,
+            progress=args.progress,
+            label=args.experiment,
+            checkpoint=checkpoint,
+            resume=args.resume,
+            backend=backend,
+        )
+    except ValueError as exc:  # --jobs and --resume are checked above
+        parser.error(f"--timeout: {exc}")
     artifacts = {}
     totals = {"hits": 0, "executed": 0}
     failures: list[PointFailure] = []
@@ -459,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
 
     interrupted = False
     try:
-        if args.profile:
+        if args.profile or args.profile_out:
             import cProfile
             import pstats
 

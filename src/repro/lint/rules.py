@@ -330,9 +330,8 @@ class RawExecutorRule(Rule):
 
     Constructing a :class:`concurrent.futures.ProcessPoolExecutor`
     directly sidesteps the runner's execution seam: the pool's results
-    skip the ``(seconds, value)`` timing contract that feeds cost-aware
-    scheduling, skip the engine's retry/timeout loop, and are
-    invisible to the journal's backend header.  The backends package —
+    skip the engine's retry/timeout loop and are invisible to the
+    journal's backend header.  The backends package —
     which *is* the sanctioned wrapper — is exempt.
     """
 

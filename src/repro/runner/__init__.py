@@ -3,15 +3,14 @@
 The runner fans the independent points of an :class:`~repro.experiments.base.Experiment`
 out to a pluggable execution backend, with:
 
-* deterministic per-point seeds (results are identical for any worker
-  count and any backend — see :func:`repro.sim.randomness.derive_seed`);
+* deterministic per-point seeds and merge by point index (results are
+  identical for any worker count, any backend and any completion order
+  — see :func:`repro.sim.randomness.derive_seed`); points are submitted
+  in enumeration order and no history is kept between sweeps;
 * three backends (:mod:`repro.runner.backends`): ``serial`` (inline,
   the ``jobs=1`` default), ``process``
   (:class:`~concurrent.futures.ProcessPoolExecutor` fan-out), and
   ``dispatch`` (below);
-* cost-aware scheduling: the cache's :class:`~repro.runner.cache.CostModel`
-  remembers per-point runtimes and the runner submits predicted-longest
-  points first, shrinking pool makespan without changing results;
 * a content-addressed on-disk result cache keyed on package version,
   experiment id, params, point, and seed, so re-runs of unchanged
   points are free;
@@ -51,7 +50,7 @@ from repro.runner.backends import (
     SweepBackend,
     create_backend,
 )
-from repro.runner.cache import CostModel, ResultCache
+from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import SweepCheckpoint
 
 # Light imports by design: the exceptions and policy live in
@@ -75,7 +74,6 @@ from repro.runner.engine import (
 from repro.runner.progress import ProgressReporter
 
 __all__ = [
-    "CostModel",
     "DispatchError",
     "LeaseExpired",
     "PointFailure",

@@ -16,12 +16,10 @@ contract is deliberately small:
 ``submit(spec) -> Future``
     Schedule one :class:`PointSpec`.  The returned future — any object
     satisfying the :class:`concurrent.futures.Future` interface —
-    resolves to a ``(seconds, value)`` pair: the point's measured
-    runtime (feeding the cost-aware scheduler) and its result.  Inline
-    backends (``inline = True``) execute *during* ``submit`` and return
-    an already-completed future; the runner then submits lazily, one
-    point at a time, so each result is journalled before the next point
-    starts.
+    resolves to the point's value.  Inline backends (``inline = True``)
+    execute *during* ``submit`` and return an already-completed future;
+    the runner then submits lazily, one point at a time, so each result
+    is journalled before the next point starts.
 ``drain(futures, timeout) -> done``
     Block until at least one of ``futures`` completes (or ``timeout``
     elapses); return the completed subset.  The default wraps
@@ -44,7 +42,6 @@ from __future__ import annotations
 import abc
 import concurrent.futures
 import os
-import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -139,15 +136,6 @@ def execute_point(
     return value
 
 
-def _timed_execute(
-    experiment: Any, params: Any, point: Any, seed: int, params_digest: str = ""
-) -> tuple[float, Any]:
-    """``execute_point`` wrapped in the ``(seconds, value)`` contract."""
-    started = time.perf_counter()
-    value = execute_point(experiment, params, point, seed, params_digest)
-    return time.perf_counter() - started, value
-
-
 class SweepBackend(abc.ABC):
     """Where and how sweep points execute; see the module docstring."""
 
@@ -162,14 +150,14 @@ class SweepBackend(abc.ABC):
         """Acquire up to ``max_workers`` workers for one dispatch."""
 
     @abc.abstractmethod
-    def submit(self, spec: PointSpec) -> "concurrent.futures.Future[tuple[float, Any]]":
-        """Schedule one point; the future resolves to ``(seconds, value)``."""
+    def submit(self, spec: PointSpec) -> "concurrent.futures.Future[Any]":
+        """Schedule one point; the future resolves to its value."""
 
     def drain(
         self,
-        futures: Iterable["concurrent.futures.Future[tuple[float, Any]]"],
+        futures: Iterable["concurrent.futures.Future[Any]"],
         timeout: Optional[float] = None,
-    ) -> "set[concurrent.futures.Future[tuple[float, Any]]]":
+    ) -> "set[concurrent.futures.Future[Any]]":
         """Wait until at least one future completes; return the done set."""
         done, _ = concurrent.futures.wait(
             list(futures),

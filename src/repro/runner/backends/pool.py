@@ -16,19 +16,17 @@ from typing import Any, Optional
 from repro.runner.backends.base import (
     PointSpec,
     SweepBackend,
-    _timed_execute,
+    execute_point,
     resolve_experiment,
 )
 
 __all__ = ["ProcessPoolBackend"]
 
 
-def _pool_worker(
-    experiment_id: str, params: Any, point: Any, seed: int
-) -> tuple[float, Any]:
+def _pool_worker(experiment_id: str, params: Any, point: Any, seed: int) -> Any:
     """Worker entry: re-resolve the experiment by id and run one point."""
     experiment = resolve_experiment(experiment_id)
-    return _timed_execute(experiment, params, point, seed)
+    return execute_point(experiment, params, point, seed)
 
 
 class ProcessPoolBackend(SweepBackend):
@@ -54,9 +52,7 @@ class ProcessPoolBackend(SweepBackend):
             max_workers=max_workers, mp_context=self._mp_context
         )
 
-    def submit(
-        self, spec: PointSpec
-    ) -> "concurrent.futures.Future[tuple[float, Any]]":
+    def submit(self, spec: PointSpec) -> "concurrent.futures.Future[Any]":
         if self._pool is None:
             raise RuntimeError(f"{self.name} backend is not open")
         return self._pool.submit(

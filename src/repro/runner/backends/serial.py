@@ -5,7 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 from typing import Any
 
-from repro.runner.backends.base import PointSpec, SweepBackend, _timed_execute
+from repro.runner.backends.base import PointSpec, SweepBackend, execute_point
 
 __all__ = ["SerialBackend"]
 
@@ -34,15 +34,11 @@ class SerialBackend(SweepBackend):
     name = "serial"
     inline = True
 
-    def submit(
-        self, spec: PointSpec
-    ) -> "concurrent.futures.Future[tuple[float, Any]]":
-        future: "concurrent.futures.Future[tuple[float, Any]]" = (
-            concurrent.futures.Future()
-        )
+    def submit(self, spec: PointSpec) -> "concurrent.futures.Future[Any]":
+        future: "concurrent.futures.Future[Any]" = concurrent.futures.Future()
         future.set_running_or_notify_cancel()
         try:
-            outcome = _timed_execute(
+            value = execute_point(
                 spec.experiment, spec.params, spec.point, spec.seed,
                 spec.params_digest,
             )
@@ -51,5 +47,5 @@ class SerialBackend(SweepBackend):
         except BaseException as exc:  # noqa: BLE001 - runner owns retry policy
             future.set_exception(exc)
         else:
-            future.set_result(outcome)
+            future.set_result(value)
         return future

@@ -10,17 +10,6 @@ Values are stored as pickles: experiment results are dataclasses whose
 floats must round-trip *exactly* (a cached re-run has to produce
 byte-identical artifacts), which JSON cannot guarantee for the general
 payloads experiments return.
-
-The cache also keeps a :class:`CostModel` ledger (``costs.json`` in the
-cache root): an exponentially-weighted runtime estimate per
-``(experiment, params, label)`` — deliberately *not* per seed, so a
-sweep under a new root seed inherits the cost profile of the previous
-one.  :class:`~repro.runner.engine.SweepRunner` consults it to order
-submissions longest-first (minimizing makespan on a pool) and feeds it
-the measured runtime of every executed point.  The ledger is advisory:
-a corrupt or missing file means "no predictions", never an error, and
-reordering can never change merged results (they are collected by point
-index).
 """
 
 from __future__ import annotations
@@ -34,7 +23,7 @@ import warnings
 from pathlib import Path
 from typing import Any, Optional
 
-__all__ = ["CostModel", "DEFAULT_CACHE_DIR", "ResultCache", "default_cache_dir"]
+__all__ = ["DEFAULT_CACHE_DIR", "ResultCache", "default_cache_dir"]
 
 
 def default_cache_dir() -> str:
@@ -67,8 +56,6 @@ class ResultCache:
         #: the signature of a damaged cache directory — surfaced so it
         #: never silently masquerades as a cold cache.
         self.corrupt = 0
-        #: runtime history feeding the runner's cost-aware scheduler.
-        self.costs = CostModel(self.root / "costs.json")
 
     # ------------------------------------------------------------------
     # Keys
@@ -153,90 +140,3 @@ class ResultCache:
                 pass
             raise
 
-
-class CostModel:
-    """Per-point runtime history for cost-aware sweep scheduling.
-
-    Keys fold in the experiment id, the params digest, and the point
-    label — but not the seed: different seeds of the same point cost
-    the same, and excluding the seed is what lets a fresh sweep reuse
-    the last one's measurements.  Estimates are an EWMA (half old, half
-    new) so a code change that shifts point costs converges within a
-    couple of sweeps.
-
-    The ledger is a single JSON document written atomically on
-    :meth:`flush` (the runner flushes once per dispatch, not per
-    point).  Concurrent sweeps sharing one cache root race on it
-    last-writer-wins; since the data is an advisory scheduling hint,
-    losing an update is harmless.
-    """
-
-    SCHEMA = "repro-costs/1"
-
-    def __init__(self, path: "str | Path | None") -> None:
-        self.path = Path(path).expanduser() if path is not None else None
-        self._records: Optional[dict[str, dict[str, Any]]] = None
-        self._dirty = False
-
-    @staticmethod
-    def key(experiment_id: str, label: str, params_digest: str = "") -> str:
-        """The ledger key for one point's cost history."""
-        return f"{experiment_id}/{label}@{params_digest}"
-
-    def _load(self) -> dict[str, dict[str, Any]]:
-        if self._records is not None:
-            return self._records
-        self._records = {}
-        if self.path is not None:
-            try:
-                doc = json.loads(self.path.read_text(encoding="utf-8"))
-                if doc.get("schema") == self.SCHEMA:
-                    for key, rec in dict(doc["costs"]).items():
-                        self._records[str(key)] = {
-                            "seconds": float(rec["seconds"]),
-                            "runs": int(rec.get("runs", 1)),
-                        }
-            except (OSError, ValueError, KeyError, TypeError, AttributeError):
-                self._records = {}  # advisory data: corrupt means empty
-        return self._records
-
-    def predict(self, key: str) -> Optional[float]:
-        """Estimated runtime in seconds, or None with no history."""
-        record = self._load().get(key)
-        return None if record is None else record["seconds"]
-
-    def observe(self, key: str, seconds: float) -> None:
-        """Fold one measured runtime into the estimate (EWMA, α=0.5)."""
-        if seconds < 0:
-            return
-        records = self._load()
-        record = records.get(key)
-        if record is None:
-            records[key] = {"seconds": float(seconds), "runs": 1}
-        else:
-            record["seconds"] = 0.5 * record["seconds"] + 0.5 * float(seconds)
-            record["runs"] += 1
-        self._dirty = True
-
-    def flush(self) -> None:
-        """Persist pending observations atomically (write + rename)."""
-        if not self._dirty or self.path is None:
-            return
-        payload = json.dumps(
-            {"schema": self.SCHEMA, "costs": self._load()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._dirty = False

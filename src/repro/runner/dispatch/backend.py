@@ -121,7 +121,7 @@ class _Task:
         self,
         tid: int,
         spec: PointSpec,
-        future: "concurrent.futures.Future[tuple[float, Any]]",
+        future: "concurrent.futures.Future[Any]",
     ) -> None:
         self.tid = tid
         self.spec = spec
@@ -184,7 +184,7 @@ class DispatchBackend(SweepBackend):
         self._submit_lock = threading.Lock()
         self._accepting = False
         self._submissions: deque[
-            tuple[PointSpec, "concurrent.futures.Future[tuple[float, Any]]"]
+            tuple[PointSpec, "concurrent.futures.Future[Any]"]
         ] = deque()
 
         # reactor-owned state (created in open()).
@@ -249,13 +249,9 @@ class DispatchBackend(SweepBackend):
         )
         self._thread.start()
 
-    def submit(
-        self, spec: PointSpec
-    ) -> "concurrent.futures.Future[tuple[float, Any]]":
-        """Queue one point for the fleet; resolves to ``(seconds, value)``."""
-        future: "concurrent.futures.Future[tuple[float, Any]]" = (
-            concurrent.futures.Future()
-        )
+    def submit(self, spec: PointSpec) -> "concurrent.futures.Future[Any]":
+        """Queue one point for the fleet; resolves to the point's value."""
+        future: "concurrent.futures.Future[Any]" = concurrent.futures.Future()
         with self._submit_lock:
             if not self._accepting:
                 raise RuntimeError("DispatchBackend.submit while not open")
@@ -427,7 +423,7 @@ class DispatchBackend(SweepBackend):
     def _settle(
         self,
         task: _Task,
-        outcome: Optional[tuple[float, Any]] = None,
+        value: Any = None,
         error: Optional[BaseException] = None,
     ) -> None:
         """Resolve ``task``'s future — the one place, so exactly once.
@@ -442,7 +438,7 @@ class DispatchBackend(SweepBackend):
         if error is not None:
             future.set_exception(error)
         else:
-            future.set_result(outcome)
+            future.set_result(value)
 
     # -- connections ---------------------------------------------------
 
@@ -530,7 +526,6 @@ class DispatchBackend(SweepBackend):
             return
         try:
             value = decode_payload(str(frame["value"]))
-            seconds = float(frame["seconds"])
         except Exception as exc:  # noqa: BLE001 - any decode failure
             self._mark_dead(worker, "worker_dead", f"undecodable result: {exc}")
             return
@@ -539,7 +534,7 @@ class DispatchBackend(SweepBackend):
             "result", worker=worker.name, host=worker.host.name,
             point=task.label,
         )
-        self._settle(task, outcome=(seconds, value))
+        self._settle(task, value=value)
 
     def _on_error(self, worker: _Worker, frame: dict[str, Any]) -> None:
         task = self._tasks.get(int(frame["task"]))

@@ -57,9 +57,9 @@ _LENGTH = struct.Struct(">I")
 #: every op either side may send, for validation and documentation.
 #:
 #: worker → dispatcher: ``hello`` (name/pid/host introduction),
-#: ``heartbeat`` (lease renewal), ``result`` (task id, measured
-#: seconds, payload), ``error`` (task id, exception type/message/
-#: traceback), ``bye`` (clean shutdown acknowledgement).
+#: ``heartbeat`` (lease renewal), ``result`` (task id, payload),
+#: ``error`` (task id, exception type/message/traceback), ``bye``
+#: (clean shutdown acknowledgement).
 #:
 #: dispatcher → worker: ``task`` (task id plus everything
 #: ``execute_point`` needs), ``shutdown`` (drain and exit).

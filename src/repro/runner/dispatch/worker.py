@@ -33,7 +33,7 @@ import threading
 import traceback
 from typing import Any, NoReturn, Optional
 
-from repro.runner.backends.base import _timed_execute, resolve_experiment
+from repro.runner.backends.base import execute_point, resolve_experiment
 from repro.runner.dispatch.frames import (
     FrameError,
     connect_socket,
@@ -75,14 +75,14 @@ def _heartbeat_loop(
             os._exit(3)
 
 
-def _execute_task(task: dict[str, Any]) -> tuple[float, Any]:
+def _execute_task(task: dict[str, Any]) -> Any:
     """Run one ``task`` frame's point; exceptions propagate to the caller."""
     experiment = resolve_experiment(str(task["experiment"]))
     params = decode_payload(str(task["params"]))
     point = decode_payload(str(task["point"]))
     seed = int(task["seed"])
     digest = str(task.get("params_digest", ""))
-    return _timed_execute(experiment, params, point, seed, digest)
+    return execute_point(experiment, params, point, seed, digest)
 
 
 def run_worker(
@@ -120,7 +120,7 @@ def run_worker(
                 continue
             task_id = int(frame["task"])
             try:
-                seconds, value = _execute_task(frame)
+                value = _execute_task(frame)
             except BaseException as exc:  # noqa: BLE001 - shipped to dispatcher
                 writer.send(
                     {
@@ -140,7 +140,6 @@ def run_worker(
                         "op": "result",
                         "worker": worker,
                         "task": task_id,
-                        "seconds": seconds,
                         "value": encode_payload(value),
                     }
                 )

@@ -16,13 +16,10 @@ backend, and protocol variants of the same experiment see matched
 per-point draws (the same scenario randomness under every protocol, as
 the paper's comparisons require).
 
-Scheduling contract: when a cache is attached, the runner consults its
-:class:`~repro.runner.cache.CostModel` — runtime history keyed on
-``(experiment, params, label)`` but not seed — and submits predicted-
-longest points first, shrinking a pool sweep's makespan (the classic
-LPT heuristic).  Points without history keep submission order, so a
-cold sweep runs in enumeration order.  Because merge is by point index,
-reordering can never change payloads.
+Scheduling contract: points are submitted in enumeration order, and
+the runner keeps no history between sweeps.  Because merge is by point
+index, the order in which a backend completes them never changes
+payloads.
 
 Failure contract: backends *detect* and *report* — a failed attempt is
 an exception on its future, naming the worker and host when the backend
@@ -64,6 +61,7 @@ import concurrent.futures
 import json
 import os
 import pickle
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -77,7 +75,7 @@ from repro.runner.backends import (
     SweepBackend,
     create_backend,
 )
-from repro.runner.cache import CostModel, ResultCache
+from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import SweepCheckpoint, digest_params
 from repro.runner.dispatch.retry import (
     DETERMINISTIC,
@@ -146,8 +144,6 @@ class SweepStats:
     #: name of the backend that executed the dispatched points ("" when
     #: everything resolved from the cache/journal).
     backend: str = ""
-    #: points the cost-aware scheduler moved ahead of submission order.
-    reordered: int = 0
     failures: list[PointFailure] = field(default_factory=list)
     elapsed: float = 0.0
     #: points that ultimately failed by timing out.
@@ -216,12 +212,6 @@ class _Entry:
         return (self.experiment.id, self.point.label, self.seed,
                 self.params_digest)
 
-    @property
-    def cost_key(self) -> str:
-        return CostModel.key(
-            self.experiment.id, self.point.label, self.params_digest
-        )
-
     def spec(self) -> PointSpec:
         return PointSpec(
             experiment=self.experiment,
@@ -255,12 +245,13 @@ class SweepRunner:
     cache:
         A :class:`~repro.runner.cache.ResultCache`, or None to disable
         caching.  Only successful results are cached; a re-run of an
-        unchanged (version, params, point, seed) tuple is free.  The
-        cache's cost ledger also feeds the cost-aware scheduler.
+        unchanged (version, params, point, seed) tuple is free.
     timeout:
         Seconds to wait for one point's result before retrying/failing
-        it, or None to wait forever.  Enforced on pool and dispatch
-        backends alike (an inline point cannot be preempted).
+        it, or None to wait forever.  A number must be ``> 0`` and at
+        most :data:`threading.TIMEOUT_MAX` (NaN and inf are rejected).
+        Enforced on pool and dispatch backends alike (an inline point
+        cannot be preempted).
     retry_policy:
         The :class:`~repro.runner.dispatch.retry.RetryPolicy` — a
         point's own attempt budget and the separate transient budget.
@@ -297,8 +288,12 @@ class SweepRunner:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
+        # Written so NaN fails too; past TIMEOUT_MAX the waits overflow.
+        if timeout is not None and not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f}"
+                f" seconds, not {timeout!r}"
+            )
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint")
         self.jobs = int(jobs)
@@ -414,9 +409,6 @@ class SweepRunner:
                 self._dispatch(pending, results, stats)
             except KeyboardInterrupt:
                 interrupted = True
-            finally:
-                if self.cache is not None:
-                    self.cache.costs.flush()
 
         stats.elapsed = time.perf_counter() - started
         stats.interrupted = interrupted
@@ -456,7 +448,7 @@ class SweepRunner:
         return payloads
 
     # ------------------------------------------------------------------
-    # Normalization and scheduling
+    # Normalization and backend choice
     # ------------------------------------------------------------------
     @staticmethod
     def _normalize_points(experiment: Any, params: Any) -> list[Any]:
@@ -485,31 +477,6 @@ class SweepRunner:
                 ) from exc
         return points
 
-    def _ordered(self, pending: list[_Entry], stats: SweepStats) -> list[_Entry]:
-        """Apply the cost-aware schedule: predicted-longest first.
-
-        Points without history keep submission order ahead of ranked
-        ones (they could be arbitrarily long, and a cold sweep must
-        run in enumeration order).  Reordering is submission-side only;
-        results are merged by point index regardless.
-        """
-        if self.cache is None or len(pending) < 2:
-            return pending
-        costs = self.cache.costs
-        ranked: list[tuple[int, float, int, _Entry]] = []
-        for index, entry in enumerate(pending):
-            predicted = costs.predict(entry.cost_key)
-            if predicted is None:
-                ranked.append((0, 0.0, index, entry))
-            else:
-                ranked.append((1, -predicted, index, entry))
-        ranked.sort(key=lambda item: item[:3])
-        ordered = [item[3] for item in ranked]
-        stats.reordered = sum(
-            1 for before, after in zip(pending, ordered) if before is not after
-        )
-        return ordered
-
     def _resolve_backend(self, n_pending: int) -> SweepBackend:
         if self.backend is not None:
             return self.backend
@@ -530,30 +497,27 @@ class SweepRunner:
     def _record(
         self,
         entry: _Entry,
-        seconds: Optional[float],
         value: Any,
         results: list[list[Any]],
         stats: SweepStats,
     ) -> None:
         results[entry.task_index][entry.point_index] = value
         stats.executed += 1
-        if self.cache is not None:
-            if entry.cache_key is not None and value is not None:
-                try:
-                    self.cache.put(entry.cache_key, value)
-                except (OSError, pickle.PicklingError) as exc:
-                    # The point already ran; losing the cache write only
-                    # costs a future re-execution.  Say so once per
-                    # point instead of failing the sweep or going quiet.
-                    stats.cache_write_errors += 1
-                    warnings.warn(
-                        f"cache write failed for {entry.experiment.id}/"
-                        f"{entry.point.label} ({type(exc).__name__}: {exc})",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            if seconds is not None:
-                self.cache.costs.observe(entry.cost_key, seconds)
+        if (self.cache is not None and entry.cache_key is not None
+                and value is not None):
+            try:
+                self.cache.put(entry.cache_key, value)
+            except (OSError, pickle.PicklingError) as exc:
+                # The point already ran; losing the cache write only
+                # costs a future re-execution.  Say so once per
+                # point instead of failing the sweep or going quiet.
+                stats.cache_write_errors += 1
+                warnings.warn(
+                    f"cache write failed for {entry.experiment.id}/"
+                    f"{entry.point.label} ({type(exc).__name__}: {exc})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         self._journal(entry, value)
         self._point_done(entry)
 
@@ -646,9 +610,8 @@ class SweepRunner:
         results: list[list[Any]],
         stats: SweepStats,
     ) -> None:
-        """Order, then execute every pending entry on the backend."""
+        """Execute every pending entry on the backend, in order."""
         backend = self._resolve_backend(len(pending))
-        pending = self._ordered(pending, stats)
         stats.backend = backend.name
         # Open before the header write: a dispatch backend only knows
         # its worker roster once the fleet is up, and the journal header
@@ -748,8 +711,7 @@ class SweepRunner:
                     if isinstance(exc, RemoteError) and exc.worker is not None:
                         evidence.append(exc)
                 if winner is not None:
-                    seconds, value = winner.result()
-                    self._record(entry, seconds, value, results, stats)
+                    self._record(entry, winner.result(), results, stats)
                     leftovers.extend(
                         (entry, future) for future in attempts
                         if not future.done()

@@ -1,12 +1,14 @@
 """Shared test fixtures: tiny networks with controllable loss, a
 thread-backed sweep backend for deterministic straggler timing, the
-two-events-per-packet reference link, and the one-event-per-item
-references for the batched start sites."""
+two-events-per-packet reference link, the one-event-per-item
+references for the batched start sites, and a kernel that breaks
+same-time ties in another order."""
 
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Callable, Optional
+import heapq
+from typing import Callable, Optional, Union
 
 from repro.http.openloop import OpenLoopDriver
 from repro.http.openloop.driver import OpenLoopRun
@@ -93,6 +95,55 @@ class PerItemSimulator(Simulator):
         for item in args[0]:
             event = super().schedule_at(time, fn, [item], *args[1:])
         return event
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(x: int) -> int:
+    """SplitMix64's finaliser: a fixed bijection on 64-bit integers."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+class TieOrderSimulator(Simulator):
+    """The kernel with same-time events ordered by ``tie(seq)`` first:
+    heap key ``(time, (tie(seq), seq))`` instead of ``(time, seq)``.
+
+    ``order`` picks ``tie``: ``"fifo"`` is ``+seq`` (the kernel's own
+    order, the control), ``"lifo"`` is ``-seq``, and an integer salt is
+    a fixed shuffle, ``_mix64(seq ^ salt)``.  Every event goes to the
+    heap; bypassing the timer wheel does not change the order.  While
+    running, ``key_passed`` compares the same key, so a link's reserved
+    ``_tx_done`` key stays legal.  Experiments build ``Simulator()``
+    with no arguments, so :meth:`ordering` makes a subclass per order.
+    """
+
+    order: Union[str, int] = "fifo"
+
+    @classmethod
+    def ordering(cls, order: Union[str, int]) -> type[TieOrderSimulator]:
+        return type(f"TieOrder_{order}", (cls,), {"order": order})
+
+    def _key(self, seq: int) -> tuple[int, int]:
+        order = self.order
+        if order == "fifo":
+            return (seq, seq)
+        if order == "lifo":
+            return (-seq, seq)
+        return (_mix64(seq ^ int(order)), seq)
+
+    def _push(self, entry):
+        time, seq, fn, args, handle = entry
+        heapq.heappush(self._heap, (time, self._key(seq), fn, args, handle))
+
+    def key_passed(self, time, seq):
+        current = self._cur_seq  # the running event's key; an int when idle
+        if time != self.now or not isinstance(current, tuple):
+            return super().key_passed(time, seq)
+        return self._key(seq) < current
 
 
 def make_pair(

@@ -38,7 +38,15 @@ from repro.experiments.store import to_jsonable  # noqa: E402
 from repro.runner import RetryPolicy, SweepCheckpoint, SweepRunner  # noqa: E402
 from repro.runner.backends import PointSpec  # noqa: E402
 from repro.runner.dispatch.backend import DispatchBackend  # noqa: E402
+from repro.runner.dispatch.frames import (  # noqa: E402
+    decode_payload,
+    encode_payload,
+    listen_socket,
+    recv_frame,
+    send_frame,
+)
 from repro.runner.dispatch.hosts import HostSpec  # noqa: E402
+from repro.runner.dispatch.worker import run_worker  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -111,6 +119,41 @@ class TestEquivalence:
         )
         assert stats.failures == []
         assert stats.backend == "dispatch"
+
+    def test_result_frame_carries_the_value_alone(self):
+        # Play the dispatcher against the real worker loop, in a thread.
+        # A 60 s heartbeat is never due (nor fails) while the test runs.
+        listener = listen_socket()
+        listener.settimeout(10.0)
+        worker = threading.Thread(
+            target=run_worker,
+            args=("127.0.0.1", listener.getsockname()[1], "w0", 60.0),
+            daemon=True,
+        )
+        worker.start()
+        conn, _ = listener.accept()
+        params = dispatch_toys.ToyParams()
+        point = dispatch_toys.ECHO.points(params)[0]
+        try:
+            assert recv_frame(conn)["op"] == "hello"
+            send_frame(conn, {
+                "op": "task", "task": 5, "experiment": dispatch_toys.ECHO.id,
+                "params": encode_payload(params),
+                "point": encode_payload(point), "seed": 3,
+            })
+            frame = recv_frame(conn)
+            send_frame(conn, {"op": "shutdown"})
+            assert recv_frame(conn)["op"] == "bye"
+        finally:
+            worker.join(10.0)
+            conn.close()
+            listener.close()
+        assert not worker.is_alive()
+        assert sorted(frame) == ["op", "task", "value", "worker"]
+        assert frame["task"] == 5
+        assert decode_payload(frame["value"]) == {
+            "label": point.label, "seed": 3, "pid": None
+        }
 
     def test_journal_header_records_worker_roster(self, tmp_path):
         params = dispatch_toys.ToyParams(n_points=3)
@@ -350,7 +393,7 @@ class TestReactorNeverHangsTheSweep:
             _within(20.0, lambda: concurrent.futures.wait(futures))
         finally:
             backend.close()
-        assert [f.result()[1]["label"] for f in (futures[0], futures[3])] == [
+        assert [f.result()["label"] for f in (futures[0], futures[3])] == [
             "p0", "p3"
         ]
         for label, future in zip(("p1", "p2"), futures[1:3]):

@@ -50,6 +50,33 @@ class TestArgumentParsing:
         assert exc.value.code == 2
         assert "--seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_timeout_must_be_positive_and_finite(self, value, capsys):
+        # 0 and -1 used to end in a ValueError traceback; nan was
+        # accepted and then timed out every pooled point.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["incast", "--jobs", "2", "--timeout", value])
+        assert exc.value.code == 2
+        assert "--timeout: timeout must be > 0" in capsys.readouterr().err
+
+    def test_checkpoint_naming_a_directory_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["incast", "--checkpoint", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"--checkpoint {tmp_path}: is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--no-checkpoint"]])
+    def test_cache_dir_naming_a_file_rejected(self, extra, tmp_path, capsys):
+        # Without the check: NotADirectoryError, or (no journal) one
+        # "corrupt cache entry" warning per point and exit 0.
+        path = tmp_path / "cache-file"
+        path.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["incast", "--cache-dir", str(path), *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--cache-dir {path}: exists and is not a directory" in err
+
 
 class TestExecution:
     def test_fig1_runs_end_to_end(self, capsys):

@@ -262,6 +262,13 @@ class TestSweepRunner:
         with pytest.raises(ValueError):
             SweepRunner(timeout=0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 1e300])
+    def test_timeout_outside_the_waitable_range_rejected(self, timeout):
+        # NaN compares false to everything, so `timeout <= 0` let it in;
+        # inf and 1e300 overflow the futures wait.
+        with pytest.raises(ValueError, match="timeout must be > 0"):
+            SweepRunner(timeout=timeout)
+
 
 # ----------------------------------------------------------------------
 # Worker-count determinism on a real registered experiment

@@ -1,21 +1,22 @@
-"""The SweepBackend seam: backend equivalence, the cost-aware
-scheduler, and the engine's one attempt loop.
+"""The SweepBackend seam: backend equivalence, submission order, and
+the engine's one attempt loop.
 
 The headline guarantees under test:
 
 * serial and process backends produce byte-identical merged payloads
   *and* checkpoint journals for the same sweep (dispatch is held to the
   same bar in test_dispatch_backend.py);
-* scheduler reordering — any permutation at all, by hypothesis — can
-  never change merged output, and with cost history present the runner
-  submits predicted-longest points first;
+* points are submitted in enumeration order, every backend's future
+  resolves to the point's value, and a backend completing them in any
+  order at all — a hypothesis-drawn permutation — never changes merged
+  output;
 * a sweep SIGKILLed under the process backend resumes under serial (the
   journal is backend-independent), and so does a journal an older
   release wrote under the since-removed ``shm`` backend;
-* the backend is closed on every exit path of the attempt loop, and the
-  CostModel ledger survives corrupt files and round-trips through flush.
+* the backend is closed on every exit path of the attempt loop.
 """
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -32,14 +33,19 @@ from repro.experiments import registry
 from repro.experiments.base import Experiment, Point
 from repro.experiments.store import to_jsonable
 from repro.runner import (
-    CostModel,
     ResultCache,
     RetryPolicy,
     SweepCheckpoint,
     SweepRunner,
     create_backend,
 )
-from repro.runner.backends import BACKENDS, SerialBackend
+from repro.runner.backends import (
+    BACKENDS,
+    PointSpec,
+    SerialBackend,
+    SweepBackend,
+    execute_point,
+)
 from repro.runner.checkpoint import digest_params
 from repro.sim.randomness import derive_seed
 from tests.helpers import ThreadPoolBackend
@@ -223,99 +229,87 @@ class TestBackendSelection:
 
 
 # ----------------------------------------------------------------------
-# Scheduling
+# Submission and completion order
 # ----------------------------------------------------------------------
+
+class _PermutedBackend(SweepBackend):
+    """Holds every submission and completes them in ``order`` (indices
+    into submission order), whichever future the runner waits on."""
+
+    name = "permuted"
+
+    def __init__(self, order):
+        self.order = list(order)
+        self.held = []
+
+    def submit(self, spec):
+        future = concurrent.futures.Future()
+        self.held.append((spec, future))
+        return future
+
+    def drain(self, futures, timeout=None):
+        futures = list(futures)
+        while not any(f.done() for f in futures):
+            spec, future = self.held[self.order.pop(0)]
+            future.set_running_or_notify_cancel()
+            future.set_result(execute_point(
+                spec.experiment, spec.params, spec.point, spec.seed
+            ))
+        return {f for f in futures if f.done()}
+
 
 class TestScheduler:
     @settings(max_examples=25, deadline=None)
-    @given(perm=st.permutations(tuple(range(5))))
-    def test_any_submission_order_same_merged_payload(self, perm):
-        """Reordering is submission-side only: merge is by point index."""
-
-        class Reordering(SweepRunner):
-            def _ordered(self, pending, stats):
-                return [pending[i] for i in perm]
-
+    @given(order=st.permutations(tuple(range(5))))
+    def test_any_submission_order_same_merged_payload(self, order):
+        """A backend may run its submissions in any order: merge is by
+        point index, so the payload is the enumeration-order one."""
         baseline = SweepRunner().run(
             _SpyExperiment(n_points=5), _ToyParams(), seed=7
         )
-        shuffled = Reordering().run(
-            _SpyExperiment(n_points=5), _ToyParams(), seed=7
+        spy = _SpyExperiment(n_points=5)
+        backend = _PermutedBackend(order)
+        payload = SweepRunner(jobs=2, backend=backend).run(
+            spy, _ToyParams(), seed=7
         )
-        assert shuffled == baseline
+        assert [spec.point.label for spec, _ in backend.held] == [
+            "p0", "p1", "p2", "p3", "p4"
+        ]
+        assert spy.executed == [f"p{i}" for i in order]
+        assert payload == baseline
 
-    def test_cost_history_orders_longest_first(self, tmp_path):
-        spy = _SpyExperiment(n_points=4)
-        params = _ToyParams()
-        digest = digest_params(params)
+    def test_earlier_runtimes_do_not_reorder_the_next_sweep(self, tmp_path):
+        # Later points take longer; a sweep under a new seed over the same
+        # cache still runs them in enumeration order.
+        class SlowerLater(_SpyExperiment):
+            def run_point(self, params, point, seed):
+                time.sleep(0.004 * point.kwargs["i"])
+                return super().run_point(params, point, seed)
+
         cache = ResultCache(tmp_path / "cache")
-        # History for p1 and p3 only: unknowns (p0, p2) keep submission
-        # order and go first, then known points longest-first.
-        cache.costs.observe(CostModel.key(spy.id, "p1", digest), 0.5)
-        cache.costs.observe(CostModel.key(spy.id, "p3", digest), 2.0)
-        runner = SweepRunner(cache=cache, backend="serial")
-        runner.run(spy, params, seed=4)
-        assert spy.executed == ["p0", "p2", "p3", "p1"]
-        assert runner.last_stats.reordered > 0
+        SweepRunner(cache=cache).run(SlowerLater(n_points=5), _ToyParams(), seed=4)
+        spy = SlowerLater(n_points=5)
+        SweepRunner(cache=cache).run(spy, _ToyParams(), seed=5)
+        assert spy.executed == ["p0", "p1", "p2", "p3", "p4"]
+        # The cache root holds entry shards only: no runtime ledger.
+        assert all(p.is_dir() for p in (tmp_path / "cache").iterdir())
 
-    def test_observed_costs_flushed_after_dispatch(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        runner = SweepRunner(cache=cache, backend="serial")
-        spy = _SpyExperiment(n_points=2)
-        runner.run(spy, _ToyParams(), seed=1)
-        # A fresh CostModel on the same path must see the measurements.
-        reloaded = CostModel(tmp_path / "cache" / "costs.json")
-        digest = digest_params(_ToyParams())
-        for label in ("p0", "p1"):
-            assert reloaded.predict(CostModel.key(spy.id, label, digest)) is not None
-
-
-# ----------------------------------------------------------------------
-# The CostModel ledger
-# ----------------------------------------------------------------------
-
-class TestCostModel:
-    def test_predict_without_history_is_none(self, tmp_path):
-        model = CostModel(tmp_path / "costs.json")
-        assert model.predict("fig8/p0@abc") is None
-
-    def test_ewma_half_old_half_new(self, tmp_path):
-        model = CostModel(tmp_path / "costs.json")
-        model.observe("k", 2.0)
-        assert model.predict("k") == 2.0
-        model.observe("k", 4.0)
-        assert model.predict("k") == 3.0
-
-    def test_negative_observation_ignored(self, tmp_path):
-        model = CostModel(tmp_path / "costs.json")
-        model.observe("k", -1.0)
-        assert model.predict("k") is None
-
-    def test_flush_round_trip(self, tmp_path):
-        path = tmp_path / "costs.json"
-        model = CostModel(path)
-        model.observe("a", 1.5)
-        model.flush()
-        assert CostModel(path).predict("a") == 1.5
-
-    def test_corrupt_file_means_empty(self, tmp_path):
-        path = tmp_path / "costs.json"
-        path.write_text("{not json")
-        model = CostModel(path)
-        assert model.predict("a") is None
-        model.observe("a", 1.0)
-        model.flush()  # and flush repairs the file
-        assert CostModel(path).predict("a") == 1.0
-
-    def test_in_memory_model_flush_is_noop(self):
-        model = CostModel(None)
-        model.observe("a", 1.0)
-        model.flush()
-        assert model.predict("a") == 1.0
-
-    def test_key_excludes_seed_by_construction(self):
-        # Different sweeps (seeds) share one history entry per point.
-        assert CostModel.key("fig8", "p0", "d1") == "fig8/p0@d1"
+    @pytest.mark.parametrize("make", [SerialBackend, ThreadPoolBackend])
+    def test_future_resolves_to_the_value(self, make, monkeypatch):
+        spy = _SpyExperiment()
+        registry._ensure_loaded()  # the pool resolves the spy by id
+        monkeypatch.setitem(registry._REGISTRY, spy.id, spy)
+        point = spy.points(_ToyParams())[1]
+        backend = make()
+        backend.open(1)
+        try:
+            future = backend.submit(PointSpec(
+                experiment=spy, experiment_id=spy.id, params=_ToyParams(),
+                point=point, seed=9,
+            ))
+            assert future.result(timeout=10) == {"label": "p1", "seed": 9}
+        finally:
+            backend.close()
 
 
 # ----------------------------------------------------------------------
