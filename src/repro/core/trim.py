@@ -250,9 +250,8 @@ class TrimSource(TcpSource):
                 self._finish_probe(success=True)
             elif self._probe_deadline is not None and self.smooth_rtt.value:
                 # Re-arm the deadline for the remaining probe ACK(s).
-                self._probe_deadline.cancel()
-                self._probe_deadline = self.sim.schedule(
-                    self.smooth_rtt.value, self._on_probe_deadline
+                self._probe_deadline = self.sim.restart(
+                    self._probe_deadline, self.smooth_rtt.value
                 )
             return True  # probe ACKs never grow the window
         # Queuing-control phase (Algorithm 2, else branch).

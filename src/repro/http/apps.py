@@ -268,7 +268,7 @@ class HttpSession:
         return exchange
 
     def _serve(self, exchange: Exchange) -> None:
-        self.sim.schedule(self.service_time, self._respond, exchange)
+        self.sim.schedule_transient(self.service_time, self._respond, exchange)
 
     def _respond(self, exchange: Exchange) -> None:
         exchange.response = exchange._response_source.send_bytes(

@@ -10,9 +10,10 @@ contract.  The four probes isolate layers:
 
 ``kernel_churn``
     Pure :class:`~repro.sim.kernel.Simulator` scheduling: many flows
-    each re-arming a long retransmission-style timer per tick, so most
-    scheduled events are cancelled before firing — the workload that
-    dominates TCP simulations and the one the timer wheel exists for.
+    each restarting a long retransmission-style timer per tick, so most
+    deadlines are pushed back before they fire — the pattern that
+    dominates TCP simulations and the one ``Simulator.restart`` and the
+    timer wheel exist for.
 ``link_saturation``
     One Reno flow saturating a single link: the
     ``Link.transmit``/``TcpSource`` send/ACK pipeline with no loss.
@@ -60,10 +61,9 @@ class BenchRun:
 class _ChurnFlow:
     """One synthetic flow: every tick re-arms a long timeout timer.
 
-    This mirrors what a TCP sender does on every ACK — cancel the
-    pending RTO, schedule a new one ~400 ticks in the future — so the
-    overwhelming majority of scheduled timers are cancelled long before
-    they fire.
+    This mirrors what a TCP sender does on every ACK — restart the
+    pending RTO ~400 ticks in the future — so the overwhelming majority
+    of timer deadlines are pushed back long before they fire.
     """
 
     __slots__ = ("sim", "interval", "timeout", "remaining", "timer", "fired")
@@ -82,9 +82,10 @@ class _ChurnFlow:
         self.sim.schedule(self.interval, self.on_tick)
 
     def on_tick(self) -> None:
-        if self.timer is not None:
-            self.timer.cancel()
-        self.timer = self.sim.schedule(self.timeout, self.on_timeout)
+        if self.timer is None:
+            self.timer = self.sim.schedule(self.timeout, self.on_timeout)
+        else:
+            self.timer = self.sim.restart(self.timer, self.timeout)
         self.remaining -= 1
         if self.remaining > 0:
             self.sim.schedule(self.interval, self.on_tick)
@@ -95,7 +96,7 @@ class _ChurnFlow:
 
 
 def bench_kernel_churn(scale: int) -> BenchRun:
-    """Pure kernel event churn: schedule/cancel/pop, no network."""
+    """Pure kernel event churn: schedule/restart/pop, no network."""
     sim = Simulator(check_invariants=False)
     n_flows = 50
     ticks = 40 * scale

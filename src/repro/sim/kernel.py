@@ -12,7 +12,7 @@ in O(1) by flagging; cancelled entries are skipped when popped (lazy
 deletion), which is the standard approach for simulations with many
 retransmission timers that are usually cancelled.
 
-Four hot-path mechanisms keep the loop fast without changing behavior:
+Five hot-path mechanisms keep the loop fast without changing behavior:
 
 * **Dispatch-selected run loop** — ``run()`` picks a tight loop with no
   invariant-monitor branch when checking is off, so the common case
@@ -20,9 +20,15 @@ Four hot-path mechanisms keep the loop fast without changing behavior:
 * **Timer wheel** — events scheduled at least one ``timer_granularity``
   ahead are parked in coarse time buckets instead of the heap; a bucket
   is spilled into the heap (preserving exact ``(time, sequence)`` order)
-  only when the clock approaches it.  Retransmission timers — which are
-  overwhelmingly cancelled long before expiry — therefore never touch
-  the heap at all: O(1) in, O(1) cancelled, O(1) discarded at spill.
+  only when the clock approaches it.  A timer cancelled for good
+  before its bucket spills never touches the heap: O(1) in, O(1)
+  cancelled, O(1) discarded at spill.
+* **In-place restart** — :meth:`Simulator.restart` re-arms a timer to a
+  later deadline by re-keying its :class:`Event` (``time``, ``seq``)
+  and leaving the queued entry where it is.  When that entry surfaces
+  under its older key it is queued again under the event's own, so a
+  retransmission timer restarted on every ACK keeps one queued entry
+  instead of leaving a cancelled one behind per ACK.
 * **Handle-less events** — :meth:`Simulator.schedule_transient` queues
   the bare tuple with no :class:`Event` at all, the cheap path for
   per-packet events that are never cancelled.
@@ -62,13 +68,18 @@ class Event:
     Instances are created by :meth:`Simulator.schedule` /
     :meth:`Simulator.schedule_at`; user code only holds them to call
     :meth:`cancel` (e.g. when an ACK arrives before a retransmission
-    timer fires).
+    timer fires) or to pass them to :meth:`Simulator.restart`.
+
+    ``(time, seq)`` is the event's key — it fires exactly there, even
+    when its queued entry still carries the older key it had before a
+    restart.  ``seq`` is ``-1`` once the event has fired.
     """
 
-    __slots__ = ("time", "fn", "cancelled")
+    __slots__ = ("time", "seq", "fn", "cancelled")
 
-    def __init__(self, time: float, fn: Callable[..., Any]) -> None:
+    def __init__(self, time: float, seq: int, fn: Callable[..., Any]) -> None:
         self.time = time
+        self.seq = seq
         self.fn = fn
         self.cancelled = False
 
@@ -84,7 +95,9 @@ class Event:
 
 #: one queued event: ``(time, seq, fn, args, handle)``; ``(time, seq)`` is
 #: unique, so tuple comparison never reaches ``fn``.  ``handle`` is None
-#: for events nobody can cancel.
+#: for events nobody can cancel; an entry whose ``seq`` differs from its
+#: handle's is stale (the handle was restarted) and is queued again
+#: under the handle's key when it surfaces.
 _Entry = tuple[float, int, Callable[..., Any], tuple[Any, ...], Optional[Event]]
 
 
@@ -169,10 +182,36 @@ class Simulator:
     def _schedule_handle(
         self, time: float, fn: Callable[..., Any], args: tuple[Any, ...]
     ) -> Event:
-        event = Event(time, fn)
         seq = self._seq
         self._seq = seq + 1
+        event = Event(time, seq, fn)
         self._push((time, seq, fn, args, event))
+        return event
+
+    def restart(self, event: Event, delay: float) -> Event:
+        """Re-arm the timer ``event`` to fire ``delay`` seconds from now.
+
+        Equivalent to ``event.cancel()`` followed by
+        ``schedule(delay, event.fn)`` — it takes one sequence number, so
+        every other event keeps its key — and returns the event to hold
+        from now on.  A deadline not earlier than the event's current
+        one re-keys ``event`` in place and returns it; an earlier one,
+        or an event that has fired or was cancelled, gets a fresh
+        :class:`Event`.  ``event`` must have been scheduled without
+        arguments: the fresh event calls ``event.fn()``.
+        """
+        if not 0 <= delay < _INF:
+            raise SimulationError(
+                f"cannot schedule with negative or non-finite delay {delay!r}"
+            )
+        time = self.now + delay
+        if event.seq == -1 or event.cancelled or time < event.time:
+            event.cancel()
+            return self._schedule_handle(time, event.fn, ())
+        seq = self._seq
+        self._seq = seq + 1
+        event.time = time
+        event.seq = seq
         return event
 
     def schedule_transient(
@@ -243,7 +282,8 @@ class Simulator:
         order — and therefore execution order — is byte-identical to a
         wheel-less kernel.  Cancelled events are discarded here without
         ever touching the heap; that is the wheel's payoff for timer
-        churn.
+        churn.  A restarted event's stale entry is queued again under
+        its event's key, usually into a later bucket.
         """
         heap = self._heap
         push = heapq.heappush
@@ -251,8 +291,14 @@ class Simulator:
         while wheel and self._wheel_next <= limit:
             for entry in wheel.pop(self._wheel_next_idx):
                 handle = entry[4]
-                if handle is None or not handle.cancelled:
+                if handle is None:
                     push(heap, entry)
+                elif not handle.cancelled:
+                    _, seq, fn, args, _ = entry
+                    if handle.seq == seq:
+                        push(heap, entry)
+                    else:  # restarted: queue it under its event's key
+                        self._push((handle.time, handle.seq, fn, args, handle))
             if wheel:
                 idx = min(wheel)
                 self._wheel_next = idx * self._granularity
@@ -302,8 +348,13 @@ class Simulator:
                     if time > limit:
                         break
                     pop(heap)
-                    if handle is not None and handle.cancelled:
-                        continue
+                    if handle is not None:
+                        if handle.cancelled:
+                            continue
+                        if handle.seq != seq:  # restarted to a later key
+                            self._push((handle.time, handle.seq, fn, args, handle))
+                            continue
+                        handle.seq = -1  # fired: restart() must reschedule
                     self.now = time
                     self._cur_seq = seq
                     fn(*args)
@@ -333,8 +384,13 @@ class Simulator:
                     if time > limit:
                         break
                     pop(heap)
-                    if handle is not None and handle.cancelled:
-                        continue
+                    if handle is not None:
+                        if handle.cancelled:
+                            continue
+                        if handle.seq != seq:  # restarted to a later key
+                            self._push((handle.time, handle.seq, fn, args, handle))
+                            continue
+                        handle.seq = -1  # fired: restart() must reschedule
                     self.now = time
                     self._cur_seq = seq
                     fn(*args)
@@ -370,9 +426,11 @@ class Simulator:
         heap = self._heap
         while True:
             if heap:
-                time, _, _, _, handle = heap[0]
-                if handle is not None and handle.cancelled:
+                time, seq, fn, args, handle = heap[0]
+                if handle is not None and (handle.cancelled or handle.seq != seq):
                     heapq.heappop(heap)
+                    if not handle.cancelled:
+                        self._push((handle.time, handle.seq, fn, args, handle))
                 elif self._wheel_next <= time:
                     self._flush_due(time)
                 else:
@@ -403,7 +461,9 @@ class Simulator:
         """Number of non-cancelled events still queued.
 
         Walks the heap and every wheel bucket: nothing on a simulation's
-        path reads this, so no event pays for a running count.
+        path reads this, so no event pays for a running count.  A
+        restarted event still has exactly one queued entry, so it counts
+        once.
         """
         queued = [self._heap, *self._wheel.values()]
         handles = [entry[4] for entries in queued for entry in entries]

@@ -481,8 +481,13 @@ class TcpSource:
     # Retransmission timer
     # ------------------------------------------------------------------
     def _set_rtx_timer(self) -> None:
-        self._cancel_rtx_timer()
-        self._rtx_event = self.sim.schedule(self.rtt.rto, self._on_rtx_timeout)
+        # RFC 6298 5.3: restarted on every new ACK, so re-key the armed
+        # timer rather than leave a cancelled one queued per ACK.
+        event = self._rtx_event
+        if event is None:
+            self._rtx_event = self.sim.schedule(self.rtt.rto, self._on_rtx_timeout)
+        else:
+            self._rtx_event = self.sim.restart(event, self.rtt.rto)
 
     def _cancel_rtx_timer(self) -> None:
         if self._rtx_event is not None:

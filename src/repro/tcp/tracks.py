@@ -153,11 +153,16 @@ class TracksSource(TcpSource):
         return max(self.TAIL_TIMER_FLOOR, self.TAIL_TIMER_FACTOR * base)
 
     def _arm_tail_timer(self) -> None:
-        self._cancel_tail_timer()
         if self.flight <= 0:
+            self._cancel_tail_timer()
             return
         self._acks_at_arm = self.stats.acks_received
-        self._tail_event = self.sim.schedule(self._tail_delay(), self._on_tail_timer)
+        delay = self._tail_delay()
+        event = self._tail_event
+        if event is None:
+            self._tail_event = self.sim.schedule(delay, self._on_tail_timer)
+        else:
+            self._tail_event = self.sim.restart(event, delay)
 
     def _cancel_tail_timer(self) -> None:
         if self._tail_event is not None:

@@ -137,7 +137,12 @@ class TieOrderSimulator(Simulator):
 
     def _push(self, entry):
         time, seq, fn, args, handle = entry
-        heapq.heappush(self._heap, (time, self._key(seq), fn, args, handle))
+        key = self._key(seq)
+        if handle is not None:
+            # The run loop tells a restarted event's stale entry by its
+            # handle's ``seq``; keep the two in the same key space.
+            handle.seq = key
+        heapq.heappush(self._heap, (time, key, fn, args, handle))
 
     def key_passed(self, time, seq):
         current = self._cur_seq  # the running event's key; an int when idle

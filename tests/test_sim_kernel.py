@@ -127,6 +127,100 @@ class TestCancellation:
         assert not keep.cancelled
 
 
+class TestRestart:
+    """``restart(event, delay)`` behaves as ``event.cancel()`` followed by
+    ``schedule(delay, event.fn)``; a later deadline re-keys ``event``."""
+
+    def test_later_deadline_rekeys_the_same_event(self):
+        sim = Simulator()
+        seen = []
+        event = sim.schedule(1.0, lambda: seen.append(sim.now))
+        assert sim.restart(event, 2.0) is event
+        assert event.time == 2.0 and not event.cancelled
+        assert sim.pending == 1
+        sim.run()
+        assert seen == [2.0]
+
+    def test_earlier_deadline_returns_a_fresh_event(self):
+        sim = Simulator()
+        seen = []
+        event = sim.schedule(2.0, lambda: seen.append(sim.now))
+        fresh = sim.restart(event, 1.0)
+        assert fresh is not event and event.cancelled
+        assert sim.pending == 1
+        sim.run()
+        assert seen == [1.0]
+
+    def test_same_deadline_fires_after_its_ties(self):
+        sim = Simulator()
+        seen = []
+        first = sim.schedule(1.0, lambda: seen.append("first"))
+        sim.schedule(1.0, lambda: seen.append("second"))
+        assert sim.restart(first, 1.0) is first
+        sim.run()
+        assert seen == ["second", "first"]
+
+    def test_fired_or_cancelled_event_is_scheduled_afresh(self):
+        sim = Simulator()
+        seen = []
+        event = sim.schedule(1.0, lambda: seen.append(sim.now))
+        sim.run()
+        again = sim.restart(event, 1.0)
+        assert again is not event
+        again.cancel()
+        third = sim.restart(again, 0.5)
+        assert third is not again
+        sim.run()
+        assert seen == [1.0, 1.5]
+
+    def test_restart_from_the_event_own_callback(self):
+        sim = Simulator()
+        seen = []
+        timer = []
+
+        def fire():
+            seen.append(sim.now)
+            if len(seen) < 3:
+                timer[0] = sim.restart(timer[0], 1.0)
+
+        timer.append(sim.schedule(1.0, fire))
+        sim.run()
+        assert seen == [1.0, 2.0, 3.0]
+
+    def test_stale_entry_goes_back_to_the_wheel(self):
+        # The entry queued for 10 ms surfaces at its bucket's spill and
+        # is parked again in the wheel under the event's 500 ms key; the
+        # heap never holds it.
+        sim = Simulator()
+        seen = []
+        event = sim.restart(sim.schedule(0.01, lambda: seen.append(sim.now)), 0.5)
+        sim.run(until=0.1)
+        assert seen == [] and not sim._heap
+        assert [entry[:2] for bucket in sim._wheel.values() for entry in bucket] == [
+            (0.5, event.seq)
+        ]
+        assert sim.pending == 1 and sim.peek_time() == 0.5
+        sim.run()
+        assert seen == [0.5] and sim.pending == 0
+
+    def test_cancel_after_restart(self):
+        sim = Simulator()
+        seen = []
+        event = sim.restart(sim.schedule(0.01, seen.append, "x"), 0.02)
+        event.cancel()
+        assert sim.pending == 0
+        sim.run()
+        assert seen == []
+
+    def test_restart_validates_the_delay_like_schedule(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                sim.restart(event, bad)
+        assert event.time == 1.0 and not event.cancelled
+
+
 class TestTransient:
     def test_transient_runs_and_returns_no_handle(self):
         sim = Simulator()

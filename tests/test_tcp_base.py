@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.net.packet import MSS_BYTES
+from repro.sim.kernel import Simulator
 from repro.tcp.base import INITIAL_CWND, TcpConfig
 from repro.tcp.reno import RenoSource
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
@@ -186,6 +187,26 @@ class TestTimeout:
         sim.run(until=1.0)
         assert sink.next_expected == 5
         assert source.all_acked
+
+    def test_timer_restart_queues_per_rto_not_per_ack(self, monkeypatch):
+        """RFC 6298 5.3 restarts the timer on every new ACK; the kernel
+        re-keys the armed event, so an RTO entry is queued about once
+        per RTO of simulated time, not once per ACK."""
+        queued = []
+        push = Simulator._push
+
+        def counting_push(sim, entry):
+            if getattr(entry[2], "__name__", None) == "_on_rtx_timeout":
+                queued.append(entry[0])
+            push(sim, entry)
+
+        monkeypatch.setattr(Simulator, "_push", counting_push)
+        sim, _star, source, _sink = make_pair(buffer_pkts=4000)  # no loss
+        msg = source.send_message(2000)
+        sim.run(until=1.0)
+        assert msg.finish_time is not None and source.timeouts == 0
+        assert source.stats.acks_received >= 1000
+        assert 1 <= len(queued) <= msg.finish_time / FAST["min_rto"] + 2
 
 
 def sample_log():

@@ -219,15 +219,19 @@ class TestProbeDeadlineRearm:
     def test_first_probe_ack_rearms_the_deadline(self):
         sim, _star, source, _sink = probing_pair()
         first, _second = sorted(source._probe_seqs)
-        old_deadline = source._probe_deadline
+        old_time = source._probe_deadline.time
         assert source._on_ack_pre_increase(0, probe_ack(source, first, 2e-4))
-        # Still probing — but on a fresh deadline one smooth_RTT out, so
-        # the trailing ACK is not condemned by the leading one's clock.
+        # Still probing — but on a deadline re-armed one smooth_RTT out,
+        # so the trailing ACK is not condemned by the leading one's clock.
         assert source.probing
-        assert old_deadline.cancelled
         fresh = source._probe_deadline
-        assert fresh is not old_deadline and not fresh.cancelled
+        assert not fresh.cancelled
         assert fresh.time == pytest.approx(sim.now + source.smooth_rtt.value)
+        assert fresh.time > old_time
+        sim.run(until=old_time)
+        assert source.probing and source.probes_timed_out == 0
+        sim.run(until=fresh.time)
+        assert not source.probing and source.probes_timed_out == 1
 
     def test_both_acks_complete_and_apply_eq1(self):
         _sim, _star, source, _sink = probing_pair()
