@@ -27,9 +27,9 @@ Implementation notes from Section III.C are honoured: the minimum
 window is 2; an Eq. (1) result that is tiny or negative clamps to 2;
 trains of one or two packets still probe.
 
-TCP-TRIM assumes per-packet ACKs (the receiver default here): delayed
-ACKs stall the ACK clock for up to the delack timer, which Algorithm 1
-cannot distinguish from an OFF period and answers with spurious probes.
+TCP-TRIM assumes per-packet ACKs, as ``TcpSink`` sends: delayed ACKs
+would stall the ACK clock for up to the ACK timer, which Algorithm 1
+cannot tell from an OFF period and would answer with spurious probes.
 
 Beyond the paper's text we make two choices explicit (see DESIGN.md):
 the Eq. (3) decrease is applied at most once per window of data (the

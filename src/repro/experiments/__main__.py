@@ -266,19 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="write a JSON artifact of the measured results to this path",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the hottest functions by "
-        "cumulative time (profiles this process only: with --jobs > 1 "
-        "the sweep work happens in workers and will not appear)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        default=None,
-        help="also dump the raw cProfile stats to this path "
-        "(load with pstats or snakeviz); implies --profile",
-    )
     args = parser.parse_args(argv)
     if args.check_invariants:
         # The environment is the one channel every Simulator sees —
@@ -459,23 +446,7 @@ def main(argv: list[str] | None = None) -> int:
 
     interrupted = False
     try:
-        if args.profile or args.profile_out:
-            import cProfile
-            import pstats
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                run_selected()
-            finally:
-                profiler.disable()
-                if args.profile_out:
-                    profiler.dump_stats(args.profile_out)
-                    print(f"profile written to {args.profile_out}", file=sys.stderr)
-                stats = pstats.Stats(profiler, stream=sys.stderr)
-                stats.sort_stats("cumulative").print_stats(25)
-        else:
-            run_selected()
+        run_selected()
     except KeyboardInterrupt as interrupt:
         # Completed points are already fsynced to the checkpoint; tell
         # the user how to pick the sweep back up and exit like an

@@ -130,6 +130,7 @@ class ConnectionSet:
         self,
         src_host: Host,
         dst_host: Host,
+        *,
         config: Optional[TcpConfig] = None,
     ) -> tuple[TcpSource, TcpSink]:
         """Open a persistent connection from ``src_host`` to ``dst_host``.
@@ -167,6 +168,7 @@ class ConnectionSet:
         self,
         src_hosts: Iterable[Host],
         dst_host: Host,
+        *,
         config: Optional[TcpConfig] = None,
     ) -> list[TcpSource]:
         """Open one connection per source host, all towards ``dst_host``."""

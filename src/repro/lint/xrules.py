@@ -20,10 +20,8 @@ SIM014
     units — the seconds/bytes mix-up class of kernel/link/queue bug.
 SIM015
     Registered experiments declare their contract (``id``, ``title``,
-    ``params_cls``), connection factories are called with keyword-only
-    ``flow_id=``/``config=``, and ``run_point`` emits telemetry only
-    through the :mod:`repro.obs` bus (no prints, no ad-hoc file
-    writes).
+    ``params_cls``), and ``run_point`` emits telemetry only through the
+    :mod:`repro.obs` bus (no prints, no ad-hoc file writes).
 """
 
 from __future__ import annotations
@@ -335,37 +333,25 @@ _REGISTER_NAMES = ("repro.experiments.registry.register",)
 #: class attributes a registered experiment must declare in its body.
 _REQUIRED_DECLARATIONS = ("id", "title", "params_cls")
 
-#: factory callables whose flow_id/config arguments are keyword-only by
-#: convention: (resolved-name tail, max allowed positional args).
-_KEYWORD_ONLY_FACTORIES = {
-    "create_source": 4,  # protocol, sim, host, dst_id
-    "make_connection": 4,  # protocol, sim, src_host, dst_host
-    "TcpSink": 2,  # sim, host
-    "connect": 2,  # src_host, dst_host (method: self not counted)
-    "connect_many": 2,  # src_hosts, dst_host
-}
 
 
 @register_rule
 class ExperimentConformanceRule(ProjectRule):
-    """Registered experiments declare their contract; connection
-    factories take ``flow_id=``/``config=`` by keyword; ``run_point``
+    """Registered experiments declare their contract; ``run_point``
     talks to the world only through the obs bus and its return value."""
 
     id = "SIM015"
-    summary = "experiment/connection contract violation (registration, kwargs, telemetry)"
+    summary = "experiment contract violation (registration, telemetry)"
     fixit = (
-        "declare id/title/params_cls in the class body; pass flow_id= "
-        "and config= by keyword at every connection call site; emit "
-        "telemetry from run_point via the repro.obs bus or the returned "
-        "payload (report() is the printing layer)"
+        "declare id/title/params_cls in the class body; emit telemetry "
+        "from run_point via the repro.obs bus or the returned payload "
+        "(report() is the printing layer)"
     )
 
     def check_module(
         self, project: ProjectContext, module: ModuleContext
     ) -> Iterator[Finding]:
         yield from self._check_registered_classes(project, module)
-        yield from self._check_factory_call_sites(project, module)
 
     # -- registration contract -----------------------------------------
     def _registered_class_names(self, module: ModuleContext) -> set[str]:
@@ -450,37 +436,6 @@ class ExperimentConformanceRule(ProjectRule):
                         "export results via the returned payload or the "
                         "repro.obs exporters",
                     )
-
-    # -- keyword-only factory arguments ---------------------------------
-    def _check_factory_call_sites(
-        self, project: ProjectContext, module: ModuleContext
-    ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = dotted_name(node.func)
-            if not chain:
-                continue
-            tail = chain.rsplit(".", 1)[-1]
-            limit = _KEYWORD_ONLY_FACTORIES.get(tail)
-            if limit is None:
-                continue
-            if tail in ("connect", "connect_many"):
-                # Only the ConnectionSet idiom: `connections.connect(...)`
-                # (or the set's own methods via self).  `net.connect()` is
-                # the topology builder's link wiring, a different API.
-                receiver = chain.rsplit(".", 1)[0] if "." in chain else ""
-                owner = receiver.rsplit(".", 1)[-1]
-                if "connection" not in owner and owner != "self":
-                    continue
-            if len(node.args) > limit:
-                yield from module.finding(
-                    node,
-                    self,
-                    f"{chain}() passes {len(node.args)} positional "
-                    f"arguments (max {limit}); flow_id= and config= are "
-                    "keyword-only by contract",
-                )
 
 
 def _opens_for_write(call: ast.Call) -> bool:

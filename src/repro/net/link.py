@@ -97,35 +97,26 @@ class Link:
     @property
     def queue(self) -> DropTailQueue:
         """The egress queue.  Assignable (tests swap in RED/ECN queues,
-        even mid-run); the setter refreshes the tick-elision flag,
-        migrates any resident backlog into the new queue, and registers
-        the new queue with the invariant monitor."""
+        even mid-run); the setter migrates any resident backlog into the
+        new queue and registers the new queue with the invariant
+        monitor."""
         return self._queue
 
     @queue.setter
     def queue(self, queue: DropTailQueue) -> None:
         old = getattr(self, "_queue", None)
-        ticks = type(queue).tick is not DropTailQueue.tick
         if old is not None and old is not queue and len(old) > 0:
             # Mid-run swap with waiting packets: drain the old queue into
             # the new one in FIFO order.  The new queue's admission policy
             # applies — overflow (or RED early action) is charged to the
             # new queue's stats, and both queues keep their conservation
             # balance (the old one counts the handoff as dequeues).
-            if ticks:
-                queue.tick(self.sim.now)
             while True:
                 pkt = old.dequeue()
                 if pkt is None:
                     break
                 queue.enqueue(pkt)
         self._queue = queue
-        #: skip the per-packet ``queue.tick`` call entirely for queues
-        #: that inherit DropTailQueue's no-op (RED is the only
-        #: time-driven queue; drop-tail and ECN marking are not).
-        self._queue_ticks = ticks
-        if ticks and old is not None and self.busy and not self._busy:
-            self._arm_tx_done()  # a time-driven queue is ticked at that instant
         invariants = getattr(self.sim, "invariants", None)
         if invariants is not None:
             invariants.register_queue(queue, name=self.name)
@@ -161,9 +152,6 @@ class Link:
 
     def send(self, pkt: Packet) -> None:
         """Entry point used by the owning node to emit ``pkt``."""
-        queue = self._queue
-        if self._queue_ticks:
-            queue.tick(self.sim.now)
         if not self._busy:
             seq = self._free_seq
             if seq < 0 or self.sim.key_passed(self._free_at, seq):
@@ -172,6 +160,7 @@ class Link:
                     return
             else:
                 self._arm_tx_done()
+        queue = self._queue
         queue.enqueue(pkt)
         tap = self._tap
         if tap is not None:
@@ -217,8 +206,6 @@ class Link:
         self._up = True
         if not self.busy:
             queue = self._queue
-            if self._queue_ticks:
-                queue.tick(self.sim.now)
             nxt = queue.dequeue()
             if nxt is not None:
                 self._transmit(nxt, len(queue) > 0)
@@ -241,8 +228,7 @@ class Link:
         stats.tx_bytes += size
         stats.busy_time += tx
         sim = self.sim
-        if backlog or self._queue_ticks:
-            # A backlog needs the restart; RED needs the instant.
+        if backlog:
             self._busy = True
             sim.schedule_transient(tx, self._tx_done)
         else:
@@ -258,8 +244,6 @@ class Link:
             self._busy = False
             return
         queue = self._queue
-        if self._queue_ticks:
-            queue.tick(self.sim.now)
         nxt = queue.dequeue()
         if nxt is None:
             self._busy = False

@@ -19,8 +19,6 @@ ACK_BYTES = 40
 DATA = "data"
 ACK = "ack"
 
-_INF = float("inf")  # hoisted: Packet.__init__ runs once per packet
-
 __all__ = ["ACK", "ACK_BYTES", "DATA", "MSS_BYTES", "Packet"]
 
 
@@ -68,7 +66,6 @@ class Packet:
         "echo_retx",
         "echo_probe",
         "sack_blocks",
-        "rwnd",
         "hops",
     )
 
@@ -106,8 +103,6 @@ class Packet:
         #: ACK: up to 3 ``(start, end_exclusive)`` segment ranges the
         #: receiver holds above the cumulative ACK (SACK option).
         self.sack_blocks: tuple = ()
-        #: ACK: receiver's advertised window in segments (flow control).
-        self.rwnd: float = _INF
         self.hops = 0
 
     @property
@@ -133,7 +128,6 @@ def make_ack(
     ack: int,
     now: float,
     sack_blocks: tuple = (),
-    rwnd: float = _INF,
 ) -> Packet:
     """Build the ACK a sink sends in response to ``data_pkt``."""
     pkt = Packet(
@@ -151,5 +145,4 @@ def make_ack(
     pkt.echo_probe = data_pkt.is_probe
     pkt.ece = data_pkt.ecn_ce
     pkt.sack_blocks = sack_blocks
-    pkt.rwnd = rwnd
     return pkt

@@ -25,6 +25,7 @@ from repro.sim.randomness import seeded_rng
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import QueueTap
+    from repro.sim.kernel import Simulator
 
 __all__ = ["DropTailQueue", "EcnQueue", "FairQueue", "QueueStats", "RedQueue"]
 
@@ -75,11 +76,6 @@ class DropTailQueue:
 
     def __len__(self) -> int:
         return len(self._fifo)
-
-    def tick(self, now: float) -> None:
-        """Advance the queue's notion of time (used by time-aware AQMs;
-        a no-op for plain drop-tail).  Links call this before touching
-        the queue so the queue never needs a simulator reference."""
 
     def enqueue(self, pkt: Packet) -> bool:
         """Add ``pkt``; returns False (and drops it) when full."""
@@ -325,7 +321,8 @@ class RedQueue(DropTailQueue):
 
     The average queue length is an EWMA updated on every arrival, with
     the standard idle-time correction (the average decays as if ``m``
-    small packets had drained while the queue sat empty).  Between
+    small packets had drained while the queue sat empty, timed on
+    ``sim.now``).  Between
     ``min_threshold`` and ``max_threshold`` arrivals are dropped (or
     CE-marked when ``ecn_mode`` and the packet is ECN-capable) with the
     count-corrected probability ``pa = pb / (1 − count·pb)``; at or
@@ -337,11 +334,12 @@ class RedQueue(DropTailQueue):
 
     __slots__ = (
         "min_threshold", "max_threshold", "max_probability", "ecn_mode",
-        "mean_tx_time", "avg", "_count", "_idle_since", "_rng", "now",
+        "mean_tx_time", "avg", "_count", "_idle_since", "_rng", "sim",
     )
 
     def __init__(
         self,
+        sim: "Simulator",
         capacity_pkts: int,
         min_threshold: float,
         max_threshold: float,
@@ -369,12 +367,8 @@ class RedQueue(DropTailQueue):
         self._count = -1
         self._idle_since: Optional[float] = 0.0
         self._rng = seeded_rng(seed)
-        #: the caller (link) advances this clock via tick(); kept
-        #: explicit so the queue stays independent of the simulator.
-        self.now = 0.0
-
-    def tick(self, now: float) -> None:
-        self.now = now
+        #: the clock the idle-time correction reads
+        self.sim = sim
 
     def enqueue(self, pkt: Packet) -> bool:
         self._update_average()
@@ -402,7 +396,7 @@ class RedQueue(DropTailQueue):
     def dequeue(self) -> Optional[Packet]:
         pkt = super().dequeue()
         if pkt is not None and not self._fifo:
-            self._idle_since = self.now
+            self._idle_since = self.sim.now
         return pkt
 
     def resize(self, capacity_pkts: int) -> int:
@@ -421,7 +415,7 @@ class RedQueue(DropTailQueue):
         q = len(self._fifo)
         if q == 0 and self._idle_since is not None:
             # Idle correction: decay as if m packets drained meanwhile.
-            m = max(0.0, (self.now - self._idle_since) / self.mean_tx_time)
+            m = max(0.0, (self.sim.now - self._idle_since) / self.mean_tx_time)
             self.avg *= (1.0 - self.WEIGHT) ** m
             self._idle_since = None
         else:

@@ -83,14 +83,14 @@ class TraceSpec:
                     raise ValueError("bad link filter 'link=': empty glob")
                 link_globs.append(glob)
                 continue
-            name, _, step_text = token.partition("@")
+            name, at, step_text = token.partition("@")
             if name not in CHANNELS:
                 raise ValueError(
                     f"unknown trace channel {name!r}; valid channels: "
                     f"{', '.join(CHANNELS)} (or 'all')"
                 )
             channels.add(name)
-            if step_text:
+            if at:
                 try:
                     step = int(step_text)
                 except ValueError:

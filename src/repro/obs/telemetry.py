@@ -244,10 +244,10 @@ class Telemetry:
 class QueueTap:
     """Clock-and-name adapter between one link's queue and the bus.
 
-    Queues deliberately hold no simulator reference (see
-    ``DropTailQueue.tick``), so the tap carries the clock and the link
-    name on their behalf.  Links install it via the ``queue`` property
-    setter; queues call it only from their drop/mark/evict branches.
+    Queues other than RED hold no simulator reference, so the tap
+    carries the clock and the link name on their behalf.  Links install
+    it via the ``queue`` property setter; queues call it only from their
+    drop/mark/evict branches.
     """
 
     __slots__ = ("sim", "link", "_telemetry")

@@ -95,19 +95,22 @@ def default_hosts(jobs: int) -> list[HostSpec]:
 
 
 def parse_hosts(spec: str) -> list[HostSpec]:
-    """Parse a ``--hosts`` value: ``local:N`` or a JSON host file."""
+    """Parse a ``--hosts`` value: ``local``, ``local:N`` with N >= 1, or
+    else the path of a JSON host file."""
     spec = spec.strip()
     if not spec:
         raise ValueError("--hosts must not be empty")
-    if spec.startswith("local"):
+    if spec == "local" or spec.startswith("local:"):
         _, sep, count = spec.partition(":")
         try:
             workers = int(count) if sep else 1
         except ValueError:
+            workers = 0
+        if workers < 1:
             raise ValueError(
-                f"bad --hosts spec {spec!r} (grammar: local:N or a JSON "
-                "host-file path)"
-            ) from None
+                f"bad --hosts spec {spec!r} (grammar: local:N with N >= 1, "
+                "or a JSON host-file path)"
+            )
         return default_hosts(workers)
     path = Path(spec)
     try:

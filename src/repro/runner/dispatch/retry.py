@@ -171,8 +171,8 @@ class RetryPolicy:
         """Build a policy from the CLI grammar.
 
         ``--retry-policy "attempts=3,transient=8"`` — every key
-        optional, unknown keys rejected.  An empty spec is the default
-        policy.
+        optional, unknown or repeated keys rejected.  An empty spec is
+        the default policy.
         """
         aliases = dict(cls._FIELDS)
         kwargs: dict[str, int] = {}
@@ -188,6 +188,8 @@ class RetryPolicy:
                     f"bad retry-policy term {part!r} (grammar: "
                     f"key=value with keys {known})"
                 )
+            if aliases[key] in kwargs:
+                raise ValueError(f"repeated retry-policy key {key!r} in {spec!r}")
             try:
                 kwargs[aliases[key]] = int(raw)
             except ValueError as exc:

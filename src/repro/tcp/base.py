@@ -47,7 +47,6 @@ __all__ = ["Message", "TcpConfig", "TcpSink", "TcpSource"]
 RENO = "reno"
 NEWRENO = "newreno"
 
-_INF = float("inf")
 #: the window a connection starts with and restarts from after an RTO
 INITIAL_CWND = 2.0
 #: the empty scoreboard every connection shares until loss recovery first
@@ -147,9 +146,9 @@ class TcpSource:
         "sim", "host", "flow_id", "dst_id", "config", "name",
         "cwnd", "ssthresh", "t_seqno", "highest_ack", "max_seq_sent", "app_limit",
         "dupacks", "in_recovery", "recover_seq", "suspended", "last_send_time",
-        "rtt", "stats", "_sacked", "_recovery_retx", "rwnd_segments",
+        "rtt", "stats", "_sacked", "_recovery_retx",
         "_pending_messages", "_rtx_event", "_pace_event", "_next_pace_time",
-        "_next_message_id", "on_timeout", "_invariants",
+        "_next_message_id", "_invariants",
     )
 
     def __init__(
@@ -187,15 +186,11 @@ class TcpSource:
         self.stats = SourceStats()
         self._sacked: AbstractSet[int] = _NO_SEQS  # SACK scoreboard
         self._recovery_retx: AbstractSet[int] = _NO_SEQS  # holes already resent
-        #: receiver's advertised window from the latest ACK (segments)
-        self.rwnd_segments: float = _INF
         self._pending_messages: list[Message] = []  # completion FIFO, 1-few long
         self._rtx_event: Optional[Event] = None
         self._pace_event: Optional[Event] = None
         self._next_pace_time: float = 0.0
         self._next_message_id = 0
-        #: optional experiment hook fired on every RTO expiry
-        self.on_timeout: Optional[Callable[["TcpSource"], None]] = None
         self._invariants = getattr(sim, "invariants", None)
         if self._invariants is not None:
             self._invariants.register_flow(self)
@@ -264,14 +259,9 @@ class TcpSource:
     # Transmission
     # ------------------------------------------------------------------
     def _window_segments(self) -> int:
-        """Effective send window: congestion window capped by the
-        receiver's advertised window.  The one-segment floor under a
-        zero window plays the role of the persist probe — the receiver
-        discards what it cannot hold and keeps advertising."""
-        window = min(self.cwnd, self.config.max_cwnd)
-        if self.rwnd_segments < window:
-            window = max(1.0, self.rwnd_segments)
-        return int(window)
+        """Effective send window: the congestion window, capped at
+        ``max_cwnd`` (the sink's buffer is unbounded)."""
+        return int(min(self.cwnd, self.config.max_cwnd))
 
     def _try_send(self) -> None:
         """Transmit as many new segments as window, data — and when
@@ -349,7 +339,6 @@ class TcpSource:
         if pkt.kind != ACK:
             raise RuntimeError(f"{self.name}: source received non-ACK packet")
         self.stats.acks_received += 1
-        self.rwnd_segments = pkt.rwnd
         if self.config.sack:
             self._update_scoreboard(pkt)
         if pkt.ack > self.highest_ack:
@@ -513,8 +502,6 @@ class TcpSource:
             tel.on_rto(self.sim.now, self.flow_id, self.rtt.rto, self.cwnd)
             tel.on_cwnd(self.sim.now, self.flow_id, self.cwnd, self.ssthresh)
         self._after_timeout()
-        if self.on_timeout is not None:
-            self.on_timeout(self)
         self._set_rtx_timer()
         self._try_send()
 
@@ -580,42 +567,24 @@ class TcpSource:
 
 
 class TcpSink:
-    """Receiver: cumulative ACKs with per-packet echo of RTT/ECN/probe.
-
-    By default every data packet is acknowledged immediately (NS2's
-    default, and what the paper's RTT-measurement algorithms assume).
-    ``delayed_ack=True`` enables RFC 1122-style delayed ACKs: every
-    second in-order segment is acknowledged, or a timer fires after
-    ``delack_timeout``.  Out-of-order arrivals, duplicates, CE-marked
-    packets (DCTCP needs the echo now), and probe packets (TCP-TRIM
-    measures their RTT) are always acknowledged immediately.
-
-    **Flow control**: ``receive_buffer_segments`` bounds how much
-    undelivered-to-the-application data the sink holds; the application
-    drains it at ``drain_rate_pps`` segments/second (None = instantly).
-    Every ACK advertises the remaining window; in-order arrivals that
-    find the buffer full are discarded (dup-ACKed with rwnd 0) — the
-    sender's one-segment floor acts as the persist probe.
-    """
+    """Receiver: acknowledges every data packet at once (NS2's default,
+    and what the paper's RTT-measurement algorithms assume) with a
+    cumulative ACK that echoes the packet's timestamp, retransmission
+    and probe flags and CE mark, plus SACK blocks for out-of-order data
+    it holds."""
 
     __slots__ = (
         "sim", "host", "flow_id", "name", "next_expected", "_out_of_order",
         "delivered_segments", "duplicate_segments", "acks_sent",
-        "delayed_ack", "delack_timeout", "receive_buffer_segments",
-        "drain_rate_pps", "app_read_segments", "rwnd_overflow_drops",
-        "_drain_event", "_held_pkt", "_delack_event",
     )
 
     def __init__(
         self,
         sim: Simulator,
         host: Host,
+        *,
         flow_id: int,
         name: str = "",
-        delayed_ack: bool = False,
-        delack_timeout: float = 1e-3,
-        receive_buffer_segments: Optional[int] = None,
-        drain_rate_pps: Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.host = host
@@ -627,119 +596,32 @@ class TcpSink:
         self.delivered_segments: int = 0  # unique, in-order-or-buffered
         self.duplicate_segments: int = 0
         self.acks_sent: int = 0
-        self.delayed_ack = delayed_ack
-        self.delack_timeout = delack_timeout
-        if receive_buffer_segments is not None and receive_buffer_segments < 1:
-            raise ValueError("receive buffer must hold at least 1 segment")
-        if drain_rate_pps is not None and drain_rate_pps <= 0:
-            raise ValueError("drain rate must be positive")
-        self.receive_buffer_segments = receive_buffer_segments
-        self.drain_rate_pps = drain_rate_pps
-        self.app_read_segments: int = 0  # drained to the application
-        self.rwnd_overflow_drops: int = 0
-        self._drain_event: Optional[Event] = None
-        self._held_pkt: Optional[Packet] = None
-        self._delack_event: Optional[Event] = None
 
     def receive_packet(self, pkt: Packet) -> None:
         if pkt.kind != DATA:
             raise RuntimeError(f"{self.name}: sink received non-data packet")
-        in_order = False
         if pkt.seq == self.next_expected:
-            if self._buffer_full():
-                self.rwnd_overflow_drops += 1  # dup-ACK with rwnd 0 below
-            else:
-                in_order = True
-                self.next_expected += 1
-                self.delivered_segments += 1
-                if self.next_expected in self._out_of_order:
-                    buffered = _writable(self._out_of_order)  # non-empty: own set
-                    while self.next_expected in buffered:
-                        buffered.remove(self.next_expected)
-                        self.next_expected += 1
-                    if not buffered:
-                        self._out_of_order = _NO_SEQS
-                self._schedule_drain()
+            self.next_expected += 1
+            self.delivered_segments += 1
+            if self.next_expected in self._out_of_order:
+                buffered = _writable(self._out_of_order)  # non-empty: own set
+                while self.next_expected in buffered:
+                    buffered.remove(self.next_expected)
+                    self.next_expected += 1
+                if not buffered:
+                    self._out_of_order = _NO_SEQS
         elif pkt.seq > self.next_expected:
             if pkt.seq in self._out_of_order:
                 self.duplicate_segments += 1
-            elif self._buffer_full():
-                self.rwnd_overflow_drops += 1
             else:
                 self._out_of_order = buffered = _writable(self._out_of_order)
                 buffered.add(pkt.seq)
                 self.delivered_segments += 1
         else:
             self.duplicate_segments += 1
-
-        must_ack_now = (
-            not self.delayed_ack
-            or not in_order
-            or pkt.ecn_ce
-            or pkt.is_probe
-            or self._held_pkt is not None  # this is the 2nd unacked segment
-        )
-        if must_ack_now:
-            self._send_ack(pkt)
-        else:
-            self._held_pkt = pkt
-            self._delack_event = self.sim.schedule(
-                self.delack_timeout, self._on_delack_timer
-            )
-
-    def _send_ack(self, pkt: Packet) -> None:
-        self._cancel_delack()
-        ack = make_ack(
-            pkt, self.next_expected - 1, self.sim.now, self._sack_blocks(),
-            rwnd=self._advertised_window(),
-        )
+        ack = make_ack(pkt, self.next_expected - 1, self.sim.now, self._sack_blocks())
         self.acks_sent += 1
         self.host.send(ack)
-
-    def _on_delack_timer(self) -> None:
-        self._delack_event = None
-        if self._held_pkt is not None:
-            pkt, self._held_pkt = self._held_pkt, None
-            ack = make_ack(
-                pkt, self.next_expected - 1, self.sim.now, self._sack_blocks(),
-                rwnd=self._advertised_window(),
-            )
-            self.acks_sent += 1
-            self.host.send(ack)
-
-    # ------------------------------------------------------------------
-    # Flow control: receive buffer and application drain
-    # ------------------------------------------------------------------
-    def _buffered_segments(self) -> int:
-        """Segments held for (but not yet read by) the application."""
-        return (self.next_expected - self.app_read_segments) + len(
-            self._out_of_order
-        )
-
-    def _buffer_full(self) -> bool:
-        if self.receive_buffer_segments is None:
-            return False
-        return self._buffered_segments() >= self.receive_buffer_segments
-
-    def _advertised_window(self) -> float:
-        if self.receive_buffer_segments is None:
-            return _INF
-        return max(0, self.receive_buffer_segments - self._buffered_segments())
-
-    def _schedule_drain(self) -> None:
-        if self.drain_rate_pps is None:
-            self.app_read_segments = self.next_expected
-            return
-        if self._drain_event is None and self.app_read_segments < self.next_expected:
-            self._drain_event = self.sim.schedule(
-                1.0 / self.drain_rate_pps, self._drain_one
-            )
-
-    def _drain_one(self) -> None:
-        self._drain_event = None
-        if self.app_read_segments < self.next_expected:
-            self.app_read_segments += 1
-            self._schedule_drain()
 
     def _sack_blocks(self, max_blocks: int = 3) -> tuple[tuple[int, int], ...]:
         """Contiguous ``(start, end_exclusive)`` runs of buffered data
@@ -758,12 +640,6 @@ class TcpSink:
             run_start = prev = seq
         runs.append((run_start, prev + 1))
         return tuple(runs[-max_blocks:][::-1])
-
-    def _cancel_delack(self) -> None:
-        self._held_pkt = None
-        if self._delack_event is not None:
-            self._delack_event.cancel()
-            self._delack_event = None
 
     @property
     def delivered_bytes(self) -> int:

@@ -40,8 +40,6 @@ class EagerLink(Link):
     old one."""
 
     def send(self, pkt: Packet) -> None:
-        if self._queue_ticks:
-            self._queue.tick(self.sim.now)
         if self._busy or not self._up:
             self._queue.enqueue(pkt)
         else:
@@ -56,8 +54,6 @@ class EagerLink(Link):
             return
         self._up = True
         if not self._busy:
-            if self._queue_ticks:
-                self._queue.tick(self.sim.now)
             nxt = self._queue.dequeue()
             if nxt is not None:
                 self._transmit(nxt)

@@ -230,6 +230,16 @@ class TestHosts:
     def test_parse_bare_local_means_one_worker(self):
         assert parse_hosts("local")[0].workers == 1
 
+    def test_host_file_named_local_something_is_a_path(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "localfleet.json").write_text(
+            json.dumps([{"name": "rack1", "workers": 2}]), encoding="utf-8"
+        )
+        hosts = parse_hosts("localfleet.json")
+        assert [(h.name, h.workers) for h in hosts] == [("rack1", 2)]
+
     def test_default_hosts_clamps_to_one(self):
         assert default_hosts(0)[0].workers == 1
 

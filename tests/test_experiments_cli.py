@@ -143,6 +143,34 @@ class TestDispatchCli:
             )
 
     @staticmethod
+    def _assert_usage_error(capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig1", "--no-cache", "--no-checkpoint", *argv])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_hosts_is_local_n_with_n_at_least_one_or_a_path(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A path that merely starts with "local" is a host file, not
+        # the local grammar; a worker count below 1 is not clamped.
+        monkeypatch.chdir(tmp_path)
+        for hosts in ("localfleet.json", "local:0", "local:-1"):
+            self._assert_usage_error(
+                capsys, ["--backend", "dispatch", "--hosts", hosts], "--hosts"
+            )
+
+    def test_retry_policy_rejects_a_repeated_key(self, capsys):
+        self._assert_usage_error(
+            capsys, ["--retry-policy", "attempts=3,attempts=4"],
+            "--retry-policy",
+        )
+
+    def test_trace_rejects_an_empty_decimation_step(self, capsys):
+        for trace in ("cwnd@", "probe@"):
+            self._assert_usage_error(capsys, ["--trace", trace], "--trace")
+
+    @staticmethod
     def _toys(monkeypatch):
         """Put the dispatch toys on both our and the workers' paths."""
         import os

@@ -1,8 +1,8 @@
 """Feature-combination tests: the extensions compose.
 
-Each optional mechanism (SACK, pacing, delayed ACKs, flow control) is
-orthogonal machinery in the base sender/sink; these tests pin the
-interesting pairings, especially with TCP-TRIM's probing on top.
+Each optional sender mechanism (SACK, pacing) is orthogonal machinery
+in the base sender; these tests pin the interesting pairings, especially
+with TCP-TRIM's probing on top.
 """
 
 import pytest
@@ -62,49 +62,10 @@ class TestTrimWithPacing:
         assert source.stats.timeouts == 0
 
 
-class TestDelackWithFlowControl:
-    def test_slow_reader_with_delayed_acks(self):
-        sim = Simulator()
-        star = build_star(sim, 1)
-        source = create_source(
-            "reno", sim, star.servers[0], flow_id=1,
-            dst_id=star.frontend.node_id, config=TcpConfig(**FAST),
-        )
-        sink = TcpSink(
-            sim, star.frontend, flow_id=1,
-            delayed_ack=True, delack_timeout=1e-3,
-            receive_buffer_segments=16, drain_rate_pps=2000.0,
-        )
-        msg = source.send_message(100)
-        sim.run(until=2.0)
-        assert source.all_acked
-        assert msg.completion_time > 0.04  # throttled by the reader
-        assert sink.acks_sent < 100  # delayed ACKs actually coalesced
-
-
-class TestSackWithDelack:
-    def test_loss_recovery_with_coalesced_acks(self):
-        sim = Simulator()
-        star = build_star(sim, 1)
-        source = create_source(
-            "reno", sim, star.servers[0], flow_id=1,
-            dst_id=star.frontend.node_id, config=TcpConfig(sack=True, **FAST),
-        )
-        sink = TcpSink(
-            sim, star.frontend, flow_id=1,
-            delayed_ack=True, delack_timeout=1e-3,
-        )
-        install_loss(star.bottleneck, drop_seqs_once({40, 44, 48}))
-        source.send_message(100)
-        sim.run(until=1.0)
-        assert sink.next_expected == 100
-        assert source.stats.timeouts == 0
-
-
 class TestEverythingOn:
     def test_kitchen_sink_configuration(self):
-        """SACK + pacing + delayed ACKs + flow control + TRIM, with
-        losses: the stream still delivers completely and in order."""
+        """SACK + pacing + TRIM, with losses: the stream still delivers
+        completely and in order."""
         sim = Simulator()
         star = build_star(sim, 1)
         source = create_source(
@@ -113,11 +74,7 @@ class TestEverythingOn:
             config=TcpConfig(sack=True, pacing=True, **FAST),
             capacity_pps=CAPACITY,
         )
-        sink = TcpSink(
-            sim, star.frontend, flow_id=1,
-            delayed_ack=True, delack_timeout=1e-3,
-            receive_buffer_segments=200, drain_rate_pps=50_000.0,
-        )
+        sink = TcpSink(sim, star.frontend, flow_id=1)
         install_loss(star.bottleneck, drop_seqs_once({25, 60, 61}))
         total = 0
         for i in range(4):

@@ -39,11 +39,13 @@ class Relay(Node):
             self.onward.send(pkt)
 
 
-def make_queue(kind, capacity):
+def make_queue(sim, kind, capacity):
     if kind == "ecn":
         return EcnQueue(capacity, mark_threshold_pkts=max(1, capacity // 2))
     if kind == "red":
-        return RedQueue(capacity + 2, 1, capacity + 1, max_probability=0.5, seed=7)
+        return RedQueue(
+            sim, capacity + 2, 1, capacity + 1, max_probability=0.5, seed=7
+        )
     return {"droptail": DropTailQueue, "fair": FairQueue}[kind](capacity)
 
 
@@ -92,7 +94,7 @@ def play(link_cls, program):
     ends = [(0, 1), (1, 3), (2, 3)]
     links = []
     for (src, dst), (kind, cap, mult, delay) in zip(ends, program["links"]):
-        queue = make_queue(kind, cap)
+        queue = make_queue(sim, kind, cap)
         queues.append(queue)
         links.append(
             link_cls(sim, nodes[src], nodes[dst], 8e6 * mult, delay * TICK, queue)
@@ -112,7 +114,7 @@ def play(link_cls, program):
         elif op == "resize":
             link.queue.resize(arg)
         elif op == "swap":
-            queue = make_queue(*arg)
+            queue = make_queue(sim, *arg)
             queues.append(queue)
             link.queue = queue
         reads.append((repr(sim.now), idx, link.busy, link.backlog_pkts))
@@ -124,9 +126,11 @@ def play(link_cls, program):
         for op, idx, arg in between:
             act(op, idx, arg)
     sim.run()
-    # RED's clock is the one trace a ``tick`` leaves on an idle queue.
+    # RED's average and idle mark are where its clock reads show.
     stats = [
-        dataclasses.astuple(q.stats) + (len(q), repr(getattr(q, "now", None)))
+        dataclasses.astuple(q.stats) + (len(q),) + tuple(
+            repr(getattr(q, attr, None)) for attr in ("avg", "_idle_since")
+        )
         for q in queues
     ]
     wire = [dataclasses.astuple(link.stats) for link in links]
@@ -220,11 +224,18 @@ class TestRunBoundaries:
         assert log == [("3.1", 1, 1)]
 
     def test_swapping_in_red_mid_serialization_keeps_its_clock(self, link_cls):
+        # RED times its idle decay on the simulator clock: the queue
+        # empties when the wire takes p1 at 1.0, and p2 arriving at 1.5
+        # decays the average by 0.5 s of idle drain (two mean tx times).
         sim = Simulator()
         link, _ = slow_link(link_cls, sim)
         link.send(packet(0))
         sim.run(until=0.25)
-        red = RedQueue(8, 2, 6, seed=1)
+        red = RedQueue(sim, 8, 2, 6, mean_tx_time=0.25, seed=1)
         link.queue = red
-        sim.run(until=2.0)
-        assert red.now == 1.0  # ticked at the end of p0's serialization
+        link.send(packet(1))  # waits behind p0
+        sim.run(until=1.5)
+        assert red._idle_since == 1.0
+        red.avg = 1.0
+        link.send(packet(2))  # p1 is on the wire until 2.0
+        assert red.avg == (1.0 - RedQueue.WEIGHT) ** 2

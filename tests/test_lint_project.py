@@ -7,6 +7,8 @@ contract-violation snippet) and an adjacent negative fixture.
 
 import json
 
+import pytest
+
 from repro.lint import lint_source
 from repro.lint.core import lint_module_in_project
 from repro.lint.project import ProjectContext
@@ -265,17 +267,46 @@ class TestSim015ExperimentConformance:
         assert lint_source(src, select=["SIM015"]) == []
 
     def test_flags_positional_flow_id_to_sink_and_connect(self):
-        src = (
-            "from repro.tcp.base import TcpSink\n"
-            "def build(sim, host, fid, connections, a, b):\n"
-            "    sink = TcpSink(sim, host, fid)\n"
-            "    connections.connect(a, b, fid)\n"
-        )
-        findings = lint_source(src, select=["SIM015"])
-        assert len(findings) == 2
-        assert all("keyword-only" in f.message for f in findings)
+        # Python enforces what this rule once counted: flow_id= and
+        # config= are keyword-only at every connection factory.
+        from repro.experiments.scenarios import ConnectionSet
+        from repro.net.topology import build_star
+        from repro.sim.kernel import Simulator
+        from repro.tcp.base import TcpConfig, TcpSink
+        from repro.tcp.factory import create_source, make_connection
+
+        sim = Simulator()
+        star = build_star(sim, 2)
+        server, frontend = star.servers[0], star.frontend
+        connections = ConnectionSet(sim, "reno")
+        calls = [
+            lambda: TcpSink(sim, frontend, 7),
+            lambda: create_source("reno", sim, server, frontend.node_id, 7),
+            lambda: make_connection("reno", sim, server, frontend, 7),
+            lambda: connections.connect(server, frontend, TcpConfig()),
+            lambda: connections.connect_many(star.servers, frontend, TcpConfig()),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+        assert connections.sources == []
 
     def test_keyword_call_sites_and_topology_connect_are_fine(self):
+        from repro.experiments.scenarios import ConnectionSet
+        from repro.net.topology import Network
+        from repro.sim.kernel import Simulator
+        from repro.tcp.base import TcpConfig, TcpSink
+
+        sim = Simulator()
+        net = Network(sim)
+        a, b = net.add_host("a"), net.add_host("b")
+        # The topology builder's link wiring stays positional.
+        net.connect(a, b, 1e9, 50e-6, 100)
+        sink = TcpSink(sim, b, flow_id=7)
+        assert sink.flow_id == 7
+        connections = ConnectionSet(sim, "reno")
+        source, _ = connections.connect(a, b, config=TcpConfig())
+        assert connections.sources == [source]
         src = (
             "from repro.tcp.base import TcpSink\n"
             "def build(sim, host, fid, net, a, b, bw, delay, buf):\n"

@@ -169,18 +169,10 @@ class TestQueueSwap:
         assert link.backlog_pkts == 3
         return sim, dst, link
 
-    def test_tick_elision_flag_follows_queue_type(self):
-        sim, _, link = self.backlogged_link()
-        assert link._queue_ticks is False
-        link.queue = RedQueue(8, min_threshold=2, max_threshold=4)
-        assert link._queue_ticks is True
-        link.queue = DropTailQueue(8)
-        assert link._queue_ticks is False
-
     def test_swap_migrates_backlog_fifo_and_balances_stats(self):
         sim, dst, link = self.backlogged_link()
         old = link.queue
-        red = RedQueue(8, min_threshold=2, max_threshold=4)
+        red = RedQueue(sim, 8, min_threshold=2, max_threshold=4)
         link.queue = red
         # The three waiting packets moved over in FIFO order; the old
         # queue counts the handoff as dequeues, so both sides conserve.
@@ -213,7 +205,7 @@ class TestQueueSwap:
         sim = Simulator(check_invariants=True)
         _, _, link = make_link(sim)
         registered = len(sim.invariants._queues)
-        red = RedQueue(8, min_threshold=2, max_threshold=4)
+        red = RedQueue(sim, 8, min_threshold=2, max_threshold=4)
         link.queue = red
         link.queue = red  # re-assignment must not double-register
         assert len(sim.invariants._queues) == registered + 1

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.net.packet import DATA, Packet
 from repro.net.queues import DropTailQueue, EcnQueue, FairQueue, RedQueue
+from repro.sim.kernel import Simulator
 
 
 def pkt(ecn=False, seq=0):
@@ -155,7 +156,7 @@ class TestResize:
         assert q.mark_threshold_pkts == 4
 
     def test_red_resize_rescales_thresholds_preserving_ramp(self):
-        q = RedQueue(20, min_threshold=5, max_threshold=15)
+        q = RedQueue(Simulator(), 20, min_threshold=5, max_threshold=15)
         q.resize(6)
         assert q.max_threshold == 6.0
         assert q.min_threshold == pytest.approx(2.0)  # 5 * (6/15)
@@ -163,7 +164,7 @@ class TestResize:
         assert ratio == pytest.approx(5 / 15)
 
     def test_red_resize_above_thresholds_leaves_them_alone(self):
-        q = RedQueue(20, min_threshold=5, max_threshold=15)
+        q = RedQueue(Simulator(), 20, min_threshold=5, max_threshold=15)
         q.resize(30)
         assert q.min_threshold == 5
         assert q.max_threshold == 15

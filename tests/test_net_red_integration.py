@@ -22,7 +22,7 @@ def install_red(link, **kwargs):
         seed=3,
     )
     defaults.update(kwargs)
-    link.queue = RedQueue(**defaults)
+    link.queue = RedQueue(link.sim, **defaults)
     return link.queue
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.packet import DATA, Packet
 from repro.net.queues import RedQueue
+from repro.sim.kernel import Simulator
 
 
 def pkt(ecn=False, seq=0):
@@ -16,7 +17,7 @@ def make_red(**overrides):
         max_probability=0.1, seed=1,
     )
     defaults.update(overrides)
-    return RedQueue(**defaults)
+    return RedQueue(Simulator(), **defaults)
 
 
 class TestValidation:
@@ -57,7 +58,7 @@ class TestBehaviour:
         q = make_red(capacity_pkts=1000, min_threshold=5, max_threshold=15)
         dropped_before_full = 0
         for i in range(20000):
-            q.tick(i * 1e-5)
+            q.sim.run(until=i * 1e-5)
             if not q.enqueue(pkt(seq=i)) and len(q) < q.capacity_pkts:
                 dropped_before_full += 1
             if i % 3 == 0:
@@ -92,7 +93,7 @@ class TestBehaviour:
             pass
         q.avg = 10.0
         q._idle_since = 0.0
-        q.tick(1.0)  # a long idle period
+        q.sim.run(until=1.0)  # a long idle period
         q.enqueue(pkt(seq=99))
         assert q.avg < 1.0
 
@@ -101,7 +102,7 @@ class TestBehaviour:
             q = make_red(seed=seed, capacity_pkts=1000)
             outcomes = []
             for i in range(5000):
-                q.tick(i * 1e-5)
+                q.sim.run(until=i * 1e-5)
                 outcomes.append(q.enqueue(pkt(seq=i)))
                 if i % 2 == 0:
                     q.dequeue()

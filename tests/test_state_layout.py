@@ -77,7 +77,7 @@ def fixed_layout_objects():
     yield DropTailQueue(8)
     yield EcnQueue(8, mark_threshold_pkts=4)
     yield FairQueue(8)
-    yield RedQueue(8, min_threshold=2, max_threshold=6)
+    yield RedQueue(sim, 8, min_threshold=2, max_threshold=6)
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +307,7 @@ def test_retained_bytes_per_openloop_connection(monkeypatch):
 @pytest.mark.parametrize("make_queue", [
     lambda: DropTailQueue(100),
     lambda: EcnQueue(100, mark_threshold_pkts=50),
-    lambda: RedQueue(100, min_threshold=20, max_threshold=60),
+    lambda: RedQueue(Simulator(), 100, min_threshold=20, max_threshold=60),
 ], ids=["droptail", "ecn", "red"])
 def test_drained_queue_keeps_nothing_of_its_burst(make_queue):
     queue = make_queue()

@@ -283,6 +283,12 @@ class TestStop:
 
 
 class TestSink:
+    def test_immediate_mode_acks_every_segment(self):
+        sim, _star, source, sink = make_pair(config=TcpConfig(**FAST))
+        source.send_message(100)
+        sim.run(until=1.0)
+        assert sink.acks_sent >= 100
+
     def test_out_of_order_buffering(self):
         sim, star, source, sink = make_pair()
         install_loss(star.bottleneck, drop_seqs_once({2}))
