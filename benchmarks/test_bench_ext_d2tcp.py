@@ -10,10 +10,7 @@ paper cites when positioning TCP-TRIM against deadline-aware work.
 from benchmarks.paperbench import MS, header, row
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.base import TcpSink
-from repro.tcp.d2tcp import D2tcpSource
-from repro.tcp.dctcp import DctcpSource
-from repro.tcp.factory import default_config
+from repro.tcp.factory import default_config, make_connection
 
 N_FLOWS = 8
 SEGMENTS = 400
@@ -35,16 +32,15 @@ def run_protocol(deadline_aware: bool):
     flows = []
     for i, server in enumerate(star.servers):
         if deadline_aware:
-            source = D2tcpSource(
-                sim, server, flow_id=i + 1, dst_id=star.frontend.node_id,
+            source, _ = make_connection(
+                "d2tcp", sim, server, star.frontend, flow_id=i + 1,
                 config=config, deadline=deadlines[i],
             )
         else:
-            source = DctcpSource(
-                sim, server, flow_id=i + 1, dst_id=star.frontend.node_id,
+            source, _ = make_connection(
+                "dctcp", sim, server, star.frontend, flow_id=i + 1,
                 config=config,
             )
-        TcpSink(sim, star.frontend, flow_id=i + 1)
         message = source.send_message(SEGMENTS)
         flows.append((message, deadlines[i]))
     sim.run(until=5.0)

@@ -14,8 +14,7 @@ from repro.experiments.scenarios import packets_per_second, run_until, warm_conf
 from repro.http.apps import HttpSession, LongTrainSender
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.base import TcpConfig, TcpSink
-from repro.tcp.factory import create_source, default_config
+from repro.tcp.factory import default_config, make_connection
 
 N_REQUESTS = 60
 GAP_MEAN = 4e-3
@@ -29,13 +28,12 @@ def run_policy(protocol: str, persistent: bool, seed: int = 2):
     bg_kwargs = {}
     if protocol == "trim":
         bg_kwargs["capacity_pps"] = packets_per_second(1e9)
-    bg = create_source(
-        protocol, sim, star.servers[1], star.frontend.node_id,
+    bg, _ = make_connection(
+        protocol, sim, star.servers[1], star.frontend,
         flow_id=9,
         config=warm_config(default_config(protocol, min_rto=0.2, initial_rto=0.2)),
         **bg_kwargs,
     )
-    TcpSink(sim, star.frontend, flow_id=9)
     LongTrainSender(sim, bg, 0.0).start()
 
     session = HttpSession(

@@ -19,9 +19,7 @@ from repro.http.apps import HttpSession, LongTrainSender
 from repro.metrics.ascii import cdf_table
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.base import TcpConfig
-from repro.tcp.factory import create_source, default_config
-from repro.tcp.base import TcpSink
+from repro.tcp.factory import default_config, make_connection
 
 
 def run_session(protocol: str, n_requests: int, seed: int) -> list[float]:
@@ -37,11 +35,10 @@ def run_session(protocol: str, n_requests: int, seed: int) -> list[float]:
     if protocol == "trim":
         bg_kwargs["capacity_pps"] = packets_per_second(1e9)
     bg_config = warm_config(default_config(protocol, min_rto=0.01, initial_rto=0.01))
-    bg = create_source(
-        protocol, sim, star.servers[1], star.frontend.node_id,
+    bg, _ = make_connection(
+        protocol, sim, star.servers[1], star.frontend,
         flow_id=9, config=bg_config, **bg_kwargs,
     )
-    TcpSink(sim, star.frontend, flow_id=9)
     LongTrainSender(sim, bg, 0.0).start()
 
     kwargs = {}

@@ -20,8 +20,8 @@ from repro.metrics.ascii import sparkline
 from repro.metrics.tracing import PacketLogger
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.base import TcpConfig, TcpSink
-from repro.tcp.factory import create_source
+from repro.tcp.base import TcpConfig
+from repro.tcp.factory import make_connection
 
 
 def main() -> None:
@@ -32,13 +32,12 @@ def main() -> None:
 
     sim = Simulator()
     star = build_star(sim, 1)
-    source = create_source(
-        "trim", sim, star.servers[0], star.frontend.node_id,
+    source, _ = make_connection(
+        "trim", sim, star.servers[0], star.frontend,
         flow_id=1,
         config=TcpConfig(min_rto=0.01, initial_rto=0.01),
         capacity_pps=1e9 / (8 * 1460),
     )
-    TcpSink(sim, star.frontend, flow_id=1)
     logger = PacketLogger(star.bottleneck, flow_id=1)
 
     rng = np.random.default_rng(args.seed)

@@ -54,11 +54,6 @@ class SteadyStateModel:
         if self.k < self.base_rtt:
             raise ValueError("K must be at least the base RTT")
 
-    @property
-    def pipe_pkts(self) -> float:
-        """Packets the path holds with the queue at target: ``C·K``."""
-        return self.capacity_pps * self.k
-
     def run(self, n_rounds: int = 50) -> SteadyStateTrace:
         """Iterate rounds of growth and synchronized back-off.
 

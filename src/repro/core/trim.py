@@ -48,7 +48,7 @@ from repro.core import kguide
 from repro.net.node import Host
 from repro.net.packet import Packet
 from repro.sim.kernel import Event, Simulator
-from repro.tcp.base import TcpConfig, TcpSource
+from repro.tcp.base import MIN_CWND, TcpConfig, TcpSource
 from repro.tcp.rtt import EwmaRtt
 
 __all__ = ["TrimSource"]
@@ -134,8 +134,8 @@ class TrimSource(TcpSource):
         return False
 
     def _enter_probe_mode(self) -> None:
-        self._saved_cwnd = max(self.cwnd, self.config.min_cwnd)
-        self.cwnd = self.config.min_cwnd  # 2, per Algorithm 1
+        self._saved_cwnd = max(self.cwnd, MIN_CWND)
+        self.cwnd = MIN_CWND  # 2, per Algorithm 1
         self.probing = True
         self.suspended = True
         self._probe_seqs.clear()
@@ -191,17 +191,17 @@ class TrimSource(TcpSource):
             tuned = self._saved_cwnd * factor
             # Sec. III.C: tiny/negative results clamp to the minimum window;
             # the inherited window is never *larger* than what was saved.
-            self.cwnd = min(self._saved_cwnd, max(self.config.min_cwnd, tuned))
+            self.cwnd = min(self._saved_cwnd, max(MIN_CWND, tuned))
             if factor < 1.0:
                 # The probes observed queueing: continue in congestion
                 # avoidance, the +1/RTT growth the Sec. III.B model
                 # assumes.  (Slow-starting back to the saved window was
                 # tried and oscillates under contention: each burst
                 # inflates the RTT, retriggering gap detection.)
-                self.ssthresh = max(self.cwnd, self.config.min_cwnd)
+                self.ssthresh = max(self.cwnd, MIN_CWND)
         else:
-            self.cwnd = self.config.min_cwnd
-            self.ssthresh = max(self.cwnd, self.config.min_cwnd)
+            self.cwnd = MIN_CWND
+            self.ssthresh = max(self.cwnd, MIN_CWND)
         tel = self.sim.telemetry
         if tel is not None:
             tel.on_probe(
@@ -260,7 +260,7 @@ class TrimSource(TcpSource):
         rtt = self.sim.now - pkt.ts_echo
         if rtt >= self.k and pkt.ack >= self._decrease_barrier:
             ep = kguide.congestion_level(rtt, self.k)  # Eq. (2)
-            self.cwnd = max(self.config.min_cwnd, self.cwnd * (1.0 - ep / 2.0))
+            self.cwnd = max(MIN_CWND, self.cwnd * (1.0 - ep / 2.0))
             # A delay signal is a congestion signal: leave slow start so
             # subsequent growth is the model's +1 per RTT (Eq. 6).
             self.ssthresh = self.cwnd

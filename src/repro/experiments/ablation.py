@@ -20,10 +20,12 @@ from repro.experiments.base import Experiment, Point
 from repro.experiments.registry import register
 from repro.experiments.motivation import MotivationParams, run_motivation
 from repro.experiments.scenarios import packets_per_second, path_base_rtt
+from repro.net.packet import MSS_BYTES
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import PeriodicSampler
-from repro.tcp.base import TcpConfig, TcpSink
+from repro.tcp.base import TcpConfig
+from repro.tcp.factory import make_connection
 from repro.core.trim import TrimSource
 
 __all__ = [
@@ -99,13 +101,13 @@ def _run_trim_star(
     sinks = []
     config = TcpConfig(min_rto=1e-3, initial_rto=1e-3, initial_ssthresh=64)
     for i, server in enumerate(star.servers):
-        source = TrimSource(
-            sim, server, flow_id=i + 1, dst_id=star.frontend.node_id,
+        source, sink = make_connection(
+            "trim", sim, server, star.frontend, flow_id=i + 1,
             config=config, capacity_pps=capacity, base_rtt=base_rtt,
         )
+        assert isinstance(source, TrimSource)
         source.k = k  # pin the swept threshold
         source.base_rtt = base_rtt  # keeps _update_k from overriding it
-        sink = TcpSink(sim, star.frontend, flow_id=i + 1)
         source.send_message(10_000_000)
         sources.append(source)
         sinks.append(sink)
@@ -126,7 +128,7 @@ def _run_trim_star(
     delivered = sum(
         s.delivered_segments - baseline.get(s.flow_id, 0) for s in sinks
     )
-    goodput = delivered * config.mss_bytes * 8.0 / window
+    goodput = delivered * MSS_BYTES * 8.0 / window
     return KSweepCase(
         multiplier=mult,
         k=k,
@@ -216,23 +218,19 @@ def run_alpha_sweep(
         sim = Simulator()
         star = build_star(sim, 2, frontend_bandwidth_bps=bottleneck_bps)
         if background:
-            from repro.tcp.reno import RenoSource
-
-            bg = RenoSource(
-                sim, star.servers[1], flow_id=9,
-                dst_id=star.frontend.node_id,
+            bg, _ = make_connection(
+                "reno", sim, star.servers[1], star.frontend, flow_id=9,
                 config=TcpConfig(min_rto=0.01, initial_rto=0.01,
                                  initial_ssthresh=64),
             )
-            TcpSink(sim, star.frontend, flow_id=9)
             bg.send_message(10_000_000)
-        source = TrimSource(
-            sim, star.servers[0], flow_id=1, dst_id=star.frontend.node_id,
+        source, sink = make_connection(
+            "trim", sim, star.servers[0], star.frontend, flow_id=1,
             config=TcpConfig(min_rto=0.01, initial_rto=0.01),
             capacity_pps=packets_per_second(bottleneck_bps),
             smooth_alpha=alpha,
         )
-        sink = TcpSink(sim, star.frontend, flow_id=1)
+        assert isinstance(source, TrimSource)
         messages = []
         for i in range(n_trains):
             sim.schedule_at(

@@ -25,6 +25,7 @@ from repro.experiments.scenarios import (
 )
 from repro.http.workload import gap_sampler
 from repro.metrics.stats import summarize
+from repro.net.packet import MSS_BYTES
 from repro.net.topology import build_fat_tree
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import seeded_rng
@@ -126,12 +127,11 @@ def run_fattree(params: FatTreeParams) -> FatTreeResult:
 
     big_messages = []
     lo, hi = params.small_range_bytes
-    mss = config.mss_bytes
     for i, host in enumerate(topo.hosts):
         src, _sink = connections.connect(host, topo.hosts[int(targets[i])])
         small_sizes = rng.integers(lo, hi + 1, params.n_small)
         small_total = int(small_sizes.sum())
-        big_bytes = max(mss, params.total_bytes - small_total)
+        big_bytes = max(MSS_BYTES, params.total_bytes - small_total)
         t = params.small_start
         for size in small_sizes:
             sim.schedule_at(t, lambda s=src, b=int(size): s.send_bytes(b))

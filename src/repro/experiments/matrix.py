@@ -47,12 +47,13 @@ from repro.experiments.scenarios import (
     path_base_rtt,
     run_until,
 )
+from repro.net.packet import MSS_BYTES
 from repro.net.queues import FairQueue
 from repro.net.topology import StarTopology, build_star
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import seeded_rng
 from repro.tcp.base import Message, TcpSink, TcpSource
-from repro.tcp.factory import create_source, default_config
+from repro.tcp.factory import default_config, make_connection
 
 __all__ = [
     "MatrixCase",
@@ -182,20 +183,18 @@ def _connect(
                 [(params.delay_s, params.bandwidth_bps)] * 2
             ),
         )
-    sources = []
-    for offset, server in enumerate(servers):
-        source = create_source(
+    return [
+        make_connection(
             protocol,
             sim,
             server,
-            star.frontend.node_id,
+            star.frontend,
             flow_id=first_flow_id + offset,
             config=config,
             **extras,
-        )
-        TcpSink(sim, star.frontend, flow_id=first_flow_id + offset)
-        sources.append(source)
-    return sources
+        )[0]
+        for offset, server in enumerate(servers)
+    ]
 
 
 def _totals(star: StarTopology, sources: Sequence[TcpSource]) -> dict[str, int]:
@@ -258,7 +257,7 @@ def _run_incast(
     )
     _install_qdisc(star, qdisc, buffer_pkts)
     sources = _connect(sim, params, params.protocol, star, star.servers, 0)
-    segments = max(1, -(-params.block_bytes // sources[0].config.mss_bytes))
+    segments = max(1, -(-params.block_bytes // MSS_BYTES))
     messages: list[Message] = []
     #: wave k starts only after wave k-1 fully lands (synchronized
     #: barriers, as the storage-stripe pattern behaves).
@@ -306,7 +305,7 @@ def _run_coexist(
     theirs = _connect(
         sim, params, partner, star, star.servers[half:], half
     )
-    segments = max(1, -(-params.block_bytes // mine[0].config.mss_bytes))
+    segments = max(1, -(-params.block_bytes // MSS_BYTES))
     messages: list[Message] = []
     #: every sender streams back-to-back blocks until the horizon: when
     #: a block completes, the next is queued immediately (long-lived
@@ -373,7 +372,7 @@ def _run_load(
     )
     _install_qdisc(star, qdisc, buffer_pkts)
     sources = _connect(sim, params, params.protocol, star, star.servers, 0)
-    segments = max(1, -(-params.block_bytes // sources[0].config.mss_bytes))
+    segments = max(1, -(-params.block_bytes // MSS_BYTES))
     rng = seeded_rng(seed)
     messages: list[Message] = []
     #: open-loop offered load: block submission times are drawn up

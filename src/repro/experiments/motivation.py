@@ -30,6 +30,7 @@ from repro.experiments.scenarios import (
 from repro.http.apps import ScheduledResponder
 from repro.http.workload import response_schedule
 from repro.metrics.stats import act, completion_times
+from repro.net.packet import MSS_BYTES
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import PeriodicSampler, TimeSeries, delta_rate
@@ -124,7 +125,7 @@ def run_motivation(params: MotivationParams) -> MotivationResult:
 
     responders = []
     lpt_messages = []
-    lpt_segments = max(1, params.lpt_bytes // config.mss_bytes)
+    lpt_segments = max(1, params.lpt_bytes // MSS_BYTES)
     for i, source in enumerate(sources):
         schedule = response_schedule(
             streams.get(f"responses-{i}"),

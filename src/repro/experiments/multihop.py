@@ -26,6 +26,7 @@ from repro.experiments.scenarios import (
     warm_config,
 )
 from repro.http.apps import LongTrainSender
+from repro.net.packet import MSS_BYTES
 from repro.net.topology import build_multi_hop
 from repro.sim.kernel import Simulator
 from repro.tcp.factory import default_config
@@ -133,11 +134,10 @@ def run_multihop(params: MultiHopParams) -> MultiHopResult:
     sim.run(until=params.end_time)
 
     window = params.end_time - params.measure_from
-    mss = config.mss_bytes
 
     def throughput(sink: TcpSink) -> float:
         segments = sink.delivered_segments - baseline.get(sink.flow_id, 0)
-        return segments * mss * 8.0 / window
+        return segments * MSS_BYTES * 8.0 / window
 
     g = params.group_size
     return MultiHopResult(

@@ -26,6 +26,7 @@ from repro.experiments.scenarios import (
     warm_config,
 )
 from repro.http.apps import LongTrainSender
+from repro.net.packet import MSS_BYTES
 from repro.net.topology import StarTopology, build_star
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import PeriodicSampler, TimeSeries
@@ -150,7 +151,7 @@ def run_properties_case(params: PropertiesParams, n_trains: int) -> PropertiesCa
         sink.delivered_segments - delivered_at_start.get(sink.flow_id, 0)
         for sink in frontend_sinks
     )
-    goodput = delivered_segments * connections.sources[0].config.mss_bytes * 8.0 / window
+    goodput = delivered_segments * MSS_BYTES * 8.0 / window
     return PropertiesCase(
         n_trains=n_trains,
         average_queue_pkts=monitor.series.mean(),

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 from repro.net.node import Host
-from repro.net.packet import MSS_BYTES
+from repro.net.packet import ACK_BYTES, MSS_BYTES
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig, TcpSink, TcpSource
-from repro.tcp.factory import ECN_PROTOCOLS, create_source, default_config
+from repro.tcp.factory import ECN_PROTOCOLS, make_connection
 
 __all__ = [
     "ConnectionSet",
@@ -68,18 +68,14 @@ def run_until(
     return True
 
 
-def packets_per_second(bandwidth_bps: float, mss_bytes: int = MSS_BYTES) -> float:
+def packets_per_second(bandwidth_bps: float) -> float:
     """Link capacity in MSS-sized packets per second (the C of Eq. 22)."""
     if bandwidth_bps <= 0:
         raise ValueError("bandwidth must be positive")
-    return bandwidth_bps / (8.0 * mss_bytes)
+    return bandwidth_bps / (8.0 * MSS_BYTES)
 
 
-def path_base_rtt(
-    links: "list[tuple[float, float]]",
-    mss_bytes: int = MSS_BYTES,
-    ack_bytes: int = 40,
-) -> float:
+def path_base_rtt(links: "list[tuple[float, float]]") -> float:
     """Queue-free RTT of a path given ``(delay_s, bandwidth_bps)`` links.
 
     Forward direction serializes a full data segment per hop; the
@@ -87,8 +83,8 @@ def path_base_rtt(
     """
     if not links:
         raise ValueError("a path needs at least one link")
-    forward = sum(d + mss_bytes * 8.0 / b for d, b in links)
-    reverse = sum(d + ack_bytes * 8.0 / b for d, b in links)
+    forward = sum(d + MSS_BYTES * 8.0 / b for d, b in links)
+    reverse = sum(d + ACK_BYTES * 8.0 / b for d, b in links)
     return forward + reverse
 
 
@@ -146,20 +142,15 @@ class ConnectionSet:
                 kwargs["capacity_pps"] = self.capacity_pps
             if self.base_rtt is not None:
                 kwargs["base_rtt"] = self.base_rtt
-        if config is None:
-            config = self.config
-        if config is None:
-            config = default_config(self.protocol)
-        source = create_source(
+        source, sink = make_connection(
             self.protocol,
             self.sim,
             src_host,
-            dst_host.node_id,
+            dst_host,
             flow_id=flow_id,
-            config=config,
+            config=config or self.config,
             **kwargs,
         )
-        sink = TcpSink(self.sim, dst_host, flow_id=flow_id)
         self.sources.append(source)
         self.sinks.append(sink)
         return source, sink

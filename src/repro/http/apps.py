@@ -10,10 +10,12 @@ persistent TCP connections:
 * :func:`burst_at` — the partition/aggregation pattern: many servers
   releasing an SPT at the same instant toward one front-end;
 * :class:`HttpSession` — the full request/response loop: a front-end
-  sends HTTP requests on a persistent connection and the server answers
-  each with a response train once the request arrives, after an
-  optional service time.  The OFF periods of the ON/OFF pattern emerge
-  from request spacing rather than being scheduled directly.
+  sends one-segment HTTP requests on a persistent connection and the
+  server answers each with a response train, after an optional service
+  time, once the front-end holds the request's ACK (not when the
+  request reaches the server: EXPERIMENTS.md, Known deviation 10).
+  The OFF periods of the ON/OFF pattern emerge from request spacing
+  rather than being scheduled directly.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Any, Callable, Iterable, Optional
 from repro.http.workload import OnOffEvent
 from repro.net.node import Host
 from repro.sim.kernel import Simulator
-from repro.tcp.base import Message, TcpConfig, TcpSink, TcpSource
-from repro.tcp.factory import create_source
+from repro.tcp.base import Message, TcpConfig, TcpSource
+from repro.tcp.factory import make_connection
 
 __all__ = ["HttpSession", "LongTrainSender", "ScheduledResponder", "burst_at"]
 
@@ -148,10 +150,13 @@ class HttpSession:
     Two TCP connections model the two directions of the persistent
     connection: a request channel (front-end → server, small messages)
     and a response channel (server → front-end, running the protocol
-    under test).  Calling :meth:`request` sends the request; once it is
-    fully delivered the server waits ``service_time`` and transmits the
-    response train.  This is the Section II.A loop — the connection's
-    OFF periods are whatever the request pattern leaves idle.
+    under test).  Calling :meth:`request` sends a one-segment request;
+    once its ACK reaches the front-end (the request message's
+    ``on_complete``, half a round trip after the server holds it) the
+    server waits ``service_time`` and transmits the response train.
+    This is the Section II.A loop — the connection's OFF periods are
+    whatever the request pattern leaves idle.  The request channel
+    runs Reno, with ``config`` when one is given.
 
     The session keeps no roster of its exchanges: a caller keeps the
     :class:`Exchange` that :meth:`request` returns (or receives it in
@@ -160,8 +165,8 @@ class HttpSession:
 
     __slots__ = (
         "sim", "frontend", "server", "protocol", "service_time", "persistent",
-        "_config", "_request_config", "_response_kwargs", "_next_flow_id",
-        "request_source", "request_sink", "response_source", "response_sink",
+        "_config", "_response_kwargs", "_next_flow_id",
+        "request_source", "response_source",
     )
 
     def __init__(
@@ -173,7 +178,6 @@ class HttpSession:
         request_flow_id: int,
         response_flow_id: int,
         config: Optional[TcpConfig] = None,
-        request_config: Optional[TcpConfig] = None,
         service_time: float = 0.0,
         persistent: bool = True,
         **response_kwargs: Any,
@@ -187,20 +191,17 @@ class HttpSession:
         self.service_time = service_time
         self.persistent = persistent
         self._config = config
-        self._request_config = request_config or config or TcpConfig()
         self._response_kwargs = response_kwargs
         self._next_flow_id = max(request_flow_id, response_flow_id) + 1
         if persistent:
-            self.request_source = create_source(
-                "reno", sim, frontend, server.node_id,
-                flow_id=request_flow_id, config=self._request_config,
+            self.request_source, _ = make_connection(
+                "reno", sim, frontend, server,
+                flow_id=request_flow_id, config=config,
             )
-            self.request_sink = TcpSink(sim, server, flow_id=request_flow_id)
-            self.response_source = create_source(
-                protocol, sim, server, frontend.node_id,
+            self.response_source, _ = make_connection(
+                protocol, sim, server, frontend,
                 flow_id=response_flow_id, config=config, **response_kwargs,
             )
-            self.response_sink = TcpSink(sim, frontend, flow_id=response_flow_id)
         else:
             # Non-persistent HTTP: every exchange opens a fresh pair of
             # connections and pays an on-path SYN round trip first —
@@ -213,23 +214,20 @@ class HttpSession:
         req_id = self._next_flow_id
         resp_id = self._next_flow_id + 1
         self._next_flow_id += 2
-        request_source = create_source(
-            "reno", self.sim, self.frontend, self.server.node_id,
-            flow_id=req_id, config=self._request_config,
+        request_source, _ = make_connection(
+            "reno", self.sim, self.frontend, self.server,
+            flow_id=req_id, config=self._config,
         )
-        TcpSink(self.sim, self.server, flow_id=req_id)
-        response_source = create_source(
-            self.protocol, self.sim, self.server, self.frontend.node_id,
+        response_source, _ = make_connection(
+            self.protocol, self.sim, self.server, self.frontend,
             flow_id=resp_id, config=self._config,
             **self._response_kwargs,
         )
-        TcpSink(self.sim, self.frontend, flow_id=resp_id)
         return request_source, response_source
 
     def request(
         self,
         response_bytes: int,
-        request_segments: int = 1,
         on_complete: Optional[Callable[[Exchange], None]] = None,
     ) -> Exchange:
         """Issue one HTTP request expecting ``response_bytes`` back."""
@@ -250,8 +248,7 @@ class HttpSession:
 
         def send_request() -> None:
             exchange.request = request_source.send_message(
-                request_segments,
-                on_complete=lambda _msg: self._serve(exchange),
+                1, on_complete=lambda _msg: self._serve(exchange)
             )
 
         if self.persistent:

@@ -49,9 +49,9 @@ class ArrivalProcess(Protocol):
     """What the session compiler needs from an arrival process."""
 
     def sample_times(
-        self, rng: np.random.Generator, horizon: float, start: float = 0.0
+        self, rng: np.random.Generator, horizon: float
     ) -> list[float]:
-        """Sorted arrival times in ``[start, start + horizon)``."""
+        """Sorted arrival times in ``[0, horizon)``."""
         ...
 
     def mean_rate(self) -> float:
@@ -107,12 +107,12 @@ class PoissonArrivals:
         _check_positive(rate=self.rate)
 
     def sample_times(
-        self, rng: np.random.Generator, horizon: float, start: float = 0.0
+        self, rng: np.random.Generator, horizon: float
     ) -> list[float]:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         chunk = max(64, int(self.rate * horizon * 0.25) + 16)
-        return _poisson_times(rng, self.rate, start, start + horizon, chunk)
+        return _poisson_times(rng, self.rate, 0.0, horizon, chunk)
 
     def mean_rate(self) -> float:
         return self.rate
@@ -155,24 +155,23 @@ class MmppArrivals:
             )
 
     def sample_times(
-        self, rng: np.random.Generator, horizon: float, start: float = 0.0
+        self, rng: np.random.Generator, horizon: float
     ) -> list[float]:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        end = start + horizon
         times: list[float] = []
-        t = start
+        t = 0.0
         on = True
         # Chunk size per state, fixed by the spec alone (determinism).
         chunks = {
             True: max(16, int(self.rate_on * self.mean_on) + 8),
             False: max(16, int(self.rate_off * self.mean_off) + 8),
         }
-        while t < end:
+        while t < horizon:
             mean = self.mean_on if on else self.mean_off
             rate = self.rate_on if on else self.rate_off
             sojourn = float(rng.exponential(mean))
-            sojourn_end = min(t + sojourn, end)
+            sojourn_end = min(t + sojourn, horizon)
             times.extend(
                 _poisson_times(rng, rate, t, sojourn_end, chunks[on])
             )
@@ -225,20 +224,19 @@ class DiurnalArrivals:
         return self.base + (self.peak - self.base) * phase
 
     def sample_times(
-        self, rng: np.random.Generator, horizon: float, start: float = 0.0
+        self, rng: np.random.Generator, horizon: float
     ) -> list[float]:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        end = start + horizon
         chunk = max(64, int(self.peak * horizon * 0.25) + 16)
         times: list[float] = []
-        t = start
+        t = 0.0
         while True:
             gaps = rng.exponential(1.0 / self.peak, chunk)
             keeps = rng.random(chunk)
             for gap, keep in zip(gaps, keeps):
                 t += float(gap)
-                if t >= end:
+                if t >= horizon:
                     return times
                 if float(keep) * self.peak < self.rate_at(t):
                     times.append(t)

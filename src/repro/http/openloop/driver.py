@@ -44,11 +44,6 @@ class OpenLoopRun:
     latencies: list[float] = field(default_factory=list)
     bytes_completed: int = 0
 
-    @property
-    def in_flight(self) -> int:
-        """Requests issued but not yet fully acknowledged."""
-        return self.issued - self.completed
-
 
 class OpenLoopDriver:
     """Drives a schedule through per-server keep-alive pools.
@@ -67,7 +62,6 @@ class OpenLoopDriver:
         servers: list[Host],
         protocol: str,
         config: Optional[TcpConfig] = None,
-        request_config: Optional[TcpConfig] = None,
         idle_timeout_s: float = 0.2,
         max_reuse: Optional[int] = None,
         service_time: float = 0.0,
@@ -80,7 +74,6 @@ class OpenLoopDriver:
         self.servers = servers
         self.protocol = protocol
         self._config = config
-        self._request_config = request_config
         self._service_time = service_time
         self._response_kwargs = response_kwargs
         self._next_flow_id = 0
@@ -112,7 +105,6 @@ class OpenLoopDriver:
                 request_flow_id=request_id,
                 response_flow_id=response_id,
                 config=self._config,
-                request_config=self._request_config,
                 service_time=self._service_time,
                 **self._response_kwargs,
             )

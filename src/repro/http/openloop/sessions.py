@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from repro.http.openloop.arrivals import ArrivalProcess
-from repro.http.workload import PiecewiseLogCdf, pt_size_sampler
+from repro.http.workload import pt_size_sampler
 from repro.sim.randomness import RandomStreams
 
 __all__ = [
@@ -150,27 +150,25 @@ def compile_schedule(
     config: SessionConfig,
     seed: int,
     horizon: float,
-    start: float = 0.0,
-    size_cdf: Optional[PiecewiseLogCdf] = None,
 ) -> SessionSchedule:
     """Compile arrivals + session model into a deterministic schedule.
 
     Draws flow through two named streams — ``openloop.arrivals`` for
     the arrival process, ``openloop.sessions`` for chain lengths, think
-    times, and sizes — so adding a consumer to one never perturbs the
-    other.  Requests that would start past ``start + horizon`` are
-    dropped (the session is truncated at the horizon).
+    times, and sizes (Fig. 2(a)'s train-size CDF) — so adding a
+    consumer to one never perturbs the other.  Requests that would
+    start past ``horizon`` are dropped (the session is truncated at the
+    horizon).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     streams = RandomStreams(seed)
     arrival_rng = streams.get("openloop.arrivals")
     session_rng = streams.get("openloop.sessions")
-    size_cdf = size_cdf or pt_size_sampler()
-    end = start + horizon
+    size_cdf = pt_size_sampler()
 
     requests: list[ScheduledRequest] = []
-    arrival_times = arrivals.sample_times(arrival_rng, horizon, start=start)
+    arrival_times = arrivals.sample_times(arrival_rng, horizon)
     for session_id, arrival in enumerate(arrival_times):
         chain = int(session_rng.geometric(1.0 / config.mean_requests))
         sizes = size_cdf.sample(session_rng, chain)
@@ -180,7 +178,7 @@ def compile_schedule(
             thinks = [0.0] * (chain - 1)
         t = arrival
         for k in range(chain):
-            if t >= end:
+            if t >= horizon:
                 break  # session truncated at the horizon
             logical = max(1, int(sizes[k]))
             leaf_size = config.fanout.split(logical)

@@ -20,9 +20,11 @@ its channel schema: trace rows are workload, not telemetry.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Union
 
 from repro.http.openloop.sessions import ScheduledRequest, SessionSchedule
 from repro.obs.export import dump_row
@@ -56,6 +58,27 @@ def write_trace(schedule: SessionSchedule, path: PathLike) -> Path:
     return target
 
 
+def _read_lines(path: PathLike) -> Iterator[tuple[str, str]]:
+    """``(where, line)`` for each line of ``path``, split as text mode
+    splits it; bytes that are not UTF-8 are a ValueError naming their
+    line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        yield f"{path}:{lineno}", line
+
+
+def _decode(line: str, where: str) -> Any:
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ValueError(f"{where}: bad JSONL line: {exc}") from None
+
+
 def _parse_row(row: Any, where: str) -> ScheduledRequest:
     if not isinstance(row, Mapping):
         raise ValueError(f"{where}: trace row is not an object: {row!r}")
@@ -74,9 +97,15 @@ def _parse_row(row: Any, where: str) -> ScheduledRequest:
         raise ValueError(f"{where}: 'session' is not an integer: {session!r}")
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ValueError(f"{where}: 'size' is not a positive integer: {size!r}")
-    if t < 0:
+    try:
+        time = float(t)
+    except OverflowError:  # an integer beyond float range
+        time = math.inf
+    if not math.isfinite(time):
+        raise ValueError(f"{where}: 't' is not finite: {t!r}")
+    if time < 0:
         raise ValueError(f"{where}: 't' is negative: {t!r}")
-    return ScheduledRequest(time=float(t), session=session, size_bytes=size)
+    return ScheduledRequest(time=time, session=session, size_bytes=size)
 
 
 def load_trace(
@@ -85,20 +114,16 @@ def load_trace(
     """Read a trace file back into a replayable schedule.
 
     ``horizon`` overrides the inferred one (just past the last request)
-    when the replay should keep offering an idle tail.
+    when the replay should keep offering an idle tail.  A trace without
+    a request is a ValueError: there is nothing to replay.
     """
     requests: list[ScheduledRequest] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(stripped)
-            except ValueError as exc:
-                raise ValueError(f"{where}: bad JSONL line: {exc}") from None
-            requests.append(_parse_row(row, where))
+    for where, line in _read_lines(path):
+        stripped = line.strip()
+        if stripped:
+            requests.append(_parse_row(_decode(stripped, where), where))
+    if not requests:
+        raise ValueError(f"{path}: trace has no requests")
     return SessionSchedule.from_requests(requests, horizon=horizon)
 
 
@@ -114,27 +139,22 @@ def check_trace(path: PathLike) -> int:
     """
     count = 0
     previous: Optional[float] = None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(stripped)
-            except ValueError as exc:
-                raise ValueError(f"{where}: bad JSON: {exc}") from None
-            request = _parse_row(row, where)
-            if dump_row(row) != stripped:
-                raise ValueError(
-                    f"{where}: line is not in canonical form "
-                    "(re-serialization differs)"
-                )
-            if previous is not None and request.time < previous:
-                raise ValueError(
-                    f"{where}: trace times decrease "
-                    f"({request.time!r} after {previous!r})"
-                )
-            previous = request.time
-            count += 1
+    for where, line in _read_lines(path):
+        stripped = line.rstrip("\n")
+        if not stripped:
+            continue
+        row = _decode(stripped, where)
+        request = _parse_row(row, where)
+        if dump_row(row) != stripped:
+            raise ValueError(
+                f"{where}: line is not in canonical form "
+                "(re-serialization differs)"
+            )
+        if previous is not None and request.time < previous:
+            raise ValueError(
+                f"{where}: trace times decrease "
+                f"({request.time!r} after {previous!r})"
+            )
+        previous = request.time
+        count += 1
     return count

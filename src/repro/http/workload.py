@@ -25,6 +25,8 @@ import math
 import numpy as np
 from numpy.typing import ArrayLike
 
+from repro.net.packet import MSS_BYTES
+
 __all__ = [
     "GAP_CDF_ANCHORS",
     "PT_SIZE_CDF_ANCHORS",
@@ -126,8 +128,6 @@ def generate_onoff_schedule(
     rng: np.random.Generator,
     duration: float,
     start_time: float = 0.0,
-    size_cdf: PiecewiseLogCdf | None = None,
-    gap_cdf: PiecewiseLogCdf | None = None,
     drain_rate_bps: float | None = 1e9,
 ) -> list[OnOffEvent]:
     """An ON/OFF schedule for one persistent connection.
@@ -141,8 +141,8 @@ def generate_onoff_schedule(
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    size_cdf = size_cdf or pt_size_sampler()
-    gap_cdf = gap_cdf or gap_sampler()
+    size_cdf = pt_size_sampler()
+    gap_cdf = gap_sampler()
     events: list[OnOffEvent] = []
     t = start_time + float(gap_cdf.sample(rng, 1)[0])
     end = start_time + duration
@@ -161,14 +161,12 @@ def response_schedule(
     start_time: float,
     mean_interval: float,
     size_range_bytes: tuple[int, int],
-    interval_distribution: str = "exponential",
 ) -> list[OnOffEvent]:
     """The motivation scenario's response stream (Section II.B.1).
 
     ``n_responses`` responses with sizes uniform in ``size_range_bytes``
-    and inter-response intervals of ``mean_interval`` drawn from an
-    exponential (default) or uniform distribution — the paper says
-    "randomly generated based on 1 ms mean".
+    and exponential inter-response intervals of mean ``mean_interval`` —
+    the paper says "randomly generated based on 1 ms mean".
     """
     if n_responses < 1:
         raise ValueError("need at least one response")
@@ -177,12 +175,7 @@ def response_schedule(
     lo, hi = size_range_bytes
     if not 0 < lo <= hi:
         raise ValueError("invalid size range")
-    if interval_distribution == "exponential":
-        intervals = rng.exponential(mean_interval, n_responses)
-    elif interval_distribution == "uniform":
-        intervals = rng.uniform(0.0, 2.0 * mean_interval, n_responses)
-    else:
-        raise ValueError(f"unknown distribution {interval_distribution!r}")
+    intervals = rng.exponential(mean_interval, n_responses)
     events = []
     t = start_time
     for i in range(n_responses):
@@ -192,8 +185,8 @@ def response_schedule(
     return events
 
 
-def segments_for_bytes(size_bytes: int, mss_bytes: int = 1460) -> int:
-    """Segments needed to carry ``size_bytes`` of response data."""
+def segments_for_bytes(size_bytes: int) -> int:
+    """MSS-sized segments needed to carry ``size_bytes`` of response data."""
     if size_bytes < 1:
         raise ValueError("size must be at least one byte")
-    return max(1, math.ceil(size_bytes / mss_bytes))
+    return max(1, math.ceil(size_bytes / MSS_BYTES))

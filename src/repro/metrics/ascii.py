@@ -88,20 +88,17 @@ def strip_chart(
     return out
 
 
-def cdf_table(
-    samples: Sequence[float],
-    quantiles: Sequence[float] = (0.5, 0.9, 0.95, 0.99, 1.0),
-    scale: float = 1e3,
-    unit: str = "ms",
-) -> list[str]:
-    """Fixed-width quantile rows for a sample of completion times."""
+CDF_QUANTILES = (0.5, 0.9, 0.95, 0.99, 1.0)
+
+
+def cdf_table(samples: Sequence[float]) -> list[str]:
+    """Fixed-width rows of the :data:`CDF_QUANTILES` of a sample of
+    completion times (in seconds), printed in milliseconds."""
     if not len(samples):
         raise ValueError("no samples")
     arr = np.sort(np.asarray(samples, dtype=float))
     rows = []
-    for q in quantiles:
-        if not 0 <= q <= 1:
-            raise ValueError("quantiles must be in [0, 1]")
+    for q in CDF_QUANTILES:
         value = float(np.quantile(arr, q))
-        rows.append(f"p{q * 100:5.1f}  {value * scale:10.3f} {unit}")
+        rows.append(f"p{q * 100:5.1f}  {value * 1e3:10.3f} ms")
     return rows

@@ -59,14 +59,6 @@ class CompletionSummary:
     p50: float
     p99: float
 
-    def as_row(self, scale: float = 1e3) -> str:
-        """Fixed-width text row (default in milliseconds)."""
-        return (
-            f"n={self.count:5d}  mean={self.mean * scale:9.3f}  "
-            f"min={self.minimum * scale:9.3f}  max={self.maximum * scale:9.3f}  "
-            f"p50={self.p50 * scale:9.3f}  p99={self.p99 * scale:9.3f}"
-        )
-
 
 def summarize(times: Sequence[float]) -> CompletionSummary:
     """Summary statistics for a completion-time sample."""

@@ -1,8 +1,8 @@
 """Packet-level tracing — the NS2 trace-file substitute.
 
 :class:`PacketLogger` hooks a link's delivery path and records
-``(time, flow_id, seq, size)`` for every packet (optionally filtered to
-one flow or to data packets).  The log feeds the Section II.A
+``(time, flow_id, seq, size)`` for every packet, data and ACK alike
+(optionally filtered to one flow).  The log feeds the Section II.A
 packet-train analysis (:func:`repro.http.packet_train.extract_trains`),
 which is how Fig. 1's staircase was produced from live traffic.
 """
@@ -42,18 +42,14 @@ class PacketLogger:
         self,
         link: Link,
         flow_id: Optional[int] = None,
-        data_only: bool = True,
     ) -> None:
         self.link = link
         self.flow_id = flow_id
-        self.data_only = data_only
         self.records: list[LoggedPacket] = []
         self._attached = True
         link.add_observer(self._on_deliver)
 
     def _on_deliver(self, pkt: Packet) -> None:
-        if self.data_only and not pkt.is_data:
-            return
         if self.flow_id is not None and pkt.flow_id != self.flow_id:
             return
         self.records.append(

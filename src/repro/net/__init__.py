@@ -19,13 +19,11 @@ from repro.net.queues import (
 from repro.net.routing import build_routing_tables
 from repro.net.topology import (
     FatTree,
-    LeafSpine,
     MultiHopTopology,
     Network,
     StarTopology,
     TwoLevelTree,
     build_fat_tree,
-    build_leaf_spine,
     build_multi_hop,
     build_star,
     build_two_level_tree,
@@ -38,7 +36,6 @@ __all__ = [
     "FairQueue",
     "FatTree",
     "Host",
-    "LeafSpine",
     "Link",
     "LinkStats",
     "MSS_BYTES",
@@ -52,7 +49,6 @@ __all__ = [
     "Switch",
     "TwoLevelTree",
     "build_fat_tree",
-    "build_leaf_spine",
     "build_multi_hop",
     "build_routing_tables",
     "build_star",

@@ -109,10 +109,6 @@ class Packet:
     def is_data(self) -> bool:
         return self.kind == DATA
 
-    @property
-    def is_ack(self) -> bool:
-        return self.kind == ACK
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.is_data:
             flags = "".join(

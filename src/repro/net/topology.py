@@ -26,25 +26,15 @@ from repro.sim.kernel import Simulator
 
 __all__ = [
     "FatTree",
-    "LeafSpine",
     "MultiHopTopology",
     "Network",
     "StarTopology",
     "TwoLevelTree",
     "build_fat_tree",
-    "build_leaf_spine",
     "build_multi_hop",
     "build_star",
     "build_two_level_tree",
 ]
-
-HOST_BUFFER_PKTS = None
-"""Default host NIC egress buffer: ``None`` means "same as the switch
-buffer of the cable", which is how NS2 sizes per-link drop-tail queues —
-a sender dumping a whole inherited window can therefore lose packets at
-its own access queue as well as at the shared bottleneck, exactly as in
-the paper's simulations."""
-
 
 class Network:
     """A set of nodes and links on one simulator."""
@@ -78,17 +68,19 @@ class Network:
         bandwidth_bps: float,
         delay_s: float,
         buffer_pkts: Optional[int] = None,
-        host_buffer_pkts: Optional[int] = HOST_BUFFER_PKTS,
     ) -> tuple[Link, Link]:
         """Wire a duplex cable: two independent unidirectional links.
 
-        ``buffer_pkts`` sizes switch egress queues.  Host egress queues
-        get ``host_buffer_pkts`` (defaulting to the same size).  Switch
-        queues mark ECN when the network was built with
-        ``ecn_threshold_pkts``; host queues never mark.
+        ``buffer_pkts`` sizes both egress queues, the host's NIC queue
+        included — how NS2 sizes per-link drop-tail queues, so a sender
+        dumping a whole inherited window can lose packets at its own
+        access queue as well as at the shared bottleneck, exactly as in
+        the paper's simulations.  Switch queues mark ECN when the
+        network was built with ``ecn_threshold_pkts``; host queues never
+        mark.
         """
-        forward = self._make_link(a, b, bandwidth_bps, delay_s, buffer_pkts, host_buffer_pkts)
-        reverse = self._make_link(b, a, bandwidth_bps, delay_s, buffer_pkts, host_buffer_pkts)
+        forward = self._make_link(a, b, bandwidth_bps, delay_s, buffer_pkts)
+        reverse = self._make_link(b, a, bandwidth_bps, delay_s, buffer_pkts)
         return forward, reverse
 
     def _make_link(
@@ -98,7 +90,6 @@ class Network:
         bandwidth_bps: float,
         delay_s: float,
         buffer_pkts: Optional[int],
-        host_buffer_pkts: Optional[int],
     ) -> Link:
         name = f"{src.name}->{dst.name}"
         capacity = buffer_pkts if buffer_pkts is not None else 100
@@ -110,8 +101,7 @@ class Network:
             else:
                 queue = DropTailQueue(capacity, name=name)
         else:
-            host_capacity = host_buffer_pkts if host_buffer_pkts is not None else capacity
-            queue = DropTailQueue(host_capacity, name=name)
+            queue = DropTailQueue(capacity, name=name)
         link = Link(self.sim, src, dst, bandwidth_bps, delay_s, queue, name=name)
         src.attach_link(link)
         self.links.append(link)
@@ -213,7 +203,6 @@ def build_two_level_tree(
     frontend_bandwidth_bps: float = 10e9,
     frontend_delay_s: float = 10e-6,
     buffer_pkts: int = 100,
-    fabric_buffer_pkts: Optional[int] = None,
     ecn_threshold_pkts: Optional[int] = None,
 ) -> TwoLevelTree:
     """Fig. 8(a): edge switches × servers behind a fabric switch.
@@ -229,7 +218,7 @@ def build_two_level_tree(
         frontend,
         frontend_bandwidth_bps,
         frontend_delay_s,
-        fabric_buffer_pkts if fabric_buffer_pkts is not None else buffer_pkts,
+        buffer_pkts,
     )
     edge_switches: list[Switch] = []
     server_groups: list[list[Host]] = []
@@ -299,61 +288,6 @@ def build_multi_hop(
     return MultiHopTopology(
         net, switch1, switch2, frontend, group_a, group_b, group_c, group_d
     )
-
-
-# ----------------------------------------------------------------------
-# Leaf-spine — the common two-tier Clos fabric
-# ----------------------------------------------------------------------
-
-@dataclass
-class LeafSpine:
-    network: Network
-    leaves: list[Switch]
-    spines: list[Switch]
-    #: hosts grouped by their leaf switch
-    host_groups: list[list[Host]]
-
-    @property
-    def hosts(self) -> list[Host]:
-        return [h for group in self.host_groups for h in group]
-
-
-def build_leaf_spine(
-    sim: Simulator,
-    n_leaves: int,
-    n_spines: int,
-    hosts_per_leaf: int,
-    host_bandwidth_bps: float = 10e9,
-    fabric_bandwidth_bps: float = 40e9,
-    delay_s: float = 10e-6,
-    buffer_pkts: int = 245,
-    ecn_threshold_pkts: Optional[int] = None,
-) -> LeafSpine:
-    """A two-tier Clos: every leaf connects to every spine.
-
-    Cross-leaf flows ECMP across all ``n_spines`` equal-cost paths by
-    flow-id hash; intra-leaf traffic never leaves the leaf.  This is
-    the ubiquitous modern DC fabric the fat-tree generalizes.
-    """
-    if n_leaves < 1 or n_spines < 1 or hosts_per_leaf < 1:
-        raise ValueError("need at least one leaf, spine, and host per leaf")
-    net = Network(sim, ecn_threshold_pkts=ecn_threshold_pkts)
-    spines = [net.add_switch(f"spine{i}") for i in range(n_spines)]
-    leaves: list[Switch] = []
-    host_groups: list[list[Host]] = []
-    for l in range(n_leaves):
-        leaf = net.add_switch(f"leaf{l}")
-        for spine in spines:
-            net.connect(leaf, spine, fabric_bandwidth_bps, delay_s, buffer_pkts)
-        group = []
-        for h in range(hosts_per_leaf):
-            host = net.add_host(f"l{l}h{h}")
-            net.connect(host, leaf, host_bandwidth_bps, delay_s, buffer_pkts)
-            group.append(host)
-        leaves.append(leaf)
-        host_groups.append(group)
-    net.finalize_routes()
-    return LeafSpine(net, leaves, spines, host_groups)
 
 
 # ----------------------------------------------------------------------

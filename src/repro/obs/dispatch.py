@@ -9,43 +9,33 @@ seconds since the log's epoch on a monotonic clock — operationally
 useful ordering without touching wall-clock APIs (simlint SIM002).
 
 The rows share the trace JSONL encoding (``ch``/``t``/sorted keys), so
-``repro.obs.export.load_jsonl`` and ``trace --check`` understand a
-dumped dispatch log exactly like any other channel's export.
+``repro.obs.export.load_jsonl`` and ``trace --check`` understand
+dispatch rows exactly like any other channel's export.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from repro.obs.export import dump_row
 from repro.obs.records import DISPATCH_EVENTS, DispatchRecord
 
 __all__ = ["DispatchLog"]
 
-#: default ring capacity — generous for any realistic sweep (a few
-#: events per point per retry), bounded so a pathological crash-loop
-#: cannot grow memory without bound.
-DEFAULT_LOG_CAPACITY = 65536
+#: ring capacity — generous for any realistic sweep (a few events per
+#: point per retry), bounded so a pathological crash-loop cannot grow
+#: memory without bound.
+LOG_CAPACITY = 65536
 
 
 class DispatchLog:
     """Bounded, ordered record of one dispatch backend's fleet events."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_LOG_CAPACITY,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._epoch = clock()
-        self._records: deque[DispatchRecord] = deque(maxlen=capacity)
-        #: events seen in total, even after the ring evicts old rows.
-        self.emitted = 0
+        self._records: deque[DispatchRecord] = deque(maxlen=LOG_CAPACITY)
 
     def emit(
         self,
@@ -72,7 +62,6 @@ class DispatchLog:
             detail=detail,
         )
         self._records.append(record)
-        self.emitted += 1
         return record
 
     def records(self) -> list[DispatchRecord]:
@@ -82,16 +71,6 @@ class DispatchLog:
     def counts(self) -> dict[str, int]:
         """Event -> occurrence count over the retained window."""
         return dict(Counter(record.event for record in self._records))
-
-    def export_jsonl(self, path: Union[str, Path]) -> int:
-        """Write the retained records as trace-compatible JSONL rows."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        lines = [dump_row(record.row()) for record in self._records]
-        target.write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
-        return len(lines)
 
     def __len__(self) -> int:
         return len(self._records)

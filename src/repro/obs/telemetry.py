@@ -222,9 +222,9 @@ class Telemetry:
         merged.sort(key=lambda item: item[0])
         return [record for _, record in merged]
 
-    def rows(self, channel: Optional[str] = None) -> list[dict[str, Any]]:
-        """JSON rows for the buffered records, in emission order."""
-        return [record.row() for record in self.records(channel)]
+    def rows(self) -> list[dict[str, Any]]:
+        """JSON rows for every buffered record, in emission order."""
+        return [record.row() for record in self.records()]
 
     def counts(self) -> dict[str, int]:
         """Buffered record count per enabled channel."""

@@ -88,10 +88,6 @@ class CwndTimeline:
             return None
         return self.cwnd[i]
 
-    def steps(self) -> list[tuple[float, float]]:
-        """``(time, cwnd)`` pairs — the staircase."""
-        return list(zip(self.times, self.cwnd))
-
 
 class QueueTimeline:
     """One link's queue occupancy samples plus its drop/mark/evict events."""

@@ -37,8 +37,8 @@ from typing import Optional
 from repro.net.topology import build_star
 from repro.obs import Telemetry, TraceSpec
 from repro.sim.kernel import Event, Simulator
-from repro.tcp.base import TcpSink, TcpSource
-from repro.tcp.factory import create_source, default_config
+from repro.tcp.base import TcpSource
+from repro.tcp.factory import default_config, make_connection
 
 __all__ = [
     "BenchRun",
@@ -128,16 +128,15 @@ def _star_flow(
     config = default_config(
         protocol, min_rto=0.01, initial_rto=0.01, max_cwnd=max_cwnd
     )
-    source = create_source(
+    source, _ = make_connection(
         protocol,
         sim,
         star.servers[0],
-        star.frontend.node_id,
+        star.frontend,
         flow_id=0,
         config=config,
         **extras,  # type: ignore[arg-type]
     )
-    TcpSink(sim, star.frontend, flow_id=0)
     return sim, source
 
 

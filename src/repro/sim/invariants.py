@@ -157,16 +157,21 @@ class InvariantMonitor:
             )
 
     def _check_flow(self, source: "TcpSource") -> None:
-        mss = source.config.mss_bytes
+        # The imports wait for a violation: repro.net imports the
+        # kernel, which imports this module.
         if source.cwnd < 1.0:
+            from repro.net.packet import MSS_BYTES
+
             raise InvariantViolation(
                 f"flow {source.name}: cwnd={source.cwnd!r} segments fell "
-                f"below 1 MSS ({mss} bytes)"
+                f"below 1 MSS ({MSS_BYTES} bytes)"
             )
         flight = source.flight
         if flight < 0:
+            from repro.net.packet import MSS_BYTES
+
             raise InvariantViolation(
-                f"flow {source.name}: bytes_in_flight={flight * mss} < 0 "
+                f"flow {source.name}: bytes_in_flight={flight * MSS_BYTES} < 0 "
                 f"(t_seqno={source.t_seqno}, highest_ack={source.highest_ack})"
             )
         cap = self._window_hwm.get(id(source), 0.0) + PROBE_SLACK_SEGMENTS

@@ -49,6 +49,9 @@ NEWRENO = "newreno"
 
 #: the window a connection starts with and restarts from after an RTO
 INITIAL_CWND = 2.0
+#: every protocol's window floor: the paper sets TCP's minimum window to
+#: 2 (Sec. III.C)
+MIN_CWND = 2.0
 #: the empty scoreboard every connection shares until loss recovery first
 #: writes one; never mutated, only replaced (DESIGN.md, "State layout")
 _NO_SEQS: AbstractSet[int] = frozenset()
@@ -64,7 +67,6 @@ def _writable(seqs: AbstractSet[int]) -> set[int]:
 class TcpConfig:
     """Tunables shared by all protocol variants."""
 
-    mss_bytes: int = MSS_BYTES
     #: effectively "slow start until first loss", matching the paper's
     #: observed window growth to ~900 segments.
     initial_ssthresh: float = 1e12
@@ -73,8 +75,6 @@ class TcpConfig:
     initial_rto: float = 0.2
     max_rto: float = 60.0
     dupack_threshold: int = 3
-    #: the paper sets TCP's minimum window to 2 (Sec. III.C).
-    min_cwnd: float = 2.0
     ecn_capable: bool = False
     recovery: str = RENO  # or NEWRENO
     #: selective acknowledgments: the sender keeps a scoreboard of
@@ -227,7 +227,7 @@ class TcpSource:
         """Queue a message of ``ceil(n_bytes / mss)`` segments."""
         if n_bytes < 1:
             raise ValueError("a message needs at least one byte")
-        segments = max(1, math.ceil(n_bytes / self.config.mss_bytes))
+        segments = max(1, math.ceil(n_bytes / MSS_BYTES))
         return self.send_message(segments, on_complete=on_complete)
 
     def stop(self) -> None:
@@ -314,7 +314,7 @@ class TcpSource:
             dst=self.dst_id,
             kind=DATA,
             seq=seq,
-            size_bytes=self.config.mss_bytes,
+            size_bytes=MSS_BYTES,
             ts=self.sim.now,
             is_retransmission=is_retx,
             is_probe=probe,
@@ -413,7 +413,7 @@ class TcpSource:
         )
         if partial_ack_repairs and pkt.ack < self.recover_seq:
             # Partial ACK: retransmit the next hole, stay in recovery.
-            self.cwnd = max(self.config.min_cwnd, self.cwnd - newly_acked + 1)
+            self.cwnd = max(MIN_CWND, self.cwnd - newly_acked + 1)
             hole = self._next_hole() if self.config.sack else self.highest_ack + 1
             if hole is not None:
                 self._send_segment(hole)
@@ -424,7 +424,7 @@ class TcpSource:
         self.in_recovery = False
         self.dupacks = 0
         self._recovery_retx = _NO_SEQS
-        self.cwnd = max(self.config.min_cwnd, self.ssthresh)
+        self.cwnd = max(MIN_CWND, self.ssthresh)
         tel = self.sim.telemetry
         if tel is not None:
             tel.on_state(self.sim.now, self.flow_id, "open")
@@ -464,7 +464,7 @@ class TcpSource:
 
     def _halve_window_on_loss(self) -> float:
         """New ssthresh after a fast-retransmit loss event (Reno: half)."""
-        return max(self.flight / 2.0, self.config.min_cwnd)
+        return max(self.flight / 2.0, MIN_CWND)
 
     # ------------------------------------------------------------------
     # Retransmission timer
@@ -489,7 +489,7 @@ class TcpSource:
             return
         self.stats.timeouts += 1
         self.rtt.backoff()
-        self.ssthresh = max(self.flight / 2.0, self.config.min_cwnd)
+        self.ssthresh = max(self.flight / 2.0, MIN_CWND)
         self.cwnd = INITIAL_CWND
         self.dupacks = 0
         self.in_recovery = False
@@ -557,7 +557,7 @@ class TcpSource:
         """Called after RTO state reset, before retransmission."""
 
     def _clamp_cwnd(self) -> None:
-        self.cwnd = min(max(self.cwnd, self.config.min_cwnd), self.config.max_cwnd)
+        self.cwnd = min(max(self.cwnd, MIN_CWND), self.config.max_cwnd)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.net.packet import Packet
-from repro.tcp.base import TcpSource
+from repro.tcp.base import MIN_CWND, TcpSource
 
 __all__ = ["CubicSource"]
 
@@ -42,7 +42,7 @@ class CubicSource(TcpSource):
         else:
             self.w_max = self.cwnd
         self._epoch_start = None
-        return max(self.cwnd * self.BETA, self.config.min_cwnd)
+        return max(self.cwnd * self.BETA, MIN_CWND)
 
     def _after_timeout(self) -> None:
         self.w_max = max(self.w_max, self.cwnd)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.net.packet import Packet
+from repro.tcp.base import MIN_CWND
 from repro.tcp.dctcp import DctcpSource
 
 __all__ = ["D2tcpSource"]
@@ -74,7 +75,7 @@ class D2tcpSource(DctcpSource):
         if cut:
             penalty = self.alpha ** self.urgency()  # the gamma correction
             self.cwnd = max(
-                self.config.min_cwnd, self.cwnd * (1.0 - penalty / 2.0)
+                MIN_CWND, self.cwnd * (1.0 - penalty / 2.0)
             )
             self.ssthresh = self.cwnd
         self._window_end = self.t_seqno

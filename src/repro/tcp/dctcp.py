@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.net.packet import Packet
-from repro.tcp.base import TcpConfig, TcpSource
+from repro.tcp.base import MIN_CWND, TcpConfig, TcpSource
 
 __all__ = ["DctcpSource"]
 
@@ -61,7 +61,7 @@ class DctcpSource(TcpSource):
         cut = self._marked_in_window > 0
         if cut:
             self.cwnd = max(
-                self.config.min_cwnd, self.cwnd * (1.0 - self.alpha / 2.0)
+                MIN_CWND, self.cwnd * (1.0 - self.alpha / 2.0)
             )
             # Standard DCTCP: the cut ends slow start.
             self.ssthresh = self.cwnd

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.net.packet import Packet
-from repro.tcp.base import TcpSource
+from repro.tcp.base import MIN_CWND, TcpSource
 from repro.tcp.rtt import EwmaRtt
 
 __all__ = ["GipSource"]
@@ -41,6 +41,6 @@ class GipSource(TcpSource):
         if gap_threshold is None or self.last_send_time is None:
             return True
         if self.sim.now - self.last_send_time > gap_threshold:
-            self.cwnd = self.config.min_cwnd
+            self.cwnd = MIN_CWND
             self.ssthresh = max(self.ssthresh, self.config.initial_ssthresh)
         return True

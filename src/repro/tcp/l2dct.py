@@ -18,7 +18,8 @@ long flows back off harder — matches.
 
 from __future__ import annotations
 
-from repro.net.packet import Packet
+from repro.net.packet import MSS_BYTES, Packet
+from repro.tcp.base import MIN_CWND
 from repro.tcp.dctcp import DctcpSource
 
 __all__ = ["L2dctSource"]
@@ -38,7 +39,7 @@ class L2dctSource(DctcpSource):
     __slots__ = ()
 
     def _weight(self) -> float:
-        sent_bytes = (self.highest_ack + 1) * self.config.mss_bytes
+        sent_bytes = (self.highest_ack + 1) * MSS_BYTES
         progress = min(1.0, max(0.0, sent_bytes / self.LARGE_FLOW_BYTES))
         return self.W_MAX - (self.W_MAX - self.W_MIN) * progress
 
@@ -68,7 +69,7 @@ class L2dctSource(DctcpSource):
             # lighter flows more gently; bounded by DCTCP's cut.
             k = 0.5 + 0.5 * (1.0 - self._weight() / self.W_MAX)
             factor = 1.0 - min(0.5, (self.alpha / 2.0) * (2.0 * k))
-            self.cwnd = max(self.config.min_cwnd, self.cwnd * factor)
+            self.cwnd = max(MIN_CWND, self.cwnd * factor)
             self.ssthresh = self.cwnd  # the cut ends slow start, as in DCTCP
         self._window_end = self.t_seqno
         self._acked_in_window = 0

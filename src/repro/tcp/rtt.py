@@ -12,6 +12,12 @@ from typing import Optional
 
 __all__ = ["EwmaRtt", "RttEstimator"]
 
+#: RFC 6298's gains for the smoothed RTT and its variance, and the
+#: variance multiplier ``K`` in ``RTO = srtt + K·rttvar``
+SRTT_GAIN = 1.0 / 8.0
+RTTVAR_GAIN = 1.0 / 4.0
+RTTVAR_K = 4.0
+
 
 class EwmaRtt:
     """The paper's smoothed RTT: ``s ← (1 − α)·s + α·sample`` (α = 0.25).
@@ -41,7 +47,7 @@ class EwmaRtt:
 class RttEstimator:
     """Smoothed RTT, RTT variance, and the derived RTO.
 
-    Parameters follow RFC 6298: gains 1/8 and 1/4, ``K = 4``.  Data
+    The gains and ``K`` are RFC 6298's constants above.  Data
     center deployments shrink ``min_rto`` aggressively (the paper uses
     200 ms, 20 ms, and 1 ms in different experiments), so it is a
     constructor argument.
@@ -50,9 +56,6 @@ class RttEstimator:
     __slots__ = (
         "min_rto",
         "max_rto",
-        "alpha",
-        "beta",
-        "k",
         "srtt",
         "rttvar",
         "latest_sample",
@@ -65,17 +68,11 @@ class RttEstimator:
         min_rto: float = 0.2,
         max_rto: float = 60.0,
         initial_rto: float = 1.0,
-        alpha: float = 1.0 / 8.0,
-        beta: float = 1.0 / 4.0,
-        k: float = 4.0,
     ) -> None:
         if min_rto <= 0 or max_rto < min_rto:
             raise ValueError("require 0 < min_rto <= max_rto")
         self.min_rto = min_rto
         self.max_rto = max_rto
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
         self.latest_sample: Optional[float] = None
@@ -92,14 +89,16 @@ class RttEstimator:
             srtt = rtt
             self.rttvar = rtt / 2.0
         else:
-            self.rttvar = (1 - self.beta) * self.rttvar + self.beta * abs(srtt - rtt)
-            srtt = (1 - self.alpha) * srtt + self.alpha * rtt
+            self.rttvar = (
+                (1 - RTTVAR_GAIN) * self.rttvar + RTTVAR_GAIN * abs(srtt - rtt)
+            )
+            srtt = (1 - SRTT_GAIN) * srtt + SRTT_GAIN * rtt
         self.srtt = srtt
         # Karn/RFC 6298 order: a valid sample first retires the
         # exponential backoff, *then* the RTO is recomputed from the
         # fresh estimate — so the very next timer arms un-backed-off.
         self.backoff_factor = 1.0
-        self._base_rto = srtt + self.k * self.rttvar
+        self._base_rto = srtt + RTTVAR_K * self.rttvar
 
     def backoff(self) -> None:
         """Double the timeout after an expiry (capped at ``max_rto``)."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.net.packet import Packet
-from repro.tcp.base import TcpSource
+from repro.tcp.base import MIN_CWND, TcpSource
 from repro.tcp.rtt import EwmaRtt
 
 __all__ = ["TinyBufferSource"]
@@ -72,7 +72,7 @@ class TinyBufferSource(TcpSource):
         if self._rate.value is None or self.min_rtt == float("inf"):
             return None
         bdp = self._rate.value * self.min_rtt
-        return max(self.config.min_cwnd, bdp + self.HEADROOM_SEGMENTS)
+        return max(MIN_CWND, bdp + self.HEADROOM_SEGMENTS)
 
     def _on_rtt_sample(self, rtt: float, pkt: Packet) -> None:
         if rtt > 0:
@@ -88,7 +88,7 @@ class TinyBufferSource(TcpSource):
             # Switch-assisted fair-share feedback (FairQueue CE-marks
             # over-share flows): shed one segment and skip the increase
             # — a gentle per-ACK decrease, not a multiplicative cut.
-            self.cwnd = max(self.config.min_cwnd, self.cwnd - 1.0)
+            self.cwnd = max(MIN_CWND, self.cwnd - 1.0)
             return True
         return False
 
@@ -103,7 +103,7 @@ class TinyBufferSource(TcpSource):
             return
         if self.cwnd >= target:
             # Hold at the BDP: the clamp doubles as the slow-start exit.
-            self.ssthresh = min(self.ssthresh, max(target, self.config.min_cwnd))
+            self.ssthresh = min(self.ssthresh, max(target, MIN_CWND))
             self.cwnd = target
             return
         if self.cwnd < self.ssthresh:
@@ -119,4 +119,4 @@ class TinyBufferSource(TcpSource):
             # above what the buffer absorbs; return to the BDP estimate
             # instead of halving below it.
             half = min(half, target)
-        return max(half, self.config.min_cwnd)
+        return max(half, MIN_CWND)

@@ -31,7 +31,7 @@ from typing import Any, Optional
 
 from repro.net.packet import ACK, Packet
 from repro.sim.kernel import Event
-from repro.tcp.base import _NO_SEQS, TcpSource
+from repro.tcp.base import _NO_SEQS, MIN_CWND, TcpSource
 
 __all__ = ["TracksSource"]
 
@@ -132,7 +132,7 @@ class TracksSource(TcpSource):
             self.recover_seq = self.t_seqno - 1
             self._recovery_retx = _NO_SEQS
             self.ssthresh = self._halve_window_on_loss()
-            self.cwnd = max(self.config.min_cwnd, self.ssthresh)
+            self.cwnd = max(MIN_CWND, self.ssthresh)
             tel = self.sim.telemetry
             if tel is not None:
                 tel.on_state(self.sim.now, self.flow_id, "recovery")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.net.packet import Packet
-from repro.tcp.base import TcpSource
+from repro.tcp.base import MIN_CWND, TcpSource
 
 __all__ = ["VegasSource"]
 
@@ -55,8 +55,8 @@ class VegasSource(TcpSource):
         if self.cwnd < self.ssthresh:
             if diff_pkts > self.GAMMA:
                 # Queue build-up detected: leave slow start.
-                self.ssthresh = max(self.config.min_cwnd, self.cwnd)
-                self.cwnd = max(self.config.min_cwnd, self.cwnd - 1.0)
+                self.ssthresh = max(MIN_CWND, self.cwnd)
+                self.cwnd = max(MIN_CWND, self.cwnd - 1.0)
             elif self._ss_grow_this_epoch:
                 self.cwnd *= 2.0  # double every other RTT
             self._ss_grow_this_epoch = not self._ss_grow_this_epoch
@@ -64,17 +64,10 @@ class VegasSource(TcpSource):
             if diff_pkts < self.ALPHA:
                 self.cwnd += 1.0
             elif diff_pkts > self.BETA:
-                self.cwnd = max(self.config.min_cwnd, self.cwnd - 1.0)
+                self.cwnd = max(MIN_CWND, self.cwnd - 1.0)
         self._epoch_end = self.t_seqno
         self._epoch_min_rtt = float("inf")
 
     def _after_timeout(self) -> None:
         self._epoch_end = self.t_seqno
         self._epoch_min_rtt = float("inf")
-
-    @property
-    def diff_packets(self) -> float:
-        """Current Vegas backlog estimate (diagnostics)."""
-        if self.base_rtt == float("inf") or self._epoch_min_rtt == float("inf"):
-            return 0.0
-        return self.cwnd * (1.0 - self.base_rtt / self._epoch_min_rtt)

@@ -49,11 +49,6 @@ class TestSteadyState:
         assert len(trace.queue_pkts) == 25
         assert len(trace.total_window) == 25
 
-    def test_pipe_pkts(self):
-        k = kguide.k_threshold(C, D)
-        model = SteadyStateModel(C, D, 4, k)
-        assert model.pipe_pkts == pytest.approx(C * k)
-
     def test_window_oscillates_around_pipe(self):
         # Use a larger D so N·min_cwnd stays well below the C·K pipe.
         d = 1e-3

@@ -101,8 +101,9 @@ class TestScenarios:
 class TestInvariants:
     def test_fairq_cell_passes_runtime_invariants(self, monkeypatch):
         # Queue conservation (enqueued == dequeued + evicted + resident)
-        # is checked by the InvariantMonitor after every event when
-        # REPRO_CHECK_INVARIANTS=1; LQD evictions must keep it balanced.
+        # is swept by the InvariantMonitor every check_every_events (256)
+        # events and when run() returns, when REPRO_CHECK_INVARIANTS=1;
+        # LQD evictions must keep it balanced.
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         case = run_matrix_point(
             tiny_params(n_senders=4), "incast", 8, "fairq", 3

@@ -120,8 +120,8 @@ def run_golden_fault_scenario(protocol: str, plan: FaultPlan = PLAN):
     injector = FaultInjector(sim, star.network, plan, seed=FAULT_SEED)
     injector.arm()
 
-    data_log = PacketLogger(star.bottleneck, data_only=False)
-    ack_log = PacketLogger(star.frontend.nic, data_only=False)
+    data_log = PacketLogger(star.bottleneck)
+    ack_log = PacketLogger(star.frontend.nic)
 
     for i, source in enumerate(sources):
         for k in range(TRAINS_PER_FLOW):

@@ -96,8 +96,8 @@ def run_golden_scenario(protocol: str, check_invariants: bool = False):
         TcpSink(sim, star.frontend, flow_id=i)
         sources.append(source)
 
-    data_log = PacketLogger(star.bottleneck, data_only=False)
-    ack_log = PacketLogger(star.frontend.nic, data_only=False)
+    data_log = PacketLogger(star.bottleneck)
+    ack_log = PacketLogger(star.frontend.nic)
 
     for i, source in enumerate(sources):
         for k in range(TRAINS_PER_FLOW):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.http.apps import HttpSession
+from repro.net.packet import ACK_BYTES
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig
@@ -45,6 +46,30 @@ class TestHttpSession:
         e2 = slow.request(1460)
         sim2.run(until=0.5)
         assert e2.completion_time >= e1.completion_time + 0.009
+
+    @pytest.mark.parametrize("service_time", [0.0, 300e-6])
+    def test_server_answers_once_the_request_ack_reaches_the_frontend(
+        self, service_time
+    ):
+        """EXPERIMENTS.md Known deviation 10: the response starts
+        ``service_time`` after the front-end holds the request's ACK
+        (the request message's ``on_complete``), which is one ACK trip
+        server -> switch -> front-end after the request reached the
+        server, not when it reached the server."""
+        sim, star, session = make_session(service_time=service_time)
+        to_server = star.network.link_between(star.switch, star.servers[0])
+        request_landed = []
+        to_server.add_observer(
+            lambda pkt: request_landed.append(sim.now) if pkt.flow_id == 100 else None
+        )
+        exchange = session.request(response_bytes=10_000)
+        sim.run(until=0.5)
+        (landed,) = request_landed
+        ack_trip = 2 * (50e-6 + ACK_BYTES * 8 / 1e9)  # two idle 1 Gbps hops
+        assert exchange.request.finish_time == pytest.approx(landed + ack_trip)
+        assert exchange.response.submit_time == pytest.approx(
+            exchange.request.finish_time + service_time
+        )
 
     def test_sequential_requests_reuse_the_connection(self):
         sim, _star, session = make_session()

@@ -181,13 +181,6 @@ class TestResponseSchedule:
         span = events[-1].time - events[0].time
         assert span == pytest.approx(2.0, rel=0.15)
 
-    def test_uniform_distribution_supported(self):
-        rng = np.random.default_rng(3)
-        events = response_schedule(
-            rng, 10, 0.0, 1e-3, (100, 200), interval_distribution="uniform"
-        )
-        assert len(events) == 10
-
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -196,19 +189,17 @@ class TestResponseSchedule:
             response_schedule(rng, 1, 0.0, 0.0, (1, 2))
         with pytest.raises(ValueError):
             response_schedule(rng, 1, 0.0, 1e-3, (0, 2))
-        with pytest.raises(ValueError):
-            response_schedule(rng, 1, 0.0, 1e-3, (1, 2), interval_distribution="zipf")
 
 
 class TestSegmentsForBytes:
     def test_exact_multiple(self):
-        assert segments_for_bytes(2920, 1460) == 2
+        assert segments_for_bytes(2920) == 2
 
     def test_rounds_up(self):
-        assert segments_for_bytes(2921, 1460) == 3
+        assert segments_for_bytes(2921) == 3
 
     def test_minimum_one(self):
-        assert segments_for_bytes(1, 1460) == 1
+        assert segments_for_bytes(1) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

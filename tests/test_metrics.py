@@ -55,10 +55,6 @@ class TestStats:
         assert s.minimum == 1.0
         assert s.maximum == 4.0
 
-    def test_summarize_row_format(self):
-        row = summarize([0.001, 0.002]).as_row()
-        assert "mean=" in row and "p99=" in row
-
     def test_cdf_points(self):
         values, probs = cdf_points([3.0, 1.0, 2.0])
         assert list(values) == [1.0, 2.0, 3.0]

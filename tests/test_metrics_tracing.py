@@ -1,8 +1,7 @@
 """Tests for the packet logger and its train extraction."""
 
-import pytest
-
 from repro.metrics.tracing import PacketLogger
+from repro.net.packet import ACK_BYTES
 from tests.helpers import make_pair
 
 
@@ -24,16 +23,15 @@ class TestPacketLogger:
         sim.run(until=0.1)
         assert len(logger) == 0
 
-    def test_data_only_filter_skips_acks(self):
+    def test_logs_acks_on_the_reverse_path(self):
         sim, star, source, _sink = make_pair()
-        # ACKs flow on the reverse path; log that link without filtering.
+        # ACKs flow on the reverse path; the logger keeps every packet.
         reverse = star.network.link_between(star.frontend, star.switch)
-        all_logger = PacketLogger(reverse, data_only=False)
-        data_logger = PacketLogger(reverse, data_only=True)
+        logger = PacketLogger(reverse)
         source.send_message(10)
         sim.run(until=0.1)
-        assert len(all_logger) == 10  # the ACKs
-        assert len(data_logger) == 0
+        assert len(logger) == 10  # the ACKs
+        assert logger.total_bytes() == 10 * ACK_BYTES
 
     def test_chains_existing_hook(self):
         """A logger joins whatever already observes the link."""

@@ -21,9 +21,7 @@ class TestPacket:
 
     def test_kind_properties(self):
         assert data_packet().is_data
-        assert not data_packet().is_ack
         ack = Packet(flow_id=1, src=20, dst=10, kind=ACK, ack=4)
-        assert ack.is_ack
         assert not ack.is_data
 
     def test_repr_mentions_flags(self):

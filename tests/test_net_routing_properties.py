@@ -20,7 +20,6 @@ from repro.net.packet import DATA, Packet
 from repro.net.topology import (
     Network,
     build_fat_tree,
-    build_leaf_spine,
     build_multi_hop,
     build_star,
     build_two_level_tree,
@@ -163,7 +162,6 @@ BUILDERS = {
     "star": lambda sim: build_star(sim, 24),
     "two_level_tree": lambda sim: build_two_level_tree(sim, 6, 7),
     "multi_hop": lambda sim: build_multi_hop(sim, group_size=5),
-    "leaf_spine": lambda sim: build_leaf_spine(sim, 4, 3, 5),
     "fat_tree_k4": lambda sim: build_fat_tree(sim, 4),
     "fat_tree_k8": lambda sim: build_fat_tree(sim, 8),
 }

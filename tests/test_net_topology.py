@@ -67,14 +67,6 @@ class TestNetwork:
         _fwd, rev = net.connect(sw, host, 1e9, 1e-6, buffer_pkts=37)
         assert rev.queue.capacity_pkts == 37
 
-    def test_host_buffer_override(self):
-        sim = Simulator()
-        net = Network(sim)
-        sw, host = net.add_switch("s"), net.add_host("h")
-        _fwd, rev = net.connect(sw, host, 1e9, 1e-6, buffer_pkts=37,
-                                host_buffer_pkts=500)
-        assert rev.queue.capacity_pkts == 500
-
     def test_link_between(self):
         sim = Simulator()
         net = Network(sim)

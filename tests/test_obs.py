@@ -293,7 +293,7 @@ class TestTimelines:
         assert len(tl) == 3
         assert (tl.t_start, tl.t_end) == (0.1, 0.3)
         assert (tl.min_cwnd, tl.max_cwnd) == (1.0, 4.0)
-        assert tl.steps() == [(0.1, 2.0), (0.2, 4.0), (0.3, 1.0)]
+        assert (tl.times, tl.cwnd) == ([0.1, 0.2, 0.3], [2.0, 4.0, 1.0])
 
     def test_cwnd_value_at_is_right_continuous(self):
         tl = CwndTimeline.from_rows(self.CWND_ROWS, flow=1)

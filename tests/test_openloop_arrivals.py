@@ -119,11 +119,9 @@ class TestDeterminismAndStructure:
             MmppArrivals(rate_on=300.0, rate_off=30.0, mean_on=0.1, mean_off=0.2),
             DiurnalArrivals(base=40.0, peak=300.0, period=0.5),
         ):
-            times = process.sample_times(
-                np.random.default_rng(seed), 1.5, start=0.25
-            )
+            times = process.sample_times(np.random.default_rng(seed), 1.5)
             assert times == sorted(times)
-            assert all(0.25 <= t < 1.75 for t in times)
+            assert all(0.0 <= t < 1.5 for t in times)
 
     def test_scaled_multiplies_mean_rate(self):
         for process in (

@@ -43,7 +43,6 @@ class TestOpenLoopDriver:
         assert run.offered == len(schedule)
         assert run.issued == run.offered
         assert run.completed == run.offered
-        assert run.in_flight == 0
         assert len(run.latencies) == run.completed
         assert all(latency > 0 for latency in run.latencies)
         assert run.bytes_completed == schedule.total_bytes

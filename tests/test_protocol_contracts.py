@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.base import TcpSink
+from repro.tcp.base import MIN_CWND, TcpSink
 from repro.tcp.factory import create_source, default_config
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
@@ -60,7 +60,7 @@ class TestReliability:
         sim, star, source, _sink = pair(protocol)
         install_loss(star.bottleneck, drop_seqs_once({0, 1}))
         source.send_message(30)
-        floor = source.config.min_cwnd
+        floor = MIN_CWND
 
         def check():
             assert source.cwnd >= floor - 1e-9

@@ -1,12 +1,10 @@
 """Unit and behavioural tests for the base TCP sender and sink."""
 
-import math
-
 import pytest
 
 from repro.net.packet import MSS_BYTES
 from repro.sim.kernel import Simulator
-from repro.tcp.base import INITIAL_CWND, TcpConfig
+from repro.tcp.base import INITIAL_CWND, MIN_CWND, TcpConfig
 from repro.tcp.reno import RenoSource
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
@@ -117,7 +115,7 @@ class TestFastRetransmit:
         source.send_message(40)
         sim.run(until=1.0)
         assert source.ssthresh < 40
-        assert source.cwnd >= source.config.min_cwnd
+        assert source.cwnd >= MIN_CWND
 
     def test_recovery_exits_on_new_ack(self):
         sim, star, source, _sink = make_pair()
@@ -343,6 +341,6 @@ class TestConfig:
 
     def test_defaults_match_paper(self):
         config = TcpConfig()
-        assert config.mss_bytes == 1460
-        assert config.min_cwnd == 2.0
+        assert MSS_BYTES == 1460
+        assert MIN_CWND == 2.0
         assert config.min_rto == 0.2

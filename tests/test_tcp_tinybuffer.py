@@ -3,9 +3,8 @@
 import pytest
 
 from repro.net.packet import ACK, Packet
-from repro.tcp.base import TcpConfig
+from repro.tcp.base import MIN_CWND, TcpConfig
 from repro.tcp.factory import default_config
-from repro.tcp.tinybuffer import TinyBufferSource
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
 
@@ -79,8 +78,8 @@ class TestLossAndEcn:
         # With the window already at/below target, a loss event lands
         # at min(flight/2, target) floored at min_cwnd — never a deep
         # multiplicative undershoot below the configured floor.
-        assert new_ssthresh >= source.config.min_cwnd
-        assert new_ssthresh <= max(target, source.config.min_cwnd)
+        assert new_ssthresh >= MIN_CWND
+        assert new_ssthresh <= max(target, MIN_CWND)
 
     def test_ece_feedback_sheds_one_segment(self):
         sim, star, source, sink = pair()
@@ -98,7 +97,7 @@ class TestLossAndEcn:
         suppressed = source._on_ack_pre_increase(0, ack)
         assert suppressed is True
         assert source.cwnd == pytest.approx(
-            max(source.config.min_cwnd, cwnd_before - 1.0)
+            max(MIN_CWND, cwnd_before - 1.0)
         )
 
 

@@ -3,27 +3,10 @@
 import pytest
 
 from repro.tcp.factory import default_config
-from repro.tcp.vegas import VegasSource
 from tests.helpers import FAST, make_pair
 
 
 class TestVegasInternals:
-    def test_diff_packets_zero_before_samples(self):
-        _sim, _star, source, _sink = make_pair(
-            "vegas", config=default_config("vegas", **FAST)
-        )
-        assert source.diff_packets == 0.0
-
-    def test_diff_packets_formula(self):
-        _sim, _star, source, _sink = make_pair(
-            "vegas", config=default_config("vegas", **FAST)
-        )
-        source.base_rtt = 1e-3
-        source._epoch_min_rtt = 2e-3
-        source.cwnd = 10.0
-        # diff = cwnd · (1 − base/rtt) = 10 · 0.5
-        assert source.diff_packets == pytest.approx(5.0)
-
     def test_slow_start_doubles_every_other_epoch(self):
         _sim, _star, source, _sink = make_pair(
             "vegas", config=default_config("vegas", **FAST)

@@ -5,7 +5,7 @@ import pytest
 from repro.core import kguide
 from repro.core.trim import TrimSource
 from repro.net.packet import Packet
-from repro.tcp.base import TcpConfig
+from repro.tcp.base import MIN_CWND, TcpConfig
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
 CAPACITY_PPS = 1e9 / (8 * 1460)
@@ -107,7 +107,7 @@ class TestEquationOne:
         source.probing = True
         source._probe_rtts = [3e-3]  # factor 1-(2) = -1
         source._finish_probe(success=True)
-        assert source.cwnd == source.config.min_cwnd
+        assert source.cwnd == MIN_CWND
 
     def test_never_exceeds_saved_window(self):
         _sim, _star, source, _sink = trim_pair()
@@ -125,7 +125,7 @@ class TestEquationOne:
         source.probing = True
         source._probe_rtts = []
         source._finish_probe(success=False)
-        assert source.cwnd == source.config.min_cwnd
+        assert source.cwnd == MIN_CWND
 
 
 class TestProbeDeadline:
@@ -177,7 +177,7 @@ class TestConstructorValidation:
         source._probe_rtts = [1e-3]
         source._finish_probe(success=True)
         assert source.probes_completed == 0
-        assert source.cwnd == source.config.min_cwnd
+        assert source.cwnd == MIN_CWND
 
     def test_tiny_positive_min_rtt_still_inherits(self):
         _sim, _star, source, _sink = trim_pair()
@@ -245,7 +245,7 @@ class TestProbeDeadlineRearm:
         assert source.probes_completed == 1
         assert source.probes_timed_out == 0
         factor = 1.0 - ((r1 + r2) / 2 - min_rtt) / min_rtt
-        expected = min(saved, max(source.config.min_cwnd, saved * factor))
+        expected = min(saved, max(MIN_CWND, saved * factor))
         assert source.cwnd == pytest.approx(expected)
         assert source._probe_deadline is None
 
@@ -258,7 +258,7 @@ class TestProbeDeadlineRearm:
         assert source.probes_timed_out == 1
         assert source.probes_completed == 0
         assert not source.probing and not source.suspended
-        assert source.cwnd == source.config.min_cwnd
+        assert source.cwnd == MIN_CWND
 
     def test_karn_filtered_probe_ack_contributes_no_rtt(self):
         _sim, _star, source, _sink = probing_pair()
