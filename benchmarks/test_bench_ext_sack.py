@@ -10,7 +10,6 @@ loss *repair* for tail latency.
 
 from benchmarks.paperbench import MS, header, row
 from repro.experiments.testbed import WebServiceParams, run_web_service
-from repro.tcp.factory import default_config
 
 
 def test_ext_sack_on_baseline():
@@ -46,16 +45,17 @@ def test_ext_sack_on_baseline():
 
 def _run_with_sack(params, min_rto):
     """run_web_service with a SACK-enabled config for the protocol."""
-    import repro.experiments.testbed as testbed
+    import repro.experiments.scenarios as scenarios
 
-    original = testbed.default_config
+    original = scenarios.default_config
 
     def sack_config(protocol, **overrides):
         overrides.setdefault("sack", True)
         return original(protocol, **overrides)
 
-    testbed.default_config = sack_config
+    # ConnectionSet derives every experiment's config here
+    scenarios.default_config = sack_config
     try:
-        return testbed.run_web_service(params)
+        return run_web_service(params)
     finally:
-        testbed.default_config = original
+        scenarios.default_config = original

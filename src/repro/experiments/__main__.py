@@ -313,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.fault_plan, "r", encoding="utf-8") as fh:
                 args.fault_plan_json = fh.read()
             FaultPlan.from_json(args.fault_plan_json)  # validate early
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"--fault-plan {args.fault_plan}: {exc}")
         if not any(exp.accepts_fault_plan for exp in experiments.values()):
             parser.error(

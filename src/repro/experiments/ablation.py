@@ -261,9 +261,6 @@ class AblationParams:
     """Knobs of the three ablation studies (no protocol sweep)."""
 
     preset: str = "paper"
-    k_multipliers: Sequence[float] = (0.5, 0.75, 1.0, 1.5, 2.0)
-    probe_protocols: Sequence[str] = ("reno", "gip", "trim")
-    alphas: Sequence[float] = (0.1, 0.25, 0.5, 0.9)
 
     @classmethod
     def quick(cls, **overrides: Any) -> "AblationParams":
@@ -278,20 +275,16 @@ class AblationExperiment(Experiment):
     id = "ablations"
     title = "Ablations: K sweep, probe policies, alpha sweep"
     params_cls = AblationParams
-    uses_protocols = False
 
     def points(self, params: AblationParams) -> list[Point]:
         return [Point("k_sweep"), Point("probe_policies"), Point("alpha_sweep")]
 
     def run_point(self, params: AblationParams, point: Point, seed: int) -> Any:
         if point.label == "k_sweep":
-            return run_k_sweep(multipliers=params.k_multipliers)
+            return run_k_sweep()
         if point.label == "probe_policies":
-            return run_probe_policies(
-                protocols=params.probe_protocols,
-                quick=params.preset == "quick",
-            )
-        return run_alpha_sweep(alphas=params.alphas)
+            return run_probe_policies(quick=params.preset == "quick")
+        return run_alpha_sweep()
 
     def reduce(self, params: Any, points: Sequence[Point], results: Sequence[Any]) -> Any:
         return {p.label: r for p, r in zip(points, results)}

@@ -54,23 +54,35 @@ class Experiment(abc.ABC):
     * ``title`` — one-line human description;
     * ``params_cls`` — the parameter dataclass, or None for
       parameterless experiments.  Its defaults are the paper preset;
-      a ``quick()`` classmethod builds the quick one;
-    * ``uses_protocols`` — False for experiments that ignore the CLI's
-      ``--protocols`` list (workload characterization, ablations);
-    * ``accepts_fault_plan`` — True for experiments whose params take a
-      ``plan_json`` override from the CLI's ``--fault-plan`` file;
-    * ``accepts_openloop`` — True for experiments whose params take
-      ``arrivals``/``replay`` overrides from the CLI's ``--arrivals``
-      spec and ``--replay`` trace file.
+      a ``quick()`` classmethod builds the quick one.
+
+    Which CLI flags an experiment takes follows from the fields of its
+    params class (see :attr:`uses_protocols`, :attr:`accepts_fault_plan`
+    and :attr:`accepts_openloop`).
     """
 
     id: str = ""
     aliases: Sequence[str] = ()
     title: str = ""
     params_cls: Optional[type] = None
-    uses_protocols: bool = True
-    accepts_fault_plan: bool = False
-    accepts_openloop: bool = False
+
+    def _has_field(self, name: str) -> bool:
+        return name in getattr(self.params_cls, "__dataclass_fields__", ())
+
+    @property
+    def uses_protocols(self) -> bool:
+        """``--protocols`` applies: the params have a ``protocol``."""
+        return self._has_field("protocol")
+
+    @property
+    def accepts_fault_plan(self) -> bool:
+        """``--fault-plan`` applies: the params have a ``plan_json``."""
+        return self._has_field("plan_json")
+
+    @property
+    def accepts_openloop(self) -> bool:
+        """``--arrivals``/``--replay`` apply: the params have ``arrivals``."""
+        return self._has_field("arrivals")
 
     # ------------------------------------------------------------------
     # Parameter construction

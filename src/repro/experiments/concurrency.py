@@ -18,16 +18,12 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
     run_until,
-    warm_config,
 )
 from repro.http.apps import LongTrainSender, burst_at
 from repro.metrics.stats import completion_times, summarize
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.factory import default_config
 
 __all__ = [
     "ConcurrencyCase",
@@ -89,23 +85,16 @@ def run_concurrency(
         buffer_pkts=params.buffer_pkts,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bandwidth_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=params.min_rto
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.bandwidth_bps),
-        base_rtt=path_base_rtt(
-            [(params.delay_s, params.bandwidth_bps)] * 2
-        ),
+        params.min_rto,
+        params.bandwidth_bps,
+        [(params.delay_s, params.bandwidth_bps)] * 2,
     )
     lpt_hosts = star.servers[: params.n_lpts]
     spt_hosts = star.servers[params.n_lpts :]
-    lpt_sources = connections.connect_many(
-        lpt_hosts, star.frontend, config=warm_config(config)
-    )
+    lpt_sources = connections.connect_many(lpt_hosts, star.frontend, warm=True)
     spt_sources = connections.connect_many(spt_hosts, star.frontend)
 
     for source in lpt_sources:

@@ -22,16 +22,12 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
-    warm_config,
 )
 from repro.http.apps import LongTrainSender
 from repro.metrics.stats import jain_fairness
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import PeriodicSampler, TimeSeries, delta_rate
-from repro.tcp.factory import default_config
 
 __all__ = [
     "FairnessExperiment",
@@ -101,21 +97,14 @@ def run_fairness(params: FairnessParams) -> FairnessResult:
         frontend_bandwidth_bps=params.bottleneck_bps,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bottleneck_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=max(params.min_rto, 1e-3)
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.bottleneck_bps),
-        base_rtt=path_base_rtt(
-            [(params.delay_s, params.server_bps), (params.delay_s, params.bottleneck_bps)]
-        ),
+        params.min_rto,
+        params.bottleneck_bps,
+        [(params.delay_s, params.server_bps), (params.delay_s, params.bottleneck_bps)],
     )
-    sources = connections.connect_many(
-        star.servers, star.frontend, config=warm_config(config)
-    )
+    sources = connections.connect_many(star.servers, star.frontend, warm=True)
     # Per-connection goodput in bits/s, from deltas of each sink's
     # unique deliveries (Fig. 10's curves are per connection).
     monitors = [

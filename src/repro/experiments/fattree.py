@@ -19,8 +19,6 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
     run_until,
 )
 from repro.http.workload import gap_sampler
@@ -29,7 +27,6 @@ from repro.net.packet import MSS_BYTES
 from repro.net.topology import build_fat_tree
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import seeded_rng
-from repro.tcp.factory import default_config
 
 __all__ = [
     "FatTreeExperiment",
@@ -101,17 +98,12 @@ def run_fattree(params: FatTreeParams) -> FatTreeResult:
         buffer_pkts=params.buffer_pkts,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bandwidth_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=params.min_rto
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.bandwidth_bps),
-        base_rtt=path_base_rtt(
-            [(params.delay_s, params.bandwidth_bps)] * 6  # inter-pod path
-        ),
+        params.min_rto,
+        params.bandwidth_bps,
+        [(params.delay_s, params.bandwidth_bps)] * 6,  # inter-pod path
     )
     gaps = gap_sampler()
     n_hosts = len(topo.hosts)

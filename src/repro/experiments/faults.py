@@ -29,9 +29,6 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
-    warm_config,
 )
 from repro.faults import (
     BackgroundSurge,
@@ -49,7 +46,6 @@ from repro.metrics.faults import FaultReport, fault_report
 from repro.net.packet import MSS_BYTES
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.factory import default_config
 
 __all__ = [
     "FaultsCase",
@@ -163,21 +159,18 @@ def run_faults_case(params: FaultsParams, intensity: float, seed: int) -> Faults
         frontend_bandwidth_bps=params.frontend_bandwidth_bps,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, frontend_bw),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=params.min_rto
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.bandwidth_bps),
-        base_rtt=path_base_rtt([(params.delay_s, params.bandwidth_bps)] * 2),
+        params.min_rto,
+        params.bandwidth_bps,
+        [(params.delay_s, params.bandwidth_bps)] * 2,
     )
     foreground = connections.connect_many(
-        star.servers[: params.senders], star.frontend, config=warm_config(config)
+        star.servers[: params.senders], star.frontend, warm=True
     )
     surge_sources = connections.connect_many(
-        star.servers[params.senders:], star.frontend, config=warm_config(config)
+        star.servers[params.senders:], star.frontend, warm=True
     )
     burst_at(sim, foreground, params.start_time, _BACKLOGGED_SEGMENTS)
 
@@ -215,7 +208,6 @@ class FaultsExperiment(Experiment):
     id = "faults"
     title = "Goodput and RTOs under injected faults"
     params_cls = FaultsParams
-    accepts_fault_plan = True
 
     def points(self, params: FaultsParams) -> list[Point]:
         return [

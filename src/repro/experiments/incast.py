@@ -22,14 +22,11 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
     run_until,
 )
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.tcp.base import Message, TcpSource
-from repro.tcp.factory import default_config
 
 __all__ = [
     "IncastCase",
@@ -85,15 +82,12 @@ def run_incast(params: IncastParams, n_senders: int) -> IncastCase:
         buffer_pkts=params.buffer_pkts,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bandwidth_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=params.min_rto
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.bandwidth_bps),
-        base_rtt=path_base_rtt([(params.delay_s, params.bandwidth_bps)] * 2),
+        params.min_rto,
+        params.bandwidth_bps,
+        [(params.delay_s, params.bandwidth_bps)] * 2,
     )
     sources = connections.connect_many(star.servers, star.frontend)
     messages: list[Message] = []

@@ -25,10 +25,7 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
     run_until,
-    warm_config,
 )
 from repro.http.apps import LongTrainSender
 from repro.http.workload import pt_size_sampler, segments_for_bytes
@@ -36,7 +33,6 @@ from repro.metrics.stats import completion_times, summarize
 from repro.net.topology import build_two_level_tree
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import seeded_rng
-from repro.tcp.factory import default_config
 
 __all__ = [
     "LargeScaleCase",
@@ -113,21 +109,16 @@ def run_large_scale(
         buffer_pkts=params.buffer_pkts,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.edge_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=params.min_rto
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.edge_bps),
-        base_rtt=path_base_rtt(
-            [
-                (params.edge_delay_s, params.edge_bps),
-                (params.edge_delay_s, params.edge_bps),
-                (params.frontend_delay_s, params.frontend_bps),
-            ]
-        ),
+        params.min_rto,
+        params.edge_bps,
+        [
+            (params.edge_delay_s, params.edge_bps),
+            (params.edge_delay_s, params.edge_bps),
+            (params.frontend_delay_s, params.frontend_bps),
+        ],
     )
     sizes = pt_size_sampler()
     spt_messages = []
@@ -136,9 +127,7 @@ def run_large_scale(
         lpt_hosts = group[: params.lpts_per_switch]
         spt_hosts = group[params.lpts_per_switch :]
         for host in lpt_hosts:
-            src, _sink = connections.connect(
-                host, topo.frontend, config=warm_config(config)
-            )
+            src, _sink = connections.connect(host, topo.frontend, warm=True)
             LongTrainSender(sim, src, params.spt_window_start).start()
         for host in spt_hosts:
             src, _sink = connections.connect(host, topo.frontend)

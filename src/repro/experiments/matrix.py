@@ -43,8 +43,7 @@ from repro.experiments.base import Experiment, Point
 from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
+    protocol_kwargs,
     run_until,
 )
 from repro.net.packet import MSS_BYTES
@@ -53,7 +52,7 @@ from repro.net.topology import StarTopology, build_star
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import seeded_rng
 from repro.tcp.base import Message, TcpSink, TcpSource
-from repro.tcp.factory import default_config, make_connection
+from repro.tcp.factory import make_connection
 
 __all__ = [
     "MatrixCase",
@@ -64,6 +63,8 @@ __all__ = [
 
 SCENARIOS = ("incast", "coexist", "load")
 QDISCS = ("droptail", "fairq")
+#: offered arrival rate per sender (blocks/second) in the load cell.
+LOAD_RATE = 150.0
 
 
 @dataclass
@@ -89,8 +90,6 @@ class MatrixParams:
     waves: int = 2
     #: offered blocks per sender in the load cell.
     load_blocks: int = 6
-    #: offered arrival rate per sender (blocks/second) in the load cell.
-    load_rate: float = 150.0
 
     @classmethod
     def quick(cls, protocol: str = "trim", **overrides: Any) -> "MatrixParams":
@@ -152,14 +151,25 @@ def _jain(values: Sequence[float]) -> float:
     return (total * total) / (len(values) * squares)
 
 
-def _install_qdisc(star: StarTopology, qdisc: str, buffer_pkts: int) -> None:
-    """Apply the grid cell's bottleneck discipline."""
-    if qdisc == "droptail":
-        return
-    if qdisc != "fairq":
+def _star(
+    params: MatrixParams, buffer_pkts: int, qdisc: str
+) -> tuple[Simulator, StarTopology]:
+    """The grid cell's star, with its bottleneck discipline applied."""
+    sim = Simulator()
+    star = build_star(
+        sim,
+        params.n_senders,
+        bandwidth_bps=params.bandwidth_bps,
+        delay_s=params.delay_s,
+        buffer_pkts=buffer_pkts,
+        ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bandwidth_bps),
+    )
+    if qdisc == "fairq":
+        link = star.bottleneck
+        link.queue = FairQueue(buffer_pkts, name=link.name)
+    elif qdisc != "droptail":
         raise ValueError(f"unknown qdisc {qdisc!r} (use droptail or fairq)")
-    link = star.bottleneck
-    link.queue = FairQueue(buffer_pkts, name=link.name)
+    return sim, star
 
 
 def _connect(
@@ -172,17 +182,12 @@ def _connect(
 ) -> list[TcpSource]:
     """One connection per server towards the front-end, with explicit
     flow ids so mixed-protocol cells never collide on the demux key."""
-    config = default_config(
-        protocol, min_rto=params.min_rto, initial_rto=params.min_rto
+    kwargs = protocol_kwargs(
+        protocol,
+        params.min_rto,
+        params.bandwidth_bps,
+        [(params.delay_s, params.bandwidth_bps)] * 2,
     )
-    extras: dict[str, Any] = {}
-    if protocol == "trim":
-        extras = dict(
-            capacity_pps=packets_per_second(params.bandwidth_bps),
-            base_rtt=path_base_rtt(
-                [(params.delay_s, params.bandwidth_bps)] * 2
-            ),
-        )
     return [
         make_connection(
             protocol,
@@ -190,8 +195,7 @@ def _connect(
             server,
             star.frontend,
             flow_id=first_flow_id + offset,
-            config=config,
-            **extras,
+            **kwargs,
         )[0]
         for offset, server in enumerate(servers)
     ]
@@ -244,18 +248,7 @@ def _case_from_messages(
 def _run_incast(
     params: MatrixParams, buffer_pkts: int, qdisc: str, seed: int
 ) -> MatrixCase:
-    sim = Simulator()
-    star = build_star(
-        sim,
-        params.n_senders,
-        bandwidth_bps=params.bandwidth_bps,
-        delay_s=params.delay_s,
-        buffer_pkts=buffer_pkts,
-        ecn_threshold_pkts=ecn_threshold_for(
-            params.protocol, params.bandwidth_bps
-        ),
-    )
-    _install_qdisc(star, qdisc, buffer_pkts)
+    sim, star = _star(params, buffer_pkts, qdisc)
     sources = _connect(sim, params, params.protocol, star, star.servers, 0)
     segments = max(1, -(-params.block_bytes // MSS_BYTES))
     messages: list[Message] = []
@@ -288,18 +281,7 @@ def _run_coexist(
     params: MatrixParams, buffer_pkts: int, qdisc: str, seed: int
 ) -> MatrixCase:
     partner = params.partner()
-    sim = Simulator()
-    star = build_star(
-        sim,
-        params.n_senders,
-        bandwidth_bps=params.bandwidth_bps,
-        delay_s=params.delay_s,
-        buffer_pkts=buffer_pkts,
-        ecn_threshold_pkts=ecn_threshold_for(
-            params.protocol, params.bandwidth_bps
-        ),
-    )
-    _install_qdisc(star, qdisc, buffer_pkts)
+    sim, star = _star(params, buffer_pkts, qdisc)
     half = max(1, params.n_senders // 2)
     mine = _connect(sim, params, params.protocol, star, star.servers[:half], 0)
     theirs = _connect(
@@ -359,18 +341,7 @@ def _sinks_of(star: StarTopology, n_flows: int) -> list[TcpSink]:
 def _run_load(
     params: MatrixParams, buffer_pkts: int, qdisc: str, seed: int
 ) -> MatrixCase:
-    sim = Simulator()
-    star = build_star(
-        sim,
-        params.n_senders,
-        bandwidth_bps=params.bandwidth_bps,
-        delay_s=params.delay_s,
-        buffer_pkts=buffer_pkts,
-        ecn_threshold_pkts=ecn_threshold_for(
-            params.protocol, params.bandwidth_bps
-        ),
-    )
-    _install_qdisc(star, qdisc, buffer_pkts)
+    sim, star = _star(params, buffer_pkts, qdisc)
     sources = _connect(sim, params, params.protocol, star, star.servers, 0)
     segments = max(1, -(-params.block_bytes // MSS_BYTES))
     rng = seeded_rng(seed)
@@ -381,7 +352,7 @@ def _run_load(
     for source in sources:
         t = params.start_time
         for _ in range(params.load_blocks):
-            t += float(rng.exponential(1.0 / params.load_rate))
+            t += float(rng.exponential(1.0 / LOAD_RATE))
             sim.schedule_at(
                 t, lambda s=source: messages.append(s.send_message(segments))
             )

@@ -23,8 +23,6 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
     run_until,
 )
 from repro.http.apps import ScheduledResponder
@@ -35,7 +33,6 @@ from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import PeriodicSampler, TimeSeries, delta_rate
 from repro.sim.randomness import RandomStreams
-from repro.tcp.factory import default_config
 
 __all__ = [
     "MotivationExperiment",
@@ -43,6 +40,15 @@ __all__ = [
     "MotivationResult",
     "run_motivation",
 ]
+
+
+#: the response stream: the first at RESPONSE_START, then exponential
+#: gaps of mean RESPONSE_INTERVAL, sizes uniform in RESPONSE_SIZE_BYTES.
+RESPONSE_START = 0.1
+RESPONSE_INTERVAL = 1e-3
+RESPONSE_SIZE_BYTES = (2_000, 10_000)
+#: sampling period of the queue and cwnd traces (Figs. 4 and 6).
+TRACE_PERIOD = 1e-3
 
 
 @dataclass
@@ -55,16 +61,12 @@ class MotivationParams:
     delay_s: float = 50e-6
     buffer_pkts: int = 100
     n_responses: int = 200
-    response_start: float = 0.1
-    response_interval: float = 1e-3
-    response_size_bytes: tuple[int, int] = (2_000, 10_000)
     lpt_bytes: int = 2_000_000  # "more than 128 KB"; sized so five LPTs
     # finish within ~0.1 s at line rate, matching Fig. 6's timeline
     lpt_start: float = 0.5
     min_rto: float = 0.2
     deadline: float = 2.5
     seed: int = 1
-    trace_period: float = 1e-3
 
     @classmethod
     def quick(cls, protocol: str = "reno", **overrides: Any) -> "MotivationParams":
@@ -109,17 +111,12 @@ def run_motivation(params: MotivationParams) -> MotivationResult:
         buffer_pkts=params.buffer_pkts,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bandwidth_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=params.min_rto
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.bandwidth_bps),
-        base_rtt=path_base_rtt(
-            [(params.delay_s, params.bandwidth_bps)] * 2
-        ),
+        params.min_rto,
+        params.bandwidth_bps,
+        [(params.delay_s, params.bandwidth_bps)] * 2,
     )
     sources = connections.connect_many(star.servers, star.frontend)
 
@@ -130,9 +127,9 @@ def run_motivation(params: MotivationParams) -> MotivationResult:
         schedule = response_schedule(
             streams.get(f"responses-{i}"),
             params.n_responses,
-            params.response_start,
-            params.response_interval,
-            params.response_size_bytes,
+            RESPONSE_START,
+            RESPONSE_INTERVAL,
+            RESPONSE_SIZE_BYTES,
         )
         responders.append(ScheduledResponder(sim, source, schedule).start())
         sim.schedule_at(
@@ -148,11 +145,11 @@ def run_motivation(params: MotivationParams) -> MotivationResult:
         name=f"thr:{link.name}",
     ).start(0.0)
     queue = PeriodicSampler(
-        sim, params.trace_period, lambda: link.backlog_pkts, name=f"qlen:{link.name}"
+        sim, TRACE_PERIOD, lambda: link.backlog_pkts, name=f"qlen:{link.name}"
     ).start(0.0)
     tracers = [
         PeriodicSampler(
-            sim, params.trace_period, lambda s=s: s.cwnd, name=f"cwnd:{s.name}"
+            sim, TRACE_PERIOD, lambda s=s: s.cwnd, name=f"cwnd:{s.name}"
         ).start(0.0)
         for s in sources
     ]

@@ -21,15 +21,11 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
-    warm_config,
 )
 from repro.http.apps import LongTrainSender
 from repro.net.packet import MSS_BYTES
 from repro.net.topology import build_multi_hop
 from repro.sim.kernel import Simulator
-from repro.tcp.factory import default_config
 
 __all__ = [
     "MultiHopExperiment",
@@ -94,33 +90,21 @@ def run_multihop(params: MultiHopParams) -> MultiHopResult:
         trunk_buffer_pkts=params.trunk_buffer_pkts,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.host_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=max(params.min_rto, 1e-3)
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.host_bps),
-        base_rtt=path_base_rtt(
-            [
-                (params.host_delay_s, params.host_bps),
-                (params.trunk_delay_s, params.trunk_bps),
-                (params.trunk_delay_s, params.trunk_bps),
-            ]
-        ),
+        params.min_rto,
+        params.host_bps,
+        [
+            (params.host_delay_s, params.host_bps),
+            (params.trunk_delay_s, params.trunk_bps),
+            (params.trunk_delay_s, params.trunk_bps),
+        ],
     )
-    sources = []
-    sinks = []
-    lpt_config = warm_config(config)
-    for host in topo.group_a + topo.group_b:
-        src, sink = connections.connect(host, topo.frontend, config=lpt_config)
-        sources.append(src)
-        sinks.append(sink)
+    connections.connect_many(topo.group_a + topo.group_b, topo.frontend, warm=True)
     for sender, receiver in zip(topo.group_c, topo.group_d):
-        src, sink = connections.connect(sender, receiver, config=lpt_config)
-        sources.append(src)
-        sinks.append(sink)
+        connections.connect(sender, receiver, warm=True)
+    sources, sinks = connections.sources, connections.sinks
     for source in sources:
         LongTrainSender(sim, source, params.start_time).start()
 

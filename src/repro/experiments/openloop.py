@@ -26,8 +26,7 @@ from repro.experiments.base import Experiment, Point
 from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
+    protocol_kwargs,
     run_until,
 )
 from repro.http.openloop.arrivals import parse_arrivals
@@ -41,7 +40,6 @@ from repro.http.openloop.sessions import (
 )
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.factory import default_config
 
 __all__ = [
     "OpenLoopCase",
@@ -165,28 +163,21 @@ def run_openloop_point(
         bandwidth_bps=params.bandwidth_bps,
         delay_s=params.delay_s,
         buffer_pkts=params.buffer_pkts,
-        ecn_threshold_pkts=ecn_threshold_for(
-            params.protocol, params.bandwidth_bps
-        ),
+        ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bandwidth_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=params.min_rto
-    )
-    extras: dict[str, Any] = {}
-    if params.protocol == "trim":
-        extras["capacity_pps"] = packets_per_second(params.bandwidth_bps)
-        extras["base_rtt"] = path_base_rtt(
-            [(params.delay_s, params.bandwidth_bps)] * 2
-        )
     driver = OpenLoopDriver(
         sim,
         star.frontend,
         star.servers,
         params.protocol,
-        config=config,
         idle_timeout_s=params.idle_timeout_s,
         max_reuse=params.max_reuse,
-        **extras,
+        **protocol_kwargs(
+            params.protocol,
+            params.min_rto,
+            params.bandwidth_bps,
+            [(params.delay_s, params.bandwidth_bps)] * 2,
+        ),
     )
     run = driver.play(schedule)
     deadline = schedule.horizon + params.drain
@@ -218,7 +209,6 @@ class OpenLoopExperiment(Experiment):
     id = "openloop"
     title = "Open-loop offered-load sweep over keep-alive pools"
     params_cls = OpenLoopParams
-    accepts_openloop = True
 
     def points(self, params: OpenLoopParams) -> list[Point]:
         if params.replay is not None:

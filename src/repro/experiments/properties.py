@@ -21,16 +21,12 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
-    warm_config,
 )
 from repro.http.apps import LongTrainSender
 from repro.net.packet import MSS_BYTES
 from repro.net.topology import StarTopology, build_star
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import PeriodicSampler, TimeSeries
-from repro.tcp.factory import default_config
 
 __all__ = [
     "PropertiesCase",
@@ -39,6 +35,10 @@ __all__ = [
     "run_properties_case",
     "run_queue_trace",
 ]
+
+
+#: sampling period of the bottleneck queue trace.
+QUEUE_PERIOD = 0.5e-3
 
 
 @dataclass
@@ -52,7 +52,6 @@ class PropertiesParams:
     start_time: float = 0.1
     end_time: float = 0.9
     min_rto: float = 1e-3  # Fig. 9(b)-(d) pin RTO at 1 ms
-    queue_period: float = 0.5e-3
     measure_from: float = 0.2  # steady-state window start
     trace_trains: int = 5  # Fig. 9(a) runs five persistent LPTs
     sweep_counts: Sequence[int] = (2, 4, 6, 8, 10)
@@ -89,21 +88,14 @@ def _build(
         buffer_pkts=params.buffer_pkts,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bandwidth_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=max(params.min_rto, 1e-3)
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.bandwidth_bps),
-        base_rtt=path_base_rtt(
-            [(params.delay_s, params.bandwidth_bps)] * 2
-        ),
+        params.min_rto,
+        params.bandwidth_bps,
+        [(params.delay_s, params.bandwidth_bps)] * 2,
     )
-    sources = connections.connect_many(
-        star.servers, star.frontend, config=warm_config(config)
-    )
+    sources = connections.connect_many(star.servers, star.frontend, warm=True)
     for source in sources:
         LongTrainSender(sim, source, params.start_time).start()
     return sim, star, connections, sources
@@ -115,7 +107,7 @@ def _queue_sampler(
     """Samples the bottleneck's egress backlog (packets)."""
     link = star.bottleneck
     return PeriodicSampler(
-        sim, params.queue_period, lambda: link.backlog_pkts, name=f"qlen:{link.name}"
+        sim, QUEUE_PERIOD, lambda: link.backlog_pkts, name=f"qlen:{link.name}"
     )
 
 

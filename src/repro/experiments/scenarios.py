@@ -1,21 +1,23 @@
 """Shared experiment plumbing.
 
-Every experiment needs the same glue: packets-per-second conversion for
-TCP-TRIM's ``capacity_pps``, an ECN threshold when DCTCP/L2DCT runs, a
-connection factory that passes each protocol what it needs, and a
-timeout tally across all senders.
+What a protocol needs from the scenario it runs in is worked out here
+alone: :class:`ConnectionSet` takes the scenario's ``min_rto``,
+bottleneck rate and path as ``[(delay_s, bandwidth_bps), ...]``, and
+:func:`protocol_kwargs` turns them into the RTO config and, for
+TCP-TRIM, the C and D of Eq. 22.  The ECN marking threshold is switch
+config, so :func:`ecn_threshold_for` is called at the topology builder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from dataclasses import replace
+from typing import Any, Callable, Iterable, Optional
 
 from repro.net.node import Host
 from repro.net.packet import ACK_BYTES, MSS_BYTES
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig, TcpSink, TcpSource
-from repro.tcp.factory import ECN_PROTOCOLS, make_connection
+from repro.tcp.factory import ECN_PROTOCOLS, default_config, make_connection
 
 __all__ = [
     "ConnectionSet",
@@ -23,6 +25,7 @@ __all__ = [
     "ecn_threshold_for",
     "packets_per_second",
     "path_base_rtt",
+    "protocol_kwargs",
     "run_until",
     "warm_config",
 ]
@@ -103,67 +106,80 @@ def ecn_threshold_for(protocol: str, bandwidth_bps: float) -> Optional[int]:
     return None
 
 
-@dataclass
+def protocol_kwargs(
+    protocol: str,
+    min_rto: float,
+    bottleneck_bps: float,
+    path: "list[tuple[float, float]]",
+) -> dict[str, Any]:
+    """What ``protocol`` needs from the scenario it runs in, as keyword
+    arguments of :func:`~repro.tcp.factory.make_connection`.
+
+    Every protocol gets ``config``: its default config with ``min_rto``
+    as both the RTO floor and the initial RTO.  TCP-TRIM also gets the
+    inputs that pin its K statically per Eq. 22, as the paper
+    configures it: C (``capacity_pps``, the bottleneck rate in packets
+    per second) and D (``base_rtt``, the queue-free RTT of ``path``).
+    """
+    kwargs: dict[str, Any] = {
+        "config": default_config(protocol, min_rto=min_rto, initial_rto=min_rto)
+    }
+    if protocol == "trim":
+        kwargs["capacity_pps"] = packets_per_second(bottleneck_bps)
+        kwargs["base_rtt"] = path_base_rtt(path)
+    return kwargs
+
+
 class ConnectionSet:
     """A batch of same-protocol connections in one experiment.
 
-    Tracks sources and sinks, assigns flow ids, passes TCP-TRIM its
-    ``capacity_pps``, and aggregates timeout counts (Table I's metric).
+    Derives every connection's arguments from the scenario with
+    :func:`protocol_kwargs`, assigns flow ids in creation order, tracks
+    sources and sinks, and aggregates timeout counts (Table I's metric).
     """
 
-    sim: Simulator
-    protocol: str
-    config: Optional[TcpConfig] = None
-    capacity_pps: Optional[float] = None
-    #: queue-free RTT of the scenario's paths; with ``capacity_pps`` it
-    #: pins TCP-TRIM's K statically per Eq. 22, as the paper configures.
-    base_rtt: Optional[float] = None
-    sources: list[TcpSource] = field(default_factory=list)
-    sinks: list[TcpSink] = field(default_factory=list)
-    _next_flow_id: int = 0
+    def __init__(
+        self,
+        sim: Simulator,
+        protocol: str,
+        min_rto: float,
+        bottleneck_bps: float,
+        path: "list[tuple[float, float]]",
+    ) -> None:
+        self.sim = sim
+        self.protocol = protocol
+        self._kwargs = protocol_kwargs(protocol, min_rto, bottleneck_bps, path)
+        self._warm_kwargs = {
+            **self._kwargs, "config": warm_config(self._kwargs["config"])
+        }
+        self.sources: list[TcpSource] = []
+        self.sinks: list[TcpSink] = []
 
     def connect(
-        self,
-        src_host: Host,
-        dst_host: Host,
-        *,
-        config: Optional[TcpConfig] = None,
+        self, src_host: Host, dst_host: Host, *, warm: bool = False
     ) -> tuple[TcpSource, TcpSink]:
         """Open a persistent connection from ``src_host`` to ``dst_host``.
 
-        ``config`` overrides the set-wide config for this connection
-        (e.g. a warm-started ssthresh for long-lived background flows).
+        ``warm`` starts it with :data:`WARM_SSTHRESH` (long-lived
+        background flows; see :func:`warm_config`).
         """
-        flow_id = self._next_flow_id
-        self._next_flow_id += 1
-        kwargs = {}
-        if self.protocol == "trim":
-            if self.capacity_pps is not None:
-                kwargs["capacity_pps"] = self.capacity_pps
-            if self.base_rtt is not None:
-                kwargs["base_rtt"] = self.base_rtt
         source, sink = make_connection(
             self.protocol,
             self.sim,
             src_host,
             dst_host,
-            flow_id=flow_id,
-            config=config or self.config,
-            **kwargs,
+            flow_id=len(self.sources),
+            **(self._warm_kwargs if warm else self._kwargs),
         )
         self.sources.append(source)
         self.sinks.append(sink)
         return source, sink
 
     def connect_many(
-        self,
-        src_hosts: Iterable[Host],
-        dst_host: Host,
-        *,
-        config: Optional[TcpConfig] = None,
+        self, src_hosts: Iterable[Host], dst_host: Host, *, warm: bool = False
     ) -> list[TcpSource]:
         """Open one connection per source host, all towards ``dst_host``."""
-        return [self.connect(h, dst_host, config=config)[0] for h in src_hosts]
+        return [self.connect(h, dst_host, warm=warm)[0] for h in src_hosts]
 
     @property
     def total_timeouts(self) -> int:

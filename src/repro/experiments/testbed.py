@@ -23,10 +23,7 @@ from repro.experiments.registry import register
 from repro.experiments.scenarios import (
     ConnectionSet,
     ecn_threshold_for,
-    packets_per_second,
-    path_base_rtt,
     run_until,
-    warm_config,
 )
 from repro.http.apps import LongTrainSender, ScheduledResponder
 from repro.http.workload import generate_onoff_schedule
@@ -34,7 +31,6 @@ from repro.metrics.stats import act, completion_times, percentile
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import seeded_rng
-from repro.tcp.factory import default_config
 
 __all__ = [
     "ArctCase",
@@ -51,6 +47,19 @@ __all__ = [
 # Fig. 13(a): ARCT versus mean response size
 # ----------------------------------------------------------------------
 
+#: response sizes vary ±10% around the mean, per the paper.
+SIZE_JITTER = 0.1
+#: long-lived background flows sharing the bottleneck with the responder.
+N_BACKGROUND = 2
+#: OFF gap between consecutive responses.  Must exceed the loaded RTT
+#: (tens of ms behind a full 100 Mbps drop-tail queue) so each response
+#: is a fresh packet train that inherits the window of the previous one
+#: — the testbed's request/response think-time.
+RESPONSE_GAP = 50e-3
+#: simulated seconds allowed per response before a case gives up.
+DEADLINE_PER_RESPONSE = 2.0
+
+
 @dataclass
 class ArctParams:
     """Fig. 13(a) parameters."""
@@ -60,21 +69,13 @@ class ArctParams:
         32_768, 65_536, 131_072, 262_144, 524_288, 1_048_576
     )
     n_responses: int = 100
-    size_jitter: float = 0.1  # ±10% around the mean, per the paper
-    n_background: int = 2
     bandwidth_bps: float = 100e6
     #: one-way host-to-switch latency.  Desktop NICs + kernel stacks at
     #: 100 Mbps sit near half a millisecond, far above fabric latency;
     #: this sets the D of Eq. 22 (and hence TRIM's headroom K − D).
     delay_s: float = 500e-6
     buffer_pkts: int = 100
-    #: OFF gap between consecutive responses.  Must exceed the loaded
-    #: RTT (tens of ms behind a full 100 Mbps drop-tail queue) so each
-    #: response is a fresh packet train that inherits the window of the
-    #: previous one — the testbed's request/response think-time.
-    response_gap: float = 50e-3
     min_rto: float = 0.2
-    deadline_per_response: float = 2.0
     seed: int = 1
 
     @classmethod
@@ -102,28 +103,23 @@ def _run_arct_case(params: ArctParams, mean_size: int) -> ArctCase:
     rng = seeded_rng(params.seed, mean_size)
     star = build_star(
         sim,
-        params.n_background + 1,
+        N_BACKGROUND + 1,
         bandwidth_bps=params.bandwidth_bps,
         delay_s=params.delay_s,
         buffer_pkts=params.buffer_pkts,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bandwidth_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=params.min_rto
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.bandwidth_bps),
-        base_rtt=path_base_rtt(
-            [(params.delay_s, params.bandwidth_bps)] * 2
-        ),
+        params.min_rto,
+        params.bandwidth_bps,
+        [(params.delay_s, params.bandwidth_bps)] * 2,
     )
-    background_hosts = star.servers[: params.n_background]
-    responder_host = star.servers[params.n_background]
+    background_hosts = star.servers[:N_BACKGROUND]
+    responder_host = star.servers[N_BACKGROUND]
     for host in background_hosts:
-        src, _sink = connections.connect(host, star.frontend, config=warm_config(config))
+        src, _sink = connections.connect(host, star.frontend, warm=True)
         LongTrainSender(sim, src, 0.0).start()
     responder_src, _sink = connections.connect(responder_host, star.frontend)
 
@@ -131,21 +127,20 @@ def _run_arct_case(params: ArctParams, mean_size: int) -> ArctCase:
     # completion, modelling the testbed's sequential request/response
     # loop over one persistent connection.
     messages = []
-    jitter = params.size_jitter
 
     def send_next() -> None:
         if len(messages) >= params.n_responses:
             return
-        size = int(mean_size * rng.uniform(1.0 - jitter, 1.0 + jitter))
+        size = int(mean_size * rng.uniform(1.0 - SIZE_JITTER, 1.0 + SIZE_JITTER))
         messages.append(
             responder_src.send_bytes(
                 max(1, size),
-                on_complete=lambda _m: sim.schedule(params.response_gap, send_next),
+                on_complete=lambda _m: sim.schedule(RESPONSE_GAP, send_next),
             )
         )
 
     sim.schedule_at(0.05, send_next)
-    deadline = 0.05 + params.deadline_per_response * params.n_responses
+    deadline = 0.05 + DEADLINE_PER_RESPONSE * params.n_responses
     run_until(
         sim,
         lambda: len(messages) >= params.n_responses
@@ -169,6 +164,12 @@ def _run_arct_case(params: ArctParams, mean_size: int) -> ArctCase:
 # Fig. 13(b)–(e): the web-service scenario
 # ----------------------------------------------------------------------
 
+#: the 64–256 KB band of Fig. 13(b)–(d)'s scatter plots.
+SCATTER_BAND_BYTES = (65_536, 262_144)
+#: the paper's 25 ms line.
+TAIL_THRESHOLD = 25e-3
+
+
 @dataclass
 class WebServiceParams:
     """Fig. 13(b)–(e) parameters."""
@@ -181,8 +182,6 @@ class WebServiceParams:
     buffer_pkts: int = 100
     start_time: float = 0.05
     min_rto: float = 0.2
-    scatter_band_bytes: tuple[int, int] = (65_536, 262_144)
-    tail_threshold: float = 25e-3  # the paper's 25 ms line
     deadline: float = 30.0
     seed: int = 1
 
@@ -220,17 +219,12 @@ def run_web_service(params: WebServiceParams) -> WebServiceResult:
         buffer_pkts=params.buffer_pkts,
         ecn_threshold_pkts=ecn_threshold_for(params.protocol, params.bandwidth_bps),
     )
-    config = default_config(
-        params.protocol, min_rto=params.min_rto, initial_rto=params.min_rto
-    )
     connections = ConnectionSet(
         sim,
         params.protocol,
-        config=config,
-        capacity_pps=packets_per_second(params.bandwidth_bps),
-        base_rtt=path_base_rtt(
-            [(params.delay_s, params.bandwidth_bps)] * 2
-        ),
+        params.min_rto,
+        params.bandwidth_bps,
+        [(params.delay_s, params.bandwidth_bps)] * 2,
     )
     responders = []
     sizes_by_responder: list[list[int]] = []
@@ -261,7 +255,7 @@ def run_web_service(params: WebServiceParams) -> WebServiceResult:
 
     all_times: list[float] = []
     band_times: list[float] = []
-    lo, hi = params.scatter_band_bytes
+    lo, hi = SCATTER_BAND_BYTES
     for responder, sizes in zip(responders, sizes_by_responder):
         for message, size in zip(responder.messages, sizes):
             if message.finish_time is None:
@@ -272,9 +266,9 @@ def run_web_service(params: WebServiceParams) -> WebServiceResult:
                 band_times.append(ct)
     if not all_times:
         raise RuntimeError("no responses completed; raise the deadline")
-    under = sum(1 for t in all_times if t < params.tail_threshold) / len(all_times)
+    under = sum(1 for t in all_times if t < TAIL_THRESHOLD) / len(all_times)
     band_under = (
-        sum(1 for t in band_times if t < params.tail_threshold) / len(band_times)
+        sum(1 for t in band_times if t < TAIL_THRESHOLD) / len(band_times)
         if band_times
         else 1.0
     )

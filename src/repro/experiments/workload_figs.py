@@ -111,7 +111,6 @@ class WorkloadExperiment(Experiment):
     aliases = ("fig2",)
     title = "Fig. 1/2 workload characterization"
     params_cls = WorkloadParams
-    uses_protocols = False
 
     def points(self, params: WorkloadParams) -> list[Point]:
         return [Point("workload")]

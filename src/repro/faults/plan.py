@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "BackgroundSurge",
@@ -75,7 +75,7 @@ class LossBurst(FaultEvent):
         super().validate()
         if not 0.0 < self.rate <= 1.0:
             raise ValueError("LossBurst: rate must be in (0, 1]")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("LossBurst: duration must be positive")
 
 
@@ -93,7 +93,7 @@ class Corrupt(FaultEvent):
         super().validate()
         if not 0.0 < self.rate <= 1.0:
             raise ValueError("Corrupt: rate must be in (0, 1]")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("Corrupt: duration must be positive")
 
 
@@ -109,9 +109,9 @@ class DelayJitter(FaultEvent):
 
     def validate(self) -> None:
         super().validate()
-        if self.mean_s <= 0:
+        if not self.mean_s > 0:
             raise ValueError("DelayJitter: mean_s must be positive")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("DelayJitter: duration must be positive")
 
 
@@ -143,7 +143,7 @@ class BackgroundSurge(FaultEvent):
         super().validate()
         if self.flows < 1:
             raise ValueError("BackgroundSurge: flows must be >= 1")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("BackgroundSurge: duration must be positive")
 
 
@@ -158,6 +158,60 @@ EVENT_KINDS: dict[str, type[FaultEvent]] = {
     "background_surge": BackgroundSurge,
 }
 _KIND_BY_TYPE = {cls: kind for kind, cls in EVENT_KINDS.items()}
+
+
+def _parse_event(index: int, record: Any) -> FaultEvent:
+    """One JSON event record, type-checked field by field."""
+    if not isinstance(record, dict) or "kind" not in record:
+        raise ValueError(f"fault event {index} needs a 'kind': {record!r}")
+    kind = record["kind"]
+    event_cls = EVENT_KINDS.get(kind) if isinstance(kind, str) else None
+    if event_cls is None:
+        known = ", ".join(sorted(EVENT_KINDS))
+        raise ValueError(
+            f"fault event {index}: unknown fault kind {kind!r}; known: {known}"
+        )
+    where = f"fault event {index} ({kind})"
+    types = {f.name: f.type for f in dataclasses.fields(event_cls)}
+    unknown = set(record) - set(types) - {"kind"}
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown field(s) {sorted(unknown)}; accepts {sorted(types)}"
+        )
+    if "time" not in record:
+        raise ValueError(f"{where}: 'time' is required")
+    kwargs = {
+        name: _field_value(where, name, types[name], value)
+        for name, value in record.items()
+        if name != "kind"
+    }
+    event = event_cls(**kwargs)
+    try:
+        event.validate()
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return event
+
+
+def _field_value(where: str, name: str, type_name: Any, value: Any) -> Any:
+    """``value`` as the field's type (``float``, ``int`` or ``str``)."""
+    if type_name == "str":
+        if isinstance(value, str):
+            return value
+        raise ValueError(f"{where}: {name!r} is not a string: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: {name!r} is not a number: {value!r}")
+    if type_name == "int":
+        if isinstance(value, int):
+            return value
+        raise ValueError(f"{where}: {name!r} is not an integer: {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: {name!r} is not finite: {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -248,33 +302,23 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        document = json.loads(text)
-        raw_events: Sequence[Any]
+        """Parse the JSON form.  Anything malformed raises a ValueError;
+        one about an event names its index, its kind and the field."""
+        try:
+            document = json.loads(text)
+        except RecursionError:  # deep nesting
+            raise ValueError("fault plan JSON nests too deeply") from None
         if isinstance(document, dict):
-            raw_events = document.get("events", ())
+            raw_events = document.get("events", [])
+            if not isinstance(raw_events, list):
+                raise ValueError(
+                    f"fault plan 'events' must be a list, not {raw_events!r}"
+                )
         elif isinstance(document, list):  # a bare event list is accepted
             raw_events = document
         else:
             raise ValueError("fault plan JSON must be an object or a list")
-        events = []
-        for record in raw_events:
-            if not isinstance(record, dict) or "kind" not in record:
-                raise ValueError(f"fault event needs a 'kind': {record!r}")
-            kind = record["kind"]
-            event_cls = EVENT_KINDS.get(kind)
-            if event_cls is None:
-                known = ", ".join(sorted(EVENT_KINDS))
-                raise ValueError(f"unknown fault kind {kind!r}; known: {known}")
-            field_names = {f.name for f in dataclasses.fields(event_cls)}
-            kwargs = {k: v for k, v in record.items() if k != "kind"}
-            unknown = set(kwargs) - field_names
-            if unknown:
-                raise ValueError(
-                    f"{kind}: unknown field(s) {sorted(unknown)}; "
-                    f"accepts {sorted(field_names)}"
-                )
-            events.append(event_cls(**kwargs))
-        return cls(tuple(events))
+        return cls(tuple(_parse_event(i, r) for i, r in enumerate(raw_events)))
 
     @classmethod
     def load(cls, path: "str | Path") -> "FaultPlan":

@@ -27,6 +27,16 @@ class TestArgumentParsing:
         help_text = "".join(capsys.readouterr().out.split())
         assert "{" + ",".join([*sorted(expected), "all"]) + "}" in help_text
 
+    def test_capability_flags_follow_the_params_fields(self):
+        # fig1 also serves fig2: both are workload characterizations.
+        flags = {
+            name: (exp.uses_protocols, exp.accepts_fault_plan, exp.accepts_openloop)
+            for name, exp in ((n, registry.get(n)) for n in registry.canonical_ids())
+        }
+        assert {n for n, f in flags.items() if not f[0]} == {"ablations", "fig1"}
+        assert {n for n, f in flags.items() if f[1]} == {"faults"}
+        assert {n for n, f in flags.items() if f[2]} == {"openloop"}
+
     def test_resume_requires_checkpointing(self):
         with pytest.raises(SystemExit):
             cli.main(["faults", "--resume", "--no-checkpoint"])
@@ -195,8 +205,6 @@ class TestDispatchCli:
         dispatch_toys = cls._toys(monkeypatch)
 
         class _CliPoison(dispatch_toys.PoisonExperiment):
-            uses_protocols = False
-
             def make_params(self, preset="quick", protocol=None, **overrides):
                 return dispatch_toys.ToyParams(**toy_params)
 
@@ -208,8 +216,6 @@ class TestDispatchCli:
         dispatch_toys = self._toys(monkeypatch)
 
         class _CliEcho(dispatch_toys.EchoExperiment):
-            uses_protocols = False
-
             def make_params(self, preset="quick", protocol=None, **overrides):
                 return dispatch_toys.ToyParams(n_points=4)
 

@@ -19,7 +19,12 @@ from repro.experiments.large_scale import LargeScaleParams
 from repro.experiments.motivation import MotivationParams
 from repro.experiments.multihop import MultiHopParams
 from repro.experiments.properties import PropertiesParams
-from repro.experiments.testbed import ArctParams, WebServiceParams
+from repro.experiments.testbed import (
+    SIZE_JITTER,
+    TAIL_THRESHOLD,
+    ArctParams,
+    WebServiceParams,
+)
 
 ALL_PARAMS = (
     ArctParams,
@@ -100,11 +105,11 @@ class TestSpecificDefaults:
         p = ArctParams()
         assert p.n_responses == 100
         assert p.bandwidth_bps == 100e6
-        assert p.size_jitter == 0.1
+        assert SIZE_JITTER == 0.1
         w = WebServiceParams()
         assert w.n_servers == 4
         assert w.n_responses_per_server == 1000
-        assert w.tail_threshold == 25e-3
+        assert TAIL_THRESHOLD == 25e-3
 
 
 class TestMakeParams:

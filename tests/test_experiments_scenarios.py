@@ -10,6 +10,7 @@ from repro.experiments.scenarios import (
     ecn_threshold_for,
     packets_per_second,
     path_base_rtt,
+    protocol_kwargs,
     run_until,
     warm_config,
 )
@@ -63,6 +64,25 @@ class TestWarmConfig:
         assert base.initial_ssthresh != WARM_SSTHRESH  # original untouched
 
 
+PATH = [(50e-6, 1e9)] * 2
+
+
+class TestProtocolKwargs:
+    def test_rto_config_from_min_rto(self):
+        kwargs = protocol_kwargs("reno", 0.2, 1e9, PATH)
+        assert set(kwargs) == {"config"}
+        assert kwargs["config"].min_rto == 0.2
+        assert kwargs["config"].initial_rto == 0.2
+
+    def test_protocol_defaults_survive(self):
+        assert protocol_kwargs("dctcp", 0.01, 1e9, PATH)["config"].ecn_capable
+
+    def test_trim_gets_eq22_inputs_from_the_path(self):
+        kwargs = protocol_kwargs("trim", 0.01, 500e6, PATH)
+        assert kwargs["capacity_pps"] == packets_per_second(500e6)
+        assert kwargs["base_rtt"] == path_base_rtt(PATH)
+
+
 class TestConnectionSet:
     def _star(self):
         sim = Simulator()
@@ -71,35 +91,33 @@ class TestConnectionSet:
 
     def test_flow_ids_unique(self):
         sim, star = self._star()
-        conns = ConnectionSet(sim, "reno")
+        conns = ConnectionSet(sim, "reno", 0.2, 1e9, PATH)
         conns.connect_many(star.servers, star.frontend)
         ids = [s.flow_id for s in conns.sources]
-        assert len(set(ids)) == 3
+        assert ids == [0, 1, 2]
 
     def test_trim_gets_capacity_and_base_rtt(self):
         sim, star = self._star()
-        conns = ConnectionSet(
-            sim, "trim", capacity_pps=85616.0, base_rtt=2e-4
-        )
+        conns = ConnectionSet(sim, "trim", 0.01, 1e9, PATH)
         source, _sink = conns.connect(star.servers[0], star.frontend)
         assert isinstance(source, TrimSource)
-        assert source.capacity_pps == 85616.0
-        assert source.base_rtt == 2e-4
+        assert source.capacity_pps == packets_per_second(1e9)
+        assert source.base_rtt == path_base_rtt(PATH)
         assert source.k is not None
 
     def test_per_connection_config_override(self):
+        # the one per-connection override: warm-starting a long-lived flow
         sim, star = self._star()
-        base = TcpConfig(min_rto=0.2)
-        conns = ConnectionSet(sim, "reno", config=base)
-        special = TcpConfig(min_rto=0.01)
-        source, _ = conns.connect(star.servers[0], star.frontend, config=special)
-        other, _ = conns.connect(star.servers[1], star.frontend)
-        assert source.config.min_rto == 0.01
-        assert other.config.min_rto == 0.2
+        conns = ConnectionSet(sim, "reno", 0.2, 1e9, PATH)
+        warm, _ = conns.connect(star.servers[0], star.frontend, warm=True)
+        cold, _ = conns.connect(star.servers[1], star.frontend)
+        assert warm.config.initial_ssthresh == WARM_SSTHRESH
+        assert cold.config.initial_ssthresh != WARM_SSTHRESH
+        assert warm.config.min_rto == cold.config.min_rto == 0.2
 
     def test_timeout_aggregation(self):
         sim, star = self._star()
-        conns = ConnectionSet(sim, "reno")
+        conns = ConnectionSet(sim, "reno", 0.2, 1e9, PATH)
         conns.connect_many(star.servers, star.frontend)
         conns.sources[0].stats.timeouts = 2
         conns.sources[2].stats.timeouts = 1

@@ -268,23 +268,24 @@ class TestSim015ExperimentConformance:
 
     def test_flags_positional_flow_id_to_sink_and_connect(self):
         # Python enforces what this rule once counted: flow_id= and
-        # config= are keyword-only at every connection factory.
+        # config= are keyword-only at every connection factory, and so
+        # is ConnectionSet's warm=.
         from repro.experiments.scenarios import ConnectionSet
         from repro.net.topology import build_star
         from repro.sim.kernel import Simulator
-        from repro.tcp.base import TcpConfig, TcpSink
+        from repro.tcp.base import TcpSink
         from repro.tcp.factory import create_source, make_connection
 
         sim = Simulator()
         star = build_star(sim, 2)
         server, frontend = star.servers[0], star.frontend
-        connections = ConnectionSet(sim, "reno")
+        connections = ConnectionSet(sim, "reno", 0.2, 1e9, [(50e-6, 1e9)] * 2)
         calls = [
             lambda: TcpSink(sim, frontend, 7),
             lambda: create_source("reno", sim, server, frontend.node_id, 7),
             lambda: make_connection("reno", sim, server, frontend, 7),
-            lambda: connections.connect(server, frontend, TcpConfig()),
-            lambda: connections.connect_many(star.servers, frontend, TcpConfig()),
+            lambda: connections.connect(server, frontend, True),
+            lambda: connections.connect_many(star.servers, frontend, True),
         ]
         for call in calls:
             with pytest.raises(TypeError):
@@ -295,7 +296,7 @@ class TestSim015ExperimentConformance:
         from repro.experiments.scenarios import ConnectionSet
         from repro.net.topology import Network
         from repro.sim.kernel import Simulator
-        from repro.tcp.base import TcpConfig, TcpSink
+        from repro.tcp.base import TcpSink
 
         sim = Simulator()
         net = Network(sim)
@@ -304,8 +305,8 @@ class TestSim015ExperimentConformance:
         net.connect(a, b, 1e9, 50e-6, 100)
         sink = TcpSink(sim, b, flow_id=7)
         assert sink.flow_id == 7
-        connections = ConnectionSet(sim, "reno")
-        source, _ = connections.connect(a, b, config=TcpConfig())
+        connections = ConnectionSet(sim, "reno", 0.2, 1e9, [(50e-6, 1e9)] * 2)
+        source, _ = connections.connect(a, b, warm=True)
         assert connections.sources == [source]
         src = (
             "from repro.tcp.base import TcpSink\n"

@@ -74,19 +74,20 @@ class TestPacing:
             MotivationParams,
             run_motivation,
         )
-        import repro.experiments.motivation as motivation_mod
+        import repro.experiments.scenarios as scenarios_mod
 
-        original = motivation_mod.default_config
+        original = scenarios_mod.default_config
 
         def paced_config(protocol, **overrides):
             overrides.setdefault("pacing", True)
             return original(protocol, **overrides)
 
-        motivation_mod.default_config = paced_config
+        # ConnectionSet derives every experiment's config here
+        scenarios_mod.default_config = paced_config
         try:
             paced = run_motivation(MotivationParams.quick("reno"))
         finally:
-            motivation_mod.default_config = original
+            scenarios_mod.default_config = original
         trim = run_motivation(MotivationParams.quick("trim"))
 
         # Pacing spreads the burst within an RTT but sends the same
