@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import (
         InvariantMonitor,
         InvariantViolation,
-        Kernel,
         RandomStreams,
         Simulator,
         derive_seed,
@@ -90,7 +89,6 @@ _LAZY = {
     "SweepRunner": "repro.runner",
     "InvariantMonitor": "repro.sim",
     "InvariantViolation": "repro.sim",
-    "Kernel": "repro.sim",
     "RandomStreams": "repro.sim",
     "Simulator": "repro.sim",
     "derive_seed": "repro.sim",
@@ -152,7 +150,6 @@ __all__ = [
     "FaultPlan",
     "InvariantMonitor",
     "InvariantViolation",
-    "Kernel",
     "Message",
     "Network",
     "PROTOCOLS",

@@ -388,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.hosts is not None:
             try:
                 hosts = parse_hosts(args.hosts)
-            except (OSError, ValueError, KeyError) as exc:
+            except ValueError as exc:
                 parser.error(f"--hosts {args.hosts}: {exc}")
         # Quarantined points land next to the journal (or the cwd when
         # checkpointing is off) so a failed sweep's evidence survives it.

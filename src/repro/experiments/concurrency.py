@@ -89,8 +89,7 @@ def run_concurrency(
         sim,
         params.protocol,
         params.min_rto,
-        params.bandwidth_bps,
-        [(params.delay_s, params.bandwidth_bps)] * 2,
+        star.network.path(star.servers[0], star.frontend),
     )
     lpt_hosts = star.servers[: params.n_lpts]
     spt_hosts = star.servers[params.n_lpts :]

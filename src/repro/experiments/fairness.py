@@ -101,8 +101,7 @@ def run_fairness(params: FairnessParams) -> FairnessResult:
         sim,
         params.protocol,
         params.min_rto,
-        params.bottleneck_bps,
-        [(params.delay_s, params.server_bps), (params.delay_s, params.bottleneck_bps)],
+        star.network.path(star.servers[0], star.frontend),
     )
     sources = connections.connect_many(star.servers, star.frontend, warm=True)
     # Per-connection goodput in bits/s, from deltas of each sink's

@@ -102,8 +102,7 @@ def run_fattree(params: FatTreeParams) -> FatTreeResult:
         sim,
         params.protocol,
         params.min_rto,
-        params.bandwidth_bps,
-        [(params.delay_s, params.bandwidth_bps)] * 6,  # inter-pod path
+        topo.network.path(topo.hosts[0], topo.hosts[-1]),  # inter-pod
     )
     gaps = gap_sampler()
     n_hosts = len(topo.hosts)

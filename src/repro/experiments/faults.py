@@ -163,8 +163,7 @@ def run_faults_case(params: FaultsParams, intensity: float, seed: int) -> Faults
         sim,
         params.protocol,
         params.min_rto,
-        params.bandwidth_bps,
-        [(params.delay_s, params.bandwidth_bps)] * 2,
+        star.network.path(star.servers[0], star.frontend),
     )
     foreground = connections.connect_many(
         star.servers[: params.senders], star.frontend, warm=True

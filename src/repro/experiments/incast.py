@@ -86,8 +86,7 @@ def run_incast(params: IncastParams, n_senders: int) -> IncastCase:
         sim,
         params.protocol,
         params.min_rto,
-        params.bandwidth_bps,
-        [(params.delay_s, params.bandwidth_bps)] * 2,
+        star.network.path(star.servers[0], star.frontend),
     )
     sources = connections.connect_many(star.servers, star.frontend)
     messages: list[Message] = []

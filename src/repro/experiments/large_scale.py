@@ -113,12 +113,7 @@ def run_large_scale(
         sim,
         params.protocol,
         params.min_rto,
-        params.edge_bps,
-        [
-            (params.edge_delay_s, params.edge_bps),
-            (params.edge_delay_s, params.edge_bps),
-            (params.frontend_delay_s, params.frontend_bps),
-        ],
+        topo.network.path(topo.servers[0], topo.frontend),
     )
     sizes = pt_size_sampler()
     spt_messages = []

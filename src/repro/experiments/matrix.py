@@ -72,9 +72,6 @@ class MatrixParams:
     """One protocol's trip through the scenario grid."""
 
     protocol: str = "trim"
-    #: coexistence partner; "" = auto (TRIM, or Reno when the protocol
-    #: under test *is* TRIM — the grid is always a head-to-head).
-    baseline: str = ""
     scenarios: Sequence[str] = SCENARIOS
     #: switch egress buffers in packets: shallow vs. deep cells.
     buffers: Sequence[int] = (8, 64)
@@ -104,9 +101,8 @@ class MatrixParams:
         return cls(protocol=protocol, **defaults)
 
     def partner(self) -> str:
-        """The coexistence partner protocol for this grid."""
-        if self.baseline:
-            return self.baseline
+        """The coexistence partner protocol for this grid: TRIM, or Reno
+        when the protocol under test *is* TRIM (always a head-to-head)."""
         return "reno" if self.protocol == "trim" else "trim"
 
 
@@ -183,10 +179,7 @@ def _connect(
     """One connection per server towards the front-end, with explicit
     flow ids so mixed-protocol cells never collide on the demux key."""
     kwargs = protocol_kwargs(
-        protocol,
-        params.min_rto,
-        params.bandwidth_bps,
-        [(params.delay_s, params.bandwidth_bps)] * 2,
+        protocol, params.min_rto, star.network.path(star.servers[0], star.frontend)
     )
     return [
         make_connection(
@@ -422,13 +415,6 @@ class MatrixExperiment(Experiment):
             point.kwargs["qdisc"],
             seed,
         )
-
-    def reduce(
-        self, params: Any, points: Sequence[Point], results: Sequence[Any]
-    ) -> Any:
-        """Cases in grid order; failed cells are dropped (each case
-        carries its own scenario/buffer/qdisc coordinates)."""
-        return [r for r in results if r is not None]
 
     def report(self, params: Any, payload: Any) -> None:
         partner = params.partner()

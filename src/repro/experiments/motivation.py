@@ -115,8 +115,7 @@ def run_motivation(params: MotivationParams) -> MotivationResult:
         sim,
         params.protocol,
         params.min_rto,
-        params.bandwidth_bps,
-        [(params.delay_s, params.bandwidth_bps)] * 2,
+        star.network.path(star.servers[0], star.frontend),
     )
     sources = connections.connect_many(star.servers, star.frontend)
 

@@ -94,12 +94,7 @@ def run_multihop(params: MultiHopParams) -> MultiHopResult:
         sim,
         params.protocol,
         params.min_rto,
-        params.host_bps,
-        [
-            (params.host_delay_s, params.host_bps),
-            (params.trunk_delay_s, params.trunk_bps),
-            (params.trunk_delay_s, params.trunk_bps),
-        ],
+        topo.network.path(topo.group_a[0], topo.frontend),
     )
     connections.connect_many(topo.group_a + topo.group_b, topo.frontend, warm=True)
     for sender, receiver in zip(topo.group_c, topo.group_d):

@@ -175,8 +175,7 @@ def run_openloop_point(
         **protocol_kwargs(
             params.protocol,
             params.min_rto,
-            params.bandwidth_bps,
-            [(params.delay_s, params.bandwidth_bps)] * 2,
+            star.network.path(star.servers[0], star.frontend),
         ),
     )
     run = driver.play(schedule)

@@ -92,8 +92,7 @@ def _build(
         sim,
         params.protocol,
         params.min_rto,
-        params.bandwidth_bps,
-        [(params.delay_s, params.bandwidth_bps)] * 2,
+        star.network.path(star.servers[0], star.frontend),
     )
     sources = connections.connect_many(star.servers, star.frontend, warm=True)
     for source in sources:

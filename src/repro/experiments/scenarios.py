@@ -1,18 +1,20 @@
 """Shared experiment plumbing.
 
 What a protocol needs from the scenario it runs in is worked out here
-alone: :class:`ConnectionSet` takes the scenario's ``min_rto``,
-bottleneck rate and path as ``[(delay_s, bandwidth_bps), ...]``, and
-:func:`protocol_kwargs` turns them into the RTO config and, for
-TCP-TRIM, the C and D of Eq. 22.  The ECN marking threshold is switch
-config, so :func:`ecn_threshold_for` is called at the topology builder.
+alone: :class:`ConnectionSet` takes the scenario's ``min_rto`` and the
+route of the flows it measures (``Network.path(src, dst)``, a list of
+links), and :func:`protocol_kwargs` turns them into the RTO config and,
+for TCP-TRIM, the C and D of Eq. 22: C from the slowest hop, D from
+every hop in route order.  The ECN marking threshold is switch config,
+so :func:`ecn_threshold_for` is called at the topology builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
+from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import ACK_BYTES, MSS_BYTES
 from repro.sim.kernel import Simulator
@@ -107,10 +109,7 @@ def ecn_threshold_for(protocol: str, bandwidth_bps: float) -> Optional[int]:
 
 
 def protocol_kwargs(
-    protocol: str,
-    min_rto: float,
-    bottleneck_bps: float,
-    path: "list[tuple[float, float]]",
+    protocol: str, min_rto: float, path: Sequence[Link]
 ) -> dict[str, Any]:
     """What ``protocol`` needs from the scenario it runs in, as keyword
     arguments of :func:`~repro.tcp.factory.make_connection`.
@@ -118,15 +117,17 @@ def protocol_kwargs(
     Every protocol gets ``config``: its default config with ``min_rto``
     as both the RTO floor and the initial RTO.  TCP-TRIM also gets the
     inputs that pin its K statically per Eq. 22, as the paper
-    configures it: C (``capacity_pps``, the bottleneck rate in packets
-    per second) and D (``base_rtt``, the queue-free RTT of ``path``).
+    configures it: C (``capacity_pps``, the rate of the slowest link on
+    ``path`` in packets per second) and D (``base_rtt``, the queue-free
+    RTT over every link of ``path``).
     """
     kwargs: dict[str, Any] = {
         "config": default_config(protocol, min_rto=min_rto, initial_rto=min_rto)
     }
     if protocol == "trim":
-        kwargs["capacity_pps"] = packets_per_second(bottleneck_bps)
-        kwargs["base_rtt"] = path_base_rtt(path)
+        hops = [(link.delay_s, link.bandwidth_bps) for link in path]
+        kwargs["base_rtt"] = path_base_rtt(hops)
+        kwargs["capacity_pps"] = packets_per_second(min(b for _, b in hops))
     return kwargs
 
 
@@ -143,12 +144,11 @@ class ConnectionSet:
         sim: Simulator,
         protocol: str,
         min_rto: float,
-        bottleneck_bps: float,
-        path: "list[tuple[float, float]]",
+        path: Sequence[Link],
     ) -> None:
         self.sim = sim
         self.protocol = protocol
-        self._kwargs = protocol_kwargs(protocol, min_rto, bottleneck_bps, path)
+        self._kwargs = protocol_kwargs(protocol, min_rto, path)
         self._warm_kwargs = {
             **self._kwargs, "config": warm_config(self._kwargs["config"])
         }

@@ -113,8 +113,7 @@ def _run_arct_case(params: ArctParams, mean_size: int) -> ArctCase:
         sim,
         params.protocol,
         params.min_rto,
-        params.bandwidth_bps,
-        [(params.delay_s, params.bandwidth_bps)] * 2,
+        star.network.path(star.servers[0], star.frontend),
     )
     background_hosts = star.servers[:N_BACKGROUND]
     responder_host = star.servers[N_BACKGROUND]
@@ -223,8 +222,7 @@ def run_web_service(params: WebServiceParams) -> WebServiceResult:
         sim,
         params.protocol,
         params.min_rto,
-        params.bandwidth_bps,
-        [(params.delay_s, params.bandwidth_bps)] * 2,
+        star.network.path(star.servers[0], star.frontend),
     )
     responders = []
     sizes_by_responder: list[list[int]] = []

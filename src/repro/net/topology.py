@@ -118,6 +118,28 @@ class Network:
             raise KeyError(f"no link {a.name} -> {b.name}")
         return link
 
+    def path(self, src: Node, dst: Node) -> list[Link]:
+        """The forward route from ``src`` to ``dst``, one link per hop.
+
+        Walks the switches' ``routes`` (call after :meth:`finalize_routes`);
+        an ECMP switch contributes its first next hop, which is exact for
+        every builder here because they give equal-cost hops the same
+        rate and delay.
+        """
+        links: list[Link] = []
+        node = src
+        while node is not dst:
+            if isinstance(node, Switch):
+                hops = node.routes.get(dst.node_id, ())
+            else:  # a host sends on its NIC but never forwards
+                hops = tuple(node.egress) if node is src else ()
+            if not hops:
+                raise KeyError(f"no route {src.name} -> {dst.name}")
+            link = node.egress[hops[0]]
+            links.append(link)
+            node = link.dst_node
+        return links
+
     def total_dropped(self) -> int:
         """Sum of packets dropped at every queue in the network."""
         return sum(link.queue.stats.dropped for link in self.links)

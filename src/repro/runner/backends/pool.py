@@ -39,8 +39,7 @@ class ProcessPoolBackend(SweepBackend):
 
     name = "process"
 
-    def __init__(self, mp_context: Any = None) -> None:
-        self._mp_context = mp_context
+    def __init__(self) -> None:
         self._pool: Optional[concurrent.futures.Executor] = None
 
     def open(self, max_workers: int) -> None:
@@ -48,9 +47,7 @@ class ProcessPoolBackend(SweepBackend):
             self._pool = self._make_pool(max_workers)
 
     def _make_pool(self, max_workers: int) -> concurrent.futures.Executor:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=self._mp_context
-        )
+        return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
     def submit(self, spec: PointSpec) -> "concurrent.futures.Future[Any]":
         if self._pool is None:

@@ -84,10 +84,6 @@ class HostSpec:
         }
         return [part.format(**mapping) for part in self.spawn]
 
-    def worker_names(self) -> list[str]:
-        """The fleet roster contribution of this host."""
-        return [f"{self.name}{i}" for i in range(self.workers)]
-
 
 def default_hosts(jobs: int) -> list[HostSpec]:
     """The single-machine fleet: ``jobs`` local workers."""
@@ -119,34 +115,43 @@ def parse_hosts(spec: str) -> list[HostSpec]:
         raise ValueError(f"--hosts {spec!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"--hosts {spec!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"--hosts {spec!r}: JSON nests too deeply") from None
     if not isinstance(doc, list) or not doc:
         raise ValueError(f"--hosts {spec!r}: expected a non-empty JSON array")
     hosts: list[HostSpec] = []
-    seen: set[str] = set()
-    for entry in doc:
-        if not isinstance(entry, dict):
-            raise ValueError(f"--hosts {spec!r}: entries must be objects")
-        unknown = set(entry) - {"name", "workers", "spawn"}
-        if unknown:
-            raise ValueError(
-                f"--hosts {spec!r}: unknown key(s) {sorted(unknown)}"
-            )
+    for index, entry in enumerate(doc):
         try:
-            name = str(entry["name"])
-            workers = int(entry.get("workers", 1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"--hosts {spec!r}: {exc}") from exc
-        if name in seen:
-            raise ValueError(f"--hosts {spec!r}: duplicate host {name!r}")
-        seen.add(name)
-        spawn = entry.get("spawn", DEFAULT_SPAWN)
-        if not (
-            isinstance(spawn, (list, tuple))
-            and all(isinstance(part, str) for part in spawn)
-        ):
-            raise ValueError(
-                f"--hosts {spec!r}: host {name!r} spawn must be a list "
-                "of strings"
-            )
-        hosts.append(HostSpec(name, workers, tuple(spawn)))
+            host = _host_entry(entry)
+            if host.name in (h.name for h in hosts):
+                raise ValueError(f"duplicate host 'name' {host.name!r}")
+        except ValueError as exc:
+            raise ValueError(f"--hosts {spec!r}: host {index}: {exc}") from None
+        hosts.append(host)
     return hosts
+
+
+def _host_entry(entry: object) -> HostSpec:
+    """One host-file object; a ValueError names the offending field."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"entries must be objects, not {entry!r}")
+    unknown = set(entry) - {"name", "workers", "spawn"}
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)}")
+    name = entry.get("name")
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"'name' must be a non-empty string, not {name!r}")
+    workers = entry.get("workers", 1)
+    # bool is an int subclass; a float or string is not a count either
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"'workers' must be an integer >= 1, not {workers!r}")
+    spawn = entry.get("spawn", DEFAULT_SPAWN)
+    if not (
+        isinstance(spawn, (list, tuple))
+        and spawn
+        and all(isinstance(part, str) for part in spawn)
+    ):
+        raise ValueError(
+            f"'spawn' must be a non-empty list of strings, not {spawn!r}"
+        )
+    return HostSpec(name, workers, tuple(spawn))

@@ -198,12 +198,6 @@ class RetryPolicy:
                 ) from None
         return cls(**kwargs)
 
-    def to_spec(self) -> str:
-        """The canonical spec string (``parse`` round-trips it)."""
-        return ",".join(
-            f"{alias}={getattr(self, name)}" for alias, name in self._FIELDS
-        )
-
     def allows(self, attempt: int) -> bool:
         """True while ``attempt`` (1-based) is inside the budget."""
         return attempt <= self.max_attempts

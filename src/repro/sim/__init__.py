@@ -11,7 +11,7 @@ the *pull* side of observation (:mod:`repro.sim.monitor`): a
 """
 
 from repro.sim.invariants import InvariantMonitor, InvariantViolation
-from repro.sim.kernel import Event, Kernel, SimulationError, Simulator
+from repro.sim.kernel import Event, SimulationError, Simulator
 from repro.sim.monitor import PeriodicSampler, TimeSeries, delta_rate
 from repro.sim.randomness import RandomStreams, derive_seed, seeded_rng
 
@@ -19,7 +19,6 @@ __all__ = [
     "Event",
     "InvariantMonitor",
     "InvariantViolation",
-    "Kernel",
     "PeriodicSampler",
     "RandomStreams",
     "SimulationError",

@@ -53,7 +53,7 @@ from repro.sim.invariants import InvariantMonitor
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import Telemetry
 
-__all__ = ["Event", "Kernel", "SimulationError", "Simulator"]
+__all__ = ["Event", "SimulationError", "Simulator"]
 
 _INF = float("inf")
 
@@ -468,11 +468,6 @@ class Simulator:
         queued = [self._heap, *self._wheel.values()]
         handles = [entry[4] for entries in queued for entry in entries]
         return sum(h is None or not h.cancelled for h in handles)
-
-
-#: alias matching the project's "sim kernel" vocabulary:
-#: ``Kernel(check_invariants=True)`` reads as the feature is documented.
-Kernel = Simulator
 
 
 def _invariants_default() -> bool:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import __main__ as cli
 from repro.experiments import registry
+from tests.test_hosts_fuzz import BAD_HOST_FILES
 
 
 class TestArgumentParsing:
@@ -169,6 +170,19 @@ class TestDispatchCli:
             self._assert_usage_error(
                 capsys, ["--backend", "dispatch", "--hosts", hosts], "--hosts"
             )
+
+    @pytest.mark.parametrize("text, fragment", BAD_HOST_FILES)
+    def test_hosts_file_errors_exit_2_naming_the_field(
+        self, capsys, tmp_path, text, fragment
+    ):
+        path = tmp_path / "hosts.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig1", "--backend", "dispatch", "--hosts", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--hosts {path}: " in err
+        assert fragment in err
 
     def test_retry_policy_rejects_a_repeated_key(self, capsys):
         self._assert_usage_error(

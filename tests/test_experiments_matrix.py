@@ -46,7 +46,6 @@ class TestGrid:
         assert MatrixParams.quick("trim").partner() == "reno"
         assert MatrixParams.quick("tinybuffer").partner() == "trim"
         assert MatrixParams.quick("tracks").partner() == "trim"
-        assert MatrixParams.quick("tracks", baseline="cubic").partner() == "cubic"
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):

@@ -279,7 +279,9 @@ class TestSim015ExperimentConformance:
         sim = Simulator()
         star = build_star(sim, 2)
         server, frontend = star.servers[0], star.frontend
-        connections = ConnectionSet(sim, "reno", 0.2, 1e9, [(50e-6, 1e9)] * 2)
+        connections = ConnectionSet(
+            sim, "reno", 0.2, star.network.path(server, frontend)
+        )
         calls = [
             lambda: TcpSink(sim, frontend, 7),
             lambda: create_source("reno", sim, server, frontend.node_id, 7),
@@ -305,7 +307,7 @@ class TestSim015ExperimentConformance:
         net.connect(a, b, 1e9, 50e-6, 100)
         sink = TcpSink(sim, b, flow_id=7)
         assert sink.flow_id == 7
-        connections = ConnectionSet(sim, "reno", 0.2, 1e9, [(50e-6, 1e9)] * 2)
+        connections = ConnectionSet(sim, "reno", 0.2, net.path(a, b))
         source, _ = connections.connect(a, b, warm=True)
         assert connections.sources == [source]
         src = (

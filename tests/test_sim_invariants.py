@@ -1,7 +1,7 @@
 """Runtime invariant checking: monitor wiring, violations, clean runs.
 
 Covers the three check families (monotonic time, packet conservation,
-flow sanity), the ``Kernel(check_invariants=True)`` / environment /
+flow sanity), the ``Simulator(check_invariants=True)`` / environment /
 ``--check-invariants`` enablement channels, and the headline guarantee:
 a quick-preset point of every registered experiment runs clean with the
 monitor on, while a deliberately broken queue is caught.
@@ -13,21 +13,18 @@ import pytest
 
 from repro.experiments import registry
 from repro.net.queues import DropTailQueue
-from repro.sim import InvariantMonitor, InvariantViolation, Kernel, Simulator
+from repro.sim import InvariantMonitor, InvariantViolation, Simulator
 from tests.helpers import FAST, make_pair
 
 
 class TestEnablement:
-    def test_kernel_is_simulator(self):
-        assert Kernel is Simulator
-
     def test_off_by_default(self):
         assert Simulator().invariants is None
 
     def test_constructor_flag(self):
-        sim = Kernel(check_invariants=True)
+        sim = Simulator(check_invariants=True)
         assert isinstance(sim.invariants, InvariantMonitor)
-        assert Kernel(check_invariants=False).invariants is None
+        assert Simulator(check_invariants=False).invariants is None
 
     def test_environment_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
