@@ -156,6 +156,8 @@ def run_openloop_point(
 ) -> OpenLoopCase:
     """Compile one schedule and drive it through the simulator."""
     schedule = _build_schedule(params, factor, seed)
+    horizon = schedule.horizon
+    offered_rate = schedule.offered_rate()
     sim = Simulator()
     star = build_star(
         sim,
@@ -179,18 +181,21 @@ def run_openloop_point(
         ),
     )
     run = driver.play(schedule)
-    deadline = schedule.horizon + params.drain
+    # The timeline now holds each request until it is issued; holding
+    # the whole schedule as well would keep every request to the end.
+    del schedule
+    deadline = horizon + params.drain
     run_until(sim, lambda: run.completed >= run.offered, deadline)
     driver.check_conservation()
     stats = driver.pool_stats()
     latencies = sorted(run.latencies)
     return OpenLoopCase(
         load_factor=factor,
-        offered_rate=schedule.offered_rate(),
+        offered_rate=offered_rate,
         offered=run.offered,
         issued=run.issued,
         completed=run.completed,
-        achieved_rate=run.completed / schedule.horizon,
+        achieved_rate=run.completed / horizon,
         latency_p50=_percentile(latencies, 50.0) if latencies else None,
         latency_p99=_percentile(latencies, 99.0) if latencies else None,
         conns_opened=stats.opened,

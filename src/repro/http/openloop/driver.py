@@ -10,6 +10,10 @@ behind a real front-end.  Each request leases a persistent
 servers in issue order, so fan-out siblings hit distinct backends) and
 returns it on completion; pool churn — cold opens during reconnect
 storms, idle closes during lulls — emerges from the arrival pattern.
+A session its pool closes leaves the simulation unless it ever
+retransmitted: the driver banks its RTOs and detaches its agents from
+both hosts, so a run holds its live connections, not every one it
+opened (DESIGN.md §2, "State layout").
 
 Every lifecycle step is emitted on the telemetry bus's ``session`` and
 ``pool`` channels, and the whole run is deterministic in (schedule,
@@ -77,15 +81,16 @@ class OpenLoopDriver:
         self._service_time = service_time
         self._response_kwargs = response_kwargs
         self._next_flow_id = 0
-        #: every session ever opened, pooled or since closed — the
-        #: roster experiments sum per-connection stats (timeouts) over.
-        self.sessions: list[HttpSession] = []
+        #: RTO firings of the response connections the pools have
+        #: closed; the driver keeps no roster of the sessions themselves.
+        self._closed_timeouts = 0
         self.pools: list[ConnectionPool[HttpSession]] = [
             ConnectionPool(
                 sim,
                 factory=self._session_factory(index),
                 idle_timeout_s=idle_timeout_s,
                 max_reuse=max_reuse,
+                on_close=self._close_session,
                 name=f"srv{index}",
             )
             for index in range(len(servers))
@@ -97,7 +102,7 @@ class OpenLoopDriver:
             request_id = self._next_flow_id
             response_id = self._next_flow_id + 1
             self._next_flow_id += 2
-            session = HttpSession(
+            return HttpSession(
                 self.sim,
                 self.frontend,
                 self.servers[server_index],
@@ -108,10 +113,31 @@ class OpenLoopDriver:
                 service_time=self._service_time,
                 **self._response_kwargs,
             )
-            self.sessions.append(session)
-            return session
 
         return open_session
+
+    def _close_session(self, session: HttpSession) -> None:
+        """A pool closed ``session``: bank its RTOs and, when no packet
+        of it can still be in flight, detach its four agents.
+
+        A pool closes only an idle session, whose last exchange is
+        acknowledged.  If neither source ever retransmitted, every
+        segment of either flow went out once, in order, down one FIFO
+        path, so the ACK that completed the last message was the last
+        packet of both flows and nothing can arrive for them any more.
+        A retransmission breaks that argument (a spurious copy may still
+        be queued), so such a session stays attached; a packet for a
+        detached flow would still raise in :meth:`Host.receive`.
+        """
+        request = session.request_source
+        response = session.response_source
+        assert request is not None and response is not None  # persistent
+        self._closed_timeouts += response.timeouts
+        if request.stats.retransmits or response.stats.retransmits:
+            return
+        for host in (self.frontend, session.server):
+            host.detach_agent(request.flow_id)
+            host.detach_agent(response.flow_id)
 
     # ------------------------------------------------------------------
     def play(self, schedule: SessionSchedule) -> OpenLoopRun:
@@ -187,9 +213,11 @@ class OpenLoopDriver:
             pool.check_conservation()
 
     def total_timeouts(self) -> int:
-        """RTO firings summed over every response connection opened."""
-        return sum(
+        """RTO firings summed over every response connection opened:
+        the closed ones' running total plus the live ones'."""
+        return self._closed_timeouts + sum(
             session.response_source.timeouts
-            for session in self.sessions
+            for pool in self.pools
+            for session in pool.connections()
             if session.response_source is not None
         )

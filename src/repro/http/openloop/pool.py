@@ -120,6 +120,10 @@ class ConnectionPool(Generic[C]):
     def n_leased(self) -> int:
         return len(self._leased)
 
+    def connections(self) -> list[C]:
+        """The live connections, leased and idle (closed ones are gone)."""
+        return [slot.conn for slot in (*self._leased.values(), *self._idle)]
+
     def check_conservation(self) -> None:
         """Raise if any connection was lost or double-counted."""
         accounted = self.stats.closed + self.n_leased + self.n_idle

@@ -73,6 +73,12 @@ class Host(Node):
             raise ValueError(f"flow {flow_id} already attached to {self.name}")
         self._agents[flow_id] = agent
 
+    def detach_agent(self, flow_id: int) -> None:
+        """Forget the agent of a finished flow; a packet that still
+        arrives for it raises in :meth:`receive`."""
+        if self._agents.pop(flow_id, None) is None:
+            raise ValueError(f"flow {flow_id} is not attached to {self.name}")
+
     def agent_for(self, flow_id: int) -> Optional[Agent]:
         return self._agents.get(flow_id)
 

@@ -36,6 +36,20 @@ from repro.obs.records import CHANNELS, SAMPLE_CHANNELS
 __all__ = ["TraceSpec"]
 
 
+def _count(text: str, least: int, what: str) -> int:
+    """``text`` as an integer >= ``least``; ``int()`` alone would also
+    take ``1_0``, ``+3``, ``-3`` and non-ASCII digits such as ``٣``."""
+    try:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError("not decimal digits 0-9")
+        value = int(text)  # may still exceed the int-string digit limit
+    except ValueError:
+        raise ValueError(f"bad {what}") from None
+    if value < least:
+        raise ValueError(f"bad {what}")
+    return value
+
+
 @dataclass(frozen=True)
 class TraceSpec:
     """A parsed trace spec: enabled channels, decimation, and filters."""
@@ -69,13 +83,10 @@ class TraceSpec:
                 channels.update(CHANNELS)
                 continue
             if token.startswith("flow="):
-                value = token[len("flow="):]
-                try:
-                    flows.add(int(value))
-                except ValueError:
-                    raise ValueError(
-                        f"bad flow filter {token!r}: flow ids are integers"
-                    ) from None
+                flows.add(_count(
+                    token[len("flow="):], 0,
+                    f"flow filter {token!r}: flow ids are integers >= 0",
+                ))
                 continue
             if token.startswith("link="):
                 glob = token[len("link="):]
@@ -91,28 +102,27 @@ class TraceSpec:
                 )
             channels.add(name)
             if at:
-                try:
-                    step = int(step_text)
-                except ValueError:
-                    raise ValueError(
-                        f"bad decimation {token!r}: expected "
-                        "<channel>@<integer>"
-                    ) from None
-                if step < 1:
-                    raise ValueError(
-                        f"bad decimation {token!r}: step must be >= 1"
-                    )
+                step = _count(
+                    step_text, 1,
+                    f"decimation {token!r}: expected <channel>@<integer >= 1>",
+                )
                 if name not in SAMPLE_CHANNELS:
                     raise ValueError(
                         f"channel {name!r} records discrete events and "
                         "cannot be decimated"
+                    )
+                if name in decimation:
+                    raise ValueError(
+                        f"bad decimation {token!r}: {name} is already "
+                        f"decimated @{decimation[name]}"
                     )
                 decimation[name] = step
         if not channels:
             channels.update(CHANNELS)  # filter-only spec: trace everything
         return cls(
             channels=frozenset(channels),
-            decimation=tuple(sorted(decimation.items())),
+            # @1 is no decimation: dropped, so ``cwnd@1`` == ``cwnd``
+            decimation=tuple(sorted((c, n) for c, n in decimation.items() if n > 1)),
             flows=frozenset(flows) if flows else None,
             link_globs=tuple(link_globs),
         )

@@ -140,6 +140,20 @@ def failure_signature(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _count(raw: str, least: int, what: str) -> int:
+    """``raw`` as an integer >= ``least``; ``int()`` alone would also
+    take ``1_0``, ``+3`` and non-ASCII digits such as ``٣``."""
+    try:
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError("expected decimal digits 0-9")
+        value = int(raw)  # may still exceed the int-string digit limit
+    except ValueError as exc:
+        raise ValueError(f"bad {what}: {exc}") from None
+    if value < least:
+        raise ValueError(f"bad {what}: must be >= {least}")
+    return value
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """The two retry budgets; immutable and picklable.
@@ -160,10 +174,11 @@ class RetryPolicy:
         if self.transient_budget < 0:
             raise ValueError("transient_budget must be >= 0")
 
-    #: spec-grammar aliases accepted by :meth:`parse`.
-    _FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
-        ("attempts", "max_attempts"),
-        ("transient", "transient_budget"),
+    #: spec-grammar aliases accepted by :meth:`parse`, with the least
+    #: value each field takes.
+    _FIELDS: ClassVar[tuple[tuple[str, str, int], ...]] = (
+        ("attempts", "max_attempts", 1),
+        ("transient", "transient_budget", 0),
     )
 
     @classmethod
@@ -171,31 +186,29 @@ class RetryPolicy:
         """Build a policy from the CLI grammar.
 
         ``--retry-policy "attempts=3,transient=8"`` — every key
-        optional, unknown or repeated keys rejected.  An empty spec is
-        the default policy.
+        optional, unknown or repeated keys rejected, values plain ASCII
+        decimal integers.  An empty spec is the default policy.  Every
+        error names the spec key.
         """
-        aliases = dict(cls._FIELDS)
+        fields = {alias: (name, least) for alias, name, least in cls._FIELDS}
         kwargs: dict[str, int] = {}
         for part in spec.split(","):
             part = part.strip()
             if not part:
                 continue
             key, sep, raw = part.partition("=")
-            key = key.strip()
-            if not sep or key not in aliases:
-                known = ",".join(alias for alias, _ in cls._FIELDS)
+            key, raw = key.strip(), raw.strip()
+            if not sep or key not in fields:
+                known = ",".join(alias for alias, _, _ in cls._FIELDS)
                 raise ValueError(
                     f"bad retry-policy term {part!r} (grammar: "
                     f"key=value with keys {known})"
                 )
-            if aliases[key] in kwargs:
+            name, least = fields[key]
+            if name in kwargs:
                 raise ValueError(f"repeated retry-policy key {key!r} in {spec!r}")
-            try:
-                kwargs[aliases[key]] = int(raw)
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad retry-policy value {raw!r} for {key}: {exc}"
-                ) from None
+            what = f"retry-policy value {raw!r} for {key}"
+            kwargs[name] = _count(raw, least, what)
         return cls(**kwargs)
 
     def allows(self, attempt: int) -> bool:

@@ -79,6 +79,29 @@ class PerRequestDriver(OpenLoopDriver):
         return run
 
 
+class NeverReleaseDriver(OpenLoopDriver):
+    """Reference driver: every session it opens stays attached to its
+    hosts and in :attr:`sessions`, and :meth:`total_timeouts` sums that
+    roster, as before a pool-closed session was released."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sessions = []
+        for pool in self.pools:
+            pool.on_close = None
+            pool.factory = self._keeping(pool.factory)
+
+    def _keeping(self, open_session):
+        def factory(conn_id):
+            self.sessions.append(open_session(conn_id))
+            return self.sessions[-1]
+
+        return factory
+
+    def total_timeouts(self):
+        return sum(session.response_source.timeouts for session in self.sessions)
+
+
 class PerItemSimulator(Simulator):
     """Reference kernel for the batched start sites, which all pass their
     items as the event's first argument: such an event is split back

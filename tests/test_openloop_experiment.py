@@ -9,6 +9,7 @@ from repro.experiments.openloop import (
     run_openloop_point,
 )
 from repro.http.openloop import (
+    FanoutSpec,
     OpenLoopDriver,
     PoissonArrivals,
     SessionConfig,
@@ -17,6 +18,8 @@ from repro.http.openloop import (
 from repro.net.topology import build_star
 from repro.obs import Telemetry, TraceSpec, write_jsonl
 from repro.sim.kernel import Simulator
+from repro.tcp.base import TcpConfig
+from tests.helpers import FAST
 
 
 def drive(seed=3, telemetry=None, **driver_kwargs):
@@ -55,10 +58,44 @@ class TestOpenLoopDriver:
         assert stats.opened >= len(driver.pools)  # both servers hit
         assert 0.0 < stats.reuse_fraction <= 1.0
 
-    def test_sessions_roster_tracks_every_open(self):
-        _, driver, _ = drive()
-        assert len(driver.sessions) == driver.pool_stats().opened
-        assert driver.total_timeouts() >= 0
+    def test_total_timeouts_sum_every_opened_connection(self):
+        """The driver keeps no roster, yet the RTOs of connections its
+        pools have closed still count beside those of live ones."""
+        schedule = compile_schedule(
+            PoissonArrivals(200.0),
+            SessionConfig(
+                mean_requests=2.0, think_time_s=0.02, fanout=FanoutSpec(leaves=8)
+            ),
+            seed=1,
+            horizon=0.2,
+        )
+        sim = Simulator(check_invariants=False)
+        star = build_star(sim, 2, buffer_pkts=8)
+        driver = OpenLoopDriver(
+            sim, star.frontend, star.servers, "reno", config=TcpConfig(**FAST),
+            idle_timeout_s=0.005, max_reuse=3,
+        )
+        opened = []
+        for pool in driver.pools:
+            def factory(conn_id, make=pool.factory):
+                opened.append(make(conn_id))
+                return opened[-1]
+
+            pool.factory = factory
+        run = driver.play(schedule)
+
+        def rtos(sessions):
+            return sum(session.response_source.timeouts for session in sessions)
+
+        sim.run(until=0.1)  # mid-run: some connections closed, some live
+        live = [s for pool in driver.pools for s in pool.connections()]
+        closed = [s for s in opened if all(s is not other for other in live)]
+        assert live and rtos(closed) > 0 and rtos(live) > 0
+        assert driver.total_timeouts() == rtos(opened)
+        sim.run(until=1.0)
+        assert run.completed == run.offered
+        assert len(opened) == driver.pool_stats().opened
+        assert driver.total_timeouts() == rtos(opened)
 
     def test_requires_servers(self):
         sim = Simulator()

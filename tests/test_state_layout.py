@@ -16,10 +16,14 @@ holds every object of its 192 points): 8 114 (``trim``) / 7 826
 (``reno``) before the layout was fixed, 5 259 / 4 895 with slots, now
 3 644 / 3 267 with list FIFOs and no ``messages`` roster — budget 3 900.
 Per TCP connection of the ``openloop_sessions`` load-2.0 ``trim`` point,
-2 547 with the ``exchanges`` roster, now 1 302 — budget 1 800.  A
-drained drop-tail queue kept 1 056 B of its burst in a ``deque``, now 0 —
-budget 128.  3.10 and 3.12 are in the CI matrix but not in the build
-image, so their readings are unmeasured.
+2 547 with the ``exchanges`` roster, 1 302 without it, 1 190 with the
+lean sink, now 976 with pool-closed sessions released (only their
+sources stay held) — budget 1 300.  The same point run bare (nothing
+held) peaked at 6.6 MB while every pool-closed session stayed attached
+and the schedule was held, 3.4 MB with release alone, now 2.5 MB —
+budget 3.0 MB.  A drained drop-tail queue kept 1 056 B of its burst in
+a ``deque``, now 0 — budget 128.  3.10 and 3.12 are in the CI matrix
+but not in the build image, so their readings are unmeasured.
 """
 
 import dataclasses
@@ -223,8 +227,9 @@ def drop_seqs_once_per_flow(seqs):
 # (d) budgets: bytes retained per connection, and by an idle queue
 # ----------------------------------------------------------------------
 BUDGET_BYTES_PER_SENDER = 3_900
-BUDGET_BYTES_PER_OPENLOOP_CONNECTION = 1_800
+BUDGET_BYTES_PER_OPENLOOP_CONNECTION = 1_300
 BUDGET_BYTES_IDLE_QUEUE = 128
+BUDGET_PEAK_BYTES_OPENLOOP_POINT = 3_000_000
 N_SENDERS = 97
 
 
@@ -279,28 +284,56 @@ def test_retained_bytes_per_incast_sender(protocol, monkeypatch):
     assert per_sender <= BUDGET_BYTES_PER_SENDER, f"{per_sender:.0f} B per sender"
 
 
+#: the ``openloop_sessions`` load-2.0 ``trim`` point, and a tiny warm-up
+OPENLOOP_LOAD2 = OpenLoopParams(
+    protocol="trim", arrivals="poisson:rate=240", load_factors=(2.0,),
+    horizon=1.0, drain=1.0, n_servers=8, mean_requests=2.0,
+    think_time_s=0.05, fanout_aggregators=1, fanout_leaves=16,
+    idle_timeout_s=0.01, max_reuse=64, bandwidth_bps=1e9, delay_s=50e-6,
+    buffer_pkts=100, min_rto=0.01,
+)
+OPENLOOP_TINY = dataclasses.replace(OPENLOOP_LOAD2, horizon=0.05, drain=0.05)
+OPENLOOP_SEED = derive_seed(1, "openloop/load2")
+
+
 def test_retained_bytes_per_openloop_connection(monkeypatch):
     """The ``openloop_sessions`` load-2.0 ``trim`` point: ~1 560 pooled
     sessions (two TCP connections each) carry ~14 500 exchanges, so a
     roster of finished exchanges or messages would dominate the bytes."""
-    params = OpenLoopParams(
-        protocol="trim", arrivals="poisson:rate=240", load_factors=(2.0,),
-        horizon=1.0, drain=1.0, n_servers=8, mean_requests=2.0,
-        think_time_s=0.05, fanout_aggregators=1, fanout_leaves=16,
-        idle_timeout_s=0.01, max_reuse=64, bandwidth_bps=1e9, delay_s=50e-6,
-        buffer_pkts=100, min_rto=0.01,
-    )
-    seed = derive_seed(1, "openloop/load2")
-    tiny = dataclasses.replace(params, horizon=0.05, drain=0.05)
     case, retained, connections = retained_bytes(
-        monkeypatch, lambda: run_openloop_point(tiny, 2.0, seed),
-        lambda: run_openloop_point(params, 2.0, seed),
+        monkeypatch,
+        lambda: run_openloop_point(OPENLOOP_TINY, 2.0, OPENLOOP_SEED),
+        lambda: run_openloop_point(OPENLOOP_LOAD2, 2.0, OPENLOOP_SEED),
     )
     assert case.completed == case.offered > 10_000
     assert connections == 2 * case.conns_opened
     per_connection = retained / connections
     assert per_connection <= BUDGET_BYTES_PER_OPENLOOP_CONNECTION, (
         f"{per_connection:.0f} B per connection"
+    )
+
+
+def test_openloop_point_peak_follows_live_connections(monkeypatch):
+    """The same point run bare: its traced peak is what is live at the
+    busiest instant.  While every pool-closed session stayed attached to
+    its hosts and the whole schedule was held to the end, it was 6.6 MB."""
+    for name in ("REPRO_TRACE", "REPRO_CHECK_INVARIANTS"):
+        monkeypatch.delenv(name, raising=False)
+    run_openloop_point(OPENLOOP_TINY, 2.0, OPENLOOP_SEED)
+    gc.collect()
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        case = run_openloop_point(OPENLOOP_LOAD2, 2.0, OPENLOOP_SEED)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert case.completed == case.offered > 10_000
+    assert peak - before <= BUDGET_PEAK_BYTES_OPENLOOP_POINT, (
+        f"{(peak - before) / 1e6:.2f} MB peak"
     )
 
 
