@@ -12,20 +12,19 @@ Run:  python examples/request_response.py [--protocol trim]
 
 import argparse
 
-import numpy as np
-
 from repro.experiments.scenarios import packets_per_second, run_until, warm_config
 from repro.http.apps import HttpSession, LongTrainSender
 from repro.metrics.ascii import cdf_table
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
+from repro.sim.randomness import seeded_rng
 from repro.tcp.factory import default_config, make_connection
 
 
 def run_session(protocol: str, n_requests: int, seed: int) -> list[float]:
     sim = Simulator()
     star = build_star(sim, 2, ecn_threshold_pkts=17)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
 
     # Background long transfer from the second server, running the same
     # protocol (the paper evaluates homogeneous deployments; a TRIM flow

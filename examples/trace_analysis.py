@@ -6,6 +6,10 @@ substitute), replays an ON/OFF HTTP workload through a persistent
 connection, then re-extracts the packet trains with the Section II.A
 gap rule — the same pipeline the paper ran over its 2 TB campus trace.
 
+The workload draws through ``seeded_rng`` like every figure does; numpy
+(installed with the ``test`` extra) is used only for this script's own
+histogram and summary arithmetic.
+
 Run:  python examples/trace_analysis.py [--seconds 5]
 """
 
@@ -20,6 +24,7 @@ from repro.metrics.ascii import sparkline
 from repro.metrics.tracing import PacketLogger
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
+from repro.sim.randomness import seeded_rng
 from repro.tcp.base import TcpConfig
 from repro.tcp.factory import make_connection
 
@@ -40,7 +45,7 @@ def main() -> None:
     )
     logger = PacketLogger(star.bottleneck, flow_id=1)
 
-    rng = np.random.default_rng(args.seed)
+    rng = seeded_rng(args.seed)
     schedule = generate_onoff_schedule(
         rng, duration=args.seconds, start_time=0.01, drain_rate_bps=1e9
     )

@@ -119,14 +119,14 @@ def run_fattree(params: FatTreeParams) -> FatTreeResult:
     big_messages = []
     lo, hi = params.small_range_bytes
     for i, host in enumerate(topo.hosts):
-        src, _sink = connections.connect(host, topo.hosts[int(targets[i])])
+        src, _sink = connections.connect(host, topo.hosts[targets[i]])
         small_sizes = rng.integers(lo, hi + 1, params.n_small)
-        small_total = int(small_sizes.sum())
+        small_total = sum(small_sizes)
         big_bytes = max(MSS_BYTES, params.total_bytes - small_total)
         t = params.small_start
         for size in small_sizes:
-            sim.schedule_at(t, lambda s=src, b=int(size): s.send_bytes(b))
-            t += float(gaps.sample(rng, 1)[0])
+            sim.schedule_at(t, lambda s=src, b=size: s.send_bytes(b))
+            t += gaps.sample(rng, 1)[0]
         sim.schedule_at(
             params.big_start,
             lambda s=src, b=big_bytes: big_messages.append(s.send_bytes(b)),

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.experiments.base import Experiment, Point
 from repro.experiments.registry import register
 from repro.experiments.scenarios import (
@@ -32,7 +30,7 @@ from repro.http.workload import pt_size_sampler, segments_for_bytes
 from repro.metrics.stats import completion_times, summarize
 from repro.net.topology import build_two_level_tree
 from repro.sim.kernel import Simulator
-from repro.sim.randomness import seeded_rng
+from repro.sim.randomness import Pcg64Generator, seeded_rng
 
 __all__ = [
     "LargeScaleCase",
@@ -145,13 +143,13 @@ def run_large_scale(
     return completion_times(spt_messages), n_spts, connections.total_timeouts
 
 
-def _draw_offset(rng: np.random.Generator, distribution: str, window: float) -> float:
+def _draw_offset(rng: Pcg64Generator, distribution: str, window: float) -> float:
     """An SPT start offset within [0, window] per the configured law."""
     if distribution == "uniform":
-        return float(rng.uniform(0.0, window))
+        return rng.uniform(0.0, window)
     if distribution == "exponential":
         # Mean window/3 gives most arrivals early, truncated to the window.
-        return min(float(rng.exponential(window / 3.0)), window)
+        return min(rng.exponential(window / 3.0), window)
     raise ValueError(f"unknown distribution {distribution!r}")
 
 

@@ -345,7 +345,7 @@ def _run_load(
     for source in sources:
         t = params.start_time
         for _ in range(params.load_blocks):
-            t += float(rng.exponential(1.0 / LOAD_RATE))
+            t += rng.exponential(1.0 / LOAD_RATE)
             sim.schedule_at(
                 t, lambda s=source: messages.append(s.send_message(segments))
             )

@@ -34,11 +34,9 @@ from repro.faults.plan import (
     LinkUp,
     LossBurst,
 )
-from repro.sim.randomness import derive_seed, seeded_rng
+from repro.sim.randomness import Pcg64Generator, derive_seed, seeded_rng
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.net.link import Link
     from repro.net.packet import Packet
     from repro.net.topology import Network
@@ -101,7 +99,7 @@ class LinkFaultState:
         "jitter_until",
     )
 
-    def __init__(self, rng: "np.random.Generator") -> None:
+    def __init__(self, rng: Pcg64Generator) -> None:
         self.rng = rng
         self.stats = FaultStats()
         self.loss_rate = 0.0
@@ -127,7 +125,7 @@ class LinkFaultState:
             self.stats.corrupted += 1
             return -1.0
         if now < self.jitter_until:
-            extra = float(self.rng.exponential(self.jitter_mean))
+            extra = self.rng.exponential(self.jitter_mean)
             if extra > 0.0:
                 self.stats.delayed += 1
                 return extra

@@ -1,6 +1,7 @@
 """Seeded user-arrival processes behind one spec grammar.
 
-An arrival process turns a ``numpy`` generator and a horizon into a
+An arrival process turns a seeded PCG64 generator
+(:class:`~repro.sim.randomness.Pcg64Generator`) and a horizon into a
 sorted list of session start times.  Three families cover the open-loop
 workloads the data-center literature evaluates against:
 
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol, Union, runtime_checkable
 
-import numpy as np
+from repro.sim.randomness import Pcg64Generator
 
 __all__ = [
     "ArrivalProcess",
@@ -49,7 +50,7 @@ class ArrivalProcess(Protocol):
     """What the session compiler needs from an arrival process."""
 
     def sample_times(
-        self, rng: np.random.Generator, horizon: float
+        self, rng: Pcg64Generator, horizon: float
     ) -> list[float]:
         """Sorted arrival times in ``[0, horizon)``."""
         ...
@@ -74,7 +75,7 @@ def _check_positive(**values: float) -> None:
 
 
 def _poisson_times(
-    rng: np.random.Generator,
+    rng: Pcg64Generator,
     rate: float,
     start: float,
     end: float,
@@ -91,7 +92,7 @@ def _poisson_times(
     while True:
         gaps = rng.exponential(1.0 / rate, chunk)
         for gap in gaps:
-            t += float(gap)
+            t += gap
             if t >= end:
                 return times
             times.append(t)
@@ -107,7 +108,7 @@ class PoissonArrivals:
         _check_positive(rate=self.rate)
 
     def sample_times(
-        self, rng: np.random.Generator, horizon: float
+        self, rng: Pcg64Generator, horizon: float
     ) -> list[float]:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -155,7 +156,7 @@ class MmppArrivals:
             )
 
     def sample_times(
-        self, rng: np.random.Generator, horizon: float
+        self, rng: Pcg64Generator, horizon: float
     ) -> list[float]:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -170,7 +171,7 @@ class MmppArrivals:
         while t < horizon:
             mean = self.mean_on if on else self.mean_off
             rate = self.rate_on if on else self.rate_off
-            sojourn = float(rng.exponential(mean))
+            sojourn = rng.exponential(mean)
             sojourn_end = min(t + sojourn, horizon)
             times.extend(
                 _poisson_times(rng, rate, t, sojourn_end, chunks[on])
@@ -224,7 +225,7 @@ class DiurnalArrivals:
         return self.base + (self.peak - self.base) * phase
 
     def sample_times(
-        self, rng: np.random.Generator, horizon: float
+        self, rng: Pcg64Generator, horizon: float
     ) -> list[float]:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -235,10 +236,10 @@ class DiurnalArrivals:
             gaps = rng.exponential(1.0 / self.peak, chunk)
             keeps = rng.random(chunk)
             for gap, keep in zip(gaps, keeps):
-                t += float(gap)
+                t += gap
                 if t >= horizon:
                     return times
-                if float(keep) * self.peak < self.rate_at(t):
+                if keep * self.peak < self.rate_at(t):
                     times.append(t)
 
     def mean_rate(self) -> float:

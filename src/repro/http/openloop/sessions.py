@@ -170,7 +170,7 @@ def compile_schedule(
     requests: list[ScheduledRequest] = []
     arrival_times = arrivals.sample_times(arrival_rng, horizon)
     for session_id, arrival in enumerate(arrival_times):
-        chain = int(session_rng.geometric(1.0 / config.mean_requests))
+        chain = session_rng.geometric(1.0 / config.mean_requests)
         sizes = size_cdf.sample(session_rng, chain)
         if chain > 1 and config.think_time_s > 0:
             thinks = session_rng.exponential(config.think_time_s, chain - 1)
@@ -189,7 +189,7 @@ def compile_schedule(
                     )
                 )
             if k + 1 < chain:
-                t += float(thinks[k])
+                t += thinks[k]
     requests.sort(key=lambda r: (r.time, r.session))
     return SessionSchedule(
         requests=tuple(requests),

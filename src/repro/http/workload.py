@@ -17,15 +17,13 @@ structure the paper does not report.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-import math
-
-import numpy as np
-from numpy.typing import ArrayLike
-
 from repro.net.packet import MSS_BYTES
+from repro.sim.randomness import Pcg64Generator
 
 __all__ = [
     "GAP_CDF_ANCHORS",
@@ -77,33 +75,37 @@ class PiecewiseLogCdf:
             raise ValueError("anchor probabilities must span [0, 1]")
         if any(b < a for a, b in zip(probs, probs[1:])):
             raise ValueError("anchor probabilities must be non-decreasing")
-        self._log_values = np.log(values)
-        self._probs = np.asarray(probs)
+        self._log_values = [math.log(v) for v in values]
+        self._probs = [float(p) for p in probs]
 
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        """Draw ``n`` values; returns an array of floats."""
-        u = rng.random(n)
-        return self.quantile(u)
+    def sample(self, rng: Pcg64Generator, n: int) -> list[float]:
+        """Draw ``n`` values."""
+        return self.quantile(rng.random(n))
 
-    def quantile(self, u: ArrayLike) -> np.ndarray:
-        """The inverse CDF at probabilities ``u`` (array-like in [0,1])."""
-        u = np.asarray(u, dtype=float)
-        if np.any((u < 0) | (u > 1)):
+    def quantile(self, u: Sequence[float]) -> list[float]:
+        """The inverse CDF at probabilities ``u`` (each in [0, 1])."""
+        if not all(0 <= p <= 1 for p in u):
             raise ValueError("probabilities must lie in [0, 1]")
-        return np.exp(np.interp(u, self._probs, self._log_values))
+        return [math.exp(_interp(p, self._probs, self._log_values)) for p in u]
 
-    def cdf(self, values: ArrayLike) -> np.ndarray:
+    def cdf(self, values: Sequence[float]) -> list[float]:
         """The CDF at ``values`` (piecewise log-linear)."""
-        values = np.asarray(values, dtype=float)
-        if np.any(values <= 0):
+        if not all(v > 0 for v in values):
             raise ValueError("values must be positive")
-        return np.interp(
-            np.log(values),
-            self._log_values,
-            self._probs,
-            left=0.0,
-            right=1.0,
-        )
+        return [_interp(math.log(v), self._log_values, self._probs) for v in values]
+
+
+def _interp(x: float, xs: list[float], ys: list[float]) -> float:
+    """numpy's ``interp`` at one point of the non-decreasing ``xs``:
+    clamped to the end values outside, and on a tie the right-most
+    knot at or below ``x`` wins."""
+    if x < xs[0]:
+        return ys[0]
+    j = bisect_right(xs, x) - 1
+    if j == len(xs) - 1 or xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return slope * (x - xs[j]) + ys[j]
 
 
 def pt_size_sampler() -> PiecewiseLogCdf:
@@ -125,7 +127,7 @@ class OnOffEvent:
 
 
 def generate_onoff_schedule(
-    rng: np.random.Generator,
+    rng: Pcg64Generator,
     duration: float,
     start_time: float = 0.0,
     drain_rate_bps: float | None = 1e9,
@@ -144,19 +146,19 @@ def generate_onoff_schedule(
     size_cdf = pt_size_sampler()
     gap_cdf = gap_sampler()
     events: list[OnOffEvent] = []
-    t = start_time + float(gap_cdf.sample(rng, 1)[0])
+    t = start_time + gap_cdf.sample(rng, 1)[0]
     end = start_time + duration
     while t < end:
         size = max(1, int(size_cdf.sample(rng, 1)[0]))
         events.append(OnOffEvent(time=t, size_bytes=size))
         if drain_rate_bps is not None:
             t += size * 8.0 / drain_rate_bps  # ON period
-        t += float(gap_cdf.sample(rng, 1)[0])  # OFF period
+        t += gap_cdf.sample(rng, 1)[0]  # OFF period
     return events
 
 
 def response_schedule(
-    rng: np.random.Generator,
+    rng: Pcg64Generator,
     n_responses: int,
     start_time: float,
     mean_interval: float,
@@ -179,9 +181,9 @@ def response_schedule(
     events = []
     t = start_time
     for i in range(n_responses):
-        size = int(rng.integers(lo, hi + 1))
+        size = rng.integers(lo, hi + 1)
         events.append(OnOffEvent(time=t, size_bytes=size))
-        t += float(intervals[i])
+        t += intervals[i]
     return events
 
 

@@ -287,7 +287,7 @@ def all_rules() -> list[Rule]:
 def lint_module_in_project(
     project: "ProjectContext",
     module: ModuleContext,
-    select: Sequence[str] | None = None,
+    select: Sequence[str] | None,
 ) -> list[Finding]:
     """Run every rule against one module of a parsed project."""
     findings: list[Finding] = []

@@ -36,6 +36,9 @@ __all__ = [
 #: everything else must draw from repro.sim.randomness streams/helpers.
 RANDOMNESS_HOME = "sim/randomness.py"
 
+#: the generator class that only the randomness home may construct.
+GENERATOR_CLASS = "repro.sim.randomness.Pcg64Generator"
+
 
 def is_randomness_home(path: str) -> bool:
     return path.endswith(RANDOMNESS_HOME)
@@ -57,7 +60,8 @@ class UnseededRandomnessRule(Rule):
         "in repro.sim.randomness instead of constructing generators here"
     )
 
-    #: numpy.random entry points that mint or reseed generator state.
+    #: numpy.random entry points that mint or reseed generator state
+    #: (the tree itself no longer imports numpy; other code may).
     FORBIDDEN_NP_CALLS = frozenset(
         {
             "default_rng",
@@ -108,7 +112,14 @@ class UnseededRandomnessRule(Rule):
                     )
             elif isinstance(node, ast.Call):
                 name = module.resolve(node.func)
-                if name.startswith("numpy.random."):
+                if name == GENERATOR_CLASS:
+                    yield from module.finding(
+                        node,
+                        self,
+                        "Pcg64Generator() constructs generator state "
+                        "outside sim/randomness.py",
+                    )
+                elif name.startswith("numpy.random."):
                     tail = name.rsplit(".", 1)[1]
                     if tail in self.FORBIDDEN_NP_CALLS:
                         yield from module.finding(

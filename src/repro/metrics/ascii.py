@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from repro.metrics.stats import _mean, _quantile
 from repro.sim.monitor import TimeSeries
 
 __all__ = ["cdf_table", "sparkline", "strip_chart"]
@@ -31,11 +30,11 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     values = list(values)
     if not values:
         return ""
-    arr = np.asarray(values, dtype=float)
     # Resample by bucket-averaging onto `width` columns.
-    edges = np.linspace(0, len(arr), width + 1).astype(int)
+    step = len(values) / width
+    edges = [int(column * step) for column in range(width)] + [len(values)]
     columns = [
-        arr[a:b].mean() if b > a else arr[min(a, len(arr) - 1)]
+        _mean(values[a:b]) if b > a else float(values[min(a, len(values) - 1)])
         for a, b in zip(edges, edges[1:])
     ]
     lo, hi = float(min(columns)), float(max(columns))
@@ -96,9 +95,9 @@ def cdf_table(samples: Sequence[float]) -> list[str]:
     completion times (in seconds), printed in milliseconds."""
     if not len(samples):
         raise ValueError("no samples")
-    arr = np.sort(np.asarray(samples, dtype=float))
+    ordered = sorted(map(float, samples))
     rows = []
     for q in CDF_QUANTILES:
-        value = float(np.quantile(arr, q))
+        value = _quantile(ordered, q)
         rows.append(f"p{q * 100:5.1f}  {value * 1e3:10.3f} ms")
     return rows

@@ -10,8 +10,9 @@ flushed **and fsynced** before ``record()`` returns, so a ``kill -9``
 (or power loss) can destroy at most the line being written.
 
 ``load()`` tolerates exactly that failure mode: a torn final line — or
-any line whose JSON/base64/pickle does not parse — is skipped rather
-than poisoning the resume.  Records are keyed on
+any line whose JSON/base64/pickle does not parse, or whose fields are
+not the types ``record()`` writes — is skipped rather than poisoning
+the resume, and no line raises out of it.  Records are keyed on
 ``(experiment_id, label, seed, params_digest)`` — the digest matters
 because protocol variants of one experiment deliberately share
 per-point seeds (matched draws), so id/label/seed alone would collide
@@ -54,6 +55,24 @@ JOURNAL_SCHEMA = "repro-sweep-journal/1"
 #: key addressing one completed point inside a journal:
 #: ``(experiment_id, label, seed, params_digest)``.
 PointKey = tuple[str, str, int, str]
+
+
+def _record_key(doc: Any) -> Optional[PointKey]:
+    """The key of a journal record whose fields have the types
+    :meth:`SweepCheckpoint.record` writes (``str``, ``str``, an ``int``
+    that is not a ``bool``, ``str``), else None: nothing is coerced."""
+    if not isinstance(doc, dict):
+        return None
+    experiment, label, seed = doc.get("experiment"), doc.get("label"), doc.get("seed")
+    params = doc.get("params", "")
+    if (
+        isinstance(experiment, str)
+        and isinstance(label, str)
+        and type(seed) is int
+        and isinstance(params, str)
+    ):
+        return experiment, label, seed, params
+    return None
 
 
 def digest_params(params: Any) -> str:
@@ -187,23 +206,20 @@ class SweepCheckpoint:
                     continue
                 try:
                     doc = json.loads(line)
-                    if (
-                        isinstance(doc, dict)
-                        and doc.get("schema") == JOURNAL_SCHEMA
-                    ):
-                        self.header = doc
-                        continue
-                    key = (
-                        str(doc["experiment"]),
-                        str(doc["label"]),
-                        int(doc["seed"]),
-                        str(doc.get("params", "")),
-                    )
+                except (ValueError, RecursionError):
+                    continue  # torn tail or foreign garbage: not resumable
+                if isinstance(doc, dict) and doc.get("schema") == JOURNAL_SCHEMA:
+                    self.header = doc
+                    continue
+                key = _record_key(doc)
+                if key is None:
+                    continue  # a foreign record must not resume as a point
+                try:
                     value = pickle.loads(base64.b64decode(doc["result"]))
                 except (ValueError, KeyError, TypeError, binascii.Error,
                         pickle.UnpicklingError, EOFError, AttributeError,
                         ImportError, IndexError):
-                    continue  # torn tail or foreign garbage: not resumable
+                    continue
                 completed[key] = value
         return completed
 

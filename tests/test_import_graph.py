@@ -10,19 +10,22 @@ graph itself and not whatever this test session happened to import:
   loads the fleet side;
 * the registry's table answers ``ids()`` without importing an
   experiment module, and ``get(id)`` imports just that id's module;
-* numpy loads at the first generator construction, never before: a
-  sweep whose points draw nothing (``incast``) runs and serializes its
-  payload without it.
+* no run loads numpy: the generator and the reducers are pure Python,
+  so the first point of every drawing figure runs without it, and no
+  module under ``src/repro`` imports it.
 
 The drift guard holds the table equal to what the experiment modules
 register, so an experiment missing from the table fails here.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.experiments import registry
@@ -100,12 +103,39 @@ def test_a_sweep_that_draws_nothing_never_loads_numpy():
     )
 
 
-def test_the_first_generator_loads_numpy():
-    # Positive control: the probe above would see numpy if it were there.
-    assert _loads_numpy(
-        "from repro.sim.randomness import RandomStreams\n"
-        "RandomStreams(1).get('x')\n"
+def test_the_probe_sees_numpy_once_imported():
+    # Positive control: the probe would see numpy if a run loaded it.
+    assert _loads_numpy("import numpy")
+
+
+@pytest.mark.parametrize(
+    "experiment_id", ["fig8", "fig12", "openloop", "faults", "fig1"]
+)
+def test_the_first_point_of_a_drawing_figure_loads_no_numpy(experiment_id):
+    # Each of these draws from a seeded generator and reduces what it drew.
+    assert not _loads_numpy(
+        "from repro.experiments import registry\n"
+        "from repro.experiments.store import to_jsonable\n"
+        f"experiment = registry.get({experiment_id!r})\n"
+        "params = experiment.make_params('quick')\n"
+        "point = experiment.points(params)[0]\n"
+        "assert to_jsonable(experiment.run_point(params, point, 1))\n"
     )
+
+
+def test_no_module_under_src_imports_numpy():
+    importers = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert importers == []
 
 
 def test_import_repro_loads_no_other_repro_module():

@@ -101,6 +101,29 @@ class TestSim001Randomness:
         )
         assert lint_source(src) == []
 
+    def test_flags_generator_construction_outside_the_home(self):
+        # A generator built from hand-picked state words bypasses the
+        # seed derivation, whichever way the class is reached.
+        for src in (
+            "from repro.sim.randomness import Pcg64Generator\n"
+            "rng = Pcg64Generator([0] * 8)\n",
+            "from repro.sim import randomness\n"
+            "rng = randomness.Pcg64Generator([0] * 8)\n",
+        ):
+            findings = lint_source(src)
+            assert rule_ids(findings) == ["SIM001"]
+            assert findings[0].line == 2
+        src = "from repro.sim import randomness\nrandomness.Pcg64Generator([0] * 8)\n"
+        assert lint_source(src, path="repro/sim/randomness.py") == []
+
+    def test_generator_type_annotation_is_not_a_construction(self):
+        src = (
+            "from repro.sim.randomness import Pcg64Generator\n"
+            "def draw(rng: Pcg64Generator) -> float:\n"
+            "    return rng.random()\n"
+        )
+        assert lint_source(src) == []
+
     def test_randomness_home_is_exempt(self):
         src = "import numpy as np\nrng = np.random.default_rng(7)\n"
         assert lint_source(src, path="repro/sim/randomness.py") == []

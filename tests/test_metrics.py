@@ -1,9 +1,14 @@
 """Unit tests for completion statistics and the sampler over live traffic."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.metrics.ascii import cdf_table, sparkline
 from repro.metrics.stats import (
+    _sum,
     act,
     cdf_points,
     completion_times,
@@ -81,7 +86,7 @@ class TestStats:
 
 
 class TestStatsAcceptNumpyArrays:
-    """Experiment reducers hand these functions numpy arrays directly.
+    """A library caller may hand these functions numpy arrays.
 
     Regression guard: the emptiness checks must use ``len()``, because
     ``not arr`` raises "truth value of an array is ambiguous" for any
@@ -114,6 +119,61 @@ class TestStatsAcceptNumpyArrays:
                 fn(empty)
         with pytest.raises(ValueError):
             percentile(empty, 50)
+
+
+#: sample lengths across numpy's pairwise block edges (runs of 8,
+#: blocks of 128) and well past one 8192-element buffer.
+LENGTHS = st.one_of(
+    st.integers(1, 20_000),
+    st.sampled_from([1, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257, 8192, 20_000]),
+)
+
+
+def _samples(seed, n):
+    """Completion-time-like floats over twelve decades, so rounding bites."""
+    rng = random.Random(seed)
+    return [rng.expovariate(1.0) * 10.0 ** rng.randint(-9, 3) for _ in range(n)]
+
+
+class TestReducersEqualNumpy:
+    """The pure-Python reducers give numpy's float64 results to the bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=LENGTHS, q=st.floats(0.0, 100.0))
+    def test_mean_sum_and_percentile(self, seed, n, q):
+        times = _samples(seed, n)
+        assert act(times) == float(np.mean(times))
+        assert _sum(times) == float(np.sum(times))
+        for quantile in (q, 0, 1, 10, 25, 50, 75, 90, 99, 99.9, 100):
+            assert percentile(times, quantile) == float(np.percentile(times, quantile))
+        summary = summarize(times)
+        assert summary.p50 == float(np.percentile(times, 50))
+        assert summary.p99 == float(np.percentile(times, 99))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(1, 300))
+    def test_jain_and_ascii_views(self, seed, n):
+        shares = _samples(seed, n)
+        arr = np.asarray(shares)
+        assert jain_fairness(shares) == float(np.sum(arr)) ** 2 / (
+            n * float(np.sum(arr**2))
+        )
+        assert cdf_table(shares) == [
+            f"p{q * 100:5.1f}  {float(np.quantile(arr, q)) * 1e3:10.3f} ms"
+            for q in (0.5, 0.9, 0.95, 0.99, 1.0)
+        ]
+        # the sparkline's columns are numpy means of linspace buckets
+        edges = np.linspace(0, n, 41).astype(int)
+        columns = [
+            arr[a:b].mean() if b > a else arr[min(a, n - 1)]
+            for a, b in zip(edges, edges[1:])
+        ]
+        lo, hi = min(columns), max(columns)
+        expected = "".join(
+            " ▁▂▃▄▅▆▇█"[1 if hi == lo else 1 + int((c - lo) / (hi - lo) * 7)]
+            for c in columns
+        )
+        assert sparkline(shares, width=40) == expected
 
 
 class TestMonitors:

@@ -9,7 +9,6 @@ the delivered hop count must equal the graph-theoretic shortest path.
 from collections import deque
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +24,7 @@ from repro.net.topology import (
     build_two_level_tree,
 )
 from repro.sim.kernel import Simulator
+from repro.sim.randomness import seeded_rng
 
 
 class CollectingAgent:
@@ -37,8 +37,7 @@ class CollectingAgent:
 
 def random_topology(seed):
     """A connected random switch mesh with one host per switch."""
-    rng = np.random.default_rng(seed)
-    n_switches = int(rng.integers(2, 8))
+    n_switches = seeded_rng(seed).integers(2, 8)
     mesh = nx.gnp_random_graph(n_switches, 0.5, seed=int(seed))
     # Ensure connectivity by chaining the components.
     components = [list(c) for c in nx.connected_components(mesh)]

@@ -3,13 +3,14 @@
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.experiments import registry
 from repro.experiments.base import Experiment, Point
 from repro.experiments.store import to_jsonable
 from repro.runner import ResultCache, RetryPolicy, SweepRunner
-from repro.sim.randomness import RandomStreams, derive_seed
+from repro.sim.randomness import RandomStreams, _stable_hash, derive_seed
 
 
 # ----------------------------------------------------------------------
@@ -34,9 +35,11 @@ class TestDeriveSeed:
 
     def test_matches_stream_spawn(self):
         # One scheme: a derived seed is its named stream's own seed state.
-        seq = RandomStreams(7).get("fig4/run").bit_generator.seed_seq
+        seq = np.random.SeedSequence(7, spawn_key=(_stable_hash("fig4/run"),))
         low, high = (int(w) for w in seq.generate_state(2))
         assert derive_seed(7, "fig4/run") == (low | high << 32) & (2**63 - 1)
+        stream = np.random.Generator(np.random.PCG64(seq))
+        assert RandomStreams(7).get("fig4/run").random(4) == list(stream.random(4))
 
 
 # ----------------------------------------------------------------------

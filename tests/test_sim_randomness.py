@@ -1,9 +1,14 @@
-"""Unit tests for seeded random streams and seed derivation."""
+"""Unit tests for seeded random streams, seed derivation, and the
+pure-Python PCG64 generator held draw for draw equal to numpy's."""
+
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.sim import ziggurat
 from repro.sim.randomness import RandomStreams, _stable_hash, derive_seed, seeded_rng
 
 
@@ -112,3 +117,223 @@ class TestSeedsAreNonNegativeIntegers:
             RandomStreams(-1)
         with pytest.raises(ValueError, match="seed"):
             seeded_rng(-1)
+
+
+# ----------------------------------------------------------------------
+# Bit-equality with numpy.random.Generator(PCG64(SeedSequence(...)))
+# ----------------------------------------------------------------------
+
+#: 1-3 entropy integers of 1-100 bits each.
+ENTROPY = st.lists(
+    st.integers(1, 100).flatmap(lambda bits: st.integers(0, 2**bits - 1)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def generator_pairs(draw):
+    """(ours, numpy's) seeded alike: through ``seeded_rng`` or through a
+    ``RandomStreams`` spawn key."""
+    if draw(st.booleans()):
+        entropy = draw(ENTROPY)
+        seq = np.random.SeedSequence(entropy[0] if len(entropy) == 1 else entropy)
+        ours = seeded_rng(*entropy)
+    else:
+        seed, name = draw(st.integers(0, 2**100)), draw(st.text(max_size=12))
+        seq = np.random.SeedSequence(seed, spawn_key=(_stable_hash(name),))
+        ours = RandomStreams(seed).get(name)
+    return ours, np.random.Generator(np.random.PCG64(seq))
+
+
+#: ``integers`` spans (high - 1 - low): empty, below 2**32, exactly
+#: 2**32 - 1 (the plain 32-bit draw), above 2**32, and up to 2**63.
+SPANS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 2),
+    st.just(2**32 - 1),
+    st.integers(2**32, 2**63 - 1),
+)
+
+
+@st.composite
+def integer_ranges(draw):
+    span = draw(SPANS)
+    low = draw(st.integers(-(2**63), 2**63 - 1 - span))
+    return low, low + span + 1
+
+
+#: geometric's p on both sides of numpy's 1/3 switch, and at 1.
+PROBS = st.one_of(
+    st.floats(1e-9, 0.3333333333333333),
+    st.floats(0.3333333333333333, 1.0),
+    st.sampled_from([1.0, 1 / 3, 0.3333333333333333, 1e-300, 5e-324]),
+)
+
+SIZES = st.integers(0, 40)
+
+
+class TestGeneratorEqualsNumpy:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=generator_pairs(), size=SIZES)
+    def test_random(self, pair, size):
+        ours, ref = pair
+        assert ours.random() == ref.random()
+        assert ours.random(size) == ref.random(size).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=generator_pairs(),
+        low=st.floats(-1e6, 1e6),
+        width=st.floats(0.0, 1e6),
+    )
+    def test_uniform(self, pair, low, width):
+        ours, ref = pair
+        assert ours.uniform(low, low + width) == ref.uniform(low, low + width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=generator_pairs(), scale=st.floats(0.0, 1e3), size=SIZES)
+    def test_exponential(self, pair, scale, size):
+        ours, ref = pair
+        assert ours.exponential(scale) == ref.exponential(scale)
+        assert ours.exponential(scale, size) == ref.exponential(scale, size).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=generator_pairs(), p=PROBS)
+    def test_geometric(self, pair, p):
+        ours, ref = pair
+        for _ in range(3):
+            assert ours.geometric(p) == int(ref.geometric(p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=generator_pairs(), bounds=integer_ranges(), size=SIZES)
+    def test_integers(self, pair, bounds, size):
+        ours, ref = pair
+        low, high = bounds
+        assert ours.integers(low, high) == int(ref.integers(low, high))
+        assert ours.integers(low, high, size) == ref.integers(low, high, size).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=generator_pairs(),
+        calls=st.lists(
+            st.one_of(integer_ranges(), st.just("random"), st.just("exponential")),
+            max_size=30,
+        ),
+    )
+    def test_interleaved_draws_share_the_carried_half_word(self, pair, calls):
+        # A 32-bit draw keeps the high half of its 64-bit word for the
+        # next 32-bit draw; doubles and 64-bit draws in between leave it.
+        ours, ref = pair
+        for call in calls:
+            if call == "random":
+                assert ours.random() == ref.random()
+            elif call == "exponential":
+                assert ours.exponential(2.0) == ref.exponential(2.0)
+            else:
+                assert ours.integers(*call) == int(ref.integers(*call))
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=generator_pairs(), n=st.integers(0, 300))
+    def test_permutation(self, pair, n):
+        ours, ref = pair
+        ours.integers(0, 10)  # leave a carried half-word behind
+        ref.integers(0, 10)
+        assert ours.permutation(n) == ref.permutation(n).tolist()
+        assert ours.random() == ref.random()
+
+    def test_exponential_visits_every_ziggurat_layer_and_branch(self):
+        # Classify numpy's raw stream: which layer each 64-bit word
+        # picks, and whether it misses the layer's rectangle into the
+        # tail (layer 0) or the wedge test (any other layer).  Both
+        # branches spend one more word; every draw spends at least one,
+        # so n draws consume at least the n words classified.
+        n = 60_000
+        words = iter(np.random.PCG64(np.random.SeedSequence(2024)).random_raw(n))
+        layers, tails, wedges = set(), 0, 0
+        for word in words:
+            bits = int(word) >> 3
+            layer, bits = bits & 0xFF, bits >> 8
+            layers.add(layer)
+            if bits >= ziggurat.KE[layer]:
+                tails += layer == 0
+                wedges += layer != 0
+                next(words, None)
+        assert layers == set(range(256))
+        assert tails > 0 and wedges > 0
+        ours, ref = seeded_rng(2024), np.random.default_rng(2024)
+        assert ours.exponential(1.0, n) == ref.exponential(1.0, n).tolist()
+
+    @pytest.mark.parametrize(
+        ("low", "high"),
+        # spans whose Lemire threshold rejects about half the draws,
+        # in the 32-bit and the 64-bit path
+        [(0, 2**31 + 2), (-(2**63), 1)],
+    )
+    def test_integers_take_the_rejection_loop(self, low, high):
+        ours, ref = seeded_rng(11), np.random.default_rng(11)
+        assert ours.integers(low, high, 200) == ref.integers(low, high, 200).tolist()
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        ("call", "error"),
+        [
+            (lambda g: g.integers(5, 5), ValueError),
+            (lambda g: g.integers(0, 2**63 + 1), ValueError),
+            (lambda g: g.integers(-(2**63) - 1, 0), ValueError),
+            (lambda g: g.geometric(0.0), ValueError),
+            (lambda g: g.geometric(1.5), ValueError),
+            (lambda g: g.exponential(-1.0), ValueError),
+            (lambda g: g.uniform(1.0, 0.0), ValueError),
+            (lambda g: g.uniform(-1e308, 1e308), OverflowError),
+        ],
+    )
+    def test_bad_arguments_raise(self, call, error):
+        with pytest.raises(error):
+            call(seeded_rng(1))
+
+
+def _rodata_tables(archive):
+    """The ``ke_double``/``we_double``/``fe_double`` arrays of numpy's
+    static distributions library: ``{symbol: raw bytes}``, or None when
+    the archive is not one of little-endian 64-bit ELF objects."""
+    data = archive.read_bytes()
+    if data[:8] != b"!<arch>\n":
+        return None
+    pos, found = 8, {}
+    while pos + 60 <= len(data):
+        size = int(data[pos + 48 : pos + 58])
+        obj = data[pos + 60 : pos + 60 + size]
+        pos += 60 + size + (size & 1)
+        if obj[:6] != b"\x7fELF\x02\x01":
+            continue
+        (shoff,) = struct.unpack_from("<Q", obj, 0x28)
+        entsize, count = struct.unpack_from("<HH", obj, 0x3A)
+        sections = [
+            struct.unpack_from("<IIQQQQIIQQ", obj, shoff + k * entsize)
+            for k in range(count)
+        ]
+        for symtab in (sec for sec in sections if sec[1] == 2):  # SHT_SYMTAB
+            names = sections[symtab[6]][4]
+            for k in range(symtab[5] // 24):
+                name_at, _, _, shndx, value, length = struct.unpack_from(
+                    "<IBBHQQ", obj, symtab[4] + 24 * k
+                )
+                start = names + name_at
+                name = obj[start : obj.index(b"\0", start)].decode()
+                if name in ("ke_double", "we_double", "fe_double"):
+                    offset = sections[shndx][4] + value
+                    found[name] = obj[offset : offset + length]
+    return found or None
+
+
+def test_ziggurat_tables_are_numpys_own():
+    # The literals in repro.sim.ziggurat, byte for byte against the
+    # installed numpy's compiled tables.
+    archive = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    tables = _rodata_tables(archive) if archive.exists() else None
+    if tables is None:
+        pytest.skip("no ELF libnpyrandom.a in this numpy build")
+    assert struct.unpack("<256Q", tables["ke_double"]) == ziggurat.KE
+    assert struct.unpack("<256d", tables["we_double"]) == ziggurat.WE
+    assert struct.unpack("<256d", tables["fe_double"]) == ziggurat.FE
