@@ -30,99 +30,127 @@ touches.
 from __future__ import annotations
 
 import importlib
+import sys
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core import SteadyStateModel, TrimSource, k_threshold, kguide
-    from repro.experiments.base import Experiment, Point
-    from repro.faults import FaultInjector, FaultPlan
-    from repro.net import (
-        Network,
-        build_fat_tree,
-        build_multi_hop,
-        build_star,
-        build_two_level_tree,
-    )
-    from repro.obs import CwndTimeline, QueueTimeline, Telemetry, TraceSpec
-    from repro.runner import ResultCache, SweepCheckpoint, SweepRunner
-    from repro.sim import (
-        InvariantMonitor,
-        InvariantViolation,
-        RandomStreams,
-        Simulator,
-        derive_seed,
-        seeded_rng,
-    )
-    from repro.tcp import (
-        PROTOCOLS,
-        Message,
-        TcpConfig,
-        TcpSink,
-        TcpSource,
-        create_source,
-        make_connection,
-    )
+    from repro.core import kguide as kguide
+    from repro.core.kguide import k_threshold as k_threshold
+    from repro.core.model import SteadyStateModel as SteadyStateModel
+    from repro.core.trim import TrimSource as TrimSource
+    from repro.experiments.base import Experiment as Experiment
+    from repro.experiments.base import Point as Point
+    from repro.faults.injector import FaultInjector as FaultInjector
+    from repro.faults.plan import FaultPlan as FaultPlan
+    from repro.net.topology import Network as Network
+    from repro.net.topology import build_fat_tree as build_fat_tree
+    from repro.net.topology import build_multi_hop as build_multi_hop
+    from repro.net.topology import build_star as build_star
+    from repro.net.topology import build_two_level_tree as build_two_level_tree
+    from repro.obs.spec import TraceSpec as TraceSpec
+    from repro.obs.telemetry import Telemetry as Telemetry
+    from repro.obs.timeline import CwndTimeline as CwndTimeline
+    from repro.obs.timeline import QueueTimeline as QueueTimeline
+    from repro.runner.cache import ResultCache as ResultCache
+    from repro.runner.checkpoint import SweepCheckpoint as SweepCheckpoint
+    from repro.runner.engine import SweepRunner as SweepRunner
+    from repro.sim.invariants import InvariantMonitor as InvariantMonitor
+    from repro.sim.invariants import InvariantViolation as InvariantViolation
+    from repro.sim.kernel import Simulator as Simulator
+    from repro.sim.randomness import RandomStreams as RandomStreams
+    from repro.sim.randomness import derive_seed as derive_seed
+    from repro.sim.randomness import seeded_rng as seeded_rng
+    from repro.tcp.base import Message as Message
+    from repro.tcp.base import TcpConfig as TcpConfig
+    from repro.tcp.base import TcpSink as TcpSink
+    from repro.tcp.base import TcpSource as TcpSource
+    from repro.tcp.factory import PROTOCOLS as PROTOCOLS
+    from repro.tcp.factory import create_source as create_source
+    from repro.tcp.factory import make_connection as make_connection
 
 __version__ = "1.0.0"
 
-#: public name -> the module it is loaded from on first access.
-_LAZY = {
-    "SteadyStateModel": "repro.core",
-    "TrimSource": "repro.core",
-    "k_threshold": "repro.core",
-    "kguide": "repro.core",
-    "Experiment": "repro.experiments.base",
-    "Point": "repro.experiments.base",
-    "FaultInjector": "repro.faults",
-    "FaultPlan": "repro.faults",
-    "Network": "repro.net",
-    "build_fat_tree": "repro.net",
-    "build_multi_hop": "repro.net",
-    "build_star": "repro.net",
-    "build_two_level_tree": "repro.net",
-    "CwndTimeline": "repro.obs",
-    "QueueTimeline": "repro.obs",
-    "Telemetry": "repro.obs",
-    "TraceSpec": "repro.obs",
-    "ResultCache": "repro.runner",
-    "SweepCheckpoint": "repro.runner",
-    "SweepRunner": "repro.runner",
-    "InvariantMonitor": "repro.sim",
-    "InvariantViolation": "repro.sim",
-    "RandomStreams": "repro.sim",
-    "Simulator": "repro.sim",
-    "derive_seed": "repro.sim",
-    "seeded_rng": "repro.sim",
-    "PROTOCOLS": "repro.tcp",
-    "Message": "repro.tcp",
-    "TcpConfig": "repro.tcp",
-    "TcpSink": "repro.tcp",
-    "TcpSource": "repro.tcp",
-    "create_source": "repro.tcp",
-    "make_connection": "repro.tcp",
-}
 
+def _lazy_exports(package: str, table: dict[str, str]) -> None:
+    """Make ``package`` load its public names on first access (PEP 562).
 
-def __getattr__(name: str) -> Any:
-    """Load a public name, or a subpackage, on first access (PEP 562)."""
-    module = _LAZY.get(name)
-    if module is None:
-        # ``repro.sim.Simulator`` after a bare ``import repro``.
+    ``table`` maps each public name to the module that defines it; a
+    name that is that module's own last component (``"kguide":
+    "repro.core.kguide"``) is the module itself.  Any other attribute
+    is tried as a submodule, so ``repro.sim.Simulator`` works after a
+    bare ``import repro``.  A resolved name is stored in the package,
+    so later lookups never reach the hook.  The table stays readable
+    as the package's ``_LAZY``, and its names join the package's
+    ``__all__``.  Every package ``__init__`` calls this one function
+    and imports the same names under ``TYPE_CHECKING`` (``X as X``, the
+    explicit re-export) for static tools.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> Any:
+        module = table.get(name, f"{package}.{name}")
         try:
-            return importlib.import_module(f"{__name__}.{name}")
+            value = importlib.import_module(module)
         except ModuleNotFoundError as exc:
-            if exc.name != f"{__name__}.{name}":
+            if name in table or exc.name != module:
                 raise
             raise AttributeError(
-                f"module 'repro' has no attribute {name!r}"
+                f"module {package!r} has no attribute {name!r}"
             ) from None
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # later lookups never reach __getattr__
-    return value
+        if module.rpartition(".")[2] != name:
+            value = getattr(value, name)
+        namespace[name] = value  # later lookups never reach __getattr__
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *table})
+
+    namespace.update(
+        __getattr__=__getattr__,
+        __dir__=__dir__,
+        __all__=sorted({*namespace.get("__all__", ()), *table}),
+        _LAZY=MappingProxyType(table),
+    )
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+__all__ = ["experiment_ids", "get_experiment"]  # and every name below
+
+_lazy_exports(__name__, {
+    "SteadyStateModel": "repro.core.model",
+    "TrimSource": "repro.core.trim",
+    "k_threshold": "repro.core.kguide",
+    "kguide": "repro.core.kguide",
+    "Experiment": "repro.experiments.base",
+    "Point": "repro.experiments.base",
+    "FaultInjector": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+    "Network": "repro.net.topology",
+    "build_fat_tree": "repro.net.topology",
+    "build_multi_hop": "repro.net.topology",
+    "build_star": "repro.net.topology",
+    "build_two_level_tree": "repro.net.topology",
+    "CwndTimeline": "repro.obs.timeline",
+    "QueueTimeline": "repro.obs.timeline",
+    "Telemetry": "repro.obs.telemetry",
+    "TraceSpec": "repro.obs.spec",
+    "ResultCache": "repro.runner.cache",
+    "SweepCheckpoint": "repro.runner.checkpoint",
+    "SweepRunner": "repro.runner.engine",
+    "InvariantMonitor": "repro.sim.invariants",
+    "InvariantViolation": "repro.sim.invariants",
+    "RandomStreams": "repro.sim.randomness",
+    "Simulator": "repro.sim.kernel",
+    "derive_seed": "repro.sim.randomness",
+    "seeded_rng": "repro.sim.randomness",
+    "PROTOCOLS": "repro.tcp.factory",
+    "Message": "repro.tcp.base",
+    "TcpConfig": "repro.tcp.base",
+    "TcpSink": "repro.tcp.base",
+    "TcpSource": "repro.tcp.base",
+    "create_source": "repro.tcp.factory",
+    "make_connection": "repro.tcp.factory",
+})
 
 
 def get_experiment(experiment_id: str) -> Experiment:
@@ -142,41 +170,3 @@ def experiment_ids() -> list[str]:
 
     return registry.ids()
 
-
-__all__ = [
-    "CwndTimeline",
-    "Experiment",
-    "FaultInjector",
-    "FaultPlan",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "Message",
-    "Network",
-    "PROTOCOLS",
-    "Point",
-    "QueueTimeline",
-    "RandomStreams",
-    "ResultCache",
-    "Simulator",
-    "SteadyStateModel",
-    "SweepCheckpoint",
-    "SweepRunner",
-    "TcpConfig",
-    "TcpSink",
-    "TcpSource",
-    "Telemetry",
-    "TraceSpec",
-    "TrimSource",
-    "build_fat_tree",
-    "build_multi_hop",
-    "build_star",
-    "build_two_level_tree",
-    "create_source",
-    "derive_seed",
-    "seeded_rng",
-    "experiment_ids",
-    "get_experiment",
-    "k_threshold",
-    "kguide",
-    "make_connection",
-]

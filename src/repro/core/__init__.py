@@ -7,15 +7,21 @@
   model behind the guideline.
 """
 
-from repro.core import kguide
-from repro.core.kguide import k_threshold
-from repro.core.model import SteadyStateModel, SteadyStateTrace
-from repro.core.trim import TrimSource
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "SteadyStateModel",
-    "SteadyStateTrace",
-    "TrimSource",
-    "k_threshold",
-    "kguide",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core import kguide as kguide
+    from repro.core.kguide import k_threshold as k_threshold
+    from repro.core.model import SteadyStateModel as SteadyStateModel
+    from repro.core.model import SteadyStateTrace as SteadyStateTrace
+    from repro.core.trim import TrimSource as TrimSource
+
+_lazy_exports(__name__, {
+    "kguide": "repro.core.kguide",
+    "k_threshold": "repro.core.kguide",
+    "SteadyStateModel": "repro.core.model",
+    "SteadyStateTrace": "repro.core.model",
+    "TrimSource": "repro.core.trim",
+})

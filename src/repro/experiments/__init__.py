@@ -28,14 +28,21 @@ under its figure ids::
     payload = SweepRunner(jobs=4).run(experiment, params, seed=1)
 
 ``python -m repro.experiments <id>`` is the command-line face of the
-same machinery.  Importing this package loads only the registry:
-``registry.get(id)`` imports just the module its table names for that
+same machinery.  Importing this package loads none of its modules;
+``registry`` resolves on first access, and ``registry.get(id)`` imports just the module its table names for that
 id.  Params, result classes and the ad-hoc ``run_*`` helpers live on
 their defining modules (``repro.experiments.fattree.FatTreeParams``,
 ``repro.experiments.fattree.run_fattree`` and so on); the registry is
 the supported way in.
 """
 
-from repro.experiments import registry
+from typing import TYPE_CHECKING
 
-__all__ = ["registry"]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments import registry as registry
+
+_lazy_exports(__name__, {
+    "registry": "repro.experiments.registry",
+})

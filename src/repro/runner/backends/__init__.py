@@ -17,56 +17,57 @@ payloads for any backend and any ``--jobs``.  See
 :class:`~repro.runner.backends.base.SweepBackend` for the protocol and
 CONTRIBUTING.md for how to implement one.
 
-``dispatch`` is registered lazily: naming it in :func:`create_backend`
-(or ``--backend dispatch``) imports the fleet machinery on demand, so
-single-process sweeps never pay for sockets and subprocess plumbing —
-and the import graph stays acyclic (the dispatch package itself builds
-on :mod:`repro.runner.backends.base`).  The dispatch package
-``__init__`` imports none of its modules, so importing the retry policy
-from it does not load the fleet either; tests/test_import_graph.py
-checks both.
+Each backend is a row of :data:`BACKENDS`, and :func:`create_backend`
+imports only the module of the one it is given: a serial sweep never
+loads the process pool (nor ``multiprocessing``), and a single-host one
+never loads the fleet's sockets and subprocess plumbing.  Importing the
+dispatch backend only when it is named also keeps the import graph
+acyclic (the dispatch package builds on
+:mod:`repro.runner.backends.base`).  tests/test_import_graph.py checks
+both.
 """
 
-from repro.runner.backends.base import (
-    PointSpec,
-    SweepBackend,
-    execute_point,
-    resolve_experiment,
-)
-from repro.runner.backends.pool import ProcessPoolBackend
-from repro.runner.backends.serial import SerialBackend
+from __future__ import annotations
 
-__all__ = [
-    "BACKENDS",
-    "LAZY_BACKENDS",
-    "PointSpec",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "SweepBackend",
-    "create_backend",
-    "execute_point",
-    "resolve_experiment",
-]
+import importlib
+from typing import TYPE_CHECKING
 
-#: name -> class, the CLI's ``--backend`` choices.
-BACKENDS: dict[str, type[SweepBackend]] = {
-    SerialBackend.name: SerialBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
+from repro import _lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runner.backends.base import PointSpec as PointSpec
+    from repro.runner.backends.base import SweepBackend as SweepBackend
+    from repro.runner.backends.base import execute_point as execute_point
+    from repro.runner.backends.base import resolve_experiment as resolve_experiment
+    from repro.runner.backends.pool import ProcessPoolBackend as ProcessPoolBackend
+    from repro.runner.backends.serial import SerialBackend as SerialBackend
+
+__all__ = ["BACKENDS", "create_backend"]  # and every name below
+
+_lazy_exports(__name__, {
+    "PointSpec": "repro.runner.backends.base",
+    "SweepBackend": "repro.runner.backends.base",
+    "execute_point": "repro.runner.backends.base",
+    "resolve_experiment": "repro.runner.backends.base",
+    "ProcessPoolBackend": "repro.runner.backends.pool",
+    "SerialBackend": "repro.runner.backends.serial",
+})
+
+#: name -> (module, class), the CLI's ``--backend`` choices; a backend's
+#: module is imported only when it is named.
+BACKENDS: dict[str, tuple[str, str]] = {
+    "serial": ("repro.runner.backends.serial", "SerialBackend"),
+    "process": ("repro.runner.backends.pool", "ProcessPoolBackend"),
+    "dispatch": ("repro.runner.dispatch.backend", "DispatchBackend"),
 }
-
-#: backends resolved by import on first use (see module docstring).
-LAZY_BACKENDS: tuple[str, ...] = ("dispatch",)
 
 
 def create_backend(name: str, **kwargs: object) -> SweepBackend:
     """Instantiate a named backend (``serial``/``process``/``dispatch``)."""
-    if name in LAZY_BACKENDS:
-        from repro.runner.dispatch.backend import DispatchBackend
-
-        return DispatchBackend(**kwargs)  # type: ignore[arg-type]
     try:
-        cls = BACKENDS[name]
+        module, cls = BACKENDS[name]
     except KeyError:
-        known = ", ".join((*BACKENDS, *LAZY_BACKENDS))
+        known = ", ".join(BACKENDS)
         raise ValueError(f"unknown sweep backend {name!r} (known: {known})") from None
-    return cls(**kwargs)  # type: ignore[arg-type]
+    backend: SweepBackend = getattr(importlib.import_module(module), cls)(**kwargs)
+    return backend

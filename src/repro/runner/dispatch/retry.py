@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import builtins
 import concurrent.futures
-import concurrent.futures.process
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -89,12 +88,13 @@ class RemoteError(Exception):
 #: exception types that say something broke *around* the point, not in
 #: it: retry on another worker without consuming the deterministic
 #: budget.  ConnectionError covers ConnectionResetError/BrokenPipeError
-#: and the frame/lease errors that subclass it; EOFError and the broken
-#: -pool types are what a mid-task worker death looks like from a pool.
+#: and the frame/lease errors that subclass it; EOFError and a broken
+#: executor are what a mid-task worker death looks like from a pool
+#: (``BrokenProcessPool`` subclasses ``BrokenExecutor``, so naming the
+#: base keeps ``multiprocessing`` out of a process that never forks).
 _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     ConnectionError,
     EOFError,
-    concurrent.futures.process.BrokenProcessPool,
     concurrent.futures.BrokenExecutor,
 )
 

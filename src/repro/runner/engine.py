@@ -68,13 +68,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.runner.backends import (
-    PointSpec,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepBackend,
-    create_backend,
-)
+from repro.runner.backends import create_backend
+from repro.runner.backends.base import PointSpec, SweepBackend
+from repro.runner.backends.serial import SerialBackend
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import SweepCheckpoint, digest_params
 from repro.runner.dispatch.retry import (
@@ -482,7 +478,7 @@ class SweepRunner:
             return self.backend
         if self.jobs == 1 or n_pending == 1:
             return SerialBackend()
-        return ProcessPoolBackend()
+        return create_backend("process")
 
     # ------------------------------------------------------------------
     # Resolution paths

@@ -48,10 +48,9 @@ import math
 import os
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.sim.invariants import InvariantMonitor
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import Telemetry
+    from repro.sim.invariants import InvariantMonitor
 
 __all__ = ["Event", "SimulationError", "Simulator"]
 
@@ -147,10 +146,13 @@ class Simulator:
         if check_invariants is None:
             check_invariants = _invariants_default()
         #: runtime invariant checker; components self-register on it
-        #: when present (see :mod:`repro.sim.invariants`).
-        self.invariants: Optional[InvariantMonitor] = (
-            InvariantMonitor(self) if check_invariants else None
-        )
+        #: when present (see :mod:`repro.sim.invariants`, imported only
+        #: then).
+        self.invariants: Optional[InvariantMonitor] = None
+        if check_invariants:
+            from repro.sim.invariants import InvariantMonitor
+
+            self.invariants = InvariantMonitor(self)
         if telemetry is None:
             telemetry = _telemetry_default()
         #: flight-recorder bus (:mod:`repro.obs`); None — the default —

@@ -1,27 +1,22 @@
 """Protocol registry: build a sender by name.
 
 Experiments select protocols with strings (``"reno"``, ``"trim"``, ...)
-so sweeps over protocols are data, not code.  TCP-TRIM itself lives in
-:mod:`repro.core.trim`; it is registered here lazily to avoid a circular
-import between the substrate and the contribution.
+so sweeps over protocols are data, not code.  The registry names each
+protocol's module and class, and a sender's module is imported when its
+protocol is first built, so a run loads only the protocols it runs.
+TCP-TRIM itself lives in :mod:`repro.core.trim`; naming it here by
+module keeps the substrate free of an import of the contribution.
 """
 
 from __future__ import annotations
 
+import importlib
+from types import MappingProxyType
 from typing import Any, Optional, Type
 
 from repro.net.node import Host
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig, TcpSink, TcpSource
-from repro.tcp.cubic import CubicSource
-from repro.tcp.d2tcp import D2tcpSource
-from repro.tcp.dctcp import DctcpSource
-from repro.tcp.gip import GipSource
-from repro.tcp.l2dct import L2dctSource
-from repro.tcp.reno import RenoSource
-from repro.tcp.tinybuffer import TinyBufferSource
-from repro.tcp.tracks import TracksSource
-from repro.tcp.vegas import VegasSource
 
 __all__ = [
     "ECN_PROTOCOLS",
@@ -31,42 +26,33 @@ __all__ = [
     "source_class",
 ]
 
-# A deliberate module-level registry: it maps names to *classes* (no
-# per-simulation state), and its only mutation is the idempotent lazy
-# registration of TrimSource below, which breaks the substrate↔core
-# import cycle.  # simlint: disable=SIM005
-PROTOCOLS: dict[str, Type[TcpSource]] = {
-    "reno": RenoSource,
-    "cubic": CubicSource,
-    "dctcp": DctcpSource,
-    "l2dct": L2dctSource,
-    "gip": GipSource,
-    "vegas": VegasSource,
-    "d2tcp": D2tcpSource,
-    "tinybuffer": TinyBufferSource,
-    "tracks": TracksSource,
-}
+#: protocol name -> (module, class) of its sender.
+PROTOCOLS = MappingProxyType({
+    "reno": ("repro.tcp.reno", "RenoSource"),
+    "cubic": ("repro.tcp.cubic", "CubicSource"),
+    "dctcp": ("repro.tcp.dctcp", "DctcpSource"),
+    "l2dct": ("repro.tcp.l2dct", "L2dctSource"),
+    "gip": ("repro.tcp.gip", "GipSource"),
+    "vegas": ("repro.tcp.vegas", "VegasSource"),
+    "d2tcp": ("repro.tcp.d2tcp", "D2tcpSource"),
+    "tinybuffer": ("repro.tcp.tinybuffer", "TinyBufferSource"),
+    "tracks": ("repro.tcp.tracks", "TracksSource"),
+    "trim": ("repro.core.trim", "TrimSource"),
+})
 
 #: protocols that need the network built with an ECN marking threshold
 ECN_PROTOCOLS = frozenset({"dctcp", "l2dct", "d2tcp"})
 
 
-def _register_trim() -> None:
-    if "trim" in PROTOCOLS:
-        return
-    from repro.core.trim import TrimSource
-
-    PROTOCOLS["trim"] = TrimSource
-
-
 def source_class(protocol: str) -> Type[TcpSource]:
     """The sender class registered under ``protocol``."""
-    _register_trim()
     try:
-        return PROTOCOLS[protocol]
+        module, name = PROTOCOLS[protocol]
     except KeyError:
         known = ", ".join(sorted(PROTOCOLS))
         raise ValueError(f"unknown protocol {protocol!r}; known: {known}") from None
+    cls: Type[TcpSource] = getattr(importlib.import_module(module), name)
+    return cls
 
 
 def default_config(protocol: str, **overrides: Any) -> TcpConfig:

@@ -3,8 +3,13 @@
 Every check starts a fresh interpreter, so what it sees is the import
 graph itself and not whatever this test session happened to import:
 
-* ``import repro`` loads no other ``repro`` module; its public names
-  resolve on first access;
+* ``import repro`` loads no other ``repro`` module, and every package
+  resolves its public names on first access through one table;
+* a serial run of a figure's first point loads neither the process
+  pool nor ``multiprocessing``, nor the invariant monitor, the
+  observability layer or the TCP module of a protocol it did not run
+  (the process backend, ``REPRO_CHECK_INVARIANTS`` and ``REPRO_TRACE``
+  still load theirs);
 * ``import repro.runner`` leaves the dispatch fleet, the observability
   layer and every figure module alone, and a dispatch worker never
   loads the fleet side;
@@ -14,11 +19,13 @@ graph itself and not whatever this test session happened to import:
   so the first point of every drawing figure runs without it, and no
   module under ``src/repro`` imports it.
 
-The drift guard holds the table equal to what the experiment modules
-register, so an experiment missing from the table fails here.
+The drift guards hold the registry's table equal to what the experiment
+modules register, and every package table to the modules it names, so
+an experiment or a public name missing from a table fails here.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -44,11 +51,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
 """
 
 
-def _run(code: str) -> list[str]:
+#: switches that make a run load more than it otherwise would.
+_SWITCHES = ("REPRO_CHECK_INVARIANTS", "REPRO_TRACE", "REPRO_TRACE_OUT")
+
+
+def _run(code: str, **env: str) -> list[str]:
     """Run ``code`` in a fresh interpreter; its stdout lines."""
+    base = {k: v for k, v in os.environ.items() if k not in _SWITCHES}
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=dict(base, PYTHONPATH=str(SRC), **env),
         capture_output=True,
         text=True,
         timeout=60,
@@ -58,14 +70,14 @@ def _run(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def _fresh(code: str) -> object:
+def _fresh(code: str, **env: str) -> object:
     """Run ``code`` in a fresh interpreter; its last stdout line, as JSON."""
-    return json.loads(_run(code)[-1])
+    return json.loads(_run(code, **env)[-1])
 
 
-def _loaded_after(code: str) -> set[str]:
+def _loaded_after(code: str, **env: str) -> set[str]:
     """The ``repro`` modules a fresh interpreter holds after ``code``."""
-    loaded = _fresh(code + _PRINT_LOADED)
+    loaded = _fresh(code + _PRINT_LOADED, **env)
     assert isinstance(loaded, list)
     return set(loaded)
 
@@ -274,25 +286,160 @@ print(json.dumps(registered))
 
 
 def test_public_names_are_their_modules_objects_and_listed_by_dir():
-    # dir() is read before any name is touched; then each name must be
-    # the very object its table module and its defining module hold.
+    # Drift guard over every package table: dir() is read before any
+    # name is touched; then each name must be the very object its table
+    # module holds (the module itself for a submodule entry), defined
+    # there when it is a class or function, and listed by __all__.
     code = """
-import importlib, json
+import importlib, inspect, json, pathlib
 import repro
-listed = dir(repro)
-mismatched = []
-for name in repro.__all__:
-    value = getattr(repro, name)
-    table = repro._LAZY.get(name, "repro")
-    for module in {table, getattr(value, "__module__", None) or table}:
-        if getattr(importlib.import_module(module), name) is not value:
-            mismatched.append(f"{module}.{name}")
-print(json.dumps({"mismatched": mismatched, "dir": listed}))
+root = pathlib.Path(repro.__file__).parent
+packages = sorted(
+    ".".join(("repro", *path.parent.relative_to(root).parts))
+    for path in root.rglob("__init__.py")
+)
+listed = {name: dir(importlib.import_module(name)) for name in packages}
+report = {}
+for name in packages:
+    package = importlib.import_module(name)
+    table = getattr(package, "_LAZY", None)
+    if table is None:
+        continue
+    problems = []
+    for public, module in table.items():
+        value = getattr(package, public)
+        home = importlib.import_module(module)
+        own = module.rpartition(".")[2] == public
+        if value is not (home if own else getattr(home, public, None)):
+            problems.append(f"{public}: not {module}'s object")
+        if (inspect.isclass(value) or inspect.isfunction(value)) and (
+            value.__module__ != module
+        ):
+            problems.append(f"{public}: defined in {value.__module__}")
+        if public not in listed[name]:
+            problems.append(f"{public}: not in dir()")
+    for public in package.__all__:
+        if not hasattr(package, public):
+            problems.append(f"{public}: in __all__, not resolvable")
+    report[name] = {"problems": problems, "all": package.__all__,
+                    "table": sorted(table)}
+print(json.dumps(report))
 """
     report = _fresh(code)
     assert isinstance(report, dict)
-    assert report["mismatched"] == []
-    assert set(repro.__all__) <= set(report["dir"])
-    assert set(repro._LAZY) | {"experiment_ids", "get_experiment"} == set(
-        repro.__all__
-    )
+    # every layer has a table, and nothing in any table drifted
+    assert {"repro", "repro.sim", "repro.net", "repro.tcp", "repro.core",
+            "repro.http", "repro.http.openloop", "repro.metrics",
+            "repro.faults", "repro.obs", "repro.experiments", "repro.lint",
+            "repro.runner", "repro.runner.backends"} <= set(report)
+    for package, found in report.items():
+        assert found["problems"] == [], package
+        assert set(found["table"]) <= set(found["all"]), package
+    assert set(report["repro"]["all"]) == set(repro._LAZY) | {
+        "experiment_ids", "get_experiment",
+    }
+
+
+def test_package_tables_match_their_typing_imports():
+    # What mypy and simlint read (the TYPE_CHECKING imports) is what the
+    # package resolves at run time (its table), name for name.
+    for init in sorted((SRC / "repro").rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(SRC).parts)
+        table = getattr(importlib.import_module(package), "_LAZY", None)
+        if table is None:
+            continue
+        typed = {}
+        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                for stmt in node.body:
+                    assert isinstance(stmt, ast.ImportFrom), package
+                    for alias in stmt.names:
+                        assert alias.asname == alias.name, (package, alias.name)
+                        submodule = f"{stmt.module}.{alias.name}"
+                        own = submodule if table.get(alias.name) == submodule else None
+                        typed[alias.name] = own or stmt.module
+        assert typed == dict(table), package
+
+
+# ----------------------------------------------------------------------
+# What a serial run loads
+# ----------------------------------------------------------------------
+#: the first quick point of an experiment through the sweep runner, as
+#: a CLI run would execute it; prints the process-wide module report.
+_FIRST_POINT_RUN = """
+import json, sys
+from repro.experiments import registry
+from repro.runner import SweepRunner
+from repro.tcp.factory import PROTOCOLS, source_class
+
+
+class FirstPoint:
+    def __init__(self, experiment):
+        self.experiment = experiment
+        self.id = experiment.id
+
+    def points(self, params):
+        return self.experiment.points(params)[:1]
+
+    def run_point(self, params, point, seed):
+        return self.experiment.run_point(params, point, seed)
+
+    def reduce(self, params, points, results):
+        return results
+
+
+experiment = registry.get({experiment_id!r})
+params = experiment.make_params("quick")
+runner = SweepRunner(jobs={jobs}, backend={backend!r})
+runner.run(FirstPoint(experiment), params, seed=1)
+assert not runner.last_stats.failures, runner.last_stats.failures
+print(json.dumps({{
+    "modules": sorted(sys.modules),
+    "ran": sorted({{c.__module__ for c in source_class(params.protocol).__mro__}}),
+    "senders": sorted({{module for module, _cls in PROTOCOLS.values()}}),
+}}))
+"""
+
+#: what only the process pool needs.
+_POOL_MODULES = {"multiprocessing", "socket", "concurrent.futures.process",
+                 "repro.runner.backends.pool"}
+
+
+def _first_point(experiment_id: str, backend: str = "serial", jobs: int = 1,
+                 **env: str) -> dict:
+    report = _fresh(_FIRST_POINT_RUN.format(
+        experiment_id=experiment_id, backend=backend, jobs=jobs), **env)
+    assert isinstance(report, dict)
+    return report
+
+
+@pytest.mark.parametrize("experiment_id", ["fig8", "fig12", "openloop", "incast"])
+def test_a_serial_first_point_loads_only_what_it_runs(experiment_id):
+    report = _first_point(experiment_id)
+    loaded = set(report["modules"])
+    assert not loaded & _POOL_MODULES
+    assert "repro.sim.invariants" not in loaded
+    assert not [m for m in loaded if m.startswith("repro.obs")]
+    # the protocol it ran (and its bases), and no other sender
+    assert set(report["ran"]) & set(report["senders"]) <= loaded
+    assert loaded & set(report["senders"]) <= set(report["ran"])
+
+
+def test_the_process_backend_still_loads_the_pool():
+    # Positive control: the probe sees the pool when a run uses one.
+    loaded = set(_first_point("incast", backend="process", jobs=2)["modules"])
+    assert _POOL_MODULES <= loaded
+
+
+def test_checked_invariants_still_load_the_monitor():
+    report = _first_point("incast", REPRO_CHECK_INVARIANTS="1")
+    assert "repro.sim.invariants" in report["modules"]
+
+
+def test_a_traced_openloop_point_still_loads_the_capture_module(tmp_path):
+    # Positive control for the untraced openloop case above: the open-
+    # loop package no longer reaches repro.obs through its trace format,
+    # but a traced run loads the capture module.
+    traced = _first_point("openloop", REPRO_TRACE="cwnd",
+                          REPRO_TRACE_OUT=str(tmp_path))["modules"]
+    assert "repro.obs.capture" in traced

@@ -55,10 +55,9 @@ from repro.sim.kernel import Simulator
 from repro.sim.randomness import derive_seed, seeded_rng
 from repro.tcp.base import TcpSink
 from repro.tcp.cubic import CubicSource
-from repro.tcp.factory import PROTOCOLS, create_source, default_config, source_class
+from repro.tcp.factory import PROTOCOLS, create_source, default_config
 from repro.tcp.tracks import TracksSource
 
-source_class("trim")  # TRIM registers lazily
 ALL_PROTOCOLS = sorted(PROTOCOLS)
 
 SCALES = (2, 8)

@@ -10,6 +10,7 @@ same program must give the same bytes under both drivers.
 
 import dataclasses
 import gc
+import importlib
 import weakref
 
 import pytest
@@ -74,9 +75,9 @@ def weakrefable(monkeypatch):
     class Sink(TcpSink):
         pass
 
-    factory.source_class("trim")
-    for name, cls in list(factory.PROTOCOLS.items()):
-        monkeypatch.setitem(factory.PROTOCOLS, name, type(cls.__name__, (cls,), {}))
+    for module, name in factory.PROTOCOLS.values():
+        cls = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(f"{module}.{name}", type(name, (cls,), {}))
     monkeypatch.setattr("repro.http.openloop.driver.HttpSession", Session)
     monkeypatch.setattr(factory, "TcpSink", Sink)
 

@@ -32,7 +32,7 @@ class TestApiSurface:
             assert getattr(module, name) is not None, f"{module_name}.{name}"
 
     def test_protocol_registry_exposed(self):
-        # "trim" registers lazily — touching the registry must find it.
+        # The registry names TRIM's module like every other protocol's.
         assert repro.create_source is not None
         from repro.tcp.factory import source_class
 

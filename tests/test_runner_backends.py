@@ -18,6 +18,7 @@ The headline guarantees under test:
 
 import concurrent.futures
 import dataclasses
+import importlib
 import json
 import os
 import signal
@@ -47,6 +48,7 @@ from repro.runner.backends import (
     execute_point,
 )
 from repro.runner.checkpoint import digest_params
+from repro.runner.dispatch.retry import TRANSIENT, classify_failure
 from repro.sim.randomness import derive_seed
 from tests.helpers import ThreadPoolBackend
 
@@ -201,7 +203,18 @@ class TestBackendSelection:
             create_backend("shm")
 
     def test_registry_names(self):
-        assert set(BACKENDS) == {"serial", "process"}
+        # One table: each name maps to the module and class it imports.
+        assert set(BACKENDS) == {"serial", "process", "dispatch"}
+        for name in BACKENDS:
+            module, cls = BACKENDS[name]
+            assert getattr(importlib.import_module(module), cls).name == name
+
+    def test_broken_process_pool_is_transient(self):
+        # retry.py lists only BrokenExecutor, the base: a worker death in
+        # the process pool still retries without charging the budget.
+        from concurrent.futures.process import BrokenProcessPool
+
+        assert classify_failure(BrokenProcessPool("worker died")) == TRANSIENT
 
     def test_runner_rejects_non_backend_object(self):
         with pytest.raises(TypeError, match="SweepBackend"):

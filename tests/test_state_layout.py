@@ -50,8 +50,9 @@ from repro.tcp import factory
 from repro.tcp.base import TcpConfig, TcpSource
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
-factory.source_class("trim")  # registers the lazily imported TrimSource
 PROTOCOLS = sorted(factory.PROTOCOLS)
+for _protocol in PROTOCOLS:  # load every sender, so family() sees them all
+    factory.source_class(_protocol)
 
 
 def family(root):
