@@ -10,7 +10,7 @@ Usage::
 Experiments are resolved through :mod:`repro.experiments.registry` and
 executed by :class:`repro.runner.SweepRunner`: every figure is a sweep
 of independent points, fanned out to ``--jobs`` workers on a pluggable
-execution backend (``--backend serial|process|dispatch``) with a
+execution backend (``--backend serial|process``) with a
 content-addressed result cache (``--cache-dir`` / ``--no-cache``).
 Points are submitted in enumeration order and merged by point index,
 so results are bit-identical for any ``--jobs`` value and any backend.
@@ -46,7 +46,6 @@ from repro.runner import (
     SweepCheckpoint,
     SweepInterrupted,
     SweepRunner,
-    create_backend,
 )
 from repro.runner.cache import default_cache_dir
 
@@ -135,25 +134,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("serial", "process", "dispatch"),
+        choices=("serial", "process"),
         default=None,
-        help="sweep execution backend: serial (inline), process "
-        "(worker pool, pickle transport), or "
-        "dispatch (fault-tolerant socket workers with heartbeat "
-        "leases; a host that cannot start workers is dropped — see "
-        "--hosts); "
-        "default picks serial under --jobs 1 and process otherwise. "
-        "Results, and what happens to a point that fails "
-        "(--retry-policy), are identical under every backend.",
-    )
-    parser.add_argument(
-        "--hosts",
-        default=None,
-        metavar="SPEC",
-        help="dispatch fleet description: 'local:N' for N local worker "
-        "processes, or a JSON host-list file with per-host worker "
-        "counts and spawn-command templates (see EXPERIMENTS.md, "
-        "Multi-host sweeps); requires --backend dispatch",
+        help="sweep execution backend: serial (inline) or process "
+        "(worker pool, pickle transport; a pool broken by a worker "
+        "death is replaced); default picks serial under --jobs 1 and "
+        "process otherwise. Results, and what happens to a point that "
+        "fails (--retry-policy), are identical under both backends.",
     )
     parser.add_argument(
         "--retry-policy",
@@ -162,9 +149,8 @@ def main(argv: list[str] | None = None) -> int:
         help="failure-handling policy, e.g. 'attempts=3,transient=8': "
         "attempts caps a point's total executions for its own errors "
         "and timeouts (default 2), transient budgets environment-fault "
-        "retries separately (worker death, lease expiry; default 8). "
-        "On a fleet, the same error from two distinct workers "
-        "quarantines the point at once.",
+        "retries separately: a pool worker that dies mid-point costs "
+        "each point in the pool one transient retry (default 8).",
     )
     parser.add_argument(
         "--cache-dir",
@@ -183,8 +169,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="per-point timeout in seconds: a point still running "
         "after this long is resubmitted within the retry budget and "
-        "the earliest-submitted success wins (process and dispatch "
-        "backends; an inline point cannot be preempted)",
+        "the earliest-submitted success wins (process backend; an "
+        "inline point cannot be preempted)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -368,8 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         checkpoint = SweepCheckpoint(checkpoint_path)
 
-    if args.hosts is not None and args.backend != "dispatch":
-        parser.error("--hosts requires --backend dispatch")
     retry_policy = None
     if args.retry_policy is not None:
         from repro.runner import RetryPolicy
@@ -379,30 +363,6 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(f"--retry-policy: {exc}")
 
-    backend: Any = args.backend
-    quarantine_path = None
-    if args.backend == "dispatch":
-        from repro.runner.dispatch.hosts import parse_hosts
-
-        hosts = None
-        if args.hosts is not None:
-            try:
-                hosts = parse_hosts(args.hosts)
-            except ValueError as exc:
-                parser.error(f"--hosts {args.hosts}: {exc}")
-        # Quarantined points land next to the journal (or the cwd when
-        # checkpointing is off) so a failed sweep's evidence survives it.
-        if checkpoint is not None:
-            quarantine_path = os.path.join(
-                os.path.dirname(str(checkpoint.path)),
-                f"{args.experiment}-{args.preset}-seed{args.seed}"
-                ".quarantine.jsonl",
-            )
-        else:
-            quarantine_path = "quarantine.jsonl"
-        backend = create_backend(
-            "dispatch", hosts=hosts, quarantine_path=quarantine_path
-        )
     try:
         runner = SweepRunner(
             jobs=args.jobs,
@@ -413,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             label=args.experiment,
             checkpoint=checkpoint,
             resume=args.resume,
-            backend=backend,
+            backend=args.backend,
         )
     except ValueError as exc:  # --jobs and --resume are checked above
         parser.error(f"--timeout: {exc}")
@@ -440,8 +400,6 @@ def main(argv: list[str] | None = None) -> int:
                 note += f", {stats.cache_hits}/{stats.total_points} cached"
             if stats is not None and stats.resumed:
                 note += f", {stats.resumed}/{stats.total_points} resumed"
-            if stats is not None and stats.quarantined:
-                note += f", {stats.quarantined} QUARANTINED"
             print(f"    [{time.perf_counter() - start:.1f}s{note}]\n")
 
     interrupted = False
@@ -496,8 +454,6 @@ def main(argv: list[str] | None = None) -> int:
             f"error={failure.error}",
             file=sys.stderr,
         )
-    if any(failure.kind == "quarantined" for failure in failures):
-        print(f"quarantine tracebacks in {quarantine_path}", file=sys.stderr)
     if failures:
         # The sweep *completed* — every healthy point has its result —
         # but a failed point must not pass silently.

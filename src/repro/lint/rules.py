@@ -2,7 +2,7 @@
 
 Each rule protects an invariant the reproduction's credibility rests
 on — deterministic replay, state isolation between sweep points, or a
-sanctioned seam (faults, sweep backends, the dispatch transport).  See
+sanctioned seam (faults, sweep backends).  See
 CONTRIBUTING.md for the one-line "what it protects" table and how to
 add a rule.
 """
@@ -412,27 +412,23 @@ class UnjustifiedSuppressionRule(Rule):
 
 @register_rule
 class RawSocketRule(Rule):
-    """Socket construction belongs to the dispatch frame layer alone.
+    """The simulator and the sweep runner do no network I/O.
 
-    The dispatch protocol's crash-safety story rests on every byte
-    crossing one code path: length-prefixed frames with a single
-    ``sendall``, EOF distinguished from torn frames, heartbeats under
-    the same write lock as results.  A raw socket opened anywhere else
-    speaks *around* that protocol — its traffic is invisible to lease
-    accounting, survives no chaos test, and silently forks the wire
-    format.  ``repro/runner/dispatch/`` is the sanctioned home.
+    A sweep's points reach their workers through the process pool's
+    pipes, and a simulated network is made of ``Link`` objects, not
+    sockets.  A socket opened anywhere under ``src/repro`` is therefore
+    a new, unreviewed transport: its traffic bypasses the runner's
+    retry loop and the checkpoint journal, and it makes a run depend
+    on the host's network.  No directory is exempt.
     """
 
     id = "SIM017"
-    summary = "raw socket construction outside runner/dispatch/ forks the wire protocol"
+    summary = "raw socket construction: the simulator and runner do no network I/O"
     fixit = (
-        "speak through repro.runner.dispatch.frames (send_frame/"
-        "recv_frame over listen_socket()/connect_socket()) or add the "
-        "transport to the dispatch package itself"
+        "send sweep work through a repro.runner.backends SweepBackend "
+        "(pool pipes, no sockets) and model the network with net.Link; "
+        "a new transport needs a new backend and a review of this rule"
     )
-
-    #: the sanctioned implementation of the transport.
-    EXEMPT_DIRS = ("/runner/dispatch/",)
 
     #: socket-module entry points that mint a connection or listener.
     FORBIDDEN_CALLS = frozenset(
@@ -445,8 +441,6 @@ class RawSocketRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if _under(module.path, self.EXEMPT_DIRS):
-            return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -455,6 +449,6 @@ class RawSocketRule(Rule):
                 yield from module.finding(
                     node,
                     self,
-                    f"direct {name}() outside runner/dispatch/ bypasses "
-                    "the framed dispatch transport",
+                    f"direct {name}(): the simulator and runner do no "
+                    "network I/O",
                 )

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 from repro import _lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.dispatch import DispatchLog as DispatchLog
     from repro.obs.export import check_jsonl as check_jsonl
     from repro.obs.export import dump_row as dump_row
     from repro.obs.export import load_jsonl as load_jsonl
@@ -24,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.records import CHANNELS as CHANNELS
     from repro.obs.records import SAMPLE_CHANNELS as SAMPLE_CHANNELS
     from repro.obs.records import CwndRecord as CwndRecord
-    from repro.obs.records import DispatchRecord as DispatchRecord
     from repro.obs.records import FaultRecord as FaultRecord
     from repro.obs.records import PoolRecord as PoolRecord
     from repro.obs.records import ProbeRecord as ProbeRecord
@@ -42,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.timeline import QueueTimeline as QueueTimeline
 
 _lazy_exports(__name__, {
-    "DispatchLog": "repro.obs.dispatch",
     "check_jsonl": "repro.obs.export",
     "dump_row": "repro.obs.export",
     "load_jsonl": "repro.obs.export",
@@ -50,7 +47,6 @@ _lazy_exports(__name__, {
     "CHANNELS": "repro.obs.records",
     "SAMPLE_CHANNELS": "repro.obs.records",
     "CwndRecord": "repro.obs.records",
-    "DispatchRecord": "repro.obs.records",
     "FaultRecord": "repro.obs.records",
     "PoolRecord": "repro.obs.records",
     "ProbeRecord": "repro.obs.records",

@@ -21,7 +21,6 @@ from typing import Any, ClassVar, Optional
 __all__ = [
     "CHANNELS",
     "CwndRecord",
-    "DispatchRecord",
     "FaultRecord",
     "PoolRecord",
     "ProbeRecord",
@@ -52,13 +51,6 @@ SESSION_EVENTS: tuple[str, ...] = ("request", "complete")
 #: connection-pool lifecycle events (repro.http.openloop.pool).
 POOL_EVENTS: tuple[str, ...] = (
     "open", "reuse", "checkin", "close_idle", "close_retired",
-)
-
-#: fleet-dispatch lifecycle events (repro.runner.dispatch): worker and
-#: lease life cycle, and a resubmitted point's placement.
-DISPATCH_EVENTS: tuple[str, ...] = (
-    "spawn", "hello", "lease", "expire", "worker_dead", "retry",
-    "result", "shutdown",
 )
 
 
@@ -208,35 +200,12 @@ class PoolRecord(Record):
     idle: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
-class DispatchRecord(Record):
-    """One fleet-dispatch event (spawn, lease, retry, worker death...).
-
-    ``t`` is host-side elapsed seconds since the dispatch log's epoch —
-    operational telemetry, deliberately *not* simulation time (the
-    dispatcher runs outside any simulation).  ``event`` is one of
-    :data:`DISPATCH_EVENTS`; the optional fields carry whatever the
-    event has on hand: the worker and host involved, the point label,
-    the attempt number, and a free-form ``detail`` (error signature,
-    lease deadline, exit status...).
-    """
-
-    channel: ClassVar[str] = "dispatch"
-    t: float
-    event: str
-    worker: Optional[str] = None
-    host: Optional[str] = None
-    point: Optional[str] = None
-    attempt: Optional[int] = None
-    detail: Optional[str] = None
-
-
 #: one record class per channel, in display order.  (Listed, not taken
 #: from ``Record.__subclasses__()``: ``slots=True`` rebuilds each class,
 #: so the discarded originals show up there too.)
 RECORD_TYPES: tuple[type[Record], ...] = (
     CwndRecord, RttRecord, StateRecord, ProbeRecord, QueueRecord,
-    RtoRecord, FaultRecord, SessionRecord, PoolRecord, DispatchRecord,
+    RtoRecord, FaultRecord, SessionRecord, PoolRecord,
 )
 
 #: every channel the bus knows, in display order.
@@ -258,7 +227,6 @@ _VOCABULARIES: dict[str, tuple[str, tuple[str, ...]]] = {
     "queue": ("kind", QUEUE_KINDS),
     "session": ("event", SESSION_EVENTS),
     "pool": ("event", POOL_EVENTS),
-    "dispatch": ("event", DISPATCH_EVENTS),
 }
 
 

@@ -7,24 +7,19 @@ out to a pluggable execution backend, with:
   identical for any worker count, any backend and any completion order
   — see :func:`repro.sim.randomness.derive_seed`); points are submitted
   in enumeration order and no history is kept between sweeps;
-* three backends (:mod:`repro.runner.backends`): ``serial`` (inline,
-  the ``jobs=1`` default), ``process``
-  (:class:`~concurrent.futures.ProcessPoolExecutor` fan-out), and
-  ``dispatch`` (below);
+* two backends (:mod:`repro.runner.backends`): ``serial`` (inline,
+  the ``jobs=1`` default) and ``process``
+  (:class:`~concurrent.futures.ProcessPoolExecutor` fan-out, which
+  replaces a pool that a dead worker broke);
 * a content-addressed on-disk result cache keyed on package version,
   experiment id, params, point, and seed, so re-runs of unchanged
   points are free;
 * per-point timeout and retry with graceful degradation to a partial
-  result set: backends report each failed attempt (with the worker that
-  ran it, when they know), and one loop in the engine
-  (:meth:`SweepRunner._drain`) classifies it (transient / timeout /
-  deterministic) and decides — by the one
-  :class:`~repro.runner.dispatch.retry.RetryPolicy` — whether the point
-  runs again, for every backend; a failure two distinct workers agree
-  on quarantines the point;
-* a fault-tolerant multi-host backend (``dispatch``,
-  :mod:`repro.runner.dispatch`): socket workers with heartbeat leases,
-  lost-worker detection, and a bound on hosts that cannot start workers;
+  result set: backends report each failed attempt, and one loop in the
+  engine (:meth:`SweepRunner._drain`) classifies it (transient /
+  timeout / deterministic) and decides — by the one
+  :class:`~repro.runner.retry.RetryPolicy` — whether the point runs
+  again, for every backend;
 * crash-safe checkpointing: an append-only, fsynced JSONL journal of
   completed points (:class:`~repro.runner.checkpoint.SweepCheckpoint`)
   that ``resume=True`` replays after a crash or Ctrl-C — under any
@@ -60,16 +55,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runner.backends.serial import SerialBackend as SerialBackend
     from repro.runner.cache import ResultCache as ResultCache
     from repro.runner.checkpoint import SweepCheckpoint as SweepCheckpoint
-    from repro.runner.dispatch.retry import DispatchError as DispatchError
-    from repro.runner.dispatch.retry import LeaseExpired as LeaseExpired
-    from repro.runner.dispatch.retry import RemoteError as RemoteError
-    from repro.runner.dispatch.retry import RetryPolicy as RetryPolicy
-    from repro.runner.dispatch.retry import WorkerLost as WorkerLost
     from repro.runner.engine import PointFailure as PointFailure
     from repro.runner.engine import SweepInterrupted as SweepInterrupted
     from repro.runner.engine import SweepRunner as SweepRunner
     from repro.runner.engine import SweepStats as SweepStats
     from repro.runner.progress import ProgressReporter as ProgressReporter
+    from repro.runner.retry import RetryPolicy as RetryPolicy
 
 _lazy_exports(__name__, {
     "ResultCache": "repro.runner.cache",
@@ -83,10 +74,6 @@ _lazy_exports(__name__, {
     "SweepBackend": "repro.runner.backends.base",
     "ProcessPoolBackend": "repro.runner.backends.pool",
     "SerialBackend": "repro.runner.backends.serial",
-    "DispatchError": "repro.runner.dispatch.retry",
-    "LeaseExpired": "repro.runner.dispatch.retry",
-    "RemoteError": "repro.runner.dispatch.retry",
-    "RetryPolicy": "repro.runner.dispatch.retry",
-    "WorkerLost": "repro.runner.dispatch.retry",
     "ProgressReporter": "repro.runner.progress",
+    "RetryPolicy": "repro.runner.retry",
 })

@@ -1,15 +1,13 @@
 """Pluggable execution backends for :class:`~repro.runner.engine.SweepRunner`.
 
-Three implementations ship with the runner:
+Two implementations ship with the runner:
 
 ============ =================================================================
 ``serial``    in-process, zero overhead, no registry requirement — the
               debugging default under ``--jobs 1``
 ``process``   :class:`~concurrent.futures.ProcessPoolExecutor` fan-out with
-              pickle result transport — the parallel default
-``dispatch``  fault-tolerant multi-host fleet over a socket frame
-              protocol: worker leases, lost-worker detection
-              (:mod:`repro.runner.dispatch`)
+              pickle result transport, replacing a pool a dead worker
+              broke — the parallel backend
 ============ =================================================================
 
 All backends honor the same determinism contract: byte-identical merged
@@ -19,12 +17,10 @@ CONTRIBUTING.md for how to implement one.
 
 Each backend is a row of :data:`BACKENDS`, and :func:`create_backend`
 imports only the module of the one it is given: a serial sweep never
-loads the process pool (nor ``multiprocessing``), and a single-host one
-never loads the fleet's sockets and subprocess plumbing.  Importing the
-dispatch backend only when it is named also keeps the import graph
-acyclic (the dispatch package builds on
-:mod:`repro.runner.backends.base`).  tests/test_import_graph.py checks
-both.
+loads the process pool (nor ``multiprocessing``);
+tests/test_import_graph.py checks it.  Another backend (a multi-host
+fleet, say) plugs in as a :class:`SweepBackend` instance handed to
+:class:`~repro.runner.engine.SweepRunner`.
 """
 
 from __future__ import annotations
@@ -58,12 +54,11 @@ _lazy_exports(__name__, {
 BACKENDS: dict[str, tuple[str, str]] = {
     "serial": ("repro.runner.backends.serial", "SerialBackend"),
     "process": ("repro.runner.backends.pool", "ProcessPoolBackend"),
-    "dispatch": ("repro.runner.dispatch.backend", "DispatchBackend"),
 }
 
 
 def create_backend(name: str, **kwargs: object) -> SweepBackend:
-    """Instantiate a named backend (``serial``/``process``/``dispatch``)."""
+    """Instantiate a named backend (``serial`` or ``process``)."""
     try:
         module, cls = BACKENDS[name]
     except KeyError:

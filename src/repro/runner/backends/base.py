@@ -3,16 +3,14 @@
 A backend is the execution seam of :class:`~repro.runner.engine.SweepRunner`:
 the runner decides *what* to run (entries, seeds, retries, journalling,
 merge order) and the backend decides *where and how* one point executes
-(inline, on a process pool, on a dispatch fleet).  A backend never
-retries: each submission executes at most once and its failure is
-*reported* as the future's exception — carrying ``worker`` / ``host``
-attributes when the backend knows who ran it
-(:mod:`repro.runner.dispatch.retry`) — for the runner to act on.  The
-contract is deliberately small:
+(inline or on a process pool).  A backend never retries: each
+submission executes at most once and its failure is *reported* as the
+future's exception, which :mod:`repro.runner.retry` classifies for the
+runner to act on.  The contract is deliberately small:
 
 ``open(max_workers)``
-    Acquire workers.  Called once per dispatch; a backend instance may
-    be reopened for the next dispatch after ``close()``.
+    Acquire workers.  Called once per sweep; a backend instance may
+    be reopened for the next sweep after ``close()``.
 ``submit(spec) -> Future``
     Schedule one :class:`PointSpec`.  The returned future — any object
     satisfying the :class:`concurrent.futures.Future` interface —
@@ -147,7 +145,7 @@ class SweepBackend(abc.ABC):
     inline: bool = False
 
     def open(self, max_workers: int) -> None:
-        """Acquire up to ``max_workers`` workers for one dispatch."""
+        """Acquire up to ``max_workers`` workers for one sweep."""
 
     @abc.abstractmethod
     def submit(self, spec: PointSpec) -> "concurrent.futures.Future[Any]":

@@ -35,15 +35,23 @@ class ProcessPoolBackend(SweepBackend):
     Results round-trip through the pool's result pipe as pickles — fine
     for the dataclass payloads figures return (the largest, fig4's, is
     ~135 KB per point).
+
+    A worker that dies mid-point breaks the whole executor: every future
+    in it fails with ``BrokenProcessPool``, which the engine classifies
+    as transient.  ``submit`` then finds the pool broken and replaces it
+    with a new one of the same size, so each point caught in the dead
+    pool costs one transient retry, not the rest of the sweep.
     """
 
     name = "process"
 
     def __init__(self) -> None:
         self._pool: Optional[concurrent.futures.Executor] = None
+        self._max_workers = 0
 
     def open(self, max_workers: int) -> None:
         if self._pool is None:
+            self._max_workers = max_workers
             self._pool = self._make_pool(max_workers)
 
     def _make_pool(self, max_workers: int) -> concurrent.futures.Executor:
@@ -52,12 +60,16 @@ class ProcessPoolBackend(SweepBackend):
     def submit(self, spec: PointSpec) -> "concurrent.futures.Future[Any]":
         if self._pool is None:
             raise RuntimeError(f"{self.name} backend is not open")
-        return self._pool.submit(
-            _pool_worker, spec.experiment_id, spec.params, spec.point, spec.seed
-        )
+        args = (spec.experiment_id, spec.params, spec.point, spec.seed)
+        try:
+            return self._pool.submit(_pool_worker, *args)
+        except concurrent.futures.BrokenExecutor:
+            # Its workers are already gone; a second failure propagates.
+            self._pool.shutdown(wait=False)
+            self._pool = self._make_pool(self._max_workers)
+            return self._pool.submit(_pool_worker, *args)
 
     def close(self, wait: bool = True, cancel_futures: bool = False) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
             self._pool = None
-

@@ -133,28 +133,18 @@ class SweepCheckpoint:
         os.fsync(fh.fileno())
         self.records_written += 1
 
-    def write_header(
-        self,
-        backend: str = "",
-        jobs: int = 0,
-        workers: "tuple[str, ...] | list[str]" = (),
-    ) -> None:
+    def write_header(self, backend: str = "", jobs: int = 0) -> None:
         """Append a header naming the run's execution configuration.
 
         Purely informational for ``load()`` (resume works across
         backends); durable like every record so a crashed run's journal
-        still says what produced it.  ``workers`` is the dispatch
-        backend's fleet roster — empty for single-host backends — so a
-        post-mortem of a chaos-interrupted sweep can say which worker
-        processes existed when the journal was written.
+        still says what produced it.
         """
         header: dict[str, Any] = {
             "schema": JOURNAL_SCHEMA,
             "backend": backend,
             "jobs": int(jobs),
         }
-        if workers:
-            header["workers"] = list(workers)
         line = json.dumps(
             header,
             sort_keys=True,

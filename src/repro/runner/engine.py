@@ -3,9 +3,9 @@
 :class:`SweepRunner` takes ``(experiment, params)`` tasks, enumerates
 their :class:`~repro.experiments.base.Point` lists, and resolves every
 point — from the cache when possible, otherwise on a pluggable
-:class:`~repro.runner.backends.SweepBackend` (inline, process pool, or
-dispatch fleet) — then folds the per-point results back through each
-experiment's ``reduce``.
+:class:`~repro.runner.backends.SweepBackend` (inline or process pool) —
+then folds the per-point results back through each experiment's
+``reduce``.
 
 Determinism contract: each point's seed is derived from the root seed
 and the point's ``"<experiment id>/<label>"`` name alone
@@ -22,22 +22,19 @@ index, the order in which a backend completes them never changes
 payloads.
 
 Failure contract: backends *detect* and *report* — a failed attempt is
-an exception on its future, naming the worker and host when the backend
-has them — and one loop, :meth:`SweepRunner._drain`, *decides*, for
-every backend, by the one :class:`~repro.runner.dispatch.retry.RetryPolicy`:
-*transient* faults (worker crashes, broken pools, lost or expired
-leases) are resubmitted against a separate, more generous budget than
-the point's own ``max_attempts``; *timeouts* trigger speculative
-resubmission (the straggler keeps running, and whichever
-earliest-submitted attempt completes successfully wins, so the outcome
-does not depend on the race); *deterministic* errors are resubmitted
-until ``max_attempts`` executions are spent — unless two distinct
-workers report the same failure signature, which is proof enough: the
-point is *quarantined*, its evidence (both tracebacks) appended to the
-backend's ``repro-quarantine/1`` journal.  A point that exhausts its
-budgets degrades to a ``None`` result; ``reduce`` receives the partial
-result set and the failures — with their classification — are recorded
-on :attr:`SweepRunner.last_stats`, split into
+an exception on its future — and one loop, :meth:`SweepRunner._drain`,
+*decides*, for every backend, by the one
+:class:`~repro.runner.retry.RetryPolicy`: *transient* faults (a worker
+that died mid-point, a broken pool) are resubmitted against a
+separate, more generous budget than the point's own ``max_attempts``;
+*timeouts* trigger speculative resubmission (the straggler keeps
+running, and whichever earliest-submitted attempt completes
+successfully wins, so the outcome does not depend on the race);
+*deterministic* errors are resubmitted until ``max_attempts``
+executions are spent.  A point that exhausts its budgets degrades to a
+``None`` result; ``reduce`` receives the partial result set and the
+failures — with their classification — are recorded on
+:attr:`SweepRunner.last_stats`, split into
 :attr:`SweepStats.timeouts` and :attr:`SweepStats.errors`.  Extra
 completed successes are counted in :attr:`SweepStats.duplicate_results`.
 
@@ -58,14 +55,11 @@ callers can report before exiting non-zero.
 from __future__ import annotations
 
 import concurrent.futures
-import json
-import os
 import pickle
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.runner.backends import create_backend
@@ -73,16 +67,15 @@ from repro.runner.backends.base import PointSpec, SweepBackend
 from repro.runner.backends.serial import SerialBackend
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import SweepCheckpoint, digest_params
-from repro.runner.dispatch.retry import (
+from repro.runner.progress import ProgressReporter
+from repro.runner.retry import (
     DETERMINISTIC,
     TIMEOUT,
     TRANSIENT,
-    RemoteError,
     RetryPolicy,
     classify_failure,
     failure_signature,
 )
-from repro.runner.progress import ProgressReporter
 from repro.sim.randomness import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,8 +94,7 @@ class PointFailure:
     """A point that produced no result after all attempts.
 
     ``kind`` is the final failure's classification: ``"timeout"``,
-    ``"transient"`` (every attempt lost its worker), ``"quarantined"``
-    (two distinct workers reported the same failure signature), or
+    ``"transient"`` (every attempt lost its worker), or
     ``"deterministic"`` (the point's own exception).
     """
 
@@ -145,18 +137,12 @@ class SweepStats:
     #: points that ultimately failed by timing out.
     timeouts: int = 0
     #: points that ultimately failed with an error (any non-timeout
-    #: kind: deterministic exceptions, exhausted transient budgets,
-    #: quarantines).
+    #: kind: deterministic exceptions, exhausted transient budgets).
     errors: int = 0
-    #: retries caused by environmental faults — worker crashes, broken
-    #: pools, lease expiries — which never consume a point's own
+    #: retries caused by environmental faults — a worker that died
+    #: mid-point, a broken pool — which never consume a point's own
     #: attempt budget.
     transient_retries: int = 0
-    #: points quarantined (same failure signature from two distinct
-    #: workers); always ⊆ ``errors``.
-    quarantined: int = 0
-    #: dispatch leases forfeited because a worker stopped heartbeating.
-    lease_expirations: int = 0
 
 
 class SweepInterrupted(KeyboardInterrupt):
@@ -219,16 +205,6 @@ class _Entry:
         )
 
 
-def _agreed_failures(evidence: "list[RemoteError]") -> "list[RemoteError]":
-    """The failures sharing one signature across two distinct workers
-    (the quarantine rule), or an empty list."""
-    for exc in evidence:
-        same = [other for other in evidence if str(other) == str(exc)]
-        if len({other.worker for other in same}) >= 2:
-            return same
-    return []
-
-
 class SweepRunner:
     """Fan independent sweep points out to a backend, cached and seeded.
 
@@ -246,10 +222,10 @@ class SweepRunner:
         Seconds to wait for one point's result before retrying/failing
         it, or None to wait forever.  A number must be ``> 0`` and at
         most :data:`threading.TIMEOUT_MAX` (NaN and inf are rejected).
-        Enforced on pool and dispatch backends alike (an inline point
-        cannot be preempted).
+        Enforced on the process pool (an inline point cannot be
+        preempted).
     retry_policy:
-        The :class:`~repro.runner.dispatch.retry.RetryPolicy` — a
+        The :class:`~repro.runner.retry.RetryPolicy` — a
         point's own attempt budget and the separate transient budget.
         None is the default policy: two executions per point.
     progress:
@@ -263,8 +239,8 @@ class SweepRunner:
         Replay points already in the checkpoint journal instead of
         executing them (requires ``checkpoint``).
     backend:
-        The execution seam: a backend name (``"serial"``,
-        ``"process"``, ``"dispatch"``), a
+        The execution seam: a backend name (``"serial"`` or
+        ``"process"``), a
         :class:`~repro.runner.backends.SweepBackend` instance, or None
         to pick automatically (serial under ``jobs=1``, process pool
         otherwise).  ``"serial"`` ignores ``jobs``.
@@ -452,7 +428,7 @@ class SweepRunner:
         run_many — there is exactly one normalization path).
 
         Every point's ``(params, point)`` must pickle — exactly what a
-        process or dispatch worker is sent — and is checked here, before
+        pool worker is sent — and is checked here, before
         any point executes, so every backend (serial included) rejects
         an unpicklable payload the same way.  The experiment object is
         not pickled: workers resolve it by id.
@@ -548,58 +524,6 @@ class SweepRunner:
                 entry.point.label, cached=cached, failed=failed, kind=kind
             )
 
-    def _quarantine(
-        self,
-        entry: _Entry,
-        agreed: "list[RemoteError]",
-        attempts: int,
-        backend: SweepBackend,
-        stats: SweepStats,
-    ) -> None:
-        """Two distinct workers agree the failure is the point's own:
-        append the evidence to the backend's quarantine journal and
-        fail the point without spending the rest of its budget."""
-        signature = str(agreed[0])
-        path = Path(getattr(backend, "quarantine_path", "quarantine.jsonl"))
-        record = {
-            "schema": "repro-quarantine/1",
-            "experiment": entry.experiment.id,
-            "label": entry.point.label,
-            "seed": entry.seed,
-            "params_digest": entry.params_digest,
-            "signature": signature,
-            "workers": sorted({str(exc.worker) for exc in agreed}),
-            "executions": attempts,
-            "failures": [
-                {
-                    "worker": exc.worker,
-                    "host": exc.host,
-                    "error_type": exc.error_type,
-                    "error": exc.error,
-                    "traceback": exc.traceback,
-                }
-                for exc in agreed
-            ],
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        stats.quarantined += 1
-        self._fail(entry, signature, attempts, stats, kind="quarantined")
-
-    def _merge_backend_stats(
-        self, backend: SweepBackend, stats: SweepStats
-    ) -> None:
-        """Fold a backend's fleet counters into the sweep stats."""
-        collect = getattr(backend, "collect_stats", None)
-        if not callable(collect):
-            return
-        collected = collect()
-        stats.lease_expirations += int(collected.get("lease_expirations", 0))
-        stats.duplicate_results += int(collected.get("duplicate_results", 0))
-
     def _dispatch(
         self,
         pending: list[_Entry],
@@ -609,17 +533,12 @@ class SweepRunner:
         """Execute every pending entry on the backend, in order."""
         backend = self._resolve_backend(len(pending))
         stats.backend = backend.name
-        # Open before the header write: a dispatch backend only knows
-        # its worker roster once the fleet is up, and the journal header
-        # should name the fleet that wrote the records after it.
         backend.open(min(self.jobs, len(pending)))
         finished = False
         try:
             if self.checkpoint is not None:
                 self.checkpoint.write_header(
-                    backend=backend.name,
-                    jobs=self.jobs,
-                    workers=getattr(backend, "worker_roster", ()),
+                    backend=backend.name, jobs=self.jobs
                 )
             self._drain(backend, pending, results, stats)
             finished = True
@@ -627,10 +546,8 @@ class SweepRunner:
             # Every exit releases the workers.  An interrupt or an error
             # (a journal write hitting a full disk, say) must not block
             # on stragglers: drop queued work and leave without waiting
-            # for running futures.  Stats merge after the close so they
-            # include what the fleet counted while shutting down.
+            # for running futures.
             backend.close(wait=finished, cancel_futures=not finished)
-            self._merge_backend_stats(backend, stats)
 
     def _drain(
         self,
@@ -671,8 +588,6 @@ class SweepRunner:
             last_error: Optional[str] = None
             last_kind: str = DETERMINISTIC
             transient_used = 0
-            #: the point's own failures that named their worker.
-            evidence: list[RemoteError] = []
             while True:
                 # Wait only on attempts not yet finished — waiting on
                 # the full list would return immediately forever once
@@ -704,21 +619,11 @@ class SweepRunner:
                         transient_new += 1
                         continue
                     failed_new += 1
-                    if isinstance(exc, RemoteError) and exc.worker is not None:
-                        evidence.append(exc)
                 if winner is not None:
                     self._record(entry, winner.result(), results, stats)
                     leftovers.extend(
                         (entry, future) for future in attempts
                         if not future.done()
-                    )
-                    break
-                agreed = _agreed_failures(evidence)
-                if agreed:
-                    for future in attempts:
-                        future.cancel()
-                    self._quarantine(
-                        entry, agreed, len(attempts), backend, stats
                     )
                     break
                 timed_out = bool(unfinished) and not progressed
@@ -748,6 +653,7 @@ class SweepRunner:
                             f"{type(exc).__name__}: {exc}",
                             len(attempts),
                             stats,
+                            kind=classify_failure(exc),
                         )
                         break
                     continue

@@ -51,7 +51,7 @@ class ProgressReporter:
     ) -> None:
         """One point resolved.  For failures, ``kind`` splits the
         accounting: ``"timeout"`` counts toward :attr:`timeouts`, any
-        other kind (errors, quarantines, lost workers) toward
+        other kind (errors, lost workers) toward
         :attr:`errors` — the progress line and summary report the two
         separately because they call for different operator reactions
         (raise the timeout vs. read the traceback)."""

@@ -1,97 +1,41 @@
-"""Failure classification, the retry budgets, and the typed failures.
+"""Failure classification and the retry budgets.
 
 One :class:`RetryPolicy` is read in exactly one place —
 :meth:`repro.runner.engine.SweepRunner._drain` — so a sweep behaves the
-same whether a point fails inline, in a pool worker, or on a remote
-host.  Backends never retry; they *report*: classification is by
-exception type (:func:`classify_failure`), and a backend that knows
-which worker ran the attempt says so on the exception
-(:class:`RemoteError`, :class:`WorkerLost`, :class:`LeaseExpired`) —
-the evidence the engine needs to quarantine a point whose failure two
-distinct workers agree on.
+same whether a point fails inline or in a pool worker.  Backends never
+retry; they *report* a failed attempt as the exception on its future,
+and :func:`classify_failure` sorts it by type.
 """
 
 from __future__ import annotations
 
-import builtins
 import concurrent.futures
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 __all__ = [
     "DETERMINISTIC",
     "TIMEOUT",
     "TRANSIENT",
-    "DispatchError",
-    "LeaseExpired",
-    "RemoteError",
     "RetryPolicy",
-    "WorkerLost",
     "classify_failure",
     "failure_signature",
 ]
 
 #: classification labels.  Plain strings (not an enum) so they embed
-#: directly in telemetry rows, quarantine records, and stats without a
-#: serialization layer.
+#: directly in failure reports and stats without a serialization layer.
 TRANSIENT = "transient"
 TIMEOUT = "timeout"
 DETERMINISTIC = "deterministic"
 
 
-class WorkerLost(ConnectionError):
-    """The worker holding this point's lease is gone (EOF, torn frame).
-
-    A :class:`ConnectionError` subclass so classification treats it as
-    transient; names the worker and host so the failure report says
-    *where* the fleet collapsed rather than just "connection reset".
-    """
-
-    def __init__(self, worker: str, host: str, detail: str) -> None:
-        self.worker = worker
-        self.host = host
-        super().__init__(f"worker {worker} on host {host} lost: {detail}")
-
-
-class LeaseExpired(WorkerLost):
-    """A worker stopped heartbeating while holding this point's lease."""
-
-
-class DispatchError(RuntimeError):
-    """The fleet itself cannot run the point: no host can spawn a
-    worker, or the dispatcher shut down with the point outstanding."""
-
-
-class RemoteError(Exception):
-    """A point's own exception, reported by the worker that raised it.
-
-    ``worker`` is None when the dispatcher failed the point before any
-    worker saw it (a spec the frame layer cannot encode).
-    """
-
-    def __init__(
-        self,
-        error_type: str,
-        error: str,
-        worker: Optional[str] = None,
-        host: Optional[str] = None,
-        traceback: str = "",
-    ) -> None:
-        self.error_type = error_type
-        self.error = error
-        self.worker = worker
-        self.host = host
-        self.traceback = traceback
-        super().__init__(f"{error_type}: {error}")
-
-
 #: exception types that say something broke *around* the point, not in
-#: it: retry on another worker without consuming the deterministic
-#: budget.  ConnectionError covers ConnectionResetError/BrokenPipeError
-#: and the frame/lease errors that subclass it; EOFError and a broken
-#: executor are what a mid-task worker death looks like from a pool
-#: (``BrokenProcessPool`` subclasses ``BrokenExecutor``, so naming the
-#: base keeps ``multiprocessing`` out of a process that never forks).
+#: it: retry without consuming the deterministic budget.
+#: ConnectionError covers ConnectionResetError/BrokenPipeError; EOFError
+#: and a broken executor are what a mid-task worker death looks like
+#: from a pool (``BrokenProcessPool`` subclasses ``BrokenExecutor``, so
+#: naming the base keeps ``multiprocessing`` out of a process that never
+#: forks).
 _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     ConnectionError,
     EOFError,
@@ -109,34 +53,23 @@ def classify_failure(exc: BaseException) -> str:
 
     Anything not recognizably environmental is *presumed* deterministic
     — the caller still retries it within budget (a flaky experiment
-    bug may pass on resubmission), but a repeat of the same signature
-    from a different worker is proof enough to quarantine.
+    bug may pass on resubmission).
     """
-    kind: object = type(exc)
-    if isinstance(exc, RemoteError):
-        # Judged as the builtin exception its worker named, if it is
-        # one: the worker survived to report a ConnectionResetError,
-        # but that still describes the world around the experiment.
-        kind = getattr(builtins, exc.error_type, None)
-    if not isinstance(kind, type):
-        return DETERMINISTIC
-    if issubclass(kind, _TIMEOUT_TYPES):
+    if isinstance(exc, _TIMEOUT_TYPES):
         return TIMEOUT
-    if issubclass(kind, _TRANSIENT_TYPES):
+    if isinstance(exc, _TRANSIENT_TYPES):
         return TRANSIENT
     return DETERMINISTIC
 
 
 def failure_signature(exc: BaseException) -> str:
-    """The identity under which failures are reported and compared.
+    """The identity under which a failure is reported.
 
     Type plus message, the same string wherever the attempt executed —
     coarse enough to survive differing tracebacks (line numbers,
     worker-local paths), fine enough that two unrelated bugs in one
     experiment rarely collide.
     """
-    if isinstance(exc, RemoteError):
-        return str(exc)
     return f"{type(exc).__name__}: {exc}"
 
 
@@ -160,9 +93,9 @@ class RetryPolicy:
 
     ``max_attempts`` bounds *total* executions of one point for
     timeout/deterministic failures; ``transient_budget`` separately
-    bounds retries caused by environmental faults, so a chaos storm
-    that kills three workers under one point cannot exhaust the
-    point's own budget.
+    bounds retries caused by environmental faults, so a pool whose
+    workers die three times under one point cannot exhaust the point's
+    own budget.
     """
 
     max_attempts: int = 2

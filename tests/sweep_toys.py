@@ -1,25 +1,26 @@
-"""Toy experiments for dispatch-backend tests.
+"""Toy experiments for the runner's failure-handling tests.
 
 These live in their own importable module (not inside a test file)
-because dispatch workers are *fresh processes*: they resolve
-experiments by ``"module:attr"`` id and unpickle params defined here,
-so everything must be importable from a worker whose ``PYTHONPATH``
-the backend extended with this directory (``extra_sys_path``).
+because pool workers resolve experiments by ``"module:attr"`` id and
+unpickle params defined here, so everything must be importable as the
+top-level ``sweep_toys`` from a worker too (the tests put this
+directory on ``sys.path``, and on ``PYTHONPATH`` for a CLI run).
 
-Each toy models one failure class the dispatcher must survive:
+Each toy models one failure class the engine must handle alike on
+every backend:
 
-``ECHO``     deterministic success — equivalence and plumbing tests
+``ECHO``     deterministic success — plumbing tests
 ``FLAKY``    fails exactly once per label (marker file), then succeeds
-             — exercises the deterministic-retry path
-             without tripping quarantine
+             — the deterministic-retry path
 ``POISON``   always fails for selected labels with a stable message,
-             after ``sleep_s`` — the quarantine path (same signature,
-             two workers) and the budget path (every execution counted)
-``CRASH``    hard-exits the worker process for selected labels — the
-             transient path (worker death mid-task)
-``STALL``    sleeps forever (in sweep terms) for selected labels on the
-             first execution only — the straggler paths (lease expiry,
-             the engine's timeout resubmission)
+             after ``sleep_s`` — the budget path (every execution
+             counted)
+``CRASH``    hard-exits the worker process for selected labels, once
+             each — the transient path (a worker death breaks the pool)
+``DOOMED``   hard-exits the worker on every execution of selected
+             labels — the transient budget running out
+``STALL``    sleeps for selected labels on the first execution only —
+             the engine's timeout resubmission and its straggler
 ``UNPICKLABLE`` puts a lambda in the kwargs of selected labels' points —
              the engine's picklability check, which must reject the
              sweep before any point runs
@@ -45,7 +46,7 @@ class ToyParams:
 
 
 class _ToyBase(Experiment):
-    title = "dispatch test toy"
+    title = "sweep test toy"
     params_cls = ToyParams
 
     def points(self, params):
@@ -57,7 +58,7 @@ class _ToyBase(Experiment):
     @staticmethod
     def _count_run(params, point):
         """Append this execution's pid to ``<label>.runs``, so a test can
-        count how often a point really ran across the fleet."""
+        count how often a point really ran across its workers."""
         if params.state_dir:
             runs = os.path.join(params.state_dir, f"{point.label}.runs")
             with open(runs, "a", encoding="utf-8") as handle:
@@ -65,7 +66,7 @@ class _ToyBase(Experiment):
 
 
 class EchoExperiment(_ToyBase):
-    id = "dispatch_toys:ECHO"
+    id = "sweep_toys:ECHO"
 
     def run_point(self, params, point, seed):
         return {"label": point.label, "seed": seed, "pid": None}
@@ -74,7 +75,7 @@ class EchoExperiment(_ToyBase):
 class FlakyExperiment(_ToyBase):
     """Fails once per label, then succeeds — cross-process via marker files."""
 
-    id = "dispatch_toys:FLAKY"
+    id = "sweep_toys:FLAKY"
 
     def run_point(self, params, point, seed):
         marker = os.path.join(params.state_dir, f"{point.label}.failed")
@@ -88,7 +89,7 @@ class FlakyExperiment(_ToyBase):
 class PoisonExperiment(_ToyBase):
     """Deterministically fails for selected labels, same message every time."""
 
-    id = "dispatch_toys:POISON"
+    id = "sweep_toys:POISON"
 
     def run_point(self, params, point, seed):
         if point.label in params.labels:
@@ -101,13 +102,25 @@ class PoisonExperiment(_ToyBase):
 class CrashExperiment(_ToyBase):
     """Kills the worker process outright for selected labels, once each."""
 
-    id = "dispatch_toys:CRASH"
+    id = "sweep_toys:CRASH"
 
     def run_point(self, params, point, seed):
         marker = os.path.join(params.state_dir, f"{point.label}.crashed")
         if point.label in params.labels and not os.path.exists(marker):
             with open(marker, "w", encoding="utf-8") as handle:
                 handle.write(str(os.getpid()))
+            os._exit(17)
+        return {"label": point.label, "seed": seed}
+
+
+class DoomedExperiment(_ToyBase):
+    """Kills the worker process on every execution of selected labels."""
+
+    id = "sweep_toys:DOOMED"
+
+    def run_point(self, params, point, seed):
+        if point.label in params.labels:
+            self._count_run(params, point)
             os._exit(17)
         return {"label": point.label, "seed": seed}
 
@@ -120,7 +133,7 @@ class StallExperiment(_ToyBase):
     executions produce the identical deterministic value.
     """
 
-    id = "dispatch_toys:STALL"
+    id = "sweep_toys:STALL"
 
     def run_point(self, params, point, seed):
         self._count_run(params, point)
@@ -135,7 +148,7 @@ class StallExperiment(_ToyBase):
 class UnpicklableExperiment(_ToyBase):
     """Ships a lambda in the selected points' kwargs; counts executions."""
 
-    id = "dispatch_toys:UNPICKLABLE"
+    id = "sweep_toys:UNPICKLABLE"
 
     def points(self, params):
         return [
@@ -152,5 +165,6 @@ ECHO = EchoExperiment()
 FLAKY = FlakyExperiment()
 POISON = PoisonExperiment()
 CRASH = CrashExperiment()
+DOOMED = DoomedExperiment()
 STALL = StallExperiment()
 UNPICKLABLE = UnpicklableExperiment()

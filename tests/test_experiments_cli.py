@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import __main__ as cli
 from repro.experiments import registry
-from tests.test_hosts_fuzz import BAD_HOST_FILES
 
 
 class TestArgumentParsing:
@@ -132,11 +131,7 @@ class TestExecution:
 
 
 class TestDispatchCli:
-    """The --backend dispatch / --hosts / --retry-policy surface."""
-
-    def test_hosts_requires_dispatch_backend(self):
-        with pytest.raises(SystemExit):
-            cli.main(["fig1", "--hosts", "local:2"])
+    """How a sweep is dispatched: --backend, --retry-policy, --timeout."""
 
     def test_removed_shm_backend_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as exit_info:
@@ -147,42 +142,12 @@ class TestDispatchCli:
         with pytest.raises(SystemExit):
             cli.main(["fig1", "--retry-policy", "attempts=2,warp=9"])
 
-    def test_bad_hosts_spec_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            cli.main(
-                ["fig1", "--backend", "dispatch", "--hosts", "local:many"]
-            )
-
     @staticmethod
     def _assert_usage_error(capsys, argv, flag):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["fig1", "--no-cache", "--no-checkpoint", *argv])
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
-
-    def test_hosts_is_local_n_with_n_at_least_one_or_a_path(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        # A path that merely starts with "local" is a host file, not
-        # the local grammar; a worker count below 1 is not clamped.
-        monkeypatch.chdir(tmp_path)
-        for hosts in ("localfleet.json", "local:0", "local:-1"):
-            self._assert_usage_error(
-                capsys, ["--backend", "dispatch", "--hosts", hosts], "--hosts"
-            )
-
-    @pytest.mark.parametrize("text, fragment", BAD_HOST_FILES)
-    def test_hosts_file_errors_exit_2_naming_the_field(
-        self, capsys, tmp_path, text, fragment
-    ):
-        path = tmp_path / "hosts.json"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["fig1", "--backend", "dispatch", "--hosts", str(path)])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert f"--hosts {path}: " in err
-        assert fragment in err
 
     def test_retry_policy_rejects_a_repeated_key(self, capsys):
         self._assert_usage_error(
@@ -196,7 +161,7 @@ class TestDispatchCli:
 
     @staticmethod
     def _toys(monkeypatch):
-        """Put the dispatch toys on both our and the workers' paths."""
+        """Put the sweep toys on both our and the workers' paths."""
         import os
         import sys
         from pathlib import Path
@@ -209,66 +174,46 @@ class TestDispatchCli:
             tests_dir + os.pathsep + existing if existing else tests_dir
         )
         monkeypatch.setenv("PYTHONPATH", joined)
-        import dispatch_toys
+        import sweep_toys
 
-        return dispatch_toys
+        return sweep_toys
 
     @classmethod
     def _register_poison(cls, monkeypatch, **toy_params):
         """Register ``toypoison``: the POISON toy with fixed params."""
-        dispatch_toys = cls._toys(monkeypatch)
+        sweep_toys = cls._toys(monkeypatch)
 
-        class _CliPoison(dispatch_toys.PoisonExperiment):
+        class _CliPoison(sweep_toys.PoisonExperiment):
             def make_params(self, preset="quick", protocol=None, **overrides):
-                return dispatch_toys.ToyParams(**toy_params)
+                return sweep_toys.ToyParams(**toy_params)
 
         monkeypatch.setitem(registry._REGISTRY, "toypoison", _CliPoison())
 
-    def test_dispatch_backend_runs_end_to_end(
+    def test_process_backend_runs_end_to_end(
         self, monkeypatch, tmp_path, capsys
     ):
-        dispatch_toys = self._toys(monkeypatch)
+        sweep_toys = self._toys(monkeypatch)
 
-        class _CliEcho(dispatch_toys.EchoExperiment):
+        class _CliEcho(sweep_toys.EchoExperiment):
             def make_params(self, preset="quick", protocol=None, **overrides):
-                return dispatch_toys.ToyParams(n_points=4)
+                return sweep_toys.ToyParams(n_points=4)
 
         monkeypatch.setitem(registry._REGISTRY, "toyecho", _CliEcho())
+        journal = tmp_path / "journal.jsonl"
         argv = [
             "toyecho", "--preset", "quick", "--no-cache",
-            "--backend", "dispatch", "--jobs", "2",
-            "--checkpoint", str(tmp_path / "journal.jsonl"),
+            "--backend", "process", "--jobs", "2",
+            "--checkpoint", str(journal),
             "--retry-policy", "attempts=2",
         ]
         assert cli.main(argv) == 0
+        assert journal.read_text().count('"result"') == 4
 
-    def test_quarantined_point_exits_nonzero_with_evidence(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        self._register_poison(monkeypatch, n_points=4, labels=("p1",))
-        journal = tmp_path / "journal.jsonl"
-        argv = [
-            "toypoison", "--preset", "quick", "--no-cache",
-            "--backend", "dispatch", "--jobs", "2",
-            "--checkpoint", str(journal),
-            "--retry-policy", "attempts=4",
-        ]
-        with pytest.warns(RuntimeWarning, match="failed"):
-            exit_code = cli.main(argv)
-        assert exit_code == 1
-        captured = capsys.readouterr()
-        assert "QUARANTINED" in captured.out
-        assert "quarantined" in captured.err
-        quarantine = tmp_path / "toypoison-quick-seed1.quarantine.jsonl"
-        assert quarantine.exists()
-        assert "repro-quarantine/1" in quarantine.read_text()
-
-
-    def test_retry_policy_is_one_budget_on_a_fleet(
+    def test_retry_policy_is_one_budget_under_a_timeout(
         self, monkeypatch, tmp_path
     ):
         # attempts=3 bounds a point's executions *in total*.  p0 fails
-        # 0.3 s in, on a one-worker fleet, with --timeout armed so that
+        # 0.3 s in, on a one-worker pool, with --timeout armed so that
         # a resubmission interleaves with the failures: a budget kept
         # per resubmission would run it a fourth time.
         self._register_poison(
@@ -277,18 +222,21 @@ class TestDispatchCli:
         )
         argv = [
             "toypoison", "--preset", "quick", "--no-cache", "--no-checkpoint",
-            "--backend", "dispatch", "--jobs", "1",
+            "--backend", "process", "--jobs", "1",
             "--timeout", "0.9", "--retry-policy", "attempts=3",
         ]
-        monkeypatch.chdir(tmp_path)  # quarantine.jsonl defaults to the cwd
         with pytest.warns(RuntimeWarning, match="failed"):
             assert cli.main(argv) == 1
         runs = (tmp_path / "p0.runs").read_text().splitlines()
         assert 1 <= len(runs) <= 3
 
     @pytest.mark.parametrize(
-        "flags", [["--retry-policy", "base=0.1"], ["--schedule", "fifo"]],
-        ids=["backoff-key", "schedule"],
+        "flags",
+        [
+            ["--retry-policy", "base=0.1"], ["--schedule", "fifo"],
+            ["--backend", "dispatch"], ["--hosts", "local:2"],
+        ],
+        ids=["backoff-key", "schedule", "dispatch-backend", "hosts"],
     )
     def test_deleted_knobs_are_usage_errors(self, flags):
         with pytest.raises(SystemExit) as exit_info:
@@ -317,7 +265,7 @@ class TestFailedPointsExitNonzero:
         with pytest.warns(RuntimeWarning, match="failed"):
             assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert "FAILED dispatch_toys:POISON/p1" in err
+        assert "FAILED sweep_toys:POISON/p1" in err
         assert "kind=deterministic" in err
         assert "attempts=2" in err
         assert "ValueError: poison p1" in err

@@ -10,9 +10,8 @@ graph itself and not whatever this test session happened to import:
   observability layer or the TCP module of a protocol it did not run
   (the process backend, ``REPRO_CHECK_INVARIANTS`` and ``REPRO_TRACE``
   still load theirs);
-* ``import repro.runner`` leaves the dispatch fleet, the observability
-  layer and every figure module alone, and a dispatch worker never
-  loads the fleet side;
+* ``import repro.runner`` leaves the process pool, the observability
+  layer and every figure module alone;
 * the registry's table answers ``ids()`` without importing an
   experiment module, and ``get(id)`` imports just that id's module;
 * no run loads numpy: the generator and the reducers are pure Python,
@@ -96,9 +95,11 @@ def _loads_numpy(code: str) -> bool:
 
 def test_runner_and_worker_imports_load_no_numpy():
     assert not _loads_numpy("import repro.runner")
+    # What a pool worker imports, then the lookup each point makes.
     assert not _loads_numpy(
-        "import repro.runner.dispatch.worker as worker\n"
-        "worker.resolve_experiment('incast')\n"
+        "import repro.runner.backends.pool\n"
+        "from repro.runner.backends.base import resolve_experiment\n"
+        "resolve_experiment('incast')\n"
     )
 
 
@@ -154,32 +155,22 @@ def test_import_repro_loads_no_other_repro_module():
     assert _loaded_after("import repro") == {"repro"}
 
 
-def test_import_runner_loads_no_fleet_obs_or_figure_module():
+def test_import_runner_loads_no_pool_obs_or_figure_module():
     loaded = _loaded_after("import repro.runner")
-    assert "repro.runner.dispatch.backend" not in loaded
+    assert "repro.runner.backends.pool" not in loaded
     assert not [m for m in loaded if m.startswith("repro.obs")]
     assert not loaded & FIGURE_MODULES
 
 
-def test_dispatch_worker_never_loads_the_fleet_side():
-    # The worker module's import path, then the lookup a task frame makes.
-    loaded = _loaded_after(
-        "import repro.runner.dispatch.worker as worker\n"
-        "worker.resolve_experiment('incast')\n"
-    )
-    assert "repro.runner.dispatch.worker" in loaded
-    assert "repro.runner.dispatch.backend" not in loaded
-    assert "repro.obs.dispatch" not in loaded
-
-
 def test_module_attribute_ids_load_no_figure_module():
-    # A ``module:attr`` id misses the table, so resolving it (as a chaos
-    # worker does) must not fall back to importing every figure module.
+    # A ``module:attr`` id misses the table, so resolving it (as a pool
+    # worker does for a synthetic experiment) must not fall back to
+    # importing every figure module.
     loaded = _loaded_after(
+        "TOY = object()\n"
         "from repro.runner.backends.base import resolve_experiment\n"
-        "resolve_experiment('repro.runner.dispatch.chaos:CHAOS')\n"
+        "assert resolve_experiment('__main__:TOY') is TOY\n"
     )
-    assert "repro.runner.dispatch.chaos" in loaded
     assert not loaded & FIGURE_MODULES
 
 

@@ -258,14 +258,17 @@ class TestExport:
              ["event", "complete"]),
             ({"ch": "pool", "t": 0.1, "pool": "s0", "event": "nope", "conn": 1},
              ["event", "checkin"]),
-            ({"ch": "dispatch", "t": 0.1, "event": "nope"}, ["event", "lease"]),
+            # the fleet's channel is gone with the fleet
+            ({"ch": "dispatch", "t": 0.1, "event": "lease"},
+             ["unknown trace channel", "'dispatch'"]),
             ({"ch": "fault", "t": True, "fault": "link_down"}, ["'t'"]),
         ],
     )
     def test_validate_row_rejects_out_of_vocabulary_values(self, row, names):
         """``trace --check`` input comes from outside the program: an
-        unknown kind/event or a boolean time is a schema error naming
-        the offending field and, for a vocabulary, the allowed values."""
+        unknown channel, kind/event or a boolean time is a schema error
+        naming the offending field and, for a vocabulary, the allowed
+        values."""
         with pytest.raises(ValueError) as err:
             validate_row(row)
         for name in names:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.experiments import __main__ as cli
-from repro.runner.dispatch.retry import RetryPolicy
+from repro.runner.retry import RetryPolicy
 from tests.test_fault_plan_fuzz import FUZZ
 
 KEYS = {"attempts": ("max_attempts", 1), "transient": ("transient_budget", 0)}

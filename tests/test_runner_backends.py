@@ -4,8 +4,7 @@ the engine's one attempt loop.
 The headline guarantees under test:
 
 * serial and process backends produce byte-identical merged payloads
-  *and* checkpoint journals for the same sweep (dispatch is held to the
-  same bar in test_dispatch_backend.py);
+  *and* checkpoint journals for the same sweep;
 * points are submitted in enumeration order, every backend's future
   resolves to the point's value, and a backend completing them in any
   order at all — a hypothesis-drawn permutation — never changes merged
@@ -48,7 +47,7 @@ from repro.runner.backends import (
     execute_point,
 )
 from repro.runner.checkpoint import digest_params
-from repro.runner.dispatch.retry import TRANSIENT, classify_failure
+from repro.runner.retry import TRANSIENT, classify_failure
 from repro.sim.randomness import derive_seed
 from tests.helpers import ThreadPoolBackend
 
@@ -195,16 +194,16 @@ class TestBackendSelection:
         registry._REGISTRY.pop(experiment.id, None)
 
     def test_create_backend_unknown_name_lists_known(self):
-        with pytest.raises(ValueError, match="serial, process, dispatch"):
+        with pytest.raises(ValueError, match=r"\(known: serial, process\)"):
             create_backend("threads")
 
     def test_create_backend_shm_is_gone(self):
-        with pytest.raises(ValueError, match="serial, process, dispatch"):
+        with pytest.raises(ValueError, match=r"\(known: serial, process\)"):
             create_backend("shm")
 
     def test_registry_names(self):
         # One table: each name maps to the module and class it imports.
-        assert set(BACKENDS) == {"serial", "process", "dispatch"}
+        assert set(BACKENDS) == {"serial", "process"}
         for name in BACKENDS:
             module, cls = BACKENDS[name]
             assert getattr(importlib.import_module(module), cls).name == name
@@ -704,7 +703,7 @@ class TestProgressFailureSplit:
         reporter.point_done("p0")
         reporter.point_done("p1", failed=True, kind="timeout")
         reporter.point_done("p2", failed=True, kind="timeout")
-        reporter.point_done("p3", failed=True, kind="quarantined")
+        reporter.point_done("p3", failed=True, kind="transient")
         reporter.point_done("p4")
         reporter.finish()
         output = stream.getvalue()

@@ -1,0 +1,197 @@
+"""What the engine does with a failing point, on real worker processes.
+
+Each test runs a real sweep through the failure toys in
+``sweep_toys.py``.  Covered here: a worker that dies mid-sweep costs
+the points caught in its pool one transient retry each, and a point
+that kills every worker it gets fails as ``transient`` once that budget
+is spent; the engine's timeout resubmission of an overdue point; a
+process backend reopened for a second sweep; and the one-rule contract
+— a failing point ends the same way under ``serial`` and ``process``.
+"""
+
+import concurrent.futures
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+TESTS_DIR = str(Path(__file__).resolve().parent)
+# The toys must import as top-level ``sweep_toys`` — the name pool
+# workers resolve — so params pickled here unpickle there.  (``tests``
+# is a package, so pytest would otherwise import them as
+# ``tests.sweep_toys``.)  Workers fork from this process and inherit
+# the path.
+if TESTS_DIR not in sys.path:
+    sys.path.insert(0, TESTS_DIR)
+import sweep_toys  # noqa: E402
+
+from repro.experiments.store import to_jsonable  # noqa: E402
+from repro.runner import RetryPolicy, SweepRunner  # noqa: E402
+from repro.runner.backends import ProcessPoolBackend, SweepBackend  # noqa: E402
+
+
+def _serial(experiment, params, seed=3):
+    return SweepRunner(backend="serial").run(experiment, params, seed=seed)
+
+
+class TestWorkerDeath:
+    def test_a_worker_death_costs_one_transient_retry_not_the_sweep(
+        self, tmp_path
+    ):
+        # p2 kills its worker on its first execution: the pool breaks,
+        # and every future still in it fails with BrokenProcessPool.
+        params = sweep_toys.ToyParams(
+            n_points=8, state_dir=str(tmp_path), labels=("p2",)
+        )
+        runner = SweepRunner(jobs=2, backend="process")
+        payload = runner.run(sweep_toys.CRASH, params, seed=3)
+        stats = runner.last_stats
+        assert stats.failures == []
+        assert stats.transient_retries >= 1
+        assert (tmp_path / "p2.crashed").exists()
+        assert payload == _serial(sweep_toys.CRASH, params)
+
+    @pytest.mark.filterwarnings("ignore:.*sweep point.*failed:RuntimeWarning")
+    def test_a_point_that_kills_every_worker_fails_as_transient(
+        self, tmp_path
+    ):
+        params = sweep_toys.ToyParams(
+            n_points=4, state_dir=str(tmp_path), labels=("p0",)
+        )
+        runner = SweepRunner(
+            jobs=2, backend="process",
+            retry_policy=RetryPolicy(transient_budget=2),
+        )
+        payload = runner.run(sweep_toys.DOOMED, params, seed=3)
+        [failure] = runner.last_stats.failures
+        assert failure.label == "p0"
+        assert failure.kind == "transient"
+        assert failure.attempts == 3  # the first execution + 2 retries
+        assert "BrokenProcessPool" in failure.error
+        assert len((tmp_path / "p0.runs").read_text().splitlines()) == 3
+        # The points caught in the first dead pool still finish.
+        assert payload[0] is None
+        assert [item["label"] for item in payload[1:]] == ["p1", "p2", "p3"]
+
+    @pytest.mark.filterwarnings("ignore:.*sweep point.*failed:RuntimeWarning")
+    def test_a_failed_resubmission_is_classified_not_presumed(self):
+        # A pool that stays broken: the resubmission itself raises.
+        class _StaysBroken(SweepBackend):
+            name = "stays-broken"
+
+            def submit(self, spec):
+                if getattr(self, "broken", False):
+                    raise concurrent.futures.BrokenExecutor("pool is gone")
+                self.broken = True
+                future = concurrent.futures.Future()
+                future.set_exception(
+                    concurrent.futures.BrokenExecutor("worker died")
+                )
+                return future
+
+        runner = SweepRunner(jobs=2, backend=_StaysBroken())
+        runner.run(sweep_toys.ECHO, sweep_toys.ToyParams(n_points=1), seed=3)
+        [failure] = runner.last_stats.failures
+        assert failure.error == (
+            "retry submission failed: BrokenExecutor: pool is gone"
+        )
+        assert failure.kind == "transient"
+
+
+def test_overdue_point_is_resubmitted_by_engine_alone(tmp_path):
+    # p1 stalls on its *first* execution only; the engine's timeout
+    # resubmits it and the retry finds the marker file and returns at
+    # once.  max_attempts bounds the executions in total.
+    stall_s = 3.0
+    params = sweep_toys.ToyParams(
+        n_points=4, state_dir=str(tmp_path), labels=("p1",), sleep_s=stall_s,
+    )
+    started = time.monotonic()
+    runner = SweepRunner(
+        jobs=2, backend="process", timeout=1.0,
+        retry_policy=RetryPolicy(max_attempts=2),
+    )
+    payload = runner.run(sweep_toys.STALL, params, seed=3)
+    elapsed = time.monotonic() - started
+    stats = runner.last_stats
+    assert len((tmp_path / "p1.runs").read_text().splitlines()) == 2
+    assert stats.failures == []
+    assert payload == _serial(sweep_toys.STALL, params)
+    # The straggler is waited out and its late success is a counted
+    # duplicate; nothing failed by timing out.
+    assert elapsed < stall_s + 10.0
+    assert stats.duplicate_results >= 1
+    assert stats.timeouts == 0
+
+
+def test_process_backend_is_reopenable_for_a_second_sweep():
+    backend = ProcessPoolBackend()
+    params = sweep_toys.ToyParams(n_points=3)
+    runner = SweepRunner(jobs=2, backend=backend)
+    first = runner.run(sweep_toys.ECHO, params, seed=3)
+    second = runner.run(sweep_toys.ECHO, params, seed=3)
+    assert to_jsonable(first) == to_jsonable(second)
+    assert runner.last_stats.failures == []
+
+
+@pytest.mark.parametrize("kind", ["serial", "process"])
+class TestOneRuleEveryBackend:
+    """What happens to a failing point does not depend on the backend."""
+
+    def test_poisoned_point_fails_alike(self, kind):
+        params = sweep_toys.ToyParams(n_points=4, labels=("p2",))
+        runner = SweepRunner(jobs=2, backend=kind)
+        with pytest.warns(RuntimeWarning, match="failed"):
+            payload = runner.run(sweep_toys.POISON, params, seed=3)
+        assert [item and item["label"] for item in payload] == [
+            "p0", "p1", None, "p3"
+        ]
+        [failure] = runner.last_stats.failures
+        assert failure.label == "p2"
+        assert failure.attempts == 2
+        assert failure.error == "ValueError: poison p2"
+        assert failure.kind == "deterministic"
+
+    def test_every_point_poisoned_fails_alike_and_promptly(self, kind):
+        labels = ("p0", "p1", "p2", "p3")
+        params = sweep_toys.ToyParams(n_points=4, labels=labels)
+        runner = SweepRunner(jobs=2, backend=kind)
+        started = time.monotonic()
+        with pytest.warns(RuntimeWarning, match="failed"):
+            payload = runner.run(sweep_toys.POISON, params, seed=3)
+        elapsed = time.monotonic() - started
+        assert payload == [None] * 4
+        failures = sorted(runner.last_stats.failures, key=lambda f: f.label)
+        assert [failure.label for failure in failures] == list(labels)
+        for failure in failures:
+            assert failure.attempts == 2
+            assert failure.error == f"ValueError: poison {failure.label}"
+            assert failure.kind == "deterministic"
+        assert elapsed < 5.0
+
+    def test_flaky_point_succeeds_on_its_second_execution(self, kind, tmp_path):
+        params = sweep_toys.ToyParams(
+            n_points=4, state_dir=str(tmp_path), labels=("p2",)
+        )
+        runner = SweepRunner(jobs=2, backend=kind)
+        payload = runner.run(sweep_toys.FLAKY, params, seed=3)
+        assert [item["label"] for item in payload] == ["p0", "p1", "p2", "p3"]
+        assert runner.last_stats.failures == []
+        assert (tmp_path / "p2.failed").exists()
+
+    def test_unpicklable_point_is_rejected_before_any_point_runs(
+        self, kind, tmp_path
+    ):
+        params = sweep_toys.ToyParams(
+            n_points=4, state_dir=str(tmp_path), labels=("p2",)
+        )
+        runner = SweepRunner(jobs=2, backend=kind)
+        with pytest.raises(TypeError) as info:
+            runner.run(sweep_toys.UNPICKLABLE, params, seed=3)
+        message = str(info.value)
+        assert message.startswith(
+            "sweep_toys:UNPICKLABLE/p2: point cannot be sent to a worker ("
+        )
+        assert "pickle" in message.lower()  # the pickling error itself
+        assert list(tmp_path.glob("*.runs")) == []  # not even p0 ran
