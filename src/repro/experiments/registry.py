@@ -15,9 +15,12 @@ and consumers resolve them by id::
 
 Registration is what makes sweep points *dispatchable*: a worker
 process receives only ``(experiment_id, params, point, seed)`` and
-re-resolves the experiment on its side of the fork, so the experiment
+re-resolves the experiment in its own interpreter, so the experiment
 object itself never crosses the process boundary; whether params and
 points can is checked up front by ``SweepRunner._normalize_points``.
+A worker is spawned, not forked, so it knows only what importing the
+table's modules registers: an experiment registered at run time in
+the sweeping process does not reach it.
 
 :data:`_EXPERIMENT_MODULES` is the one place an id meets its module:
 :func:`ids` reads it without importing any experiment, and :func:`get`

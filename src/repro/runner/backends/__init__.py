@@ -5,9 +5,10 @@ Two implementations ship with the runner:
 ============ =================================================================
 ``serial``    in-process, zero overhead, no registry requirement — the
               debugging default under ``--jobs 1``
-``process``   :class:`~concurrent.futures.ProcessPoolExecutor` fan-out with
-              pickle result transport, replacing a pool a dead worker
-              broke — the parallel backend
+``process``   :class:`~concurrent.futures.ProcessPoolExecutor` fan-out to
+              spawned workers (fresh interpreters that exit with their
+              parent) with pickle result transport, replacing a pool a
+              dead worker broke — the parallel backend
 ============ =================================================================
 
 All backends honor the same determinism contract: byte-identical merged

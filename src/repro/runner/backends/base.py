@@ -76,15 +76,23 @@ def resolve_experiment(experiment_id: str) -> Any:
     Registry ids (:mod:`repro.experiments.registry`) are tried first;
     an id shaped like ``"package.module:ATTRIBUTE"`` falls back to an
     import, so synthetic experiments (benchmarks, plugins) can cross
-    the pool boundary without polluting the figure registry.
+    the pool boundary without polluting the figure registry.  A pool
+    worker is a fresh interpreter, so a registration the sweeping
+    process made at run time does not reach it; the ``KeyError`` says
+    so.
     """
     from repro.experiments import registry
 
     try:
         return registry.get(experiment_id)
-    except KeyError:
+    except KeyError as exc:
         if ":" not in experiment_id:
-            raise
+            raise KeyError(
+                f"{exc.args[0]} (a pool worker is a fresh interpreter and "
+                "sees only experiments registered when their module is "
+                "imported: register it at import time, or pass a "
+                "module:attribute id)"
+            ) from None
     module_name, _, attribute = experiment_id.partition(":")
     import importlib
 

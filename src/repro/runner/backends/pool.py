@@ -1,16 +1,24 @@
 """Process-pool execution.
 
-Only ``(experiment_id, params, point, seed)`` crosses the process
-boundary, so experiments never need to be picklable themselves — but
-they must be *resolvable* in the worker: registered in
-:mod:`repro.experiments.registry`, or addressable as a
+Workers are *spawned*: each is a fresh interpreter that inherits none
+of the sweeping process's heap, class patches or threads, and imports
+only what the points it runs need.  Only ``(experiment_id, params,
+point, seed)`` crosses the process boundary, so experiments never need
+to be picklable themselves — but they must be *resolvable* in the
+worker: registered when their module is imported (see
+:mod:`repro.experiments.registry`), or addressable as a
 ``"module:attribute"`` id (see
-:func:`repro.runner.backends.base.resolve_experiment`).
+:func:`repro.runner.backends.base.resolve_experiment`).  DESIGN.md §4
+("Workers are spawned") says why neither ``fork`` nor ``forkserver``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
 from typing import Any, Optional
 
 from repro.runner.backends.base import (
@@ -21,6 +29,26 @@ from repro.runner.backends.base import (
 )
 
 __all__ = ["ProcessPoolBackend"]
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker the moment its parent dies.
+
+    A daemon thread waits on the parent's sentinel, the read end of a
+    pipe whose write end only the parent holds (a spawned worker
+    inherits no other process's copy), so it reads EOF exactly when the
+    parent exits — a SIGKILLed sweep leaves no orphan to finish its
+    point.
+    """
+    parent = multiprocessing.parent_process()
+    assert parent is not None  # an initializer runs in a pool worker
+    sentinel = parent.sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def _pool_worker(experiment_id: str, params: Any, point: Any, seed: int) -> Any:
@@ -55,7 +83,11 @@ class ProcessPoolBackend(SweepBackend):
             self._pool = self._make_pool(max_workers)
 
     def _make_pool(self, max_workers: int) -> concurrent.futures.Executor:
-        return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=max_workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_exit_with_parent,
+        )
 
     def submit(self, spec: PointSpec) -> "concurrent.futures.Future[Any]":
         if self._pool is None:

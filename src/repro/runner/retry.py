@@ -35,7 +35,7 @@ DETERMINISTIC = "deterministic"
 #: and a broken executor are what a mid-task worker death looks like
 #: from a pool (``BrokenProcessPool`` subclasses ``BrokenExecutor``, so
 #: naming the base keeps ``multiprocessing`` out of a process that never
-#: forks).
+#: starts a worker).
 _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     ConnectionError,
     EOFError,

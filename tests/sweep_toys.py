@@ -24,6 +24,9 @@ every backend:
 ``UNPICKLABLE`` puts a lambda in the kwargs of selected labels' points —
              the engine's picklability check, which must reject the
              sweep before any point runs
+``PROBE``    reports what the executing process sees — its parent's
+             pid and a class attribute a test may patch in the sweeping
+             process — the worker's isolation from its parent
 """
 
 import dataclasses
@@ -161,6 +164,16 @@ class UnpicklableExperiment(_ToyBase):
         return {"label": point.label, "seed": seed}
 
 
+class ProbeExperiment(_ToyBase):
+    """Reports the executing process's parent pid and ``marker``."""
+
+    id = "sweep_toys:PROBE"
+    marker = "as imported"
+
+    def run_point(self, params, point, seed):
+        return {"ppid": os.getppid(), "marker": ProbeExperiment.marker}
+
+
 ECHO = EchoExperiment()
 FLAKY = FlakyExperiment()
 POISON = PoisonExperiment()
@@ -168,3 +181,4 @@ CRASH = CrashExperiment()
 DOOMED = DoomedExperiment()
 STALL = StallExperiment()
 UNPICKLABLE = UnpicklableExperiment()
+PROBE = ProbeExperiment()

@@ -16,7 +16,9 @@ graph itself and not whatever this test session happened to import:
   experiment module, and ``get(id)`` imports just that id's module;
 * no run loads numpy: the generator and the reducers are pure Python,
   so the first point of every drawing figure runs without it, and no
-  module under ``src/repro`` imports it.
+  module under ``src/repro`` imports it;
+* a spawned pool worker running an ``incast`` point loads neither numpy
+  nor the observability layer.
 
 The drift guards hold the registry's table equal to what the experiment
 modules register, and every package table to the modules it names, so
@@ -420,6 +422,55 @@ def test_the_process_backend_still_loads_the_pool():
     # Positive control: the probe sees the pool when a run uses one.
     loaded = set(_first_point("incast", backend="process", jobs=2)["modules"])
     assert _POOL_MODULES <= loaded
+
+
+_WORKER_PROBE = """
+import sys
+
+from repro.experiments import registry
+
+
+class FirstIncastPoint:
+    \"\"\"incast's first point; its value is what the worker has loaded.\"\"\"
+
+    id = "worker_probe:FIRST_INCAST_POINT"
+
+    def points(self, params):
+        return registry.get("incast").points(params)[:1]
+
+    def run_point(self, params, point, seed):
+        registry.get("incast").run_point(params, point, seed)
+        return sorted(sys.modules)
+
+    def reduce(self, params, points, results):
+        return results[0]
+
+
+FIRST_INCAST_POINT = FirstIncastPoint()
+"""
+
+
+def test_a_pool_worker_loads_only_what_its_point_runs(tmp_path):
+    # A spawned worker imports what unpickling its task needs and what
+    # the point runs, none of the sweeping process's modules.
+    (tmp_path / "worker_probe.py").write_text(_WORKER_PROBE)
+    worker = _fresh(
+        f"import json, sys\n"
+        f"sys.path.insert(0, {str(tmp_path)!r})\n"
+        "import worker_probe\n"
+        "from repro.experiments import registry\n"
+        "from repro.runner import SweepRunner\n"
+        "params = registry.get('incast').make_params('quick')\n"
+        "runner = SweepRunner(jobs=2, backend='process')\n"
+        "modules = runner.run(worker_probe.FIRST_INCAST_POINT, params, seed=1)\n"
+        "assert not runner.last_stats.failures, runner.last_stats.failures\n"
+        "print(json.dumps(modules))\n"
+    )
+    assert isinstance(worker, list)
+    loaded = set(worker)
+    assert {"repro.experiments.incast", "repro.runner.backends.pool"} <= loaded
+    assert "numpy" not in loaded
+    assert not [m for m in loaded if m.startswith("repro.obs")]
 
 
 def test_checked_invariants_still_load_the_monitor():

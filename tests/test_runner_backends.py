@@ -419,28 +419,31 @@ class Sleepy(Experiment):
         return list(results)
 
 
-# Pool workers fork from this process, inheriting the registration.
+# A spawned pool worker re-imports this script (as ``__mp_main__``) to
+# unpickle ``Params``, so the registration stays at module level and
+# the sweep runs only under the ``__main__`` guard.
 registry._ensure_loaded()
 registry._REGISTRY[Sleepy.id] = Sleepy()
 
-if os.environ.get("RESUME") == "1":
-    # Resume on a *different* backend than the one that crashed.
-    runner = SweepRunner(
-        checkpoint=SweepCheckpoint(sys.argv[1]), resume=True, backend="serial"
-    )
-else:
-    runner = SweepRunner(
-        jobs=2,
-        checkpoint=SweepCheckpoint(sys.argv[1]),
-        backend="process",
-    )
-payload = runner.run(registry.get(Sleepy.id), Params(), seed=5)
-print(json.dumps({
-    "payload": payload,
-    "resumed": runner.last_stats.resumed,
-    "executed": runner.last_stats.executed,
-    "backend": runner.last_stats.backend,
-}))
+if __name__ == "__main__":
+    if os.environ.get("RESUME") == "1":
+        # Resume on a *different* backend than the one that crashed.
+        runner = SweepRunner(
+            checkpoint=SweepCheckpoint(sys.argv[1]), resume=True, backend="serial"
+        )
+    else:
+        runner = SweepRunner(
+            jobs=2,
+            checkpoint=SweepCheckpoint(sys.argv[1]),
+            backend="process",
+        )
+    payload = runner.run(registry.get(Sleepy.id), Params(), seed=5)
+    print(json.dumps({
+        "payload": payload,
+        "resumed": runner.last_stats.resumed,
+        "executed": runner.last_stats.executed,
+        "backend": runner.last_stats.backend,
+    }))
 """
 
 
@@ -462,52 +465,77 @@ def _live_group_members(pgid):
     return live
 
 
+def _sigkill_mid_sweep(tmp_path, env):
+    """Run the kill script under ``process`` until p0 is journalled and
+    p1/p2 sleep in their workers, then SIGKILL the parent alone.
+
+    Returns the script and journal paths, the parent's process group
+    (the child leads a new session, so its workers are found by group)
+    and the group members alive besides the parent before the kill.
+    """
+    script = tmp_path / "sweep.py"
+    script.write_text(_PROCESS_KILL_SCRIPT)
+    journal = tmp_path / "journal.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, str(script), str(journal)],
+        env={**env, "SLOW": "1"},
+        stdout=subprocess.PIPE,
+        start_new_session=True,
+    )
+    pgid = proc.pid  # a new session's leader leads its own group
+    try:
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            if journal.exists() and '"result"' in journal.read_text():
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("first point never reached the journal")
+        workers = [pid for pid in _live_group_members(pgid) if pid != proc.pid]
+    finally:
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30.0)
+    assert proc.returncode == -signal.SIGKILL
+    return script, journal, pgid, workers
+
+
+def _await_empty_group(pgid, seconds):
+    """The group's live members once it empties or ``seconds`` pass."""
+    deadline = time.monotonic() + seconds
+    while _live_group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return _live_group_members(pgid)
+
+
+def _kill_env():
+    return dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+    )
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs /proc")
+class TestWorkersExitWithParent:
+    def test_sigkill_of_the_parent_ends_every_worker_within_two_seconds(
+        self, tmp_path
+    ):
+        # Both workers are mid-point (a 60 s sleep) when the parent
+        # dies; each one's watchdog sees the parent's pipe close.
+        _, _, pgid, workers = _sigkill_mid_sweep(tmp_path, _kill_env())
+        assert len(workers) >= 2, "the sweep started no pool workers"
+        assert _await_empty_group(pgid, 2.0) == []
+
+
 class TestProcessKillDashNine:
     @pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs /proc")
     def test_sigkill_under_process_resumes_under_serial(self, tmp_path):
-        script = tmp_path / "sweep.py"
-        script.write_text(_PROCESS_KILL_SCRIPT)
-        journal = tmp_path / "journal.jsonl"
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
-        )
+        env = _kill_env()
 
         # Run 1 (process backend): p0's result lands in the journal,
-        # p1/p2 sleep in workers; SIGKILL the parent alone.  The child
-        # leads its own process group so the orphaned pool workers can
-        # be found and killed afterwards.
-        proc = subprocess.Popen(
-            [sys.executable, str(script), str(journal)],
-            env={**env, "SLOW": "1"},
-            stdout=subprocess.PIPE,
-            start_new_session=True,
-        )
-        pgid = proc.pid  # a new session's leader leads its own group
-        orphans = []
-        try:
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if journal.exists() and '"result"' in journal.read_text():
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("first point never reached the journal")
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30.0)
-            orphans = _live_group_members(pgid)
-        finally:
-            try:
-                os.killpg(pgid, signal.SIGKILL)  # whatever is left, parent included
-            except ProcessLookupError:
-                pass
-            proc.wait(timeout=30.0)
-        assert proc.returncode == -signal.SIGKILL
-        assert orphans, "the killed sweep left no pool workers to clean up"
-        deadline = time.monotonic() + 10.0
-        while _live_group_members(pgid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _live_group_members(pgid) == []
+        # p1/p2 sleep in workers; SIGKILL the parent alone.  Its
+        # workers exit with it: nothing is left to clean up.
+        script, journal, pgid, _ = _sigkill_mid_sweep(tmp_path, env)
+        assert _await_empty_group(pgid, 10.0) == []
         loaded = SweepCheckpoint(journal)
         journalled = loaded.load()
         assert [(key[0], key[1]) for key in journalled] == [

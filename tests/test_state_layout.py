@@ -11,8 +11,8 @@ shadows ``link.send`` per instance).
 The budgets at the bottom are tracemalloc readings on CPython 3.11 with
 every ``Simulator``, ``Link`` and ``TcpSource`` held, as bench/observe.py
 holds them.  Bytes retained per sender by the 97-sender incast point are
-the quantity ``sweep_points`` multiplies by 9 504 (its forked pool worker
-holds every object of its 192 points): 8 114 (``trim``) / 7 826
+the quantity ``sweep_points`` multiplied by 9 504 while its pool worker
+was forked and held every object of its 192 points: 8 114 (``trim``) / 7 826
 (``reno``) before the layout was fixed, 5 259 / 4 895 with slots, now
 3 644 / 3 267 with list FIFOs and no ``messages`` roster — budget 3 900.
 Per TCP connection of the ``openloop_sessions`` load-2.0 ``trim`` point,

@@ -5,11 +5,15 @@ Each test runs a real sweep through the failure toys in
 the points caught in its pool one transient retry each, and a point
 that kills every worker it gets fails as ``transient`` once that budget
 is spent; the engine's timeout resubmission of an overdue point; a
-process backend reopened for a second sweep; and the one-rule contract
-— a failing point ends the same way under ``serial`` and ``process``.
+process backend reopened for a second sweep; the one-rule contract —
+a failing point ends the same way under ``serial`` and ``process``;
+and a worker's isolation: a fresh interpreter, the sweeping process's
+direct child, that sees neither the parent's class patches nor its
+run-time registrations.
 """
 
 import concurrent.futures
+import os
 import sys
 import time
 from pathlib import Path
@@ -20,12 +24,13 @@ TESTS_DIR = str(Path(__file__).resolve().parent)
 # The toys must import as top-level ``sweep_toys`` — the name pool
 # workers resolve — so params pickled here unpickle there.  (``tests``
 # is a package, so pytest would otherwise import them as
-# ``tests.sweep_toys``.)  Workers fork from this process and inherit
-# the path.
+# ``tests.sweep_toys``.)  A spawned worker starts with this process's
+# ``sys.path``, so it finds them too.
 if TESTS_DIR not in sys.path:
     sys.path.insert(0, TESTS_DIR)
 import sweep_toys  # noqa: E402
 
+from repro.experiments import registry  # noqa: E402
 from repro.experiments.store import to_jsonable  # noqa: E402
 from repro.runner import RetryPolicy, SweepRunner  # noqa: E402
 from repro.runner.backends import ProcessPoolBackend, SweepBackend  # noqa: E402
@@ -195,3 +200,64 @@ class TestOneRuleEveryBackend:
         )
         assert "pickle" in message.lower()  # the pickling error itself
         assert list(tmp_path.glob("*.runs")) == []  # not even p0 ran
+
+
+class TestWorkerIsolation:
+    """A pool worker is a fresh interpreter started by the sweep itself."""
+
+    def test_a_class_patched_in_the_parent_is_unpatched_in_a_worker(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(sweep_toys.ProbeExperiment, "marker", "patched")
+        params = sweep_toys.ToyParams(n_points=2)
+        runner = SweepRunner(jobs=2, backend="process")
+        payload = runner.run(sweep_toys.PROBE, params, seed=3)
+        assert [item["marker"] for item in payload] == ["as imported"] * 2
+        # Control: the patch holds in the sweeping process itself.
+        serial = _serial(sweep_toys.PROBE, params)
+        assert [item["marker"] for item in serial] == ["patched"] * 2
+
+    def test_a_worker_is_a_direct_child_of_the_sweeping_process(self):
+        # Only a direct child is reaped here, so only its peak RSS
+        # reaches this process's RUSAGE_CHILDREN: a fork server's
+        # workers would report the server's pid.
+        params = sweep_toys.ToyParams(n_points=2)
+        runner = SweepRunner(jobs=2, backend="process")
+        payload = runner.run(sweep_toys.PROBE, params, seed=3)
+        assert {item["ppid"] for item in payload} == {os.getpid()}
+
+
+class _RegisteredAtRunTime(sweep_toys.EchoExperiment):
+    id = "toy-registered-at-run-time"
+
+
+class TestRunTimeRegistration:
+    """A registration made after import reaches no worker; it says so."""
+
+    @pytest.fixture
+    def experiment(self):
+        experiment = _RegisteredAtRunTime()
+        registry._REGISTRY[experiment.id] = experiment
+        yield experiment
+        registry._REGISTRY.pop(experiment.id, None)
+
+    @pytest.mark.filterwarnings("ignore:.*sweep point.*failed:RuntimeWarning")
+    def test_the_worker_failure_says_why_under_process(self, experiment):
+        runner = SweepRunner(
+            jobs=2, backend="process", retry_policy=RetryPolicy(max_attempts=1)
+        )
+        runner.run(experiment, sweep_toys.ToyParams(n_points=1), seed=3)
+        [failure] = runner.last_stats.failures
+        assert failure.error.startswith(
+            "KeyError: \"unknown experiment 'toy-registered-at-run-time'; known: "
+        )
+        assert failure.error.endswith(
+            "(a pool worker is a fresh interpreter and sees only experiments "
+            "registered when their module is imported: register it at import "
+            "time, or pass a module:attribute id)\""
+        )
+
+    def test_the_sweep_still_succeeds_under_serial(self, experiment):
+        payload = _serial(experiment, sweep_toys.ToyParams(n_points=2))
+        assert [item["label"] for item in payload] == ["p0", "p1"]
+        assert registry.get(experiment.id) is experiment
