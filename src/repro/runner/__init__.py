@@ -6,7 +6,8 @@ out to a pluggable execution backend, with:
 * deterministic per-point seeds and merge by point index (results are
   identical for any worker count, any backend and any completion order
   — see :func:`repro.sim.randomness.derive_seed`); points are submitted
-  in enumeration order and no history is kept between sweeps;
+  in enumeration order, at most ``jobs`` attempts in flight, and no
+  history is kept between sweeps;
 * two backends (:mod:`repro.runner.backends`): ``serial`` (inline,
   the ``jobs=1`` default) and ``process``
   (:class:`~concurrent.futures.ProcessPoolExecutor` fan-out, which

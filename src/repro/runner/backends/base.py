@@ -10,18 +10,21 @@ runner to act on.  The contract is deliberately small:
 
 ``open(max_workers)``
     Acquire workers.  Called once per sweep; a backend instance may
-    be reopened for the next sweep after ``close()``.
+    be reopened for the next sweep after ``close()``.  The runner never
+    has more than ``max_workers`` attempts in flight, so a submission
+    finds a free worker and starts at once.
 ``submit(spec) -> Future``
     Schedule one :class:`PointSpec`.  The returned future — any object
     satisfying the :class:`concurrent.futures.Future` interface —
     resolves to the point's value.  Inline backends (``inline = True``)
     execute *during* ``submit`` and return an already-completed future;
-    the runner then submits lazily, one point at a time, so each result
-    is journalled before the next point starts.
+    the runner then keeps one attempt in flight and journals each
+    result before the next point starts.
 ``drain(futures, timeout) -> done``
-    Block until at least one of ``futures`` completes (or ``timeout``
-    elapses); return the completed subset.  The default wraps
-    :func:`concurrent.futures.wait`.
+    Block until at least one of ``futures`` — every attempt in flight
+    — completes (or ``timeout``, the time to the earliest attempt's
+    deadline, elapses); return the completed subset.  The default
+    wraps :func:`concurrent.futures.wait`.
 ``close(wait, cancel_futures)``
     Release workers.  ``cancel_futures`` drops queued work on
     interrupt.
@@ -148,8 +151,8 @@ class SweepBackend(abc.ABC):
     #: short id used in journal headers, stats, and the CLI.
     name: str = "abstract"
     #: True when ``submit`` executes the point before returning; the
-    #: runner then submits lazily so each result lands durably before
-    #: the next point starts.
+    #: runner then keeps one attempt in flight and records each result
+    #: durably before the next point starts.
     inline: bool = False
 
     def open(self, max_workers: int) -> None:

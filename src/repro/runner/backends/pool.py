@@ -68,7 +68,9 @@ class ProcessPoolBackend(SweepBackend):
     in it fails with ``BrokenProcessPool``, which the engine classifies
     as transient.  ``submit`` then finds the pool broken and replaces it
     with a new one of the same size, so each point caught in the dead
-    pool costs one transient retry, not the rest of the sweep.
+    pool costs one transient retry, not the rest of the sweep.  The
+    engine resubmits those points one at a time until one succeeds,
+    then at full width again.
     """
 
     name = "process"

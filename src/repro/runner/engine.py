@@ -16,31 +16,38 @@ backend, and protocol variants of the same experiment see matched
 per-point draws (the same scenario randomness under every protocol, as
 the paper's comparisons require).
 
-Scheduling contract: points are submitted in enumeration order, and
-the runner keeps no history between sweeps.  Because merge is by point
-index, the order in which a backend completes them never changes
-payloads.
+Scheduling contract: points are submitted lazily, in enumeration
+order, with at most ``jobs`` attempts in flight (one on an inline
+backend), stragglers included; a retry goes in as soon as a worker is
+free, ahead of every point not yet submitted.  An attempt's timeout
+counts from its submission, which the in-flight limit makes its start
+(the first ``jobs`` also pay the worker spawn).  Decided points are
+recorded — cache, journal, progress — in enumeration order and merged
+by point index, so completion order changes neither payloads nor
+journals.  The runner keeps no history between sweeps.
 
 Failure contract: backends *detect* and *report* — a failed attempt is
 an exception on its future — and one loop, :meth:`SweepRunner._drain`,
-*decides*, for every backend, by the one
-:class:`~repro.runner.retry.RetryPolicy`: *transient* faults (a worker
-that died mid-point, a broken pool) are resubmitted against a
-separate, more generous budget than the point's own ``max_attempts``;
-*timeouts* trigger speculative resubmission (the straggler keeps
-running, and whichever earliest-submitted attempt completes
-successfully wins, so the outcome does not depend on the race);
+waiting on every attempt in flight, *decides* for every backend by the
+one :class:`~repro.runner.retry.RetryPolicy`: *transient* faults (a
+worker that died mid-point, a broken pool) are resubmitted against a
+separate, more generous budget than the point's own ``max_attempts``,
+one attempt at a time until an attempt succeeds, then ``jobs`` at a
+time again (so a point caught in a pool beside a worker-killer is
+charged about once, not once per kill); *timeouts* trigger speculative
+resubmission (the straggler keeps running; the first success wins,
+and every attempt returns the same value);
 *deterministic* errors are resubmitted until ``max_attempts``
 executions are spent.  A point that exhausts its budgets degrades to a
 ``None`` result; ``reduce`` receives the partial result set and the
 failures — with their classification — are recorded on
-:attr:`SweepRunner.last_stats`, split into
-:attr:`SweepStats.timeouts` and :attr:`SweepStats.errors`.  Extra
-completed successes are counted in :attr:`SweepStats.duplicate_results`.
+:attr:`SweepRunner.last_stats`, split into :attr:`SweepStats.timeouts`
+and :attr:`SweepStats.errors`.  Extra completed successes are counted
+in :attr:`SweepStats.duplicate_results`.
 
 Crash contract: give the runner a
 :class:`~repro.runner.checkpoint.SweepCheckpoint` and every completed
-point is journalled durably (flush + fsync) the moment it lands; after
+point is journalled durably (flush + fsync) as it is recorded; after
 a crash — including ``kill -9`` mid-sweep — re-running with
 ``resume=True`` replays the journalled points for free and executes
 only the unfinished remainder, producing payloads identical to an
@@ -54,11 +61,13 @@ callers can report before exiting non-zero.
 
 from __future__ import annotations
 
-import concurrent.futures
+import heapq
+import math
 import pickle
 import threading
 import time
 import warnings
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -161,11 +170,14 @@ class SweepInterrupted(KeyboardInterrupt):
 
 
 class _Entry:
-    """One point's dispatch record inside a run."""
+    """One point's dispatch record inside a run, and the attempt state
+    :meth:`SweepRunner._drain` keeps for it."""
 
     __slots__ = (
         "task_index", "point_index", "experiment", "params", "point",
-        "seed", "cache_key", "params_digest",
+        "seed", "cache_key", "params_digest", "position", "attempts",
+        "submitted", "transient_used", "live", "error", "kind", "decided",
+        "value",
     )
 
     def __init__(
@@ -188,6 +200,20 @@ class _Entry:
         #: folded into the journal key: protocol variants of one
         #: experiment share labels *and* per-point seeds by design.
         self.params_digest = params_digest
+        #: the entry's index among the sweep's executed entries.
+        self.position = 0
+        #: executions granted (the first included) and submitted; the
+        #: difference waits in ``_drain``'s ready heap.
+        self.attempts, self.submitted = 1, 0
+        #: retries granted from the transient budget.
+        self.transient_used = 0
+        #: attempts in flight whose timeout has not passed.
+        self.live = 0
+        self.error, self.kind = "", DETERMINISTIC
+        #: None while undecided, True once an attempt succeeded (its
+        #: value waits here to be recorded in order), False once failed.
+        self.decided: Optional[bool] = None
+        self.value: Any = None
 
     @property
     def journal_key(self) -> tuple[str, str, int, str]:
@@ -211,19 +237,21 @@ class SweepRunner:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (default) runs points inline in this
+        Attempts in flight at once: the pool's worker count.  ``1``
+        (default) without a ``backend`` runs points inline in this
         process — bit-identical to any parallel run, and the mode to
-        use under a debugger.
+        use under a debugger; ``backend="process"`` with ``jobs=1`` is
+        a one-worker pool.
     cache:
         A :class:`~repro.runner.cache.ResultCache`, or None to disable
         caching.  Only successful results are cached; a re-run of an
         unchanged (version, params, point, seed) tuple is free.
     timeout:
-        Seconds to wait for one point's result before retrying/failing
-        it, or None to wait forever.  A number must be ``> 0`` and at
-        most :data:`threading.TIMEOUT_MAX` (NaN and inf are rejected).
-        Enforced on the process pool (an inline point cannot be
-        preempted).
+        Seconds one attempt may run, from its submission, before the
+        point is retried or fails, or None to wait forever.  A number
+        must be ``> 0`` and at most :data:`threading.TIMEOUT_MAX` (NaN
+        and inf are rejected).  Enforced on a pool (an inline point
+        cannot be preempted).
     retry_policy:
         The :class:`~repro.runner.retry.RetryPolicy` — a
         point's own attempt budget and the separate transient budget.
@@ -449,13 +477,6 @@ class SweepRunner:
                 ) from exc
         return points
 
-    def _resolve_backend(self, n_pending: int) -> SweepBackend:
-        if self.backend is not None:
-            return self.backend
-        if self.jobs == 1 or n_pending == 1:
-            return SerialBackend()
-        return create_backend("process")
-
     # ------------------------------------------------------------------
     # Resolution paths
     # ------------------------------------------------------------------
@@ -465,52 +486,6 @@ class SweepRunner:
                 entry.experiment.id, entry.point.label, entry.seed, value,
                 params_digest=entry.params_digest,
             )
-
-    def _record(
-        self,
-        entry: _Entry,
-        value: Any,
-        results: list[list[Any]],
-        stats: SweepStats,
-    ) -> None:
-        results[entry.task_index][entry.point_index] = value
-        stats.executed += 1
-        if (self.cache is not None and entry.cache_key is not None
-                and value is not None):
-            try:
-                self.cache.put(entry.cache_key, value)
-            except (OSError, pickle.PicklingError) as exc:
-                # The point already ran; losing the cache write only
-                # costs a future re-execution.  Say so once per
-                # point instead of failing the sweep or going quiet.
-                stats.cache_write_errors += 1
-                warnings.warn(
-                    f"cache write failed for {entry.experiment.id}/"
-                    f"{entry.point.label} ({type(exc).__name__}: {exc})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        self._journal(entry, value)
-        self._point_done(entry)
-
-    def _fail(
-        self,
-        entry: _Entry,
-        error: str,
-        attempts: int,
-        stats: SweepStats,
-        kind: str = DETERMINISTIC,
-    ) -> None:
-        stats.failures.append(
-            PointFailure(
-                entry.experiment.id, entry.point.label, error, attempts, kind
-            )
-        )
-        if kind == TIMEOUT:
-            stats.timeouts += 1
-        else:
-            stats.errors += 1
-        self._point_done(entry, failed=True, kind=kind)
 
     def _point_done(
         self,
@@ -530,8 +505,11 @@ class SweepRunner:
         results: list[list[Any]],
         stats: SweepStats,
     ) -> None:
-        """Execute every pending entry on the backend, in order."""
-        backend = self._resolve_backend(len(pending))
+        """Execute every pending entry on the backend."""
+        backend = self.backend
+        if backend is None:  # auto: inline unless there is work to share
+            backend = (SerialBackend() if self.jobs == 1 or len(pending) == 1
+                       else create_backend("process"))
         stats.backend = backend.name
         backend.open(min(self.jobs, len(pending)))
         finished = False
@@ -557,123 +535,142 @@ class SweepRunner:
         stats: SweepStats,
     ) -> None:
         """The one attempt loop: every retry, timeout and straggler
-        decision for every backend is made here."""
-        #: (entry, future) pairs still in flight after their entry was
-        #: already decided — stragglers whose eventual successes are
-        #: counted as duplicates, never recorded.
-        leftovers: list[tuple[_Entry, concurrent.futures.Future]] = []
-        # All attempts for an entry, in submission order.  The list
-        # only grows (stragglers are never discarded), so "earliest
-        # successful submission" is a deterministic choice however
-        # the straggler/retry race resolves.  A pool gets every first
-        # attempt up front; an inline backend executes during submit,
-        # so its first attempt waits until the loop reaches the entry
-        # and each result is journalled before the next point starts.
-        futures: dict[int, list[concurrent.futures.Future]] = {
-            id(entry): [] if backend.inline else [backend.submit(entry.spec())]
-            for entry in pending
-        }
+        decision for every backend is made here, over every attempt in
+        flight at once (the module docstring has the contracts)."""
         policy = self.retry_policy
-        for entry in pending:
-            attempts = futures[id(entry)]
-            if not attempts:
-                # KeyboardInterrupt propagates out of an inline submit:
-                # completed points are already durable, the rest never
-                # started.
-                attempts.append(backend.submit(entry.spec()))
-            #: futures whose failure has already been classified —
-            #: each failed attempt must be charged to a budget
-            #: exactly once, however many drain iterations see it.
-            counted: set[int] = set()
-            last_error: Optional[str] = None
-            last_kind: str = DETERMINISTIC
-            transient_used = 0
-            while True:
-                # Wait only on attempts not yet finished — waiting on
-                # the full list would return immediately forever once
-                # one attempt has failed.
-                unfinished = [f for f in attempts if not f.done()]
-                progressed = False
-                if unfinished:
-                    done_now = backend.drain(unfinished, timeout=self.timeout)
-                    progressed = bool(done_now)
-                winner = None
-                transient_new = 0
-                failed_new = 0
-                for future in attempts:  # submission order
-                    if not future.done() or future.cancelled():
-                        continue
-                    exc = future.exception()
-                    if exc is None:
-                        if winner is None:
-                            winner = future
-                        else:
-                            stats.duplicate_results += 1
-                        continue
-                    if id(future) in counted:
-                        continue
-                    counted.add(id(future))
-                    last_error = failure_signature(exc)
-                    last_kind = classify_failure(exc)
-                    if last_kind == TRANSIENT:
-                        transient_new += 1
-                        continue
-                    failed_new += 1
-                if winner is not None:
-                    self._record(entry, winner.result(), results, stats)
-                    leftovers.extend(
-                        (entry, future) for future in attempts
-                        if not future.done()
-                    )
-                    break
-                timed_out = bool(unfinished) and not progressed
-                if timed_out:
-                    last_error = f"timed out after {self.timeout}s"
-                    last_kind = TIMEOUT
-                resubmit = False
-                if transient_new and policy.allows_transient(transient_used):
-                    # Environmental faults (worker death, broken
-                    # pool) draw on the transient budget, never the
-                    # point's own attempts.
-                    transient_used += 1
+        timeout = self.timeout or math.inf
+        full = 1 if backend.inline else min(self.jobs, len(pending))
+        width = full
+        for position, entry in enumerate(pending):
+            entry.position = position
+        #: a heap of the positions owed a submission.
+        ready = list(range(len(pending)))
+        #: attempt -> (its entry, its deadline), in submission order; the
+        #: deadline is None once the attempt has timed out.
+        in_flight: dict[Future, tuple[_Entry, Optional[float]]] = {}
+        cursor = 0
+
+        def charge(entry: _Entry, kind: str, error: str) -> None:
+            """Grant an undecided entry a retry for one failed or overdue
+            attempt, or fail it once it has nothing left to wait for."""
+            entry.error, entry.kind = error, kind
+            if kind == TRANSIENT:
+                # Environmental faults draw on the transient budget,
+                # never the point's own attempts.
+                granted = policy.allows_transient(entry.transient_used)
+                if granted:
+                    entry.transient_used += 1
                     stats.transient_retries += 1
-                    resubmit = True
-                elif failed_new or timed_out:
-                    # Attempts charged against the point's own
-                    # budget exclude the transient ones above.
-                    budget_used = len(attempts) - transient_used
-                    resubmit = policy.allows(budget_used + 1)
-                if resubmit:
-                    try:
-                        attempts.append(backend.submit(entry.spec()))
-                    except Exception as exc:  # pool broken beyond repair
-                        self._fail(
-                            entry,
-                            f"retry submission failed: "
-                            f"{type(exc).__name__}: {exc}",
-                            len(attempts),
-                            stats,
-                            kind=classify_failure(exc),
-                        )
-                        break
+            else:
+                granted = policy.allows(entry.attempts - entry.transient_used + 1)
+            if granted:
+                entry.attempts += 1
+                heapq.heappush(ready, entry.position)
+            elif not entry.live and entry.attempts == entry.submitted:
+                entry.decided = False
+
+        while True:
+            if backend.inline:
+                # An inline submit runs the point: record the last one
+                # before the next starts.
+                cursor = self._settle(pending, cursor, results, stats)
+            while ready and len(in_flight) < width:
+                entry = pending[heapq.heappop(ready)]
+                if entry.decided is not None:
                     continue
-                still_running = [f for f in attempts if not f.done()]
-                if still_running and not timed_out:
-                    # Submissions exhausted; an attempt just failed
-                    # but stragglers remain in flight.  Grant them
-                    # another timeout window — a late success still
-                    # wins over a recorded failure.
+                try:
+                    future = backend.submit(entry.spec())
+                except Exception as exc:  # pool broken beyond repair
+                    retry = "retry " if entry.submitted else ""
+                    entry.error = (f"{retry}submission failed: "
+                                   f"{type(exc).__name__}: {exc}")
+                    entry.kind = classify_failure(exc)
+                    entry.decided = False
                     continue
-                for future in still_running:
-                    future.cancel()
-                self._fail(entry, last_error or "no result",
-                           len(attempts), stats, kind=last_kind)
-                break
-        if leftovers:
-            # The backend shutdown waits for these anyway; count the
-            # straggler successes the race would have discarded.
-            concurrent.futures.wait([future for _, future in leftovers])
-            for _, future in leftovers:
-                if (future.done() and not future.cancelled()
-                        and future.exception() is None):
-                    stats.duplicate_results += 1
+                entry.submitted += 1
+                entry.live += 1
+                in_flight[future] = (entry, time.monotonic() + timeout)
+            # A pool's workers already run the next attempts while these
+            # results go to the cache and the journal.
+            cursor = self._settle(pending, cursor, results, stats)
+            if not in_flight:
+                return
+            earliest = min((d for _, d in in_flight.values() if d is not None),
+                           default=math.inf)
+            done = backend.drain(
+                in_flight, timeout=None if earliest == math.inf
+                else max(0.0, earliest - time.monotonic()),
+            )
+            for future in [f for f in in_flight if f in done]:
+                entry, deadline = in_flight.pop(future)
+                exc = future.exception()
+                if exc is None:
+                    width = full
+                    if entry.decided is None:
+                        entry.decided, entry.value = True, future.result()
+                    elif entry.decided:
+                        stats.duplicate_results += 1
+                    continue
+                kind = classify_failure(exc)
+                if kind == TRANSIENT:
+                    # The dead pool's casualties go back one at a time
+                    # until an attempt succeeds.
+                    width = 1
+                if deadline is not None:
+                    entry.live -= 1
+                    if entry.decided is None:
+                        charge(entry, kind, failure_signature(exc))
+            now = time.monotonic()
+            for future, (entry, deadline) in list(in_flight.items()):
+                if deadline is not None and deadline <= now and not future.done():
+                    # Overdue: the straggler runs on, and a success from
+                    # it still decides the entry.
+                    in_flight[future] = (entry, None)
+                    entry.live -= 1
+                    if entry.decided is None:
+                        charge(entry, TIMEOUT, f"timed out after {self.timeout}s")
+
+    def _settle(
+        self,
+        pending: list[_Entry],
+        cursor: int,
+        results: list[list[Any]],
+        stats: SweepStats,
+    ) -> int:
+        """Record the decided entries from ``cursor`` on, in enumeration
+        order, up to the first undecided one; return the new cursor."""
+        while cursor < len(pending) and pending[cursor].decided is not None:
+            entry = pending[cursor]
+            cursor += 1
+            if not entry.decided:
+                stats.failures.append(PointFailure(
+                    entry.experiment.id, entry.point.label, entry.error,
+                    entry.submitted, entry.kind,
+                ))
+                if entry.kind == TIMEOUT:
+                    stats.timeouts += 1
+                else:
+                    stats.errors += 1
+                self._point_done(entry, failed=True, kind=entry.kind)
+                continue
+            value, entry.value = entry.value, None
+            results[entry.task_index][entry.point_index] = value
+            stats.executed += 1
+            if (self.cache is not None and entry.cache_key is not None
+                    and value is not None):
+                try:
+                    self.cache.put(entry.cache_key, value)
+                except (OSError, pickle.PicklingError) as exc:
+                    # The point already ran; losing the cache write only
+                    # costs a future re-execution.  Say so once per
+                    # point instead of failing the sweep or going quiet.
+                    stats.cache_write_errors += 1
+                    warnings.warn(
+                        f"cache write failed for {entry.experiment.id}/"
+                        f"{entry.point.label} ({type(exc).__name__}: {exc})",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+            self._journal(entry, value)
+            self._point_done(entry)
+        return cursor

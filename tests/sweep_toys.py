@@ -10,15 +10,19 @@ Each toy models one failure class the engine must handle alike on
 every backend:
 
 ``ECHO``     deterministic success — plumbing tests
-``FLAKY``    fails exactly once per label (marker file), then succeeds
-             — the deterministic-retry path
+``FLAKY``    fails exactly once per label (marker file), then succeeds,
+             while the other labels sleep ``sleep_s`` — the
+             deterministic-retry path, and a retry that must not wait
+             behind the points queued after it
 ``POISON``   always fails for selected labels with a stable message,
              after ``sleep_s`` — the budget path (every execution
              counted)
 ``CRASH``    hard-exits the worker process for selected labels, once
              each — the transient path (a worker death breaks the pool)
 ``DOOMED``   hard-exits the worker on every execution of selected
-             labels — the transient budget running out
+             labels, while the other labels sleep ``sleep_s`` — the
+             transient budget running out, and the points caught beside
+             it
 ``STALL``    sleeps for selected labels on the first execution only —
              the engine's timeout resubmission and its straggler
 ``UNPICKLABLE`` puts a lambda in the kwargs of selected labels' points —
@@ -60,12 +64,13 @@ class _ToyBase(Experiment):
 
     @staticmethod
     def _count_run(params, point):
-        """Append this execution's pid to ``<label>.runs``, so a test can
-        count how often a point really ran across its workers."""
+        """Append this execution's pid and start time (``time.time()``)
+        to ``<label>.runs``, so a test can count how often, and see when,
+        a point really ran across its workers."""
         if params.state_dir:
             runs = os.path.join(params.state_dir, f"{point.label}.runs")
             with open(runs, "a", encoding="utf-8") as handle:
-                handle.write(f"{os.getpid()}\n")
+                handle.write(f"{os.getpid()} {time.time()}\n")
 
 
 class EchoExperiment(_ToyBase):
@@ -76,11 +81,15 @@ class EchoExperiment(_ToyBase):
 
 
 class FlakyExperiment(_ToyBase):
-    """Fails once per label, then succeeds — cross-process via marker files."""
+    """Fails once per label, then succeeds — cross-process via marker files;
+    the other labels sleep ``sleep_s``."""
 
     id = "sweep_toys:FLAKY"
 
     def run_point(self, params, point, seed):
+        self._count_run(params, point)
+        if point.label not in params.labels:
+            time.sleep(params.sleep_s)
         marker = os.path.join(params.state_dir, f"{point.label}.failed")
         if point.label in params.labels and not os.path.exists(marker):
             with open(marker, "w", encoding="utf-8") as handle:
@@ -117,14 +126,16 @@ class CrashExperiment(_ToyBase):
 
 
 class DoomedExperiment(_ToyBase):
-    """Kills the worker process on every execution of selected labels."""
+    """Kills the worker process on every execution of selected labels; the
+    other labels sleep ``sleep_s``."""
 
     id = "sweep_toys:DOOMED"
 
     def run_point(self, params, point, seed):
+        self._count_run(params, point)
         if point.label in params.labels:
-            self._count_run(params, point)
             os._exit(17)
+        time.sleep(params.sleep_s)
         return {"label": point.label, "seed": seed}
 
 

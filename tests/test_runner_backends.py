@@ -281,7 +281,9 @@ class TestScheduler:
         )
         spy = _SpyExperiment(n_points=5)
         backend = _PermutedBackend(order)
-        payload = SweepRunner(jobs=2, backend=backend).run(
+        # One slot per point: the runner keeps at most ``jobs`` attempts
+        # in flight, and this backend may finish all five in any order.
+        payload = SweepRunner(jobs=5, backend=backend).run(
             spy, _ToyParams(), seed=7
         )
         assert [spec.point.label for spec, _ in backend.held] == [

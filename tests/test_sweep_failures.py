@@ -4,12 +4,14 @@ Each test runs a real sweep through the failure toys in
 ``sweep_toys.py``.  Covered here: a worker that dies mid-sweep costs
 the points caught in its pool one transient retry each, and a point
 that kills every worker it gets fails as ``transient`` once that budget
-is spent; the engine's timeout resubmission of an overdue point; a
-process backend reopened for a second sweep; the one-rule contract —
-a failing point ends the same way under ``serial`` and ``process``;
-and a worker's isolation: a fresh interpreter, the sweeping process's
-direct child, that sees neither the parent's class patches nor its
-run-time registrations.
+is spent; a retry submitted as soon as a worker is free, ahead of the
+points after it, and the points beside a worker-killer back at full
+width once an attempt succeeds; the engine's timeout resubmission of an
+overdue point; a process backend reopened for a second sweep; the
+one-rule contract — a failing point ends the same way under ``serial``
+and ``process``; and a worker's isolation: a fresh interpreter, the
+sweeping process's direct child, that sees neither the parent's class
+patches nor its run-time registrations.
 """
 
 import concurrent.futures
@@ -104,17 +106,74 @@ class TestWorkerDeath:
         assert failure.kind == "transient"
 
 
+class TestRetryScheduling:
+    """A retry is submitted as soon as a worker is free, and its timeout
+    runs from its own submission."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_retry_does_not_wait_behind_the_points_after_it(
+        self, jobs, tmp_path
+    ):
+        # p0 fails its first execution at once; p1..p7 take 0.4 s each.
+        # Its retry goes ahead of them and succeeds well inside its own
+        # timeout, as under serial, instead of timing out in a queue.
+        params = sweep_toys.ToyParams(
+            n_points=8, state_dir=str(tmp_path), labels=("p0",), sleep_s=0.4,
+        )
+        runner = SweepRunner(
+            jobs=jobs, backend="process", timeout=1.0,
+            retry_policy=RetryPolicy(max_attempts=2),
+        )
+        payload = runner.run(sweep_toys.FLAKY, params, seed=3)
+        assert runner.last_stats.failures == []
+        assert len((tmp_path / "p0.runs").read_text().splitlines()) == 2
+        assert [item["label"] for item in payload] == [
+            f"p{i}" for i in range(8)
+        ]
+
+    @pytest.mark.filterwarnings("ignore:.*sweep point.*failed:RuntimeWarning")
+    def test_the_points_beside_a_worker_killer_overlap_again(self, tmp_path):
+        # p0 kills every worker it gets.  The dead pool's casualties go
+        # back one at a time until one succeeds, so p0 alone spends its
+        # transient budget; then p1..p5 run two at a time again.
+        sleep_s = 0.5
+        params = sweep_toys.ToyParams(
+            n_points=6, state_dir=str(tmp_path), labels=("p0",),
+            sleep_s=sleep_s,
+        )
+        runner = SweepRunner(
+            jobs=2, backend="process",
+            retry_policy=RetryPolicy(transient_budget=3),
+        )
+        payload = runner.run(sweep_toys.DOOMED, params, seed=3)
+        [failure] = runner.last_stats.failures
+        assert (failure.label, failure.kind) == ("p0", "transient")
+        assert failure.attempts == 4
+        assert len((tmp_path / "p0.runs").read_text().splitlines()) == 4
+        assert [item["label"] for item in payload[1:]] == [
+            f"p{i}" for i in range(1, 6)
+        ]
+        started = {}
+        for i in range(1, 6):
+            runs = (tmp_path / f"p{i}.runs").read_text().splitlines()
+            assert 1 <= len(runs) <= 2
+            started[i] = float(runs[-1].split()[1])  # the run that succeeded
+        later = sorted(started[i] for i in range(2, 6))
+        assert min(b - a for a, b in zip(later, later[1:])) < sleep_s / 2
+
+
 def test_overdue_point_is_resubmitted_by_engine_alone(tmp_path):
     # p1 stalls on its *first* execution only; the engine's timeout
     # resubmits it and the retry finds the marker file and returns at
-    # once.  max_attempts bounds the executions in total.
-    stall_s = 3.0
+    # once.  max_attempts bounds the executions in total.  The timeout
+    # is over twice a cold worker's spawn-to-first-result time.
+    stall_s = 1.5
     params = sweep_toys.ToyParams(
         n_points=4, state_dir=str(tmp_path), labels=("p1",), sleep_s=stall_s,
     )
     started = time.monotonic()
     runner = SweepRunner(
-        jobs=2, backend="process", timeout=1.0,
+        jobs=2, backend="process", timeout=0.6,
         retry_policy=RetryPolicy(max_attempts=2),
     )
     payload = runner.run(sweep_toys.STALL, params, seed=3)
