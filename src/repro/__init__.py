@@ -66,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.base import TcpSink as TcpSink
     from repro.tcp.base import TcpSource as TcpSource
     from repro.tcp.factory import PROTOCOLS as PROTOCOLS
-    from repro.tcp.factory import create_source as create_source
     from repro.tcp.factory import make_connection as make_connection
 
 __version__ = "1.0.0"
@@ -148,7 +147,6 @@ _lazy_exports(__name__, {
     "TcpConfig": "repro.tcp.base",
     "TcpSink": "repro.tcp.base",
     "TcpSource": "repro.tcp.base",
-    "create_source": "repro.tcp.factory",
     "make_connection": "repro.tcp.factory",
 })
 

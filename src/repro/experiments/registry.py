@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Union
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.base import Experiment
 
-__all__ = ["canonical_ids", "get", "ids", "register"]
+__all__ = ["get", "ids", "register"]
 
 #: every resolvable id and alias -> the module that registers it.
 _EXPERIMENT_MODULES: dict[str, str] = {
@@ -63,7 +63,6 @@ _EXPERIMENT_MODULES: dict[str, str] = {
 
 _REGISTRY: dict[str, "Experiment"] = {}
 _ALIASES: dict[str, str] = {}
-_loaded = False
 
 
 def register(experiment: Union["Experiment", type]) -> Union["Experiment", type]:
@@ -81,16 +80,6 @@ def register(experiment: Union["Experiment", type]) -> Union["Experiment", type]
     for alias in instance.aliases:
         _ALIASES[alias] = instance.id
     return experiment
-
-
-def _ensure_loaded() -> None:
-    """Import every module in the table."""
-    global _loaded
-    if _loaded:
-        return
-    for module in _EXPERIMENT_MODULES.values():
-        importlib.import_module(module)
-    _loaded = True
 
 
 def get(experiment_id: str) -> "Experiment":
@@ -111,16 +100,6 @@ def get(experiment_id: str) -> "Experiment":
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {known}"
         ) from None
-
-
-def canonical_ids() -> list[str]:
-    """Sorted canonical experiment ids (one per experiment).
-
-    Imports every module in the table: which ids are canonical is
-    declared on the experiment classes.
-    """
-    _ensure_loaded()
-    return sorted(_REGISTRY)
 
 
 def ids() -> list[str]:

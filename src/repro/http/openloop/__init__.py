@@ -49,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.http.openloop.sessions import SessionConfig as SessionConfig
     from repro.http.openloop.sessions import SessionSchedule as SessionSchedule
     from repro.http.openloop.sessions import compile_schedule as compile_schedule
-    from repro.http.openloop.trace import check_trace as check_trace
     from repro.http.openloop.trace import load_trace as load_trace
     from repro.http.openloop.trace import trace_rows as trace_rows
     from repro.http.openloop.trace import write_trace as write_trace
@@ -69,7 +68,6 @@ _lazy_exports(__name__, {
     "SessionConfig": "repro.http.openloop.sessions",
     "SessionSchedule": "repro.http.openloop.sessions",
     "compile_schedule": "repro.http.openloop.sessions",
-    "check_trace": "repro.http.openloop.trace",
     "load_trace": "repro.http.openloop.trace",
     "trace_rows": "repro.http.openloop.trace",
     "write_trace": "repro.http.openloop.trace",

@@ -24,12 +24,12 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Iterator, Mapping, Union
 
 from repro.http.openloop.sessions import ScheduledRequest, SessionSchedule
 from repro.obs.export import dump_row
 
-__all__ = ["check_trace", "load_trace", "trace_rows", "write_trace"]
+__all__ = ["load_trace", "trace_rows", "write_trace"]
 
 PathLike = Union[str, Path]
 
@@ -108,14 +108,12 @@ def _parse_row(row: Any, where: str) -> ScheduledRequest:
     return ScheduledRequest(time=time, session=session, size_bytes=size)
 
 
-def load_trace(
-    path: PathLike, horizon: Optional[float] = None
-) -> SessionSchedule:
+def load_trace(path: PathLike) -> SessionSchedule:
     """Read a trace file back into a replayable schedule.
 
-    ``horizon`` overrides the inferred one (just past the last request)
-    when the replay should keep offering an idle tail.  A trace without
-    a request is a ValueError: there is nothing to replay.
+    Rows may come in any order: the schedule sorts them by time.  A
+    trace without a request is a ValueError: there is nothing to
+    replay.
     """
     requests: list[ScheduledRequest] = []
     for where, line in _read_lines(path):
@@ -124,37 +122,4 @@ def load_trace(
             requests.append(_parse_row(_decode(stripped, where), where))
     if not requests:
         raise ValueError(f"{path}: trace has no requests")
-    return SessionSchedule.from_requests(requests, horizon=horizon)
-
-
-def check_trace(path: PathLike) -> int:
-    """Validate a trace file; returns its request count.
-
-    Per line: JSON parses, the row carries exactly the trace keys with
-    valid values, and re-serializing reproduces the exact bytes read —
-    the same canonical-form contract ``trace --check`` enforces for
-    telemetry files.  Times must be non-decreasing (a trace drives the
-    kernel timeline in order).  Raises ValueError on the first
-    violation.
-    """
-    count = 0
-    previous: Optional[float] = None
-    for where, line in _read_lines(path):
-        stripped = line.rstrip("\n")
-        if not stripped:
-            continue
-        row = _decode(stripped, where)
-        request = _parse_row(row, where)
-        if dump_row(row) != stripped:
-            raise ValueError(
-                f"{where}: line is not in canonical form "
-                "(re-serialization differs)"
-            )
-        if previous is not None and request.time < previous:
-            raise ValueError(
-                f"{where}: trace times decrease "
-                f"({request.time!r} after {previous!r})"
-            )
-        previous = request.time
-        count += 1
-    return count
+    return SessionSchedule.from_requests(requests)

@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.faults import fault_report as fault_report
     from repro.metrics.stats import CompletionSummary as CompletionSummary
     from repro.metrics.stats import act as act
-    from repro.metrics.stats import cdf_points as cdf_points
     from repro.metrics.stats import completion_times as completion_times
     from repro.metrics.stats import jain_fairness as jain_fairness
     from repro.metrics.stats import percentile as percentile
@@ -36,7 +35,6 @@ _lazy_exports(__name__, {
     "fault_report": "repro.metrics.faults",
     "CompletionSummary": "repro.metrics.stats",
     "act": "repro.metrics.stats",
-    "cdf_points": "repro.metrics.stats",
     "completion_times": "repro.metrics.stats",
     "jain_fairness": "repro.metrics.stats",
     "percentile": "repro.metrics.stats",

@@ -21,7 +21,6 @@ from repro.tcp.base import Message
 __all__ = [
     "CompletionSummary",
     "act",
-    "cdf_points",
     "completion_times",
     "jain_fairness",
     "percentile",
@@ -75,15 +74,6 @@ def summarize(times: Sequence[float]) -> CompletionSummary:
         p50=_quantile(values, 50 / 100),
         p99=_quantile(values, 99 / 100),
     )
-
-
-def cdf_points(samples: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Empirical CDF as ``(sorted values, cumulative probabilities)``."""
-    if not len(samples):
-        raise ValueError("no samples")
-    values = sorted(map(float, samples))
-    n = len(values)
-    return values, [rank / n for rank in range(1, n + 1)]
 
 
 def jain_fairness(shares: Sequence[float]) -> float:

@@ -86,7 +86,7 @@ class Link:
         #: impairment windows/counters, attached by a FaultInjector;
         #: None (the common case) costs one identity check per delivery.
         self._faults: Optional["LinkFaultState"] = None
-        #: seconds per byte, so ``tx_time`` is one multiply on the hot path.
+        #: seconds per byte, so a serialization time is one multiply.
         self._secs_per_byte = 8.0 / bandwidth_bps
         #: per-delivery observers, in registration order.  A tuple
         #: replaced (never mutated) on every change, so an observer may
@@ -214,10 +214,6 @@ class Link:
     def backlog_pkts(self) -> int:
         """Packets waiting in the egress queue (excludes the one in service)."""
         return len(self.queue)
-
-    def tx_time(self, pkt: Packet) -> float:
-        """Serialization time of ``pkt`` on this link."""
-        return pkt.size_bytes * self._secs_per_byte
 
     # ------------------------------------------------------------------
     def _transmit(self, pkt: Packet, backlog: bool) -> None:

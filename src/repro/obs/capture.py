@@ -68,11 +68,6 @@ def telemetry_from_env() -> Optional[Telemetry]:
     return telemetry
 
 
-def register(telemetry: Telemetry) -> None:
-    """Add an explicitly constructed bus to the active drain list."""
-    _ACTIVE.append(telemetry)
-
-
 def drain_active_rows() -> list[dict[str, Any]]:
     """Rows from every active bus (creation order), clearing the list."""
     buses, _ACTIVE[:] = list(_ACTIVE), []

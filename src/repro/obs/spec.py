@@ -4,7 +4,7 @@ A trace spec is a comma-separated list of entries::
 
     all                  every channel
     <channel>            enable one channel (cwnd, rtt, state, probe,
-                         queue, rto, fault)
+                         queue, rto, fault, session, pool)
     <channel>@<N>        enable it with 1-in-N decimation (sample
                          channels only; events are never thinned)
     flow=<id>            keep flow-keyed records for this flow only

@@ -10,7 +10,7 @@ emit points throughout the transport and network layers do::
 
 so a simulation without a bus pays exactly one attribute load and one
 identity check per emit point — the flight recorder's "zero-cost when
-disabled" contract, enforced by ``tests/test_perf.py``.
+disabled" contract, enforced by ``tests/test_golden_telemetry.py``.
 
 Records land in per-channel bounded rings (oldest evicted first, the
 eviction counted in :attr:`Telemetry.overflow`), with 1-in-N decimation
@@ -50,24 +50,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["QueueTap", "Telemetry"]
 
-#: default per-channel ring capacity — generous for quick-preset sweeps
-#: (a point emits a few thousand cwnd samples) while bounding a paper
-#: preset's worst case to tens of MB per channel.
+#: per-channel ring capacity — generous for quick-preset sweeps (a point
+#: emits a few thousand cwnd samples) while bounding a paper preset's
+#: worst case to tens of MB per channel.
 DEFAULT_CAPACITY = 65536
 
 
 class Telemetry:
     """Bounded, decimating, seed-deterministic record sink."""
 
-    def __init__(
-        self,
-        spec: Optional[TraceSpec] = None,
-        capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("telemetry ring capacity must be >= 1")
+    def __init__(self, spec: Optional[TraceSpec] = None) -> None:
         self.spec = spec if spec is not None else TraceSpec()
-        self.capacity = capacity
         self._buffers: dict[str, deque[tuple[int, Record]]] = {
             ch: deque() for ch in CHANNELS if self.spec.wants_channel(ch)
         }
@@ -83,7 +76,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     def _push(self, channel: str, record: Record) -> None:
         buf = self._buffers[channel]
-        if len(buf) >= self.capacity:
+        if len(buf) >= DEFAULT_CAPACITY:
             buf.popleft()
             self.overflow[channel] += 1
         self._seq += 1
@@ -209,13 +202,8 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def records(self, channel: Optional[str] = None) -> list[Record]:
+    def records(self) -> list[Record]:
         """Buffered records, merged across channels in emission order."""
-        if channel is not None:
-            if channel not in CHANNELS:
-                raise ValueError(f"unknown channel {channel!r}")
-            buf = self._buffers.get(channel, ())
-            return [record for _, record in buf]
         merged: list[tuple[int, Record]] = []
         for buf in self._buffers.values():
             merged.extend(buf)
@@ -225,20 +213,6 @@ class Telemetry:
     def rows(self) -> list[dict[str, Any]]:
         """JSON rows for every buffered record, in emission order."""
         return [record.row() for record in self.records()]
-
-    def counts(self) -> dict[str, int]:
-        """Buffered record count per enabled channel."""
-        return {ch: len(buf) for ch, buf in self._buffers.items()}
-
-    def total_records(self) -> int:
-        return sum(len(buf) for buf in self._buffers.values())
-
-    def clear(self) -> None:
-        for buf in self._buffers.values():
-            buf.clear()
-        self._decim.clear()
-        for ch in self.overflow:
-            self.overflow[ch] = 0
 
 
 class QueueTap:

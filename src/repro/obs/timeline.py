@@ -76,10 +76,6 @@ class CwndTimeline:
     def max_cwnd(self) -> float:
         return max(self.cwnd)
 
-    @property
-    def min_cwnd(self) -> float:
-        return min(self.cwnd)
-
     def value_at(self, t: float) -> Optional[float]:
         """The window in force at time ``t`` (None before the first
         sample)."""
@@ -108,20 +104,14 @@ class QueueTimeline:
         self.events = events
 
     @classmethod
-    def from_rows(
-        cls, rows: Iterable[Mapping[str, Any]], link: Optional[str] = None
-    ) -> "QueueTimeline":
+    def from_rows(cls, rows: Iterable[Mapping[str, Any]]) -> "QueueTimeline":
+        """Build from trace rows for the link whose name sorts first.
+        Raises ValueError when the rows hold no queue records."""
         queue_rows = [row for row in rows if row.get("ch") == "queue"]
         if not queue_rows:
             raise ValueError("no queue records in trace")
-        links = sorted({str(row["link"]) for row in queue_rows})
-        if link is None:
-            link = links[0]
+        link = min(str(row["link"]) for row in queue_rows)
         mine = [row for row in queue_rows if str(row["link"]) == link]
-        if not mine:
-            raise ValueError(
-                f"no queue records for link {link!r}; links present: {links}"
-            )
         samples = [row for row in mine if row["kind"] == "sample"]
         samples.sort(key=lambda row: float(row["t"]))
         events = [

@@ -25,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.dctcp import DctcpSource as DctcpSource
     from repro.tcp.factory import ECN_PROTOCOLS as ECN_PROTOCOLS
     from repro.tcp.factory import PROTOCOLS as PROTOCOLS
-    from repro.tcp.factory import create_source as create_source
     from repro.tcp.factory import default_config as default_config
     from repro.tcp.factory import make_connection as make_connection
     from repro.tcp.factory import source_class as source_class
@@ -48,7 +47,6 @@ _lazy_exports(__name__, {
     "DctcpSource": "repro.tcp.dctcp",
     "ECN_PROTOCOLS": "repro.tcp.factory",
     "PROTOCOLS": "repro.tcp.factory",
-    "create_source": "repro.tcp.factory",
     "default_config": "repro.tcp.factory",
     "make_connection": "repro.tcp.factory",
     "source_class": "repro.tcp.factory",

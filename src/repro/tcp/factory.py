@@ -21,7 +21,6 @@ from repro.tcp.base import TcpConfig, TcpSink, TcpSource
 __all__ = [
     "ECN_PROTOCOLS",
     "PROTOCOLS",
-    "create_source",
     "make_connection",
     "source_class",
 ]
@@ -82,29 +81,6 @@ def default_config(protocol: str, **overrides: Any) -> TcpConfig:
     return TcpConfig(**overrides)
 
 
-def create_source(
-    protocol: str,
-    sim: Simulator,
-    host: Host,
-    dst_id: int,
-    *,
-    flow_id: int = 1,
-    config: Optional[TcpConfig] = None,
-    **source_kwargs: Any,
-) -> TcpSource:
-    """Instantiate a sender of the requested protocol on ``host``.
-
-    Signature convention (shared with :func:`make_connection`):
-    protocol first, then the simulator and endpoints, then keyword-only
-    ``flow_id``/``config`` and protocol extras such as TCP-TRIM's
-    ``capacity_pps``/``base_rtt``.
-    """
-    cls = source_class(protocol)
-    if config is None:
-        config = default_config(protocol)
-    return cls(sim, host, flow_id, dst_id, config=config, **source_kwargs)
-
-
 def make_connection(
     protocol: str,
     sim: Simulator,
@@ -115,20 +91,17 @@ def make_connection(
     config: Optional[TcpConfig] = None,
     **source_kwargs: Any,
 ) -> tuple[TcpSource, TcpSink]:
-    """Wire a source on ``src_host`` to a fresh sink on ``dst_host``.
+    """Wire a ``protocol`` source on ``src_host`` to a fresh sink on
+    ``dst_host``.
 
-    Same signature convention as :func:`create_source`: protocol, then
-    sim and hosts, then keyword-only ``flow_id``/``config`` and
-    protocol extras (``capacity_pps=``, ``base_rtt=``...).
+    Protocol first, then sim and hosts, then keyword-only
+    ``flow_id``/``config`` (``default_config(protocol)`` when omitted)
+    and protocol extras (``capacity_pps=``, ``base_rtt=``...).
     """
-    source = create_source(
-        protocol,
-        sim,
-        src_host,
-        dst_host.node_id,
-        flow_id=flow_id,
-        config=config,
-        **source_kwargs,
+    if config is None:
+        config = default_config(protocol)
+    source = source_class(protocol)(
+        sim, src_host, flow_id, dst_host.node_id, config=config, **source_kwargs
     )
     sink = TcpSink(sim, dst_host, flow_id=flow_id)
     return source, sink

@@ -1,8 +1,9 @@
 """Shared test fixtures: tiny networks with controllable loss, a
 thread-backed sweep backend for deterministic straggler timing, the
 two-events-per-packet reference link, the one-event-per-item
-references for the batched start sites, and a kernel that breaks
-same-time ties in another order."""
+references for the batched start sites, a kernel that breaks
+same-time ties in another order, and the list of canonical experiment
+ids."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import concurrent.futures
 import heapq
 from typing import Callable, Optional, Union
 
+from repro.experiments import registry
 from repro.http.openloop import OpenLoopDriver
 from repro.http.openloop.driver import OpenLoopRun
 from repro.net.link import Link
@@ -242,3 +244,9 @@ def install_loss(link, should_drop) -> None:
         original(pkt)
 
     link.send = lossy_send
+
+
+def canonical_ids() -> list[str]:
+    """Every registered experiment's canonical id, aliases folded in
+    (importing every experiment module the registry table names)."""
+    return sorted({registry.get(experiment_id).id for experiment_id in registry.ids()})

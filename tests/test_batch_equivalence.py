@@ -24,7 +24,7 @@ from repro.net.topology import build_star
 from repro.obs import Telemetry, TraceSpec
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig, TcpSink
-from repro.tcp.factory import create_source
+from repro.tcp.factory import source_class
 from tests.helpers import FAST, PerItemSimulator, PerRequestDriver
 
 TICK = 0.001  # schedule grid: repeated timestamps are the norm
@@ -192,9 +192,9 @@ def test_burst_at_equals_per_source_events(n_sources):
         star = build_star(sim, max(1, n_sources), buffer_pkts=8)
         sources = []
         for flow_id, server in enumerate(star.servers[:n_sources]):
-            sources.append(create_source(
-                "reno", sim, server, star.frontend.node_id,
-                flow_id=flow_id, config=TcpConfig(**FAST),
+            sources.append(source_class("reno")(
+                sim, server, flow_id, star.frontend.node_id,
+                config=TcpConfig(**FAST),
             ))
             TcpSink(sim, star.frontend, flow_id=flow_id)
         messages = burst_at(sim, iter(sources), time=0.002, segments=20)

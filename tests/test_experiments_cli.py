@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import __main__ as cli
 from repro.experiments import registry
+from tests.helpers import canonical_ids
 
 
 class TestArgumentParsing:
@@ -31,7 +32,7 @@ class TestArgumentParsing:
         # fig1 also serves fig2: both are workload characterizations.
         flags = {
             name: (exp.uses_protocols, exp.accepts_fault_plan, exp.accepts_openloop)
-            for name, exp in ((n, registry.get(n)) for n in registry.canonical_ids())
+            for name, exp in ((n, registry.get(n)) for n in canonical_ids())
         }
         assert {n for n, f in flags.items() if not f[0]} == {"ablations", "fig1"}
         assert {n for n, f in flags.items() if f[1]} == {"faults"}

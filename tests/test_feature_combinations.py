@@ -10,7 +10,7 @@ import pytest
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig, TcpSink
-from repro.tcp.factory import create_source
+from repro.tcp.factory import source_class
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
 CAPACITY = 1e9 / (8 * 1460)
@@ -68,9 +68,8 @@ class TestEverythingOn:
         completely and in order."""
         sim = Simulator()
         star = build_star(sim, 1)
-        source = create_source(
-            "trim", sim, star.servers[0], flow_id=1,
-            dst_id=star.frontend.node_id,
+        source = source_class("trim")(
+            sim, star.servers[0], 1, star.frontend.node_id,
             config=TcpConfig(sack=True, pacing=True, **FAST),
             capacity_pps=CAPACITY,
         )

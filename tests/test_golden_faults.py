@@ -44,8 +44,8 @@ from repro.faults import (
 from repro.metrics.tracing import PacketLogger
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
-from repro.tcp.factory import create_source, default_config
 from repro.tcp.base import TcpSink
+from repro.tcp.factory import default_config, source_class
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -105,14 +105,8 @@ def run_golden_fault_scenario(protocol: str, plan: FaultPlan = PLAN):
         )
     sources = []
     for i, server in enumerate(star.servers):
-        source = create_source(
-            protocol,
-            sim,
-            server,
-            star.frontend.node_id,
-            flow_id=i,
-            config=config,
-            **extras,
+        source = source_class(protocol)(
+            sim, server, i, star.frontend.node_id, config=config, **extras
         )
         TcpSink(sim, star.frontend, flow_id=i)
         sources.append(source)

@@ -28,7 +28,6 @@ from repro.http.openloop import (
     OpenLoopDriver,
     PoissonArrivals,
     SessionConfig,
-    check_trace,
     compile_schedule,
     load_trace,
     write_trace,
@@ -109,7 +108,7 @@ def test_golden_replay_telemetry_is_byte_identical(tmp_path, regen_golden):
     if regen_golden:
         # Regen order within this file guarantees the trace exists.
         write_trace(compile_golden_schedule(), POISSON_FIXTURE)
-    schedule = load_trace(POISSON_FIXTURE, horizon=HORIZON)
+    schedule = load_trace(POISSON_FIXTURE)
     rows = run_replay(schedule)
 
     events = {row["event"] for row in rows if row["ch"] == "pool"}
@@ -134,9 +133,13 @@ def test_golden_replay_telemetry_is_byte_identical(tmp_path, regen_golden):
     )
 
 
-def test_golden_fixtures_are_canonical():
-    """Both committed fixtures pass their own format checkers."""
+def test_golden_fixtures_are_canonical(tmp_path):
+    """Both committed fixtures are in canonical form: the trace reloads
+    and re-exports to its own bytes, the telemetry passes its checker."""
     if not POISSON_FIXTURE.exists() or not REPLAY_FIXTURE.exists():
         pytest.skip("fixtures not recorded yet")
-    assert check_trace(POISSON_FIXTURE) > 30
+    schedule = load_trace(POISSON_FIXTURE)
+    assert len(schedule) > 30
+    again = write_trace(schedule, tmp_path / "openloop_poisson.jsonl")
+    assert again.read_bytes() == POISSON_FIXTURE.read_bytes()
     assert check_jsonl(REPLAY_FIXTURE) > 0

@@ -6,7 +6,9 @@ identical* run over run — canonical key order, no whitespace,
 shortest-repr floats — because sweep trace files are diffed and
 cached by content.  This test drives the golden-trace TRIM scenario
 (same constants as ``test_golden_traces.py``) with a ``cwnd,probe``
-bus attached and pins the resulting JSONL to a committed fixture.
+bus attached and pins the resulting JSONL to a committed fixture.  The
+same scenario and its Reno twin, each run with and without a
+full-capture bus, hold the recorder's zero-cost-when-disabled contract.
 
 To re-record after an *intended* behavior change::
 
@@ -17,18 +19,22 @@ and commit the updated fixture together with the change that caused it.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
+import repro.obs
 from repro.experiments.scenarios import packets_per_second, path_base_rtt
 from repro.net.topology import build_star
 from repro.obs import CwndTimeline, Telemetry, TraceSpec, check_jsonl, write_jsonl
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpSink
-from repro.tcp.factory import create_source, default_config
+from repro.tcp.factory import default_config, source_class
 
 FIXTURE = Path(__file__).parent / "golden" / "telemetry_trim.jsonl"
+OBS_DIR = str(Path(repro.obs.__file__).parent)
 
 # Scenario constants — identical to test_golden_traces.py so the two
 # fixtures certify the same simulated behavior from two vantage points
@@ -44,9 +50,9 @@ TRAIN_GAP = 0.08
 HORIZON = 0.45
 
 
-def run_traced_trim_scenario() -> list[dict]:
-    """The golden TRIM scenario with a cwnd+probe bus; returns rows."""
-    telemetry = Telemetry(TraceSpec.parse("cwnd,probe"))
+def run_scenario(protocol: str, telemetry: Optional[Telemetry]) -> Simulator:
+    """The golden scenario for ``protocol`` with ``telemetry`` attached
+    (or none)."""
     sim = Simulator(check_invariants=False, telemetry=telemetry)
     star = build_star(
         sim,
@@ -56,21 +62,19 @@ def run_traced_trim_scenario() -> list[dict]:
         buffer_pkts=BUFFER_PKTS,
         frontend_bandwidth_bps=FRONTEND_BANDWIDTH,
     )
-    config = default_config("trim", min_rto=0.01, initial_rto=0.01)
-    sources = []
-    for i, server in enumerate(star.servers):
-        source = create_source(
-            "trim",
-            sim,
-            server,
-            star.frontend.node_id,
-            flow_id=i,
-            config=config,
+    config = default_config(protocol, min_rto=0.01, initial_rto=0.01)
+    extras = {}
+    if protocol == "trim":
+        extras = dict(
             capacity_pps=packets_per_second(BANDWIDTH),
             base_rtt=path_base_rtt([(DELAY, BANDWIDTH)] * 2),
         )
+    sources = []
+    for i, server in enumerate(star.servers):
+        sources.append(source_class(protocol)(
+            sim, server, i, star.frontend.node_id, config=config, **extras
+        ))
         TcpSink(sim, star.frontend, flow_id=i)
-        sources.append(source)
     for i, source in enumerate(sources):
         for k in range(TRAINS_PER_FLOW):
             sim.schedule_at(
@@ -78,11 +82,13 @@ def run_traced_trim_scenario() -> list[dict]:
                 lambda s=source: s.send_message(TRAIN_SEGMENTS),
             )
     sim.run(until=HORIZON)
-    return telemetry.rows()
+    return sim
 
 
 def test_golden_telemetry_jsonl_is_byte_identical(tmp_path, regen_golden):
-    rows = run_traced_trim_scenario()
+    telemetry = Telemetry(TraceSpec.parse("cwnd,probe"))
+    run_scenario("trim", telemetry)
+    rows = telemetry.rows()
 
     # The fixture must keep certifying the probe machinery: a TRIM trace
     # with no inherit events would pin an empty promise.
@@ -116,3 +122,52 @@ def test_golden_telemetry_fixture_is_canonical():
     if not FIXTURE.exists():
         pytest.skip("fixture not recorded yet")
     assert check_jsonl(FIXTURE) > 0
+
+
+def _obs_calls_during(
+    protocol: str, telemetry: Optional[Telemetry]
+) -> "tuple[int, int]":
+    """``(events, Python-level calls into src/repro/obs/)`` of one run."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(OBS_DIR):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        sim = run_scenario(protocol, telemetry)
+    finally:
+        sys.setprofile(previous)
+    return sim.events_executed, calls
+
+
+def test_disabled_telemetry_is_free(monkeypatch):
+    """The TRIM and Reno scenarios cross the emit points in tcp/base,
+    core/trim, net/link and net/queues: with no bus attached none of
+    them may reach ``repro.obs``, and attaching one must not change the
+    run."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)  # would attach a bus
+    seen = set()
+    for protocol in ("trim", "reno"):
+        off_events, off_calls = _obs_calls_during(protocol, None)
+        bus = Telemetry(TraceSpec.parse("all"))
+        on_events, on_calls = _obs_calls_during(protocol, bus)
+        assert off_calls == 0, protocol
+        assert on_calls > 0, protocol
+        assert off_events == on_events, protocol
+        seen |= {
+            (row["ch"], row.get("kind") or row.get("event") or row.get("state"))
+            for row in bus.rows()
+        }
+    # The probe is blind to an emit point that never fired, so every one
+    # must have: tcp/base (cwnd, rtt, each state, rto), core/trim (each
+    # probe event), net/link (queue samples) and net/queues (drops).
+    assert seen >= {
+        ("cwnd", None), ("rtt", None), ("rto", None),
+        ("state", "open"), ("state", "recovery"), ("state", "timeout"),
+        ("probe", "enter"), ("probe", "ack"), ("probe", "timeout"),
+        ("probe", "inherit"), ("queue", "sample"), ("queue", "drop"),
+    }

@@ -64,15 +64,14 @@ class TestLongTrainSender:
 class TestBurstAt:
     def test_all_sources_emit_simultaneously(self):
         sim, star, *_ = make_pair(n_servers=3)
-        from repro.tcp.factory import create_source
+        from repro.tcp.factory import source_class
         from repro.tcp.base import TcpConfig, TcpSink
         from tests.helpers import FAST
 
         sources = []
         for i, server in enumerate(star.servers[1:], start=2):
-            src = create_source(
-                "reno", sim, server, flow_id=i,
-                dst_id=star.frontend.node_id, config=TcpConfig(**FAST),
+            src = source_class("reno")(
+                sim, server, i, star.frontend.node_id, config=TcpConfig(**FAST)
             )
             TcpSink(sim, star.frontend, flow_id=i)
             sources.append(src)

@@ -274,7 +274,7 @@ class TestSim015ExperimentConformance:
         from repro.net.topology import build_star
         from repro.sim.kernel import Simulator
         from repro.tcp.base import TcpSink
-        from repro.tcp.factory import create_source, make_connection
+        from repro.tcp.factory import make_connection
 
         sim = Simulator()
         star = build_star(sim, 2)
@@ -284,7 +284,6 @@ class TestSim015ExperimentConformance:
         )
         calls = [
             lambda: TcpSink(sim, frontend, 7),
-            lambda: create_source("reno", sim, server, frontend.node_id, 7),
             lambda: make_connection("reno", sim, server, frontend, 7),
             lambda: connections.connect(server, frontend, True),
             lambda: connections.connect_many(star.servers, frontend, True),

@@ -55,7 +55,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.randomness import derive_seed, seeded_rng
 from repro.tcp.base import TcpSink
 from repro.tcp.cubic import CubicSource
-from repro.tcp.factory import PROTOCOLS, create_source, default_config
+from repro.tcp.factory import PROTOCOLS, default_config, source_class
 from repro.tcp.tracks import TracksSource
 
 ALL_PROTOCOLS = sorted(PROTOCOLS)
@@ -156,9 +156,8 @@ def _run(sim, network, servers, frontend, protocol, k, *, capacity_pps, base_rtt
     sources = []
     for flow_id, host in zip(flow_ids or range(len(servers)), servers):
         sources.append(
-            create_source(
-                protocol, sim, host, frontend.node_id,
-                flow_id=flow_id, config=config, **extras,
+            source_class(protocol)(
+                sim, host, flow_id, frontend.node_id, config=config, **extras
             )
         )
         TcpSink(sim, frontend, flow_id=flow_id)

@@ -10,7 +10,6 @@ from repro.metrics.ascii import cdf_table, sparkline
 from repro.metrics.stats import (
     _sum,
     act,
-    cdf_points,
     completion_times,
     jain_fairness,
     percentile,
@@ -60,15 +59,6 @@ class TestStats:
         assert s.minimum == 1.0
         assert s.maximum == 4.0
 
-    def test_cdf_points(self):
-        values, probs = cdf_points([3.0, 1.0, 2.0])
-        assert list(values) == [1.0, 2.0, 3.0]
-        assert list(probs) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_cdf_points_empty_raises(self):
-        with pytest.raises(ValueError):
-            cdf_points([])
-
     def test_jain_perfect_fairness(self):
         assert jain_fairness([5.0, 5.0, 5.0]) == pytest.approx(1.0)
 
@@ -108,13 +98,9 @@ class TestStatsAcceptNumpyArrays:
     def test_jain_on_array(self):
         assert jain_fairness(np.array([5.0, 5.0])) == pytest.approx(1.0)
 
-    def test_cdf_points_on_array(self):
-        values, _probs = cdf_points(np.array([3.0, 1.0]))
-        assert list(values) == [1.0, 3.0]
-
     def test_empty_arrays_still_raise(self):
         empty = np.array([])
-        for fn in (act, summarize, cdf_points, jain_fairness):
+        for fn in (act, summarize, jain_fairness):
             with pytest.raises(ValueError):
                 fn(empty)
         with pytest.raises(ValueError):

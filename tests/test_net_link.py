@@ -40,11 +40,6 @@ class TestLinkTiming:
         sim.run()
         assert dst.received[0][0] == pytest.approx(0.002)
 
-    def test_tx_time_helper(self):
-        sim = Simulator()
-        _, _, link = make_link(sim, bandwidth=1e6)
-        assert link.tx_time(pkt(size=1250)) == pytest.approx(0.01)
-
     def test_back_to_back_packets_serialize(self):
         sim = Simulator()
         _, dst, link = make_link(sim, bandwidth=8e6, delay=0.0)

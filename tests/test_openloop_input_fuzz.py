@@ -1,7 +1,7 @@
 """Hypothesis fuzzing of the open-loop input parsers.
 
 ``--arrivals`` goes through :func:`parse_arrivals` and ``--replay``
-through :func:`load_trace` (``check_trace`` validates the same files).
+through :func:`load_trace`.
 The contract for any input: it parses, or it raises a ``ValueError``
 that names the offending key, field or line.  No other exception type
 escapes, and nothing falls back to a default.
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.http.openloop import check_trace, load_trace, parse_arrivals
+from repro.http.openloop import load_trace, parse_arrivals
 
 REQUIRED = {
     "poisson": ("rate",),
@@ -196,7 +196,6 @@ class TestReplayTraces:
     @given(lines=trace_lines())
     def test_canonical_traces_load_and_check(self, trace_dir, lines):
         path = _write(trace_dir, lines)
-        assert check_trace(path) == len(lines)
         assert len(load_trace(path)) == len(lines)
 
     @FUZZ
@@ -204,43 +203,38 @@ class TestReplayTraces:
     def test_one_bad_line_is_named(self, trace_dir, case):
         lines, lineno, field = case
         path = _write(trace_dir, lines)
-        for reader in (load_trace, check_trace):
-            with pytest.raises(ValueError) as info:
-                reader(path)
-            message = str(info.value)
-            assert f"{path}:{lineno}:" in message
-            if field is not None:
-                assert repr(field) in message
+        with pytest.raises(ValueError) as info:
+            load_trace(path)
+        message = str(info.value)
+        assert f"{path}:{lineno}:" in message
+        if field is not None:
+            assert repr(field) in message
 
     @FUZZ
     @given(payload=st.binary(max_size=80))
     def test_any_bytes_load_or_raise_value_error(self, trace_dir, payload):
         path = _write(trace_dir, payload)
-        for reader in (load_trace, check_trace):
-            try:
-                reader(path)
-            except ValueError as exc:
-                assert str(path) in str(exc)
+        try:
+            load_trace(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
 
     def test_non_utf8_bytes_name_their_line(self, tmp_path):
         good = json.dumps(GOOD_ROW, sort_keys=True, separators=(",", ":"))
         path = _write(tmp_path, (good + "\n" + good + "\n\xff\n").encode("latin-1"))
-        for reader in (load_trace, check_trace):
-            with pytest.raises(ValueError, match=r"trace\.jsonl:3: not UTF-8"):
-                reader(path)
+        with pytest.raises(ValueError, match=r"trace\.jsonl:3: not UTF-8"):
+            load_trace(path)
 
     def test_deep_nesting_is_a_bad_line_not_a_recursion_error(self, tmp_path):
         path = _write(tmp_path, ["[" * 100_000])
-        for reader in (load_trace, check_trace):
-            with pytest.raises(ValueError, match=r"trace\.jsonl:1: bad JSONL"):
-                reader(path)
+        with pytest.raises(ValueError, match=r"trace\.jsonl:1: bad JSONL"):
+            load_trace(path)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_times_are_rejected(self, tmp_path, value):
         path = _write(tmp_path, [f'{{"session":0,"size":10,"t":{value}}}'])
-        for reader in (load_trace, check_trace):
-            with pytest.raises(ValueError, match="'t' is not finite"):
-                reader(path)
+        with pytest.raises(ValueError, match="'t' is not finite"):
+            load_trace(path)
 
     def test_an_empty_trace_is_not_a_replay(self, tmp_path):
         path = _write(tmp_path, b"\n\n")

@@ -174,7 +174,7 @@ class TestPoolTelemetry:
         other, _ = pool.lease()
         pool.release(other)
         sim.run(until=0.3)  # idle horizon expires the second connection
-        events = [(r.event, r.conn) for r in telemetry.records("pool")]
+        events = [(r.event, r.conn) for r in telemetry.records()]
         assert events == [
             ("open", 0),
             ("checkin", 0),
@@ -184,7 +184,7 @@ class TestPoolTelemetry:
             ("checkin", 1),
             ("close_idle", 1),
         ]
-        for record in telemetry.records("pool"):
+        for record in telemetry.records():
             assert record.leased is not None and record.idle is not None
 
     def test_occupancy_reflects_post_transition_state(self):
@@ -192,5 +192,5 @@ class TestPoolTelemetry:
         sim = Simulator(telemetry=telemetry)
         pool, _, _ = make_pool(sim)
         pool.lease()
-        record = telemetry.records("pool")[-1]
+        record = telemetry.records()[-1]
         assert (record.leased, record.idle) == (1, 0)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.tcp.base import MIN_CWND, TcpSink
-from repro.tcp.factory import create_source, default_config
+from repro.tcp.factory import default_config, source_class
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
 ALL_PROTOCOLS = (
@@ -103,9 +103,8 @@ class TestIsolation:
         extra = {"capacity_pps": 85616.0} if protocol == "trim" else {}
         messages = []
         for i, server in enumerate(star.servers):
-            src = create_source(
-                protocol, sim, server, flow_id=i + 1,
-                dst_id=star.frontend.node_id, config=config, **extra,
+            src = source_class(protocol)(
+                sim, server, i + 1, star.frontend.node_id, config=config, **extra
             )
             TcpSink(sim, star.frontend, flow_id=i + 1)
             messages.append(src.send_message(300))

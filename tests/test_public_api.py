@@ -33,10 +33,26 @@ class TestApiSurface:
 
     def test_protocol_registry_exposed(self):
         # The registry names TRIM's module like every other protocol's.
-        assert repro.create_source is not None
+        assert repro.make_connection is not None
         from repro.tcp.factory import source_class
 
         assert source_class("trim") is repro.TrimSource
+
+    @pytest.mark.parametrize(
+        "probe, error",
+        [
+            (lambda: repro.create_source, AttributeError),
+            (lambda: repro.tcp.create_source, AttributeError),
+            (lambda: importlib.import_module("repro.perf"), ModuleNotFoundError),
+            (lambda: repro.Telemetry(capacity=4), TypeError),
+        ],
+        ids=["repro.create_source", "repro.tcp.create_source", "repro.perf",
+             "Telemetry-capacity"],
+    )
+    def test_deleted_names_stay_deleted(self, probe, error):
+        # Entry points that only tests called are gone, not hidden.
+        with pytest.raises(error):
+            probe()
 
     def test_run_helpers_live_on_their_modules_only(self):
         # The package-root re-exports are gone; the names are not.

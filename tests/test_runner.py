@@ -11,6 +11,7 @@ from repro.experiments.base import Experiment, Point
 from repro.experiments.store import to_jsonable
 from repro.runner import ResultCache, RetryPolicy, SweepRunner
 from repro.sim.randomness import RandomStreams, _stable_hash, derive_seed
+from tests.helpers import canonical_ids
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +51,7 @@ class TestRegistry:
     def test_round_trip_every_id(self):
         for experiment_id in registry.ids():
             experiment = registry.get(experiment_id)
-            assert experiment.id in registry.canonical_ids()
+            assert experiment.id in canonical_ids()
             # the alias and the canonical id resolve to the same object
             assert registry.get(experiment.id) is experiment
 
@@ -65,7 +66,7 @@ class TestRegistry:
             registry.get("fig99")
 
     def test_every_experiment_has_contract_surface(self):
-        for experiment_id in registry.canonical_ids():
+        for experiment_id in canonical_ids():
             experiment = registry.get(experiment_id)
             assert experiment.title
             assert experiment.params_cls is not None

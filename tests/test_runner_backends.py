@@ -188,7 +188,6 @@ class TestBackendSelection:
     def spy(self):
         # Non-inline backends resolve experiments by id in the worker.
         experiment = _SpyExperiment()
-        registry._ensure_loaded()
         registry._REGISTRY[experiment.id] = experiment
         yield experiment
         registry._REGISTRY.pop(experiment.id, None)
@@ -311,7 +310,6 @@ class TestScheduler:
     @pytest.mark.parametrize("make", [SerialBackend, ThreadPoolBackend])
     def test_future_resolves_to_the_value(self, make, monkeypatch):
         spy = _SpyExperiment()
-        registry._ensure_loaded()  # the pool resolves the spy by id
         monkeypatch.setitem(registry._REGISTRY, spy.id, spy)
         point = spy.points(_ToyParams())[1]
         backend = make()
@@ -424,7 +422,6 @@ class Sleepy(Experiment):
 # A spawned pool worker re-imports this script (as ``__mp_main__``) to
 # unpickle ``Params``, so the registration stays at module level and
 # the sweep runs only under the ``__main__`` guard.
-registry._ensure_loaded()
 registry._REGISTRY[Sleepy.id] = Sleepy()
 
 if __name__ == "__main__":
@@ -621,7 +618,6 @@ class TestFailureAccounting:
         # A thread pool resolves experiments by id in-process, so the
         # sleepy toy must sit in the registry for the sweep's duration.
         experiment = _SleepyExperiment(1)
-        registry._ensure_loaded()
         registry._REGISTRY[experiment.id] = experiment
         try:
             runner = SweepRunner(
@@ -689,7 +685,6 @@ class TestCloseOnEveryExit:
     def experiment(self):
         # The pool spy resolves experiments by id, like any pool.
         experiment = _SpyExperiment()
-        registry._ensure_loaded()
         registry._REGISTRY[experiment.id] = experiment
         yield experiment
         registry._REGISTRY.pop(experiment.id, None)

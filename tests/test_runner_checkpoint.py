@@ -349,7 +349,6 @@ class TestStragglerRace:
     @pytest.fixture
     def straggler(self):
         experiment = _StragglerExperiment()
-        registry._ensure_loaded()
         registry._REGISTRY[experiment.id] = experiment
         yield experiment
         registry._REGISTRY.pop(experiment.id, None)

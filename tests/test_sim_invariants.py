@@ -14,7 +14,7 @@ import pytest
 from repro.experiments import registry
 from repro.net.queues import DropTailQueue
 from repro.sim import InvariantMonitor, InvariantViolation, Simulator
-from tests.helpers import FAST, make_pair
+from tests.helpers import canonical_ids, make_pair
 
 
 class TestEnablement:
@@ -154,7 +154,7 @@ class TestFlowSanity:
 
 
 class TestExperimentsUnderInvariants:
-    @pytest.mark.parametrize("experiment_id", registry.canonical_ids())
+    @pytest.mark.parametrize("experiment_id", canonical_ids())
     def test_first_quick_point_runs_clean(self, experiment_id, monkeypatch):
         """Every registered experiment's quick preset satisfies the
         kernel/queue/flow invariants (first sweep point, TRIM where the

@@ -212,6 +212,29 @@ class TestRestart:
         sim.run()
         assert seen == []
 
+    def test_timer_churn_executes_only_ticks_and_last_deadlines(self):
+        """50 flows tick 1000 times each and push a 200 ms timer back on
+        every tick, as a TCP sender restarts its RTO on every ACK: only
+        the ticks and each flow's last deadline may execute."""
+        sim = Simulator(check_invariants=False)
+        fired = []
+
+        def tick(flow, interval, timer, remaining):
+            if timer is None:
+                timer = sim.schedule(0.2, fired.append, flow)
+            else:
+                timer = sim.restart(timer, 0.2)
+            if remaining > 1:
+                sim.schedule(interval, tick, flow, interval, timer, remaining - 1)
+
+        for flow in range(50):
+            # Slightly different periods per flow keep the queue mixed.
+            interval = 5e-4 + flow * 1e-6
+            sim.schedule(interval, tick, flow, interval, None, 1000)
+        sim.run()
+        assert sim.events_executed == 50_050
+        assert sorted(fired) == list(range(50))
+
     def test_restart_validates_the_delay_like_schedule(self):
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)

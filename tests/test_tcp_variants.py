@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.net.topology import build_star
+from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig
 from repro.tcp.cubic import CubicSource
 from repro.tcp.dctcp import DctcpSource
 from repro.tcp.factory import (
     ECN_PROTOCOLS,
-    create_source,
     default_config,
+    make_connection,
     source_class,
 )
 from repro.tcp.l2dct import L2dctSource
@@ -37,9 +39,13 @@ class TestFactory:
     def test_cubic_gets_newreno_recovery(self):
         assert default_config("cubic").recovery == "newreno"
 
-    def test_create_source_attaches_to_host(self):
-        sim, star, source, _sink = make_pair("cubic", config=default_config("cubic", **FAST))
+    def test_make_connection_attaches_to_host(self):
+        sim = Simulator()
+        star = build_star(sim, 1)
+        source, sink = make_connection("cubic", sim, star.servers[0], star.frontend)
         assert star.servers[0].agent_for(1) is source
+        assert star.frontend.agent_for(1) is sink
+        assert source.config == default_config("cubic")  # config omitted
 
 
 class TestCubic:
