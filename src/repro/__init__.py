@@ -68,7 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.factory import PROTOCOLS as PROTOCOLS
     from repro.tcp.factory import make_connection as make_connection
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 
 def _lazy_exports(package: str, table: dict[str, str]) -> None:

@@ -7,9 +7,14 @@ Streams are derived with numpy's ``SeedSequence`` spawning scheme, which
 guarantees independence between streams, and drawn from a PCG64
 generator.  Both are pure-Python transcriptions of numpy's, so no run
 imports numpy: :class:`Pcg64Generator` gives the very numbers
-``numpy.random.Generator(PCG64(SeedSequence(...)))`` gives for every
-method it has, which ``tests/test_sim_randomness.py`` holds equal to
-numpy under hypothesis.
+``numpy.random.Generator(PCG64(SeedSequence(...)))`` gives for
+``random``, ``uniform``, ``integers`` and ``permutation``, which
+``tests/test_sim_randomness.py`` holds equal to numpy under hypothesis.
+``exponential`` and ``geometric`` invert that uniform instead of
+copying numpy's ziggurat and CDF search: the paper defines its
+workloads by distributions, not by one stream, and
+``tests/test_seed_sweep.py`` holds every claim that depends on the
+draws under eight root seeds.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from typing import overload
-
-from repro.sim.ziggurat import EXP_R, FE, KE, WE
 
 __all__ = ["Pcg64Generator", "RandomStreams", "derive_seed", "seeded_rng"]
 
@@ -35,7 +38,7 @@ _MAX_INT64 = (1 << 63) - 1
 
 
 class Pcg64Generator:
-    """numpy's ``Generator(PCG64(...))``, draw for draw, in pure Python.
+    """numpy's ``Generator(PCG64(...))`` in pure Python.
 
     PCG64 is a 128-bit LCG with the XSL-RR output function.  A 32-bit
     draw takes the low half of a 64-bit output and keeps the high half
@@ -75,22 +78,6 @@ class Pcg64Generator:
 
     def _double(self) -> float:
         return (self._next64() >> 11) * _TWO_M53
-
-    def _standard_exponential(self) -> float:
-        # numpy's 256-layer ziggurat; its rejection branch recurses,
-        # this loop draws again.
-        while True:
-            bits = self._next64() >> 3
-            layer = bits & 0xFF
-            bits >>= 8
-            x = bits * WE[layer]
-            if bits < KE[layer]:
-                return x
-            if layer == 0:  # the tail, sampled as 1 - U to avoid log(0)
-                return EXP_R - math.log1p(-self._double())
-            low, high = FE[layer], FE[layer - 1]
-            if (high - low) * self._double() + low < math.exp(-x):
-                return x
 
     def _bounded(self, span: int) -> int:
         """A uniform integer in ``[0, span]``: Lemire's multiply-and-reject
@@ -138,29 +125,24 @@ class Pcg64Generator:
     def exponential(
         self, scale: float, size: int | None = None
     ) -> float | list[float]:
-        """Exponential draws of mean ``scale``."""
+        """Exponential draws of mean ``scale``, by inversion:
+        ``-scale * log(1 - U)``."""
         if not scale >= 0:
             raise ValueError(f"scale must be non-negative, got {scale!r}")
         if size is None:
-            return scale * self._standard_exponential()
-        return [scale * self._standard_exponential() for _ in range(size)]
+            return -scale * math.log1p(-self._double())
+        return [-scale * math.log1p(-self._double()) for _ in range(size)]
 
     def geometric(self, p: float) -> int:
-        """Trials up to and including the first success, ``0 < p <= 1``."""
+        """Trials up to and including the first success, ``0 < p <= 1``,
+        by inversion: ``ceil(log(1 - U) / log(1 - p))``, at least 1."""
         if not 0 < p <= 1:
             raise ValueError(f"p must be in (0, 1], got {p!r}")
-        if p >= 0.333333333333333333333333:  # search the CDF
-            trials, total, term, miss = 1, p, p, 1.0 - p
-            u = self._double()
-            while u > total:
-                term *= miss
-                total += term
-                trials += 1
-            return trials
-        # numpy takes the ceiling first; for a double it changes nothing
-        # at 2**63 or above, and leaves an infinite quotient to the clamp.
-        z = -self._standard_exponential() / math.log1p(-p)
-        return _MAX_INT64 if z >= 9.223372036854776e18 else math.ceil(z)
+        miss = math.log1p(-p) if p < 1 else -math.inf
+        trials = math.log1p(-self._double()) / miss
+        if trials >= 9.223372036854776e18:  # 2**63 or infinite, as p -> 0:
+            return _MAX_INT64  # numpy's int64 clamp
+        return max(1, math.ceil(trials))
 
     @overload
     def integers(self, low: int, high: int) -> int: ...
