@@ -8,10 +8,6 @@ slows.  The paper's 0.25 sits in the flat, safe region.
 """
 
 from benchmarks.paperbench import MS, header, row
-from repro.core.trim import TrimSource
-from repro.net.topology import build_star
-from repro.sim.kernel import Simulator
-from repro.tcp.base import TcpConfig, TcpSink
 
 ALPHAS = (0.1, 0.25, 0.5, 0.9)
 CAPACITY = 1e9 / (8 * 1460)

@@ -7,7 +7,7 @@ synchronized tails exceed what the buffer absorbs (whole flows park on
 collapse to the point where N × min_cwnd alone overruns the pipe.
 """
 
-from benchmarks.paperbench import MS, header, row
+from benchmarks.paperbench import header, row
 from repro.experiments import registry
 from repro.experiments.incast import IncastParams
 from repro.runner import SweepRunner

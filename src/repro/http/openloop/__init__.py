@@ -50,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.http.openloop.sessions import SessionSchedule as SessionSchedule
     from repro.http.openloop.sessions import compile_schedule as compile_schedule
     from repro.http.openloop.trace import load_trace as load_trace
-    from repro.http.openloop.trace import trace_rows as trace_rows
     from repro.http.openloop.trace import write_trace as write_trace
 
 _lazy_exports(__name__, {
@@ -69,6 +68,5 @@ _lazy_exports(__name__, {
     "SessionSchedule": "repro.http.openloop.sessions",
     "compile_schedule": "repro.http.openloop.sessions",
     "load_trace": "repro.http.openloop.trace",
-    "trace_rows": "repro.http.openloop.trace",
     "write_trace": "repro.http.openloop.trace",
 })

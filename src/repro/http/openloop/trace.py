@@ -29,7 +29,7 @@ from typing import Any, Iterator, Mapping, Union
 from repro.http.openloop.sessions import ScheduledRequest, SessionSchedule
 from repro.obs.export import dump_row
 
-__all__ = ["load_trace", "trace_rows", "write_trace"]
+__all__ = ["load_trace", "write_trace"]
 
 PathLike = Union[str, Path]
 
@@ -39,20 +39,13 @@ PathLike = Union[str, Path]
 ROW_KEYS = frozenset({"t", "session", "size"})
 
 
-def trace_rows(schedule: SessionSchedule) -> list[dict[str, Any]]:
-    """The schedule's requests as canonical-order trace rows."""
-    return [
-        {"t": r.time, "session": r.session, "size": r.size_bytes}
-        for r in schedule.requests
-    ]
-
-
 def write_trace(schedule: SessionSchedule, path: PathLike) -> Path:
     """Write a schedule as canonical trace JSONL; returns the path."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8", newline="\n") as fh:
-        for row in trace_rows(schedule):
+        for r in schedule.requests:
+            row = {"t": r.time, "session": r.session, "size": r.size_bytes}
             fh.write(dump_row(row))
             fh.write("\n")
     return target

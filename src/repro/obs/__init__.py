@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.records import StateRecord as StateRecord
     from repro.obs.records import validate_row as validate_row
     from repro.obs.spec import TraceSpec as TraceSpec
-    from repro.obs.telemetry import DEFAULT_CAPACITY as DEFAULT_CAPACITY
     from repro.obs.telemetry import QueueTap as QueueTap
     from repro.obs.telemetry import Telemetry as Telemetry
     from repro.obs.timeline import CwndTimeline as CwndTimeline
@@ -57,7 +56,6 @@ _lazy_exports(__name__, {
     "StateRecord": "repro.obs.records",
     "validate_row": "repro.obs.records",
     "TraceSpec": "repro.obs.spec",
-    "DEFAULT_CAPACITY": "repro.obs.telemetry",
     "QueueTap": "repro.obs.telemetry",
     "Telemetry": "repro.obs.telemetry",
     "CwndTimeline": "repro.obs.timeline",

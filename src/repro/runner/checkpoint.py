@@ -16,15 +16,15 @@ the resume, and no line raises out of it.  Records are keyed on
 ``(experiment_id, label, seed, params_digest)`` — the digest matters
 because protocol variants of one experiment deliberately share
 per-point seeds (matched draws), so id/label/seed alone would collide
-across the tasks of one sweep.  When a journal holds several records
-for one key (e.g. two interrupted runs), the last wins, matching
-append-order semantics.
+across the tasks of one sweep, and it hashes the package version, so
+a journal written by another version resumes nothing.  When a journal
+holds several records for one key (e.g. two interrupted runs), the
+last wins, matching append-order semantics.
 
 The journal deliberately does **not** reuse the result cache: the cache
-is keyed on the package *version* and shared across sweeps, while a
-checkpoint belongs to one invocation and must survive exactly as
-written — including results for parameter combinations the cache was
-disabled for.
+is shared across sweeps, while a checkpoint belongs to one invocation
+and must survive exactly as written — including results for parameter
+combinations the cache was disabled for.
 """
 
 from __future__ import annotations
@@ -76,17 +76,22 @@ def _record_key(doc: Any) -> Optional[PointKey]:
 
 
 def digest_params(params: Any) -> str:
-    """A short stable fingerprint of a params dataclass.
+    """A short stable fingerprint of a params dataclass and the package
+    version.
 
     Folded into the journal key so two tasks of one sweep that share an
     experiment id, point labels, and (deliberately matched) seeds — the
     protocol variants of a figure — cannot overwrite each other's
-    journal records.
+    journal records.  The version keys it as it keys the result cache:
+    a resume replays no record another version wrote.
     """
+    from repro import __version__
     from repro.experiments.store import to_jsonable
 
     material = json.dumps(
-        to_jsonable(params), sort_keys=True, separators=(",", ":")
+        {"version": __version__, "params": to_jsonable(params)},
+        sort_keys=True,
+        separators=(",", ":"),
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 

@@ -138,7 +138,7 @@ class Pcg64Generator:
         by inversion: ``ceil(log(1 - U) / log(1 - p))``, at least 1."""
         if not 0 < p <= 1:
             raise ValueError(f"p must be in (0, 1], got {p!r}")
-        miss = math.log1p(-p) if p < 1 else -math.inf
+        miss = math.log1p(-p) if p < 1 else -math.inf  # math.log1p(-1) raises
         trials = math.log1p(-self._double()) / miss
         if trials >= 9.223372036854776e18:  # 2**63 or infinite, as p -> 0:
             return _MAX_INT64  # numpy's int64 clamp

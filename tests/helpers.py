@@ -16,7 +16,6 @@ from repro.http.openloop import OpenLoopDriver
 from repro.http.openloop.driver import OpenLoopRun
 from repro.net.link import Link
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue
 from repro.net.topology import build_star
 from repro.runner import ProcessPoolBackend
 from repro.sim.kernel import Simulator

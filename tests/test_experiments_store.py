@@ -1,7 +1,6 @@
 """Tests for the results artifact store."""
 
 import json
-import math
 
 import numpy as np
 import pytest

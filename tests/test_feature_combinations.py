@@ -5,8 +5,6 @@ in the base sender; these tests pin the interesting pairings, especially
 with TCP-TRIM's probing on top.
 """
 
-import pytest
-
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator
 from repro.tcp.base import TcpConfig, TcpSink

@@ -5,8 +5,6 @@ cold congestion windows (Section II.B.1).  These tests quantify both
 effects with the :class:`HttpSession` modes.
 """
 
-import pytest
-
 from repro.http.apps import HttpSession
 from repro.net.topology import build_star
 from repro.sim.kernel import Simulator

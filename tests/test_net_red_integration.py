@@ -5,8 +5,6 @@ physical buffer (unlike drop-tail's ceiling-riding saw-tooth) while the
 flow still completes its transfer.
 """
 
-import pytest
-
 from repro.net.queues import RedQueue
 from repro.tcp.base import TcpConfig
 from tests.helpers import FAST, make_pair

@@ -11,7 +11,6 @@ from repro.http.openloop import (
     SessionConfig,
     compile_schedule,
     load_trace,
-    trace_rows,
     write_trace,
 )
 
@@ -42,11 +41,12 @@ class TestRoundTrip:
         second = write_trace(reloaded, tmp_path / f"again-{seed}.jsonl")
         assert second.read_bytes() == first.read_bytes()
 
-    def test_trace_rows_are_flat_tuples(self):
+    def test_trace_rows_are_flat_tuples(self, tmp_path):
         schedule = compile_schedule(
             PoissonArrivals(60.0), SessionConfig(), seed=2, horizon=0.2
         )
-        rows = trace_rows(schedule)
+        path = write_trace(schedule, tmp_path / "trace.jsonl")
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == len(schedule)
         for row, request in zip(rows, schedule):
             assert row == {

@@ -183,6 +183,21 @@ class TestRunnerCheckpointing:
         assert runner.last_stats.resumed == 0
         assert experiment.calls == 3
 
+    def test_journal_keyed_on_version(self, tmp_path, monkeypatch):
+        """A journal another package version wrote resumes nothing: its
+        points may come from another random stream."""
+        path = tmp_path / "j.jsonl"
+        monkeypatch.setattr("repro.__version__", "0.old")
+        SweepRunner(checkpoint=SweepCheckpoint(path)).run(
+            _ToyExperiment(), _ToyParams(), seed=5
+        )
+        monkeypatch.setattr("repro.__version__", "0.new")
+        experiment = _ToyExperiment()
+        runner = SweepRunner(checkpoint=SweepCheckpoint(path), resume=True)
+        runner.run(experiment, _ToyParams(), seed=5)
+        assert runner.last_stats.resumed == 0
+        assert experiment.calls == 3
+
     def test_fresh_run_truncates_stale_journal(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with SweepCheckpoint(path) as stale:

@@ -1,7 +1,5 @@
 """Tests for packet pacing (srtt/cwnd send spacing)."""
 
-import pytest
-
 from repro.metrics.tracing import PacketLogger
 from repro.tcp.base import TcpConfig
 from tests.helpers import FAST, make_pair

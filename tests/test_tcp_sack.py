@@ -1,8 +1,6 @@
 """Tests for SACK blocks (sink) and SACK-based recovery (sender)."""
 
-import pytest
-
-from repro.tcp.base import TcpConfig, TcpSink
+from repro.tcp.base import TcpConfig
 from repro.tcp.reno import RenoSource
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 

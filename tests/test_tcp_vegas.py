@@ -1,8 +1,5 @@
 """Tests for the TCP Vegas baseline."""
 
-import pytest
-
-from repro.tcp.base import TcpConfig
 from repro.tcp.factory import default_config
 from tests.helpers import FAST, drop_seqs_once, install_loss, make_pair
 
